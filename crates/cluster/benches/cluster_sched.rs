@@ -19,9 +19,18 @@
 //! once on both implementations and the full started-job sequences must
 //! hash identically: the speedup column is only meaningful because the two
 //! schedulers provably make the same decisions.
+//!
+//! Two further case families cover the Fig. 1 replay the scheduler sits in:
+//! `monitor_sample_{1800,3600}` (one `UtilizationMonitor::sample` of a
+//! loaded cluster) and `trace_replay_{1200,3600}_7d` (the whole
+//! `simulate_trace` event loop, backlogged and idle regime). They have no
+//! scan counterpart here; their bit-identity witnesses are the monitor
+//! differential proptest and `ci/trace_reference.json`.
 
 use cluster::reference::RefCluster;
-use cluster::{Cluster, JobId, JobSpec, NodeResources};
+use cluster::{
+    simulate_trace, Cluster, JobId, JobSpec, NodeResources, TraceProfile, UtilizationMonitor,
+};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use des::{RngStream, SimTime};
 use std::cmp::Reverse;
@@ -256,6 +265,85 @@ fn timed_replays<S: Sched>(
     (hash.expect("n >= 1"), rates[rates.len() / 2])
 }
 
+/// Median of three timings of `run`, which returns how many operations it
+/// performed; the result is operations per second. (`timed_replays` keeps
+/// its own loop: it builds each cluster outside the timed region.)
+fn median_rate(label: &str, mut run: impl FnMut() -> u64) -> f64 {
+    let mut rates: Vec<f64> = (0..3)
+        .map(|i| {
+            let t0 = Instant::now();
+            let ops = black_box(run());
+            let secs = t0.elapsed().as_secs_f64();
+            eprintln!("[cluster_sched] {label} run {}/3: {secs:.2}s", i + 1);
+            ops as f64 / secs
+        })
+        .collect();
+    rates.sort_by(|a, b| a.total_cmp(b));
+    rates[1]
+}
+
+/// Two snapshots of one `nodes`-node cluster loaded to about 7/8, eight
+/// completions and eight arrivals apart. Sampling them alternately makes
+/// every sample close and open a handful of idle runs, as consecutive
+/// samples of a replay do, instead of timing the no-change best case.
+fn monitor_snapshots(nodes: usize) -> [Cluster; 2] {
+    let profile = TraceProfile::piz_daint();
+    let build = |churn: usize| {
+        let mut rng = RngStream::from_seed(29);
+        let mut cluster = Cluster::homogeneous(nodes, profile.node_capacity);
+        let mut requested = 0;
+        loop {
+            let (spec, runtime) = profile.draw_job(&mut rng);
+            requested += spec.nodes as usize;
+            if requested > nodes * 7 / 8 {
+                break;
+            }
+            cluster.submit(spec, runtime, SimTime::ZERO);
+        }
+        let (started, _) = cluster.try_schedule(SimTime::ZERO);
+        let later = SimTime::from_mins(1);
+        for &id in started.iter().take(churn) {
+            cluster.finish(id, later).expect("started job is running");
+            let (spec, runtime) = profile.draw_job(&mut rng);
+            cluster.submit(spec, runtime, later);
+        }
+        cluster.try_schedule(later);
+        cluster
+    };
+    let snapshots = [build(0), build(8)];
+    let changed = (snapshots[0].nodes().iter())
+        .zip(snapshots[1].nodes())
+        .filter(|(a, b)| a.is_idle() != b.is_idle())
+        .count();
+    assert!(changed > 0, "the snapshots must differ in idle state");
+    eprintln!(
+        "[cluster_sched] monitor snapshots at {nodes} nodes: {}/{} idle, {changed} nodes differ",
+        snapshots[0].idle_node_count(),
+        snapshots[1].idle_node_count()
+    );
+    snapshots
+}
+
+const MONITOR_SAMPLES: u64 = 200_000;
+
+/// `samples` alternating samples of the two snapshots on a fresh monitor.
+fn monitor_samples(snapshots: &[Cluster; 2], samples: u64) -> u64 {
+    let mut monitor = UtilizationMonitor::two_minute();
+    for i in 0..samples {
+        monitor.sample(&snapshots[(i % 2) as usize], SimTime::from_mins(2 * i));
+    }
+    black_box(monitor.finish().idle_nodes.len() as u64)
+}
+
+/// One 7-day Fig. 1 replay at `nodes` nodes; returns the jobs submitted.
+fn trace_replay_7d(nodes: usize) -> u64 {
+    let profile = TraceProfile {
+        nodes,
+        ..TraceProfile::piz_daint()
+    };
+    simulate_trace(&profile, SimTime::from_days(7), 1).jobs_submitted as u64
+}
+
 fn bench_cluster_sched(c: &mut Criterion) {
     // Smoke cases: small enough for `cargo bench -- --test`, and the
     // bit-identity witness runs on every invocation, smoke or measured.
@@ -278,6 +366,19 @@ fn bench_cluster_sched(c: &mut Criterion) {
     });
     g.bench_function("replay_256n_2k_cancel_backfill_indexed", |b| {
         b.iter(|| black_box(replay(&mut indexed_cluster(256), &smoke_cancel)));
+    });
+    let smoke_snapshots = monitor_snapshots(256);
+    g.bench_function("monitor_sample_256n_x1k", |b| {
+        b.iter(|| monitor_samples(&smoke_snapshots, 1_000));
+    });
+    g.bench_function("trace_replay_small_12h", |b| {
+        b.iter(|| {
+            black_box(simulate_trace(
+                &TraceProfile::small_test(),
+                SimTime::from_hours(12),
+                1,
+            ))
+        });
     });
     g.finish();
 
@@ -318,19 +419,38 @@ fn bench_cluster_sched(c: &mut Criterion) {
     );
     assert_eq!(h_idx_8kc, h_scan_8kc, "divergence on the 8k cancel stream");
 
+    let snapshots_1800 = monitor_snapshots(1_800);
+    let monitor_1800 = median_rate("monitor 1800", || {
+        monitor_samples(&snapshots_1800, MONITOR_SAMPLES)
+    });
+    let snapshots_3600 = monitor_snapshots(3_600);
+    let monitor_3600 = median_rate("monitor 3600", || {
+        monitor_samples(&snapshots_3600, MONITOR_SAMPLES)
+    });
+    let trace_1200 = median_rate("trace 1200 7d", || trace_replay_7d(1_200));
+    let trace_3600 = median_rate("trace 3600 7d", || trace_replay_7d(3_600));
+
     let speedup = idx_8k / scan_8k;
     println!("cluster_sched/1k_100k:        {idx_1k:.0} jobs/s (indexed, median of 3)");
     println!("cluster_sched/8k_100k:        {idx_8k:.0} jobs/s (indexed, median of 3)");
     println!("cluster_sched/8k_cancel:      {idx_8k_cancel:.0} jobs/s (indexed, median of 3)");
     println!("cluster_sched/8k_100k_scan:   {scan_8k:.0} jobs/s (scan oracle)");
     println!("cluster_sched/speedup_8k:     {speedup:.1}x");
+    println!("cluster_sched/monitor_1800:   {monitor_1800:.0} samples/s (median of 3)");
+    println!("cluster_sched/monitor_3600:   {monitor_3600:.0} samples/s (median of 3)");
+    println!("cluster_sched/trace_1200_7d:  {trace_1200:.0} jobs/s (median of 3)");
+    println!("cluster_sched/trace_3600_7d:  {trace_3600:.0} jobs/s (median of 3)");
 
     let json = format!(
         "{{\n  \"sched_1k_100k_jobs_per_sec\": {idx_1k:.0},\n  \
          \"sched_8k_100k_jobs_per_sec\": {idx_8k:.0},\n  \
          \"sched_8k_cancel_backfill_jobs_per_sec\": {idx_8k_cancel:.0},\n  \
          \"sched_8k_100k_scan_jobs_per_sec\": {scan_8k:.0},\n  \
-         \"sched_8k_speedup_vs_scan\": {speedup:.2}\n}}\n"
+         \"sched_8k_speedup_vs_scan\": {speedup:.2},\n  \
+         \"monitor_sample_1800_samples_per_sec\": {monitor_1800:.0},\n  \
+         \"monitor_sample_3600_samples_per_sec\": {monitor_3600:.0},\n  \
+         \"trace_replay_1200_7d_jobs_per_sec\": {trace_1200:.0},\n  \
+         \"trace_replay_3600_7d_jobs_per_sec\": {trace_3600:.0}\n}}\n"
     );
     let path = std::env::var("BENCH_CLUSTER_SCHED_JSON").unwrap_or_else(|_| {
         format!(

@@ -27,6 +27,11 @@
 //! * **Feasibility counts** — node capacities are static, so the number of
 //!   nodes fitting a request shape is a per-class member count summed over
 //!   fitting classes, `O(#classes)` per query.
+//! * **Usage totals and idle bitmap** — exact integer sums of used/total
+//!   cores and memory, the memory capacity and count of idle nodes, and one
+//!   bit per node set while it is in the idle index. They make the
+//!   utilization monitor's per-sample queries `O(1)` and let it visit only
+//!   the nodes whose idle state changed since its previous sample.
 //!
 //! The cluster publishes every allocation state change through
 //! [`SchedIndex::note_allocated`] / [`SchedIndex::note_released`]. Callers
@@ -35,12 +40,12 @@
 //! so external mutation costs one `O(n log n)` rebuild instead of
 //! correctness.
 
-use crate::job::{Job, JobId, JobSpec};
+use crate::job::{JobSpec, JobTable};
 use crate::node::{Node, NodeResources, NodeState};
 use des::SimTime;
 use fabric::NodeId;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// The scan scheduler's placement sort key: most-recently-freed first
 /// (`idle_since = None`, i.e. allocated, maps to `MAX` and sorts before all
@@ -64,6 +69,33 @@ struct ClassIndex {
     free_at: BTreeSet<(SimTime, NodeId)>,
 }
 
+/// Cluster-wide aggregates, maintained on every allocation and release.
+#[derive(Default)]
+struct Usage {
+    used_cores: u64,
+    total_cores: u64,
+    used_memory_mb: u64,
+    total_memory_mb: u64,
+    /// Memory capacity of the idle nodes (Fig. 1b's "free on idle").
+    idle_memory_mb: u64,
+    idle_nodes: usize,
+}
+
+/// Words of a one-bit-per-node set.
+pub(crate) fn bitmap_words(nodes: usize) -> usize {
+    nodes.div_ceil(64)
+}
+
+/// Raw backfill horizon of `node`: the latest walltime end over the jobs
+/// allocated on it, `ZERO` when it holds none.
+pub(crate) fn node_free_at(node: &Node, jobs: &JobTable) -> SimTime {
+    node.jobs()
+        .filter_map(|jid| jobs.get(jid))
+        .filter_map(|j| j.started_at.map(|s| s + j.spec.walltime))
+        .max()
+        .unwrap_or(SimTime::ZERO)
+}
+
 pub(crate) struct SchedIndex {
     classes: Vec<ClassIndex>,
     /// Node index -> capacity class index.
@@ -76,6 +108,9 @@ pub(crate) struct SchedIndex {
     shared_key: Vec<Option<PlacementKey>>,
     /// Mirror of each node's raw `free_at` key in its class set.
     free_at: Vec<SimTime>,
+    usage: Usage,
+    /// Bit `i` is set iff node `i` is in its class's idle set.
+    idle_bits: Vec<u64>,
     /// Set when nodes were mutated behind the index's back (`node_mut`);
     /// the next `ensure_clean` rebuilds everything.
     dirty: bool,
@@ -90,9 +125,11 @@ impl SchedIndex {
             idle_key: Vec::new(),
             shared_key: Vec::new(),
             free_at: Vec::new(),
+            usage: Usage::default(),
+            idle_bits: Vec::new(),
             dirty: false,
         };
-        idx.rebuild(nodes, &HashMap::new());
+        idx.rebuild(nodes, &JobTable::default());
         idx
     }
 
@@ -105,9 +142,11 @@ impl SchedIndex {
     }
 
     /// Rebuild every structure from the authoritative node/job state.
-    pub fn rebuild(&mut self, nodes: &[Node], jobs: &HashMap<JobId, Job>) {
+    pub fn rebuild(&mut self, nodes: &[Node], jobs: &JobTable) {
         self.classes.clear();
         self.shared.clear();
+        self.usage = Usage::default();
+        self.idle_bits = vec![0; bitmap_words(nodes.len())];
         self.class_of = vec![0; nodes.len()];
         self.idle_key = vec![None; nodes.len()];
         self.shared_key = vec![None; nodes.len()];
@@ -132,18 +171,16 @@ impl SchedIndex {
             };
             self.class_of[i] = class as u32;
             self.classes[class].members += 1;
-            let free_at = node
-                .jobs()
-                .filter_map(|jid| jobs.get(&jid))
-                .filter_map(|j| j.started_at.map(|s| s + j.spec.walltime))
-                .max()
-                .unwrap_or(SimTime::ZERO);
+            let free_at = node_free_at(node, jobs);
             self.free_at[i] = free_at;
             self.classes[class].free_at.insert((free_at, node.id));
+            let used = node.used();
+            self.usage.used_cores += u64::from(used.cores);
+            self.usage.total_cores += u64::from(node.capacity.cores);
+            self.usage.used_memory_mb += used.memory_mb;
+            self.usage.total_memory_mb += node.capacity.memory_mb;
             if node.is_idle() {
-                let key = placement_key(node);
-                self.idle_key[i] = Some(key);
-                self.classes[class].idle.insert(key);
+                self.enter_idle(node);
             } else if Self::shared_eligible(node) {
                 let key = placement_key(node);
                 self.shared_key[i] = Some(key);
@@ -162,14 +199,31 @@ impl SchedIndex {
             && node.state() == NodeState::Allocated
     }
 
-    /// Publish a job placement on `node` (call after `Node::allocate`).
-    /// `walltime_end` is `now + walltime`, the backfill horizon the new job
-    /// contributes.
-    pub fn note_allocated(&mut self, node: &Node, walltime_end: SimTime) {
+    /// Add an idle `node` to its class's idle set, the bitmap and the idle
+    /// totals.
+    fn enter_idle(&mut self, node: &Node) {
+        let i = node.id.0 as usize;
+        let key = placement_key(node);
+        self.idle_key[i] = Some(key);
+        self.classes[self.class_of[i] as usize].idle.insert(key);
+        self.idle_bits[i / 64] |= 1 << (i % 64);
+        self.usage.idle_nodes += 1;
+        self.usage.idle_memory_mb += node.capacity.memory_mb;
+    }
+
+    /// Publish a job placement of `req` on `node` (call after
+    /// `Node::allocate`). `walltime_end` is `now + walltime`, the backfill
+    /// horizon the new job contributes.
+    pub fn note_allocated(&mut self, node: &Node, req: &NodeResources, walltime_end: SimTime) {
         let i = node.id.0 as usize;
         let class = self.class_of[i] as usize;
+        self.usage.used_cores += u64::from(req.cores);
+        self.usage.used_memory_mb += req.memory_mb;
         if let Some(key) = self.idle_key[i].take() {
             self.classes[class].idle.remove(&key);
+            self.idle_bits[i / 64] &= !(1 << (i % 64));
+            self.usage.idle_nodes -= 1;
+            self.usage.idle_memory_mb -= node.capacity.memory_mb;
         }
         if Self::shared_eligible(node) && self.shared_key[i].is_none() {
             let key = placement_key(node);
@@ -185,21 +239,21 @@ impl SchedIndex {
         }
     }
 
-    /// Publish a job release on `node` (call after `Node::release`).
-    /// `free_at` is the recomputed raw walltime horizon over the node's
-    /// remaining jobs (`ZERO` when none).
-    pub fn note_released(&mut self, node: &Node, free_at: SimTime) {
+    /// Publish the release of a job's share `req` on `node` (call after
+    /// `Node::release`). `free_at` is the recomputed raw walltime horizon
+    /// over the node's remaining jobs (`ZERO` when none).
+    pub fn note_released(&mut self, node: &Node, req: &NodeResources, free_at: SimTime) {
         let i = node.id.0 as usize;
         let class = self.class_of[i] as usize;
+        self.usage.used_cores -= u64::from(req.cores);
+        self.usage.used_memory_mb -= req.memory_mb;
         if !Self::shared_eligible(node) {
             if let Some(key) = self.shared_key[i].take() {
                 self.shared.remove(&key);
             }
         }
         if node.is_idle() && self.idle_key[i].is_none() {
-            let key = placement_key(node);
-            self.idle_key[i] = Some(key);
-            self.classes[class].idle.insert(key);
+            self.enter_idle(node);
         }
         let old = self.free_at[i];
         if free_at != old {
@@ -207,6 +261,36 @@ impl SchedIndex {
             self.classes[class].free_at.insert((free_at, node.id));
             self.free_at[i] = free_at;
         }
+    }
+
+    /// `(used, total)` cores over all nodes.
+    pub fn core_usage(&self) -> (u64, u64) {
+        (self.usage.used_cores, self.usage.total_cores)
+    }
+
+    /// `(used, free on allocated nodes, free on idle nodes)` memory in MB.
+    /// An idle node has nothing allocated, so whatever capacity is neither
+    /// used nor on an idle node is spare on a non-idle one.
+    pub fn memory_usage(&self) -> (u64, u64, u64) {
+        let u = &self.usage;
+        let free_alloc = u.total_memory_mb - u.idle_memory_mb - u.used_memory_mb;
+        (u.used_memory_mb, free_alloc, u.idle_memory_mb)
+    }
+
+    pub fn idle_node_count(&self) -> usize {
+        self.usage.idle_nodes
+    }
+
+    /// One bit per node, set iff the node is idle.
+    pub fn idle_bits(&self) -> &[u64] {
+        &self.idle_bits
+    }
+
+    /// Whether any node could take a job right now: with no idle node and no
+    /// partially-allocated shareable node, `select` fails for every request
+    /// of one node or more.
+    pub fn has_candidates(&self) -> bool {
+        self.usage.idle_nodes > 0 || !self.shared.is_empty()
     }
 
     /// Number of nodes whose static capacity fits `req` (any state).

@@ -111,6 +111,47 @@ impl Job {
     }
 }
 
+/// Every job a cluster has seen, indexed by id. `Cluster::submit` hands out
+/// ids `1, 2, 3, …`, so the table is a plain vector and a lookup is one
+/// bounds check — the scheduler's backfill scan does several per pending
+/// entry.
+#[derive(Default)]
+pub(crate) struct JobTable(Vec<Job>);
+
+impl JobTable {
+    /// Store a new pending job under the next sequential id.
+    pub fn insert(&mut self, spec: JobSpec, submitted_at: SimTime, runtime: SimTime) -> JobId {
+        let id = JobId(self.0.len() as u64 + 1);
+        self.0.push(Job::new(id, spec, submitted_at, runtime));
+        id
+    }
+
+    fn slot(id: JobId) -> Option<usize> {
+        usize::try_from(id.0.checked_sub(1)?).ok()
+    }
+
+    pub fn get(&self, id: JobId) -> Option<&Job> {
+        self.0.get(Self::slot(id)?)
+    }
+
+    pub fn get_mut(&mut self, id: JobId) -> Option<&mut Job> {
+        self.0.get_mut(Self::slot(id)?)
+    }
+
+    /// All jobs in submission order.
+    pub fn iter(&self) -> impl Iterator<Item = &Job> {
+        self.0.iter()
+    }
+}
+
+impl std::ops::Index<JobId> for JobTable {
+    type Output = Job;
+
+    fn index(&self, id: JobId) -> &Job {
+        self.get(id).expect("job id issued by this cluster")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

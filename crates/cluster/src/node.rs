@@ -3,12 +3,11 @@
 use des::SimTime;
 use fabric::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use crate::job::JobId;
 
 /// Static hardware capacity of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeResources {
     pub cores: u32,
     pub memory_mb: u64,
@@ -66,7 +65,13 @@ pub enum NodeState {
 pub struct Node {
     pub id: NodeId,
     pub capacity: NodeResources,
-    allocations: HashMap<JobId, NodeResources>,
+    /// Per-job shares in allocation order. A node holds zero to a few jobs,
+    /// so a linear scan beats hashing, and the fixed order keeps everything
+    /// derived from [`Node::jobs`] (e.g. summed `f64` demand vectors)
+    /// reproducible from one process to the next.
+    allocations: Vec<(JobId, NodeResources)>,
+    /// Running sum of `allocations`, kept so `used`/`free` are O(1).
+    used: NodeResources,
     state: NodeState,
     /// Job holding the node exclusively (SLURM default: the whole node
     /// belongs to the job even if it requested fewer cores).
@@ -80,7 +85,8 @@ impl Node {
         Node {
             id,
             capacity,
-            allocations: HashMap::new(),
+            allocations: Vec::new(),
+            used: NodeResources::default(),
             state: NodeState::Idle,
             exclusive_holder: None,
             idle_since: Some(SimTime::ZERO),
@@ -104,26 +110,15 @@ impl Node {
 
     /// Resources currently in use by jobs.
     pub fn used(&self) -> NodeResources {
-        let mut used = NodeResources {
-            cores: 0,
-            memory_mb: 0,
-            gpus: 0,
-        };
-        for a in self.allocations.values() {
-            used.cores += a.cores;
-            used.memory_mb += a.memory_mb;
-            used.gpus += a.gpus;
-        }
-        used
+        self.used
     }
 
     /// Spare capacity.
     pub fn free(&self) -> NodeResources {
-        let used = self.used();
         NodeResources {
-            cores: self.capacity.cores - used.cores,
-            memory_mb: self.capacity.memory_mb - used.memory_mb,
-            gpus: self.capacity.gpus - used.gpus,
+            cores: self.capacity.cores - self.used.cores,
+            memory_mb: self.capacity.memory_mb - self.used.memory_mb,
+            gpus: self.capacity.gpus - self.used.gpus,
         }
     }
 
@@ -135,8 +130,9 @@ impl Node {
         self.idle_since
     }
 
+    /// Jobs holding a share of this node, in allocation order.
     pub fn jobs(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.allocations.keys().copied()
+        self.allocations.iter().map(|&(job, _)| job)
     }
 
     pub fn job_count(&self) -> usize {
@@ -186,7 +182,14 @@ impl Node {
             .idle_since
             .take()
             .map(|since| now.saturating_sub(since));
-        self.allocations.insert(job, req);
+        debug_assert!(
+            self.jobs().all(|j| j != job),
+            "job allocated twice on one node"
+        );
+        self.allocations.push((job, req));
+        self.used.cores += req.cores;
+        self.used.memory_mb += req.memory_mb;
+        self.used.gpus += req.gpus;
         if exclusive {
             self.exclusive_holder = Some(job);
         }
@@ -196,7 +199,13 @@ impl Node {
 
     /// Release a job's share. Returns `true` if the node became idle.
     pub fn release(&mut self, job: JobId, now: SimTime) -> bool {
-        self.allocations.remove(&job);
+        if let Some(pos) = self.allocations.iter().position(|&(j, _)| j == job) {
+            // `remove`, not `swap_remove`: the survivors keep their order.
+            let (_, share) = self.allocations.remove(pos);
+            self.used.cores -= share.cores;
+            self.used.memory_mb -= share.memory_mb;
+            self.used.gpus -= share.gpus;
+        }
         if self.exclusive_holder == Some(job) {
             self.exclusive_holder = None;
         }
@@ -252,6 +261,19 @@ mod tests {
         assert!(n.release(JobId(2), SimTime::from_secs(40)));
         assert!(n.is_idle());
         assert_eq!(n.idle_since(), Some(SimTime::from_secs(40)));
+    }
+
+    #[test]
+    fn jobs_iterate_in_allocation_order() {
+        let mut n = Node::new(NodeId(0), NodeResources::daint_mc());
+        for id in [7, 2, 9] {
+            n.allocate(JobId(id), req(4, 1024, 0), false, SimTime::ZERO);
+        }
+        assert_eq!(n.jobs().collect::<Vec<_>>(), [JobId(7), JobId(2), JobId(9)]);
+        n.release(JobId(2), SimTime::from_secs(1));
+        n.allocate(JobId(4), req(4, 1024, 0), false, SimTime::from_secs(2));
+        assert_eq!(n.jobs().collect::<Vec<_>>(), [JobId(7), JobId(9), JobId(4)]);
+        assert_eq!(n.used(), req(12, 3 * 1024, 0));
     }
 
     #[test]

@@ -5,15 +5,21 @@
 //! jobs alike. "Bit-identical" here means every observable the simulation
 //! driver consumes: the started-job sequence and ended idle periods returned
 //! by each `try_schedule`, the pending/idle/running counts, every job's
-//! state and timestamps, and `next_completion`.
+//! state and timestamps, `next_completion`, and the usage totals and idle
+//! bitmap the utilization monitor reads (bit for bit, against a scan). A second family drives the bitmap
+//! [`UtilizationMonitor`] and the frozen per-node sampling loop
+//! ([`crate::monitor::reference`]) over one cluster, with external node
+//! mutation and samples taken while the index is dirty, and compares the
+//! full reports bit for bit.
 //!
 //! These tests are unit tests (not integration tests) on purpose: the
 //! reference module is `cfg(any(test, feature = "oracle"))`, and unit tests
 //! see it without requiring callers to enable the feature.
 
+use crate::monitor::reference::{cluster_usage, report_bits, scan_usage, RefMonitor};
 use crate::reference::RefCluster;
 use crate::scheduler::Cluster;
-use crate::{JobId, JobSpec, Node, NodeResources};
+use crate::{JobId, JobSpec, Node, NodeResources, UtilizationMonitor};
 use des::SimTime;
 use fabric::NodeId;
 use proptest::prelude::*;
@@ -51,7 +57,7 @@ enum Op {
 
 fn arb_spec() -> impl Strategy<Value = JobSpec> {
     (
-        1u32..6,   // nodes
+        0u32..6,   // nodes (a zero-node job starts anywhere, even when full)
         0usize..4, // shape selector
         5u64..600, // walltime minutes
         any::<bool>(),
@@ -157,6 +163,9 @@ fn step(
         "idle nodes diverged"
     );
     prop_assert_eq!(c.next_completion(), r.next_completion());
+    // The running totals and the bitmap against a scan of the oracle's
+    // nodes.
+    prop_assert_eq!(cluster_usage(c), scan_usage(r.nodes()), "usage diverged");
     for &id in submitted.iter() {
         let a = c.job(id).expect("tracked");
         let b = r.job(id).expect("tracked");
@@ -184,8 +193,96 @@ fn step(
     Ok(())
 }
 
+/// One step of the monitor differential test. Unlike [`Op`], scheduling is
+/// its own step, so samples also land between a mutation and the pass that
+/// rebuilds the index.
+#[derive(Debug, Clone)]
+enum MonitorOp {
+    Submit {
+        spec: JobSpec,
+        actual_mins: u64,
+    },
+    Schedule,
+    FinishEarliest,
+    Cancel {
+        k: usize,
+    },
+    /// Mark node `node % n` down through `Cluster::node_mut`.
+    Down {
+        node: usize,
+    },
+    /// Start draining node `node % n` through `Cluster::node_mut`.
+    Drain {
+        node: usize,
+    },
+    /// Advance one sampling interval and sample with both monitors.
+    Sample,
+}
+
+fn arb_monitor_op() -> impl Strategy<Value = MonitorOp> {
+    (0u8..16, arb_spec(), 1u64..400, 0usize..64).prop_map(|(sel, spec, actual_mins, k)| match sel {
+        0..=3 => MonitorOp::Submit { spec, actual_mins },
+        4..=6 => MonitorOp::Schedule,
+        7 | 8 => MonitorOp::FinishEarliest,
+        9 => MonitorOp::Cancel { k },
+        10 => MonitorOp::Down { node: k },
+        11 => MonitorOp::Drain { node: k },
+        _ => MonitorOp::Sample,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn bitmap_monitor_matches_per_node_sampling_loop(
+        ops in prop::collection::vec(arb_monitor_op(), 1..200),
+    ) {
+        let mut c = Cluster::new(hetero_nodes(40, 50, 45));
+        let mut monitor = UtilizationMonitor::two_minute();
+        let mut oracle = RefMonitor::two_minute();
+        let mut now = SimTime::ZERO;
+        let mut submitted = Vec::new();
+        for op in &ops {
+            match op {
+                MonitorOp::Submit { spec, actual_mins } => {
+                    submitted.push(c.submit(spec.clone(), SimTime::from_mins(*actual_mins), now));
+                }
+                MonitorOp::Schedule => {
+                    for period in c.try_schedule(now).1 {
+                        monitor.record_exact_idle_period(period);
+                        oracle.record_exact_idle_period(period);
+                    }
+                }
+                MonitorOp::FinishEarliest => {
+                    if let Some((when, id)) = c.next_completion() {
+                        now = now.max(when);
+                        c.finish(id, now).expect("running job finishes");
+                    }
+                }
+                MonitorOp::Cancel { k } => {
+                    if !submitted.is_empty() {
+                        let _ = c.cancel(submitted[k % submitted.len()], now);
+                    }
+                }
+                MonitorOp::Down { node } => {
+                    let id = NodeId((node % c.node_count()) as u32);
+                    c.node_mut(id).expect("in range").set_down();
+                }
+                MonitorOp::Drain { node } => {
+                    let id = NodeId((node % c.node_count()) as u32);
+                    c.node_mut(id).expect("in range").set_draining();
+                }
+                MonitorOp::Sample => {
+                    now += monitor.interval();
+                    monitor.sample(&c, now);
+                    oracle.sample(&c, now);
+                }
+            }
+            prop_assert_eq!(cluster_usage(&c), scan_usage(c.nodes()));
+        }
+        prop_assert_eq!(report_bits(&monitor.finish()), report_bits(&oracle.finish()));
+    }
 
     #[test]
     fn indexed_scheduler_matches_scan_oracle(

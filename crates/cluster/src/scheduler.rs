@@ -13,17 +13,21 @@
 //! shadow time is a k-th order statistic over an incrementally-updated
 //! per-node walltime horizon, feasibility is a per-capacity-class member
 //! count, and backfill extraction tombstones its queue entry instead of
-//! shifting the `VecDeque`. Scheduling decisions are bit-identical to the
+//! shifting the `VecDeque`. Jobs live in a dense table indexed by their
+//! sequential id, and the utilization queries (`core_usage`,
+//! `memory_usage`, `idle_node_count`) read running totals kept alongside
+//! the indexes. Scheduling decisions are bit-identical to the
 //! original scan implementation, which is kept verbatim in
 //! [`crate::reference`] and enforced as an oracle by property tests and by
 //! the committed `ci/trace_reference.json` replay artifact.
 
-use crate::index::SchedIndex;
-use crate::job::{Job, JobId, JobSpec, JobState};
+use crate::index::{bitmap_words, node_free_at, SchedIndex};
+use crate::job::{Job, JobId, JobSpec, JobState, JobTable};
 use crate::node::{Node, NodeResources};
 use des::SimTime;
 use fabric::NodeId;
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Errors from scheduler operations.
@@ -58,7 +62,7 @@ const PENDING_COMPACT_MIN: usize = 64;
 /// `finish`; query idle capacity for the serverless resource manager.
 pub struct Cluster {
     nodes: Vec<Node>,
-    jobs: HashMap<JobId, Job>,
+    jobs: JobTable,
     /// Arrival-ordered queue. Entries whose job is no longer `Pending` are
     /// tombstones: backfill extraction and cancellation mark the job's state
     /// and leave the entry in place (O(1) amortized instead of a O(n)
@@ -67,7 +71,9 @@ pub struct Cluster {
     pending: VecDeque<JobId>,
     /// Number of non-tombstone entries in `pending`.
     pending_live: usize,
-    next_id: u64,
+    /// Whether a zero-node job was ever submitted. Such a job "starts" on a
+    /// full cluster, so the backfill scan may only stop early without one.
+    zero_node_jobs: bool,
     /// Completed-job history kept for statistics (state `Completed` only;
     /// see `cancelled` for the other terminal outcome).
     completed: Vec<JobId>,
@@ -85,10 +91,10 @@ impl Cluster {
         let index = SchedIndex::new(&nodes);
         Cluster {
             nodes,
-            jobs: HashMap::new(),
+            jobs: JobTable::default(),
             pending: VecDeque::new(),
             pending_live: 0,
-            next_id: 0,
+            zero_node_jobs: false,
             completed: Vec::new(),
             cancelled: Vec::new(),
             index,
@@ -126,7 +132,7 @@ impl Cluster {
     }
 
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.jobs.get(&id)
+        self.jobs.get(id)
     }
 
     pub fn pending_count(&self) -> usize {
@@ -134,7 +140,7 @@ impl Cluster {
     }
 
     pub fn running_jobs(&self) -> impl Iterator<Item = &Job> {
-        self.jobs.values().filter(|j| j.state == JobState::Running)
+        self.jobs.iter().filter(|j| j.state == JobState::Running)
     }
 
     pub fn running_count(&self) -> usize {
@@ -143,7 +149,7 @@ impl Cluster {
 
     /// Jobs that ran to completion, in completion order.
     pub fn completed_jobs(&self) -> impl Iterator<Item = &Job> {
-        self.completed.iter().filter_map(|id| self.jobs.get(id))
+        self.completed.iter().filter_map(|&id| self.jobs.get(id))
     }
 
     /// Jobs that terminated without completing — dropped as infeasible, or
@@ -152,7 +158,7 @@ impl Cluster {
     /// [`Cluster::completed_jobs`], [`Cluster::cancelled_jobs`], the pending
     /// queue, or the running set.
     pub fn cancelled_jobs(&self) -> impl Iterator<Item = &Job> {
-        self.cancelled.iter().filter_map(|id| self.jobs.get(id))
+        self.cancelled.iter().filter_map(|&id| self.jobs.get(id))
     }
 
     pub fn cancelled_count(&self) -> usize {
@@ -163,17 +169,38 @@ impl Cluster {
         self.nodes.iter().filter(|n| n.is_idle())
     }
 
+    /// Number of idle nodes: a maintained count, or the scan while external
+    /// node mutation has the index dirty (same result).
     pub fn idle_node_count(&self) -> usize {
-        self.idle_nodes().count()
+        if self.index.is_dirty() {
+            self.idle_nodes().count()
+        } else {
+            self.index.idle_node_count()
+        }
+    }
+
+    /// One bit per node, bit `i % 64` of word `i / 64` set iff node `i` is
+    /// idle: the maintained bitmap, or one built by scanning while the index
+    /// is dirty.
+    pub(crate) fn idle_bits(&self) -> Cow<'_, [u64]> {
+        if !self.index.is_dirty() {
+            return Cow::Borrowed(self.index.idle_bits());
+        }
+        let mut bits = vec![0u64; bitmap_words(self.nodes.len())];
+        for (i, node) in self.nodes.iter().enumerate() {
+            if node.is_idle() {
+                bits[i / 64] |= 1 << (i % 64);
+            }
+        }
+        Cow::Owned(bits)
     }
 
     /// Submit a job; returns its id. `actual_runtime` is the runtime the
     /// trace decided (unknown to the scheduler, which only sees `walltime`).
     pub fn submit(&mut self, spec: JobSpec, actual_runtime: SimTime, now: SimTime) -> JobId {
-        self.next_id += 1;
-        let id = JobId(self.next_id);
         let runtime = actual_runtime.min(spec.walltime);
-        self.jobs.insert(id, Job::new(id, spec, now, runtime));
+        self.zero_node_jobs |= spec.nodes == 0;
+        let id = self.jobs.insert(spec, now, runtime);
         self.pending.push_back(id);
         self.pending_live += 1;
         id
@@ -203,7 +230,7 @@ impl Cluster {
     }
 
     fn start_job(&mut self, id: JobId, nodes: Vec<NodeId>, now: SimTime) -> Vec<SimTime> {
-        let job = self.jobs.get_mut(&id).expect("job exists");
+        let job = self.jobs.get_mut(id).expect("job exists");
         job.state = JobState::Running;
         job.started_at = Some(now);
         let per_node = job.spec.per_node;
@@ -215,28 +242,19 @@ impl Cluster {
             if let Some(p) = self.nodes[i].allocate(id, per_node, exclusive, now) {
                 ended_idle_periods.push(p);
             }
-            self.index.note_allocated(&self.nodes[i], walltime_end);
+            self.index
+                .note_allocated(&self.nodes[i], &per_node, walltime_end);
         }
         // Assign by moving the vector — the allocation loop above borrowed
-        // it, so one extra map lookup replaces a whole-Vec clone.
-        self.jobs.get_mut(&id).expect("exists").assigned = nodes;
+        // it, so one extra table lookup replaces a whole-Vec clone.
+        self.jobs.get_mut(id).expect("exists").assigned = nodes;
         ended_idle_periods
-    }
-
-    /// Recompute a node's raw backfill horizon after a release: the max
-    /// walltime end over the jobs still allocated on it.
-    fn node_free_at(&self, node: &Node) -> SimTime {
-        node.jobs()
-            .filter_map(|jid| self.jobs.get(&jid))
-            .filter_map(|j| j.started_at.map(|s| s + j.spec.walltime))
-            .max()
-            .unwrap_or(SimTime::ZERO)
     }
 
     /// Drop tombstoned entries off the queue front and return the live head.
     fn live_head(&mut self) -> Option<JobId> {
         while let Some(&id) = self.pending.front() {
-            if self.jobs[&id].state == JobState::Pending {
+            if self.jobs[id].state == JobState::Pending {
                 return Some(id);
             }
             self.pending.pop_front();
@@ -250,7 +268,7 @@ impl Cluster {
         if self.pending.len() > PENDING_COMPACT_MIN && self.pending_live * 2 < self.pending.len() {
             let jobs = &self.jobs;
             self.pending
-                .retain(|id| jobs[id].state == JobState::Pending);
+                .retain(|&id| jobs[id].state == JobState::Pending);
             debug_assert_eq!(self.pending.len(), self.pending_live);
         }
     }
@@ -266,17 +284,17 @@ impl Cluster {
         // FCFS phase. Specs are borrowed, not cloned — this runs once per
         // arrival and once per completion, and a `JobSpec` owns a `String`.
         while let Some(head) = self.live_head() {
-            if !self.is_feasible(&self.jobs[&head].spec) {
+            if !self.is_feasible(&self.jobs[head].spec) {
                 // Drop impossible jobs so they don't wedge the queue.
                 self.pending.pop_front();
                 self.pending_live -= 1;
-                let j = self.jobs.get_mut(&head).expect("exists");
+                let j = self.jobs.get_mut(head).expect("exists");
                 j.state = JobState::Cancelled;
                 j.finished_at = Some(now);
                 self.cancelled.push(head);
                 continue;
             }
-            match self.index.select(&self.nodes, &self.jobs[&head].spec) {
+            match self.index.select(&self.nodes, &self.jobs[head].spec) {
                 Some(nodes) => {
                     self.pending.pop_front();
                     self.pending_live -= 1;
@@ -290,17 +308,23 @@ impl Cluster {
         // Backfill phase (conservative EASY): jobs behind the head may start
         // only if their walltime fits before the head's reservation. A
         // backfilled job's queue entry becomes a tombstone (its state is no
-        // longer `Pending`), so extraction never shifts the deque.
+        // longer `Pending`), so extraction never shifts the deque. Once the
+        // last idle or shareable node is taken, no job of one node or more
+        // can be placed, so the rest of the queue is not looked at.
         if let Some(&head) = self.pending.front() {
-            let shadow = self.index.shadow_time(&self.jobs[&head].spec, now);
+            let shadow = self.index.shadow_time(&self.jobs[head].spec, now);
             for i in 1..self.pending.len() {
+                if !self.zero_node_jobs && !self.index.has_candidates() {
+                    break;
+                }
                 let jid = self.pending[i];
-                if self.jobs[&jid].state != JobState::Pending {
+                let job = &self.jobs[jid];
+                if job.state != JobState::Pending {
                     continue; // tombstone
                 }
-                let fits_before_shadow = now + self.jobs[&jid].spec.walltime <= shadow;
+                let fits_before_shadow = now + job.spec.walltime <= shadow;
                 if fits_before_shadow {
-                    if let Some(nodes) = self.index.select(&self.nodes, &self.jobs[&jid].spec) {
+                    if let Some(nodes) = self.index.select(&self.nodes, &job.spec) {
                         self.pending_live -= 1;
                         idle_periods.extend(self.start_job(jid, nodes, now));
                         started.push(jid);
@@ -316,12 +340,13 @@ impl Cluster {
     /// Complete a running job, releasing its nodes.
     pub fn finish(&mut self, id: JobId, now: SimTime) -> Result<(), SchedulerError> {
         self.ensure_index();
-        let job = self.jobs.get_mut(&id).ok_or(SchedulerError::UnknownJob)?;
+        let job = self.jobs.get_mut(id).ok_or(SchedulerError::UnknownJob)?;
         if job.state != JobState::Running {
             return Err(SchedulerError::NotRunning);
         }
         job.state = JobState::Completed;
         job.finished_at = Some(now);
+        let per_node = job.spec.per_node;
         let assigned = std::mem::take(&mut job.assigned);
         for nid in &assigned {
             let i = nid.0 as usize;
@@ -329,11 +354,11 @@ impl Cluster {
                 continue;
             }
             self.nodes[i].release(id, now);
-            let free_at = self.node_free_at(&self.nodes[i]);
-            self.index.note_released(&self.nodes[i], free_at);
+            let free_at = node_free_at(&self.nodes[i], &self.jobs);
+            self.index.note_released(&self.nodes[i], &per_node, free_at);
         }
         // Keep assignment for statistics.
-        self.jobs.get_mut(&id).expect("exists").assigned = assigned;
+        self.jobs.get_mut(id).expect("exists").assigned = assigned;
         self.completed.push(id);
         Ok(())
     }
@@ -341,7 +366,7 @@ impl Cluster {
     /// Cancel a pending or running job. The job lands in the cancelled
     /// history either way (a running job's nodes are released first).
     pub fn cancel(&mut self, id: JobId, now: SimTime) -> Result<(), SchedulerError> {
-        let job = self.jobs.get_mut(&id).ok_or(SchedulerError::UnknownJob)?;
+        let job = self.jobs.get_mut(id).ok_or(SchedulerError::UnknownJob)?;
         match job.state {
             JobState::Pending => {
                 job.state = JobState::Cancelled;
@@ -359,7 +384,7 @@ impl Cluster {
                 // ledger.
                 debug_assert_eq!(self.completed.last(), Some(&id));
                 self.completed.pop();
-                self.jobs.get_mut(&id).expect("exists").state = JobState::Cancelled;
+                self.jobs.get_mut(id).expect("exists").state = JobState::Cancelled;
                 self.cancelled.push(id);
                 Ok(())
             }
@@ -375,8 +400,12 @@ impl Cluster {
             .min()
     }
 
-    /// Aggregate used/total core counts (for utilization sampling).
+    /// Aggregate used/total core counts (for utilization sampling): running
+    /// totals, or the scan while the index is dirty (same result).
     pub fn core_usage(&self) -> (u64, u64) {
+        if !self.index.is_dirty() {
+            return self.index.core_usage();
+        }
         let mut used = 0;
         let mut total = 0;
         for n in &self.nodes {
@@ -387,8 +416,12 @@ impl Cluster {
     }
 
     /// Memory accounting split the way Fig. 1b reports it:
-    /// `(used, free_on_allocated, free_on_idle)` in MB.
+    /// `(used, free_on_allocated, free_on_idle)` in MB. Running totals, or
+    /// the scan while the index is dirty (same result).
     pub fn memory_usage(&self) -> (u64, u64, u64) {
+        if !self.index.is_dirty() {
+            return self.index.memory_usage();
+        }
         let mut used = 0;
         let mut free_alloc = 0;
         let mut free_idle = 0;

@@ -89,10 +89,20 @@ impl TraceProfile {
         }
     }
 
+    /// The weights of `size_buckets`, in bucket order.
+    fn size_weights(&self) -> Vec<f64> {
+        self.size_buckets.iter().map(|(_, w)| *w).collect()
+    }
+
     /// Draw one job (spec + actual runtime) from the profile.
     pub fn draw_job(&self, rng: &mut RngStream) -> (JobSpec, SimTime) {
-        let weights: Vec<f64> = self.size_buckets.iter().map(|(_, w)| *w).collect();
-        let nodes = self.size_buckets[rng.weighted_index(&weights)].0;
+        self.draw_job_weighted(&self.size_weights(), rng)
+    }
+
+    /// [`TraceProfile::draw_job`] with [`TraceProfile::size_weights`]
+    /// computed by the caller, so a replay builds them once, not per draw.
+    fn draw_job_weighted(&self, size_weights: &[f64], rng: &mut RngStream) -> (JobSpec, SimTime) {
+        let nodes = self.size_buckets[rng.weighted_index(size_weights)].0;
 
         let runtime_s = rng
             .log_normal(self.runtime_mu, self.runtime_sigma)
@@ -139,6 +149,7 @@ struct TraceState {
     cluster: Mutex<Cluster>,
     monitor: Mutex<UtilizationMonitor>,
     profile: TraceProfile,
+    size_weights: Vec<f64>,
     rng: Mutex<RngStream>,
     horizon: SimTime,
     submitted: Mutex<usize>,
@@ -193,7 +204,7 @@ fn arrival(sim: &mut Simulation, st: Arc<TraceState>) {
     }
     {
         let mut rng = st.rng.lock().unwrap();
-        let (spec, runtime) = st.profile.draw_job(&mut rng);
+        let (spec, runtime) = st.profile.draw_job_weighted(&st.size_weights, &mut rng);
         st.cluster.lock().unwrap().submit(spec, runtime, now);
         *st.submitted.lock().unwrap() += 1;
     }
@@ -246,6 +257,7 @@ pub fn simulate_trace_in(
         cluster: Mutex::new(Cluster::homogeneous(profile.nodes, profile.node_capacity)),
         monitor: Mutex::new(UtilizationMonitor::two_minute()),
         profile: profile.clone(),
+        size_weights: profile.size_weights(),
         rng: Mutex::new(sim.stream("trace")),
         horizon,
         submitted: Mutex::new(0),

@@ -297,4 +297,56 @@ mod tests {
         assert_eq!(r.reclaimed, 0);
         assert_eq!(bridge.donated_nodes(), 4);
     }
+
+    #[test]
+    fn shared_demand_sums_in_allocation_order() {
+        // Regression: `Node::jobs` used to iterate a `RandomState` map, so
+        // the `f64` demand of three co-resident jobs was summed in an order
+        // that changed from one cluster instance to the next. With these
+        // three profiles four of the five other orders round differently.
+        let jobs = [
+            ("lulesh", WorkloadProfile::lulesh(18), 11),
+            ("cg", WorkloadProfile::nas(NasKernel::Cg, NasClass::A), 7),
+            ("ft", WorkloadProfile::nas(NasKernel::Ft, NasClass::A), 13),
+        ];
+        let mut expected = jobs[0].1.on_node(jobs[0].2);
+        for (_, profile, cores) in &jobs[1..] {
+            let d = profile.on_node(*cores);
+            expected.cores += d.cores;
+            expected.membw_bps += d.membw_bps;
+            expected.llc_mb += d.llc_mb;
+            expected.net_bps += d.net_bps;
+        }
+        for _ in 0..16 {
+            let mut c = Cluster::homogeneous(1, NodeResources::daint_mc());
+            let mut mgr = ResourceManager::new();
+            let mut bridge = SchedulerBridge::new(NodeCapacity::daint_mc());
+            for (tag, profile, cores) in &jobs {
+                bridge.add_profile(tag, profile.clone());
+                let per_node = NodeResources {
+                    cores: *cores,
+                    memory_mb: 8 * 1024,
+                    gpus: 0,
+                };
+                let spec = JobSpec::shared(1, per_node, SimTime::from_mins(30), tag);
+                c.submit(spec, SimTime::from_mins(30), SimTime::ZERO);
+            }
+            let (started, _) = c.try_schedule(SimTime::ZERO);
+            let on_node: Vec<_> = c.node(NodeId(0)).unwrap().jobs().collect();
+            assert_eq!(on_node, started, "jobs() yields allocation order");
+            bridge.sync(&c, &mut mgr);
+            let got = mgr
+                .donation(NodeId(0))
+                .and_then(|d| d.batch_demand.clone())
+                .expect("shared node donated with a demand vector");
+            for (got, want) in [
+                (got.cores, expected.cores),
+                (got.membw_bps, expected.membw_bps),
+                (got.llc_mb, expected.llc_mb),
+                (got.net_bps, expected.net_bps),
+            ] {
+                assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+    }
 }
