@@ -127,13 +127,6 @@ struct CacheSidecar {
     wall_secs: f64,
 }
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 fn parse_kv(arg: &str, flag: &str) -> Result<(String, String), String> {
     arg.split_once('=')
         .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -143,7 +136,7 @@ fn parse_kv(arg: &str, flag: &str) -> Result<(String, String), String> {
 fn parse_sweep(args: &[String]) -> Result<SweepInvocation, String> {
     let mut inv = SweepInvocation {
         request: SweepRequest::new(),
-        threads: default_threads(),
+        threads: ServiceConfig::new().threads,
         json: None,
         cost_table: None,
         costs_out: None,
@@ -520,12 +513,14 @@ fn main() -> ExitCode {
                 }
                 Ok(())
             } else if let Some(name) = rest.first() {
-                if registry.report(name) {
-                    Ok(())
-                } else {
-                    Err(CliError::Usage(format!(
+                match registry.get(name) {
+                    Some(s) => {
+                        s.report();
+                        Ok(())
+                    }
+                    None => Err(CliError::Usage(format!(
                         "unknown scenario `{name}` (try `scenarios list`)"
-                    )))
+                    ))),
                 }
             } else {
                 Err(CliError::Usage(

@@ -1,25 +1,11 @@
-//! Compatibility layer for the figure/table reproduction binaries.
+//! Library half of the `bench` crate: what its binaries and tests share.
 //!
 //! The experiments themselves live in the [`scenarios`] crate (one
 //! [`scenarios::Scenario`] per figure/table, discoverable through
-//! [`scenarios::Registry::standard`]); each binary under `src/bin/` is a
-//! thin wrapper that prints the corresponding paper-style report. The shared
-//! formatting helpers that used to be defined here moved to
-//! [`scenarios::report`] and are re-exported for any downstream users.
-
-pub use scenarios::paper;
-pub use scenarios::report::{
-    banner, compare, fmt, noisy_mean_std, pm, print_table, size_label, write_json,
-};
-
-/// Print the report of one registered scenario; panics on unknown names so
-/// wrapper binaries fail loudly if the registry and binaries drift apart.
-pub fn report_scenario(name: &str) {
-    assert!(
-        scenarios::Registry::standard().report(name),
-        "scenario `{name}` is not registered"
-    );
-}
+//! [`scenarios::Registry::standard`]) and are driven by the `scenarios`
+//! binary: `scenarios report <name>` prints one paper-style report,
+//! `scenarios run` sweeps. This file holds only the trace-replay reference
+//! workload behind `ci/trace_reference.json`.
 
 /// The canonical trace-replay artifact behind `ci/trace_reference.json`:
 /// fixed `(profile, horizon, seed)` workloads covering the scheduler's three

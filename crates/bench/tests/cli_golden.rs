@@ -74,6 +74,33 @@ fn run_artifact_matches_the_committed_goldens() {
     );
 }
 
+/// `scenarios report <name>` is the one way to print a paper-style report
+/// (the per-figure wrapper binaries are gone): a known name prints its
+/// banner and tables, an unknown one is a usage error, not a silent no-op.
+#[test]
+fn report_prints_one_scenario_and_rejects_unknown_names() {
+    let known = scenarios_bin()
+        .args(["report", "tab03_idle_node"])
+        .output()
+        .expect("scenarios binary runs");
+    assert!(known.status.success(), "report tab03_idle_node failed");
+    let stdout = String::from_utf8_lossy(&known.stdout);
+    assert!(
+        stdout.contains("tab03_idle_node"),
+        "report must print the scenario's banner:\n{stdout}"
+    );
+
+    let unknown = scenarios_bin()
+        .args(["report", "no_such_scenario"])
+        .output()
+        .expect("scenarios binary runs");
+    assert!(!unknown.status.success(), "unknown scenario must fail");
+    assert!(
+        String::from_utf8_lossy(&unknown.stderr).contains("unknown scenario `no_such_scenario`"),
+        "the error must name the scenario"
+    );
+}
+
 /// Boot `scenarios serve` on a fixed loopback port and wait for it to
 /// answer a ping. Killed (via shutdown verb) by the caller.
 fn spawn_server(addr: &str) -> Child {

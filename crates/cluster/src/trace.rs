@@ -20,7 +20,7 @@ use crate::node::NodeResources;
 use crate::scheduler::Cluster;
 use des::{RngStream, SimTime, Simulation};
 use serde::Serialize;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Tunable description of a synthetic workload.
 #[derive(Debug, Clone)]
@@ -145,91 +145,90 @@ pub struct TraceOutcome {
     pub mean_core_utilization_pct: f64,
 }
 
+/// Everything a replay owns, behind one lock: the engine runs one event at a
+/// time, so each event takes it once (and the harvest once more).
 struct TraceState {
-    cluster: Mutex<Cluster>,
-    monitor: Mutex<UtilizationMonitor>,
+    cluster: Cluster,
+    monitor: UtilizationMonitor,
     profile: TraceProfile,
     size_weights: Vec<f64>,
-    rng: Mutex<RngStream>,
+    rng: RngStream,
     horizon: SimTime,
-    submitted: Mutex<usize>,
-    completed: Mutex<usize>,
+    submitted: usize,
+    completed: usize,
 }
 
-fn schedule_and_register_completions(sim: &mut Simulation, st: &Arc<TraceState>) {
+type SharedState = Arc<Mutex<TraceState>>;
+
+fn lock(shared: &SharedState) -> MutexGuard<'_, TraceState> {
+    shared.lock().expect("a replay event panicked")
+}
+
+/// Start whatever fits now and arm a completion timer per started job. Runs
+/// inside the calling event's hold on the state: scheduling a closure never
+/// runs it, so the lock is not re-entered.
+fn schedule_and_register_completions(
+    sim: &mut Simulation,
+    shared: &SharedState,
+    st: &mut TraceState,
+) {
     let now = sim.now();
-    // One lock acquisition covers scheduling *and* the runtime lookups for
-    // every started job — this runs once per arrival and once per completion,
-    // so per-job re-locking was the replay hot path.
-    let (started, idle_periods) = {
-        let mut cluster = st.cluster.lock().unwrap();
-        let (started, idle_periods) = cluster.try_schedule(now);
-        let started: Vec<_> = started
-            .into_iter()
-            .map(|id| (id, cluster.job(id).expect("job").actual_runtime))
-            .collect();
-        (started, idle_periods)
-    };
-    {
-        let mut mon = st.monitor.lock().unwrap();
-        for p in idle_periods {
-            mon.record_exact_idle_period(p);
-        }
+    let (started, idle_periods) = st.cluster.try_schedule(now);
+    for p in idle_periods {
+        st.monitor.record_exact_idle_period(p);
     }
     // Batch the completion timers: one arrival can start a whole backlog of
     // queued jobs, and `schedule_batch` reserves arena capacity for the run
     // once instead of growing per event. Each closure captures an `Arc` plus
     // a job id — two words, so every completion stays on the inline-cell
     // path (no per-event allocation).
-    sim.schedule_batch(started.into_iter().map(|(id, runtime)| {
-        let st2 = Arc::clone(st);
+    let cluster = &st.cluster;
+    sim.schedule_batch(started.into_iter().map(|id| {
+        let runtime = cluster.job(id).expect("job").actual_runtime;
+        let shared = Arc::clone(shared);
         let fire = move |sim: &mut Simulation| {
-            let now = sim.now();
-            st2.cluster
-                .lock()
-                .unwrap()
-                .finish(id, now)
+            let mut st = lock(&shared);
+            st.cluster
+                .finish(id, sim.now())
                 .expect("running job finishes");
-            *st2.completed.lock().unwrap() += 1;
-            schedule_and_register_completions(sim, &st2);
+            st.completed += 1;
+            schedule_and_register_completions(sim, &shared, &mut st);
         };
         (now + runtime, fire)
     }));
 }
 
-fn arrival(sim: &mut Simulation, st: Arc<TraceState>) {
+fn arrival(sim: &mut Simulation, shared: SharedState) {
     let now = sim.now();
-    if now >= st.horizon {
-        return;
-    }
-    {
-        let mut rng = st.rng.lock().unwrap();
-        let (spec, runtime) = st.profile.draw_job_weighted(&st.size_weights, &mut rng);
-        st.cluster.lock().unwrap().submit(spec, runtime, now);
-        *st.submitted.lock().unwrap() += 1;
-    }
-    schedule_and_register_completions(sim, &st);
-
     let dt = {
-        let mut rng = st.rng.lock().unwrap();
-        SimTime::from_secs_f64(rng.exponential(st.profile.mean_interarrival_s))
+        let mut guard = lock(&shared);
+        let st = &mut *guard;
+        if now >= st.horizon {
+            return;
+        }
+        let (spec, runtime) = st.profile.draw_job_weighted(&st.size_weights, &mut st.rng);
+        st.cluster.submit(spec, runtime, now);
+        st.submitted += 1;
+        schedule_and_register_completions(sim, &shared, st);
+        SimTime::from_secs_f64(st.rng.exponential(st.profile.mean_interarrival_s))
     };
-    let st2 = Arc::clone(&st);
-    sim.schedule_after(dt.max(SimTime::from_nanos(1)), move |sim| arrival(sim, st2));
+    sim.schedule_after(dt.max(SimTime::from_nanos(1)), move |sim| {
+        arrival(sim, shared)
+    });
 }
 
-fn sampler(sim: &mut Simulation, st: Arc<TraceState>) {
+fn sampler(sim: &mut Simulation, shared: SharedState) {
     let now = sim.now();
-    if now > st.horizon {
-        return;
-    }
-    let interval = st.monitor.lock().unwrap().interval();
-    st.monitor
-        .lock()
-        .unwrap()
-        .sample(&st.cluster.lock().unwrap(), now);
-    let st2 = Arc::clone(&st);
-    sim.schedule_after(interval, move |sim| sampler(sim, st2));
+    let interval = {
+        let mut guard = lock(&shared);
+        let st = &mut *guard;
+        if now > st.horizon {
+            return;
+        }
+        st.monitor.sample(&st.cluster, now);
+        st.monitor.interval()
+    };
+    sim.schedule_after(interval, move |sim| sampler(sim, shared));
 }
 
 /// Replay `profile` for `horizon` of virtual time and report Fig.-1-style
@@ -253,16 +252,16 @@ pub fn simulate_trace_in(
         SimTime::ZERO,
         "trace replay expects a fresh simulation"
     );
-    let st = Arc::new(TraceState {
-        cluster: Mutex::new(Cluster::homogeneous(profile.nodes, profile.node_capacity)),
-        monitor: Mutex::new(UtilizationMonitor::two_minute()),
+    let st: SharedState = Arc::new(Mutex::new(TraceState {
+        cluster: Cluster::homogeneous(profile.nodes, profile.node_capacity),
+        monitor: UtilizationMonitor::two_minute(),
         profile: profile.clone(),
         size_weights: profile.size_weights(),
-        rng: Mutex::new(sim.stream("trace")),
+        rng: sim.stream("trace"),
         horizon,
-        submitted: Mutex::new(0),
-        completed: Mutex::new(0),
-    });
+        submitted: 0,
+        completed: 0,
+    }));
 
     // Warm-up arrivals start immediately; sampling starts after a warm-up
     // window so the initially-empty system does not bias the statistics.
@@ -275,14 +274,13 @@ pub fn simulate_trace_in(
     sim.run_until(horizon);
 
     // Events queued past the horizon may still hold `Arc<TraceState>`
-    // clones inside the caller's engine, so harvest through the locks
+    // clones inside the caller's engine, so harvest through the lock
     // instead of unwrapping the Arc.
-    let submitted = *st.submitted.lock().unwrap();
-    let completed = *st.completed.lock().unwrap();
-    let monitor = std::mem::replace(
-        &mut *st.monitor.lock().unwrap(),
-        UtilizationMonitor::two_minute(),
-    );
+    let (submitted, completed, monitor) = {
+        let mut st = lock(&st);
+        let monitor = std::mem::replace(&mut st.monitor, UtilizationMonitor::two_minute());
+        (st.submitted, st.completed, monitor)
+    };
     let report = monitor.finish();
     let mean_util = {
         let vals: Vec<f64> = report

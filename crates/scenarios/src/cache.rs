@@ -11,15 +11,15 @@
 //!   [`Params`] (floats hashed via `to_bits()`, never via `format!`), and
 //!   the seed.
 //! * [`ResultCache`] is the persistent store: a merged index file plus a
-//!   write-ahead directory of per-worker append-only segments. Metrics are
+//!   write-ahead directory of per-sweep append-only segments. Metrics are
 //!   persisted as hex `f64` bit patterns, so a cache hit round-trips
 //!   [`Metrics::bits_eq`]-identical to the live value — decimal formatting
 //!   never touches the stored floats.
-//! * The sweep runner consults the cache before injecting a job (hits
-//!   bypass the work-stealing pool entirely and record no cost
-//!   observations) and its workers append misses to their own segment —
-//!   the lock-free hot path never serializes on the store. On sweep
-//!   completion the segments are fsync'd and merged into the index.
+//! * The sweep engine ([`crate::runner`]) consults the cache while it
+//!   plans (hits bypass the work-stealing pool entirely and record no cost
+//!   observations) and its workers append misses to the sweep's one
+//!   segment — the hot path never takes the store's lock. On sweep
+//!   completion the segment is fsync'd and merged into the index.
 //!
 //! A salt change (crate version bump or [`ENGINE_SALT_REV`] bump)
 //! invalidates every prior entry: stale entries are ignored at load and
@@ -27,8 +27,8 @@
 //! current-salt entries only.
 //!
 //! Concurrency model: segment files are uniquely named per (process,
-//! writer), each written by exactly one worker thread, and a commit only
-//! deletes its own segments (plus segments recovered from a crashed run at
+//! writer), each written by one sweep (its workers take turns under the
+//! sweep's writer lock), and a commit only deletes its own segments (plus segments recovered from a crashed run at
 //! open time). Torn tail lines from a crashed or concurrent writer fail to
 //! parse and are skipped. Two racing commits both re-read the on-disk
 //! index before rewriting, so the last writer still carries the union of
@@ -189,7 +189,7 @@ pub struct CacheStats {
 ///
 /// ```text
 /// <dir>/index.v1.log     merged index, one entry per line
-/// <dir>/wal/seg-*.log    per-worker append-only write-ahead segments
+/// <dir>/wal/seg-*.log    per-sweep append-only write-ahead segments
 /// ```
 ///
 /// Both use the same line format (tab-separated, `\t`/`\n`/`\\` escaped in
@@ -331,7 +331,7 @@ impl ResultCache {
         }
     }
 
-    /// Create one append-only WAL segment for a worker thread. Segment
+    /// Create one append-only WAL segment (the engine makes one per sweep). Segment
     /// names are unique per (process, writer), so concurrent sweeps over
     /// one cache directory never interleave writes within a file.
     pub fn writer(&self) -> Result<CacheWriter, Error> {
@@ -353,7 +353,7 @@ impl ResultCache {
         })
     }
 
-    /// Sweep-completion barrier: fsync the workers' segments, fold them
+    /// Sweep-completion barrier: fsync the given segments, fold them
     /// (and any other segment currently on disk) into the in-memory map,
     /// rewrite the index atomically (write-temp + rename, fsync'd), and
     /// delete the segments this cache owns. Stale-salt entries never make
@@ -431,10 +431,10 @@ impl ResultCache {
     }
 }
 
-/// One worker's append-only WAL segment. Appends go through `&self` (each
-/// segment is owned by exactly one worker thread; `&File` writes need no
-/// mutable borrow), one `write_all` per entry, so a torn line can only be
-/// the file's tail.
+/// One append-only WAL segment. Appends go through `&self` (`&File` writes
+/// need no mutable borrow; the engine serializes a sweep's workers on the
+/// segment with a mutex), one `write_all` per entry, so a torn line can
+/// only be the file's tail.
 #[derive(Debug)]
 pub struct CacheWriter {
     path: PathBuf,

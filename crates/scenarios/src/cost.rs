@@ -56,15 +56,6 @@ impl CostTable {
         e.1 += 1;
     }
 
-    /// Fold another table's observations into this one.
-    pub fn merge(&mut self, other: &CostTable) {
-        for (k, (sum, n)) in &other.entries {
-            let e = self.entries.entry(k.clone()).or_insert((0.0, 0));
-            e.0 += sum;
-            e.1 += n;
-        }
-    }
-
     /// Mean observed seconds for a key, if the table has seen it.
     pub fn mean_secs(&self, key: &str) -> Option<f64> {
         self.entries.get(key).map(|(sum, n)| sum / *n as f64)
@@ -246,17 +237,5 @@ mod tests {
         assert_eq!(t.mean_secs("k"), None);
         t.record("k", 2.0);
         assert_eq!(t.mean_secs("k"), Some(2.0));
-    }
-
-    #[test]
-    fn merge_accumulates_counts() {
-        let mut a = CostTable::new();
-        a.record("k", 1.0);
-        let mut b = CostTable::new();
-        b.record("k", 3.0);
-        b.record("other", 5.0);
-        a.merge(&b);
-        assert_eq!(a.mean_secs("k"), Some(2.0));
-        assert_eq!(a.mean_secs("other"), Some(5.0));
     }
 }

@@ -1,13 +1,16 @@
-//! # scenarios — unified scenario engine and parallel multi-seed sweep runner
+//! # scenarios — unified scenario engine and parallel multi-seed sweeps
 //!
 //! Every figure/table experiment of the paper's evaluation is expressed as a
 //! [`Scenario`]: a named, parameterised computation that runs against a
 //! deterministic [`des::Simulation`] and returns scalar [`Metrics`]. The
-//! [`registry::Registry`] knows every scenario; the [`runner::SweepRunner`]
-//! fans a cartesian [`SweepGrid`] × N seeds across `std::thread` workers
-//! (each worker owns its own `Simulation`, so results are bit-identical to a
-//! serial run) and merges the per-seed metrics into mean/p50/p99 aggregates
-//! with confidence intervals, ready for JSON emission.
+//! [`registry::Registry`] knows every scenario; the sweep engine in
+//! [`runner`] fans a cartesian [`SweepGrid`] × N seeds across `std::thread`
+//! workers (each job owns its own `Simulation`, so results are bit-identical
+//! to a serial run) and merges the per-seed metrics into mean/p50/p99
+//! aggregates with confidence intervals, ready for JSON emission. It has two
+//! entry points: [`runner::SweepRunner`], one synchronous sweep per call,
+//! and [`service::Service`], a long-running pool serving concurrent
+//! requests (in-process for the CLI, over TCP via [`server::Server`]).
 //!
 //! ```
 //! use scenarios::{registry::Registry, runner::SweepRunner, SweepGrid};
@@ -78,8 +81,8 @@ pub trait Scenario: Send + Sync {
     fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics;
 
     /// Print the full paper-style report (tables, comparisons, shape
-    /// assertions) for a single default-parameter run — what the legacy
-    /// `fig*`/`tab*` binaries do. The default implementation prints the
+    /// assertions) for a single default-parameter run — what `scenarios
+    /// report <name>` shows. The default implementation prints the
     /// metric map; ported scenarios override it with their original output.
     fn report(&self) {
         report::banner(self.name(), self.title());

@@ -65,19 +65,6 @@ impl Registry {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// Print the paper-style report of one scenario (legacy binary path).
-    /// Returns `false` if the name is unknown.
-    #[must_use]
-    pub fn report(&self, name: &str) -> bool {
-        match self.get(name) {
-            Some(s) => {
-                s.report();
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -113,10 +100,5 @@ mod tests {
         ] {
             assert!(r.get(expected).is_some(), "missing scenario {expected}");
         }
-    }
-
-    #[test]
-    fn unknown_name_reports_false() {
-        assert!(!Registry::standard().report("no_such_scenario"));
     }
 }

@@ -1,37 +1,42 @@
-//! Work-stealing, deadline-aware parallel sweep runner.
+//! The sweep engine, and [`SweepRunner`], its synchronous entry point.
 //!
-//! A sweep is the cartesian product of a [`SweepGrid`] and a seed list —
-//! or, for [`SweepRunner::run_suite`], the union of several scenarios'
-//! sweeps in one shared pool. Jobs are ordered longest-expected-first
-//! (LPT, using the [`CostTable`]'s measured wall-clocks with a size
-//! heuristic as cold-start fallback), injected into a global
-//! [`crossbeam::deque::Injector`], and executed by workers that grab
-//! batches into per-worker Chase–Lev deques and steal from siblings when
-//! dry — so one long job never pins a worker while short jobs queue
-//! behind it.
+//! A sweep is the cartesian product of one or more scenarios' grid points
+//! and a seed list. However it is entered — [`SweepRunner`] here, or the
+//! long-running [`crate::service::Service`] behind the CLI and the TCP
+//! server — it goes through the same four steps, each implemented once:
 //!
-//! Scheduling never touches results: each worker constructs its own
-//! [`Simulation`] per `(point, seed)` job, so the metrics of every job are
-//! bit-identical to a serial (`threads = 1`) run whatever the thread count,
-//! job order, or steal interleaving. Results are written into per-job slots
-//! of a lock-free buffer (each slot written by exactly the one worker that
-//! executed the job) and aggregated in seed order, keeping the merged
-//! statistics deterministic too.
+//! * **plan** (`Engine::plan`): expand `(task, point, seed)` jobs with
+//!   consecutive result slots; pre-scan the [`ResultCache`], writing hits
+//!   straight into their slots so they never reach a pool, a cost estimate
+//!   or the observed-cost table; order the misses longest-expected-first
+//!   (LPT: measured wall-clocks first, then the prior [`CostTable`], then a
+//!   size heuristic) or leave them in input order.
+//! * **find-task** (`find_task`): the canonical Chase–Lev loop — local
+//!   deque, then a batch from the shared injector, then a sibling steal —
+//!   so one long job never pins a worker while short jobs queue behind it.
+//! * **execute** (`Engine::execute`): one fresh [`Simulation`] per job,
+//!   the panic caught and kept with its `(scenario, point, seed)` identity,
+//!   the wall-clock recorded, the result appended to the sweep's one
+//!   write-ahead segment and written to its slot.
+//! * **finalize** (`Engine::finalize`): failures, sorted, become a
+//!   [`SweepError`]; otherwise the segment commits into the cache index and
+//!   the slots fold into per-scenario results in task, point, seed order.
 //!
-//! A job that panics no longer takes the sweep's bookkeeping down with it:
-//! the panic is caught per job and surfaced through [`SweepError`], naming
-//! the `(scenario, point, seed)` identity of every failed job.
+//! Scheduling never touches results: every job's metrics are a pure
+//! function of `(params, seed)` and land in the slot the plan gave them, so
+//! the artifact is bit-identical whatever the thread count, job order,
+//! steal interleaving or cache state — only the wall-clock changes.
 //!
-//! With a [`ResultCache`] attached ([`SweepRunner::with_cache`]) the same
-//! purity buys memoization: jobs whose content hash is already stored are
-//! served bit-exactly from the cache before anything reaches the injector
-//! — no pool traffic, no cost-table observation — and every miss is
-//! appended to its worker's write-ahead segment, merged into the
-//! persistent index when the sweep completes. The emitted artifact is
-//! byte-identical cached or not; only the wall-clock changes.
+//! The entry points differ only in who runs the loop. The service keeps
+//! parked workers, a per-request window and a status plane across requests;
+//! [`SweepRunner::try_run_suite`] borrows its `&dyn Scenario`s from the
+//! caller, so it cannot hand them to threads that outlive the call: it
+//! plans one sweep, drains it on the calling thread (`threads <= 1`) or on
+//! scoped workers, and finalizes it before returning.
 
 use crate::cache::{self, CacheKey, CacheStats, CacheWriter, ResultCache};
 use crate::cost::CostTable;
+use crate::error::Error;
 use crate::metrics::{summarize, MetricSummary, Metrics};
 use crate::params::{Params, SweepGrid};
 use crate::Scenario;
@@ -80,7 +85,7 @@ impl SweepSuite {
     }
 }
 
-/// How the runner orders jobs before injecting them into the pool.
+/// How the engine orders a sweep's jobs before any pool sees them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JobOrder {
     /// Longest-expected-first by [`CostTable`] estimate (LPT scheduling);
@@ -111,7 +116,8 @@ pub struct JobFailure {
     pub message: String,
 }
 
-/// One or more sweep jobs panicked. The sweep's surviving results are
+/// One or more sweep jobs panicked (or their results could not be written
+/// to the cache). The sweep's surviving results are
 /// discarded — partial artifacts would silently skew aggregates — but every
 /// failing job is named, so the offending `(scenario, point, seed)` can be
 /// replayed directly.
@@ -136,17 +142,19 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Slot-indexed, write-once result storage shared by the worker pool.
+/// Slot-indexed, write-once result storage shared by a sweep's workers.
 ///
-/// Each job id owns exactly one slot, and the deques hand each job to
-/// exactly one worker, so writes are disjoint by construction; the scoped
-/// thread join orders every write before collection. That invariant is what
-/// lets results land without a mutex per slot — and what keeps the output
-/// independent of who executed what.
+/// Each job owns exactly one slot, and the deques hand each job to exactly
+/// one worker, so writes are disjoint by construction. That invariant is
+/// what lets results land without a mutex per slot — and what keeps the
+/// output independent of who executed what.
 pub(crate) struct SlotBuffer<T> {
     slots: Vec<UnsafeCell<Option<T>>>,
 }
 
+// SAFETY: the only shared-reference accesses are `put` and `take_vec`,
+// whose contracts make every access to a slot exclusive; moving a `T` to
+// the thread that drains it needs `T: Send`.
 unsafe impl<T: Send> Sync for SlotBuffer<T> {}
 
 impl<T> SlotBuffer<T> {
@@ -158,27 +166,18 @@ impl<T> SlotBuffer<T> {
 
     /// # Safety
     /// At most one thread may ever call this per index, and all calls must
-    /// happen-before [`SlotBuffer::into_vec`] / [`SlotBuffer::take_vec`]
-    /// (a pool join, or an acquire of a release made after the write).
+    /// happen-before [`SlotBuffer::take_vec`] (a thread join, or an acquire
+    /// of a release made after the write).
     pub(crate) unsafe fn put(&self, index: usize, value: T) {
         *self.slots[index].get() = Some(value);
     }
 
-    pub(crate) fn into_vec(self) -> Vec<Option<T>> {
-        self.slots.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-
-    /// Drain every slot through a shared reference — the finalization path
-    /// for buffers living inside an `Arc` (the what-if service's persistent
-    /// pool can't consume the buffer by value the way a scoped run can).
+    /// Drain every slot through a shared reference (a sweep inside the
+    /// service's `Arc` can't be consumed by value).
     ///
     /// # Safety
     /// Exactly one thread may call this, exactly once, and every
-    /// [`SlotBuffer::put`] must happen-before it (the service guarantees
-    /// this via the acquire side of its last-job `remaining` decrement: a
-    /// worker's `AcqRel` `fetch_sub` to 1 synchronizes with every earlier
-    /// release in the per-sweep release sequence, so all slot writes are
-    /// visible to the finalizer).
+    /// [`SlotBuffer::put`] must happen-before it.
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn take_vec(&self) -> Vec<Option<T>> {
         self.slots.iter().map(|c| (*c.get()).take()).collect()
@@ -188,120 +187,296 @@ impl<T> SlotBuffer<T> {
 /// One `(task, point, seed)` unit of work; `slot` is its global result index.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Job {
-    pub(crate) slot: usize,
+    slot: usize,
     pub(crate) task: usize,
-    pub(crate) point: usize,
-    pub(crate) seed_idx: usize,
+    point: usize,
+    seed_idx: usize,
 }
 
-/// Expand per-task point lists × seeds into jobs with consecutive global
-/// slots in task-major, point-major, seed-minor order — the slot layout
-/// both the CLI runner and the service's pool share (it is what makes
-/// their artifacts interchangeable).
-pub(crate) fn expand_jobs(points: &[Vec<Params>], n_seeds: usize) -> Vec<Job> {
-    let mut jobs: Vec<Job> = Vec::new();
-    for (task, task_points) in points.iter().enumerate() {
-        for point in 0..task_points.len() {
-            for seed_idx in 0..n_seeds {
-                jobs.push(Job {
-                    slot: jobs.len(),
-                    task,
-                    point,
-                    seed_idx,
-                });
+/// One planned sweep: the state [`Engine::plan`], [`Engine::execute`] and
+/// [`Engine::finalize`] share, whichever entry point drives them.
+pub(crate) struct Sweep {
+    pub(crate) names: Vec<&'static str>,
+    points: Vec<Vec<Params>>,
+    pub(crate) seeds: Vec<u64>,
+    /// Write-once result slots (task-major, point-major, seed-minor).
+    slots: SlotBuffer<Metrics>,
+    /// Per-slot cache keys — `Some` exactly for the slots that missed.
+    keys: Vec<Option<CacheKey>>,
+    failures: Mutex<Vec<JobFailure>>,
+    /// The sweep's append-only WAL segment — a sweep is one commit unit,
+    /// so every worker appends to the same file. `None` without a cache,
+    /// or when every job hit.
+    writer: Mutex<Option<CacheWriter>>,
+}
+
+/// What the sweeps of one entry point share — the result cache and the
+/// cost tables — and, as its methods, the plan, execute and finalize steps.
+#[derive(Debug)]
+pub(crate) struct Engine {
+    /// Memoized `(scenario, params, seed) → Metrics` store.
+    pub(crate) cache: Option<Mutex<ResultCache>>,
+    /// Configured prior costs, the cold-start estimate (typically loaded
+    /// from CI's persisted timing artifact). Never mutated by a sweep.
+    pub(crate) priors: CostTable,
+    /// Wall-clocks measured by this engine's own jobs; preferred over the
+    /// priors, so ordering gets smarter the longer it runs. Cache hits
+    /// never contribute: a hit costs microseconds, and folding it in would
+    /// drag the estimate for that point shape toward zero.
+    pub(crate) observed: Mutex<CostTable>,
+}
+
+impl Engine {
+    /// Hit/miss/size counters of the attached cache, if any.
+    pub(crate) fn cache_stats(&self) -> Option<CacheStats> {
+        self.cache.as_ref().map(|c| c.lock().unwrap().stats())
+    }
+
+    /// Plan one sweep over `tasks × seeds`: returns it with the jobs that
+    /// still have to run, in the order they should start. Jobs get
+    /// consecutive slots in task-major, point-major, seed-minor order — the
+    /// layout that makes every entry point's artifact interchangeable.
+    pub(crate) fn plan(
+        &self,
+        tasks: &[(&dyn Scenario, SweepGrid)],
+        seeds: &[u64],
+        order: JobOrder,
+    ) -> Result<(Sweep, Vec<Job>), Error> {
+        let names: Vec<&'static str> = tasks.iter().map(|(s, _)| s.name()).collect();
+        let points: Vec<Vec<Params>> = tasks
+            .iter()
+            .map(|(s, g)| g.points(&s.default_params()))
+            .collect();
+        let mut jobs: Vec<Job> = Vec::new();
+        for (task, task_points) in points.iter().enumerate() {
+            for point in 0..task_points.len() {
+                for seed_idx in 0..seeds.len() {
+                    let slot = jobs.len();
+                    jobs.push(Job {
+                        slot,
+                        task,
+                        point,
+                        seed_idx,
+                    });
+                }
             }
         }
+        let slots = SlotBuffer::new(jobs.len());
+        let mut keys: Vec<Option<CacheKey>> = vec![None; jobs.len()];
+
+        // Memoization pre-scan: only genuine misses stay in `jobs`.
+        let mut writer = None;
+        if let Some(cache) = &self.cache {
+            let mut cache = cache.lock().unwrap();
+            jobs.retain(|job| {
+                let params = &points[job.task][job.point];
+                let seed = seeds[job.seed_idx];
+                let key = cache::job_key(cache.salt(), names[job.task], params, seed);
+                match cache.lookup(&key) {
+                    Some(metrics) => {
+                        // SAFETY: the pre-scan runs on this thread before
+                        // the sweep is visible to any worker, visits each
+                        // slot at most once, and hit slots never become
+                        // pool jobs.
+                        unsafe { slots.put(job.slot, metrics) };
+                        false
+                    }
+                    None => {
+                        keys[job.slot] = Some(key);
+                        true
+                    }
+                }
+            });
+            if !jobs.is_empty() {
+                writer = Some(cache.writer()?);
+            }
+        }
+
+        // Deadline-aware ordering: estimate each point once, then start
+        // longest-expected-first, ties broken by slot so the order is fully
+        // deterministic. Estimates steer only the start order — results
+        // are slot-indexed, so the artifact cannot observe them. A warm
+        // sweep has nothing left to order and skips the estimates.
+        if order == JobOrder::Cost && jobs.len() > 1 {
+            let observed = self.observed.lock().unwrap();
+            let estimate = |name: &str, p: &Params| {
+                observed
+                    .mean_secs(&CostTable::key(name, p))
+                    .unwrap_or_else(|| self.priors.estimate(name, p))
+            };
+            let estimates: Vec<Vec<f64>> = names
+                .iter()
+                .zip(&points)
+                .map(|(name, pts)| pts.iter().map(|p| estimate(name, p)).collect())
+                .collect();
+            jobs.sort_by(|a, b| {
+                estimates[b.task][b.point]
+                    .total_cmp(&estimates[a.task][a.point])
+                    .then(a.slot.cmp(&b.slot))
+            });
+        }
+
+        let sweep = Sweep {
+            names,
+            points,
+            seeds: seeds.to_vec(),
+            slots,
+            keys,
+            failures: Mutex::new(Vec::new()),
+            writer: Mutex::new(writer),
+        };
+        Ok((sweep, jobs))
     }
-    jobs
+
+    /// Run one job: simulate it, record its wall-clock, persist it, and
+    /// write its slot — or record a [`JobFailure`] if the scenario panics
+    /// or the cache write fails (a warm CI run silently degrading to 0%
+    /// hits must not pass).
+    ///
+    /// # Safety
+    /// `job` must come from the [`Engine::plan`] call that built `sweep`,
+    /// with `scenario` the task it indexes, and be executed at most once;
+    /// every call must happen-before [`Engine::finalize`].
+    pub(crate) unsafe fn execute(&self, sweep: &Sweep, scenario: &dyn Scenario, job: Job) {
+        let params = &sweep.points[job.task][job.point];
+        let seed = sweep.seeds[job.seed_idx];
+        let started = Instant::now();
+        // A panicking scenario must not poison shared state or lose its
+        // identity: catch it here. AssertUnwindSafe is sound because a
+        // failed sweep discards all results (no broken invariant is read).
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut sim = Simulation::new(seed);
+            scenario.run(&mut sim, params)
+        }));
+        let failure = match outcome {
+            Ok(metrics) => {
+                let elapsed = started.elapsed().as_secs_f64();
+                self.observed
+                    .lock()
+                    .unwrap()
+                    .record(&CostTable::key(scenario.name(), params), elapsed);
+                let appended = match &*sweep.writer.lock().unwrap() {
+                    Some(writer) => {
+                        let key = sweep.keys[job.slot].expect("every pool job missed the cache");
+                        writer.append(&key, scenario.name(), elapsed, &metrics)
+                    }
+                    None => Ok(()),
+                };
+                // SAFETY: the caller runs each job at most once, so this is
+                // the slot's only write, and orders it before `finalize`.
+                unsafe { sweep.slots.put(job.slot, metrics) };
+                appended.err().map(|e| format!("cache write failed: {e}"))
+            }
+            Err(payload) => Some(panic_message(payload.as_ref())),
+        };
+        if let Some(message) = failure {
+            sweep.failures.lock().unwrap().push(JobFailure {
+                scenario: scenario.name().to_string(),
+                point: params.label(),
+                seed,
+                message,
+            });
+        }
+    }
+
+    /// Turn the drained sweep into its outcome: every failed job, in a
+    /// deterministic order however the pool interleaved, or the aggregated
+    /// results once the WAL segment is committed to the cache index. On
+    /// failure nothing commits; the segment stays on disk and is recovered
+    /// at the next cache open, so the surviving jobs' results aren't lost.
+    ///
+    /// # Safety
+    /// Call at most once per sweep, after every [`Engine::execute`] on it
+    /// happened-before (a thread join, or acquiring the last job's release).
+    pub(crate) unsafe fn finalize(&self, sweep: &Sweep) -> Result<Vec<SweepResult>, Error> {
+        let mut failures = std::mem::take(&mut *sweep.failures.lock().unwrap());
+        if !failures.is_empty() {
+            failures.sort_by(|a, b| {
+                (&a.scenario, &a.point, a.seed).cmp(&(&b.scenario, &b.point, b.seed))
+            });
+            return Err(Error::Sweep(SweepError { failures }));
+        }
+        if let (Some(cache), Some(writer)) = (&self.cache, sweep.writer.lock().unwrap().take()) {
+            cache.lock().unwrap().commit(vec![writer])?;
+        }
+        // SAFETY: per this function's contract every slot write — the
+        // plan's hits and the executed misses — happens-before this drain,
+        // and nothing drains twice.
+        let slot_values = unsafe { sweep.slots.take_vec() };
+        Ok(aggregate_results(
+            &sweep.names,
+            &sweep.points,
+            &sweep.seeds,
+            slot_values,
+        ))
+    }
 }
 
-/// Longest-expected-first (LPT) order, ties broken by slot so the order is
-/// fully deterministic. `estimates[task][point]` is the expected seconds.
-pub(crate) fn sort_jobs_lpt(jobs: &mut [Job], estimates: &[Vec<f64>]) {
-    jobs.sort_by(|a, b| {
-        estimates[b.task][b.point]
-            .total_cmp(&estimates[a.task][a.point])
-            .then(a.slot.cmp(&b.slot))
-    });
+/// A pool's queues: the shared FIFO injector, a Chase–Lev deque per worker,
+/// and the handles siblings steal by.
+pub(crate) fn queues<T>(threads: usize) -> (Injector<T>, Vec<Worker<T>>, Vec<Stealer<T>>) {
+    let locals: Vec<Worker<T>> = (0..threads).map(|_| Worker::new_fifo()).collect();
+    let stealers = locals.iter().map(Worker::stealer).collect();
+    (Injector::new(), locals, stealers)
+}
+
+/// The canonical crossbeam find-task loop: local deque first, then a batch
+/// from the injector, then steal from siblings; repeat while anything
+/// reports Retry.
+pub(crate) fn find_task<T>(
+    injector: &Injector<T>,
+    local: &Worker<T>,
+    stealers: &[Stealer<T>],
+) -> Option<T> {
+    local.pop().or_else(|| {
+        std::iter::repeat_with(|| {
+            injector
+                .steal_batch_and_pop(local)
+                .or_else(|| stealers.iter().map(Stealer::steal).collect())
+        })
+        .find(|s| !s.is_retry())
+        .and_then(Steal::success)
+    })
 }
 
 /// Fold slot-ordered metrics back into per-scenario results: task, point,
-/// seed — the injection/execution order never shows up here. Shared by the
-/// scoped runner and the service finalizer, so both aggregate identically.
-pub(crate) fn aggregate_results(
+/// seed — the execution order never shows up here.
+fn aggregate_results(
     names: &[&str],
-    points: Vec<Vec<Params>>,
+    points: &[Vec<Params>],
     seeds: &[u64],
     slot_values: Vec<Option<Metrics>>,
 ) -> Vec<SweepResult> {
-    let mut slot_values = slot_values.into_iter();
-    let mut results = Vec::with_capacity(names.len());
-    for (name, task_points) in names.iter().zip(points) {
-        let point_results = task_points
-            .into_iter()
-            .map(|params| {
-                let per_seed: Vec<(u64, Metrics)> = seeds
-                    .iter()
-                    .map(|&seed| {
-                        let m = slot_values
-                            .next()
-                            .flatten()
-                            .expect("every non-failed job filled its slot");
-                        (seed, m)
-                    })
-                    .collect();
-                let summary =
-                    summarize(&per_seed.iter().map(|(_, m)| m.clone()).collect::<Vec<_>>());
-                PointResult {
-                    params,
-                    per_seed,
-                    summary,
-                }
-            })
-            .collect();
-        results.push(SweepResult {
+    let mut metrics = slot_values
+        .into_iter()
+        .map(|m| m.expect("every non-failed job filled its slot"));
+    let mut point_result = |params: &Params| {
+        let runs: Vec<Metrics> = metrics.by_ref().take(seeds.len()).collect();
+        PointResult {
+            params: params.clone(),
+            summary: summarize(&runs),
+            per_seed: seeds.iter().copied().zip(runs).collect(),
+        }
+    };
+    names
+        .iter()
+        .zip(points)
+        .map(|(name, task_points)| SweepResult {
             scenario: name.to_string(),
             seeds: seeds.to_vec(),
-            points: point_results,
-        });
-    }
-    results
+            points: task_points.iter().map(&mut point_result).collect(),
+        })
+        .collect()
 }
 
-/// Fans `grid × seeds` jobs across work-stealing worker threads.
+/// The synchronous entry point: one sweep per call, on threads that live
+/// for the call.
 #[derive(Debug)]
 pub struct SweepRunner {
     threads: usize,
     seeds: Vec<u64>,
     order: JobOrder,
-    /// Prior costs driving the LPT order (typically loaded from CI's
-    /// persisted timing artifact).
-    costs: CostTable,
-    /// Wall-clocks measured by this runner's own jobs, accumulated across
-    /// `run` calls — the next run's (or next CI round's) prior. Cache hits
-    /// never contribute: a hit costs microseconds, and folding it in would
-    /// drag the LPT prior for that point shape toward zero.
-    observed: Mutex<CostTable>,
-    /// Memoized `(scenario, params, seed) → Metrics` store. Consulted
-    /// before jobs are injected — hits bypass the pool entirely — and fed
-    /// by workers' write-ahead segments on miss.
-    cache: Option<Mutex<ResultCache>>,
-}
-
-impl Clone for SweepRunner {
-    fn clone(&self) -> Self {
-        SweepRunner {
-            threads: self.threads,
-            seeds: self.seeds.clone(),
-            order: self.order,
-            costs: self.costs.clone(),
-            observed: Mutex::new(self.observed.lock().unwrap().clone()),
-            cache: self
-                .cache
-                .as_ref()
-                .map(|c| Mutex::new(c.lock().unwrap().clone())),
-        }
-    }
+    engine: Engine,
 }
 
 impl SweepRunner {
@@ -312,9 +487,11 @@ impl SweepRunner {
             threads: threads.max(1),
             seeds,
             order: JobOrder::default(),
-            costs: CostTable::new(),
-            observed: Mutex::new(CostTable::new()),
-            cache: None,
+            engine: Engine {
+                cache: None,
+                priors: CostTable::new(),
+                observed: Mutex::new(CostTable::new()),
+            },
         }
     }
 
@@ -326,7 +503,7 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Choose the injection order (default: [`JobOrder::Cost`]).
+    /// Choose the start order (default: [`JobOrder::Cost`]).
     pub fn with_order(mut self, order: JobOrder) -> Self {
         self.order = order;
         self
@@ -334,7 +511,7 @@ impl SweepRunner {
 
     /// Supply prior wall-clock measurements for the LPT order.
     pub fn with_cost_table(mut self, costs: CostTable) -> Self {
-        self.costs = costs;
+        self.engine.priors = costs;
         self
     }
 
@@ -342,13 +519,13 @@ impl SweepRunner {
     /// seed)` content hash is already stored are served bit-exactly from
     /// it instead of simulated, and every miss is persisted on completion.
     pub fn with_cache(mut self, cache: ResultCache) -> Self {
-        self.cache = Some(Mutex::new(cache));
+        self.engine.cache = Some(Mutex::new(cache));
         self
     }
 
     /// Hit/miss/saved-wall-clock counters of the attached cache, if any.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.lock().unwrap().stats())
+        self.engine.cache_stats()
     }
 
     pub fn thread_count(&self) -> usize {
@@ -359,7 +536,7 @@ impl SweepRunner {
     /// `run_suite` calls on this instance), keyed like the prior table —
     /// persist with [`CostTable::save`] to feed the next run's ordering.
     pub fn observed_costs(&self) -> CostTable {
-        self.observed.lock().unwrap().clone()
+        self.engine.observed.lock().unwrap().clone()
     }
 
     /// Run `scenario` over every `(grid point, seed)` combination.
@@ -380,204 +557,52 @@ impl SweepRunner {
         Ok(results.pop().expect("one task in, one result out"))
     }
 
-    /// Run several scenarios' sweeps through one shared work pool, so short
-    /// scenarios pack around long ones instead of queueing behind a
-    /// per-scenario barrier. Results come back in task order.
+    /// Run several scenarios' sweeps as one, so short scenarios pack around
+    /// long ones instead of queueing behind a per-scenario barrier. Results
+    /// come back in task order.
     pub fn run_suite(&self, tasks: &[(&dyn Scenario, SweepGrid)]) -> Vec<SweepResult> {
         self.try_run_suite(tasks).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`SweepRunner::run_suite`].
+    /// Fallible variant of [`SweepRunner::run_suite`]. Job failures come
+    /// back as the error; a cache I/O failure is a loud panic.
     pub fn try_run_suite(
         &self,
         tasks: &[(&dyn Scenario, SweepGrid)],
     ) -> Result<Vec<SweepResult>, SweepError> {
-        let n_seeds = self.seeds.len();
+        let engine = &self.engine;
+        let (sweep, jobs) = engine
+            .plan(tasks, &self.seeds, self.order)
+            .unwrap_or_else(|e| panic!("{e}"));
 
-        // Expand every task's grid; jobs get consecutive global slots in
-        // task-major, point-major, seed-minor order.
-        let points: Vec<Vec<Params>> = tasks
-            .iter()
-            .map(|(s, g)| g.points(&s.default_params()))
-            .collect();
-        let mut jobs = expand_jobs(&points, n_seeds);
-        let n_jobs = jobs.len();
-        let slots: SlotBuffer<Metrics> = SlotBuffer::new(n_jobs);
-
-        // Memoization pre-scan: hits are written straight into their
-        // result slot and never reach the injector, the cost estimates, or
-        // the observed-cost table — only genuine misses become pool jobs.
-        let mut cache = self.cache.as_ref().map(|c| c.lock().unwrap());
-        let mut keys: Vec<Option<CacheKey>> = Vec::new();
-        if let Some(cache) = cache.as_deref_mut() {
-            keys.resize(n_jobs, None);
-            let mut misses = Vec::with_capacity(jobs.len());
-            for job in jobs {
-                let (scenario, _) = &tasks[job.task];
-                let params = &points[job.task][job.point];
-                let key = cache::job_key(
-                    cache.salt(),
-                    scenario.name(),
-                    params,
-                    self.seeds[job.seed_idx],
-                );
-                match cache.lookup(&key) {
-                    // SAFETY: the pre-scan runs on this thread before any
-                    // worker exists, each slot is visited at most once
-                    // here, and hit slots are never handed to the pool —
-                    // the write-once contract holds.
-                    Some(metrics) => unsafe { slots.put(job.slot, metrics) },
-                    None => {
-                        keys[job.slot] = Some(key);
-                        misses.push(job);
-                    }
-                }
+        let (injector, locals, stealers) = queues(self.threads.min(jobs.len()).max(1));
+        for job in jobs {
+            injector.push(job);
+        }
+        let work = |local: Worker<Job>| {
+            while let Some(job) = find_task(&injector, &local, &stealers) {
+                // SAFETY: the job is one of this sweep's plan, the deques
+                // deliver it to exactly one worker, and the workers finish
+                // (return or scope join) before `finalize` below.
+                unsafe { engine.execute(&sweep, tasks[job.task].0, job) };
             }
-            jobs = misses;
-        }
-
-        // Deadline-aware ordering: estimate each point once, then inject
-        // longest-expected-first. Estimates steer only the start order —
-        // results are slot-indexed, so the artifact cannot observe them.
-        if self.order == JobOrder::Cost {
-            let estimates: Vec<Vec<f64>> = tasks
-                .iter()
-                .zip(&points)
-                .map(|((s, _), pts)| {
-                    pts.iter()
-                        .map(|p| self.costs.estimate(s.name(), p))
-                        .collect()
-                })
-                .collect();
-            sort_jobs_lpt(&mut jobs, &estimates);
-        }
-
-        let injector = Injector::new();
-        for job in &jobs {
-            injector.push(*job);
-        }
-
-        let threads = self.threads.min(jobs.len().max(1));
-        let workers: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Job>> = workers.iter().map(Worker::stealer).collect();
-        let failures: Mutex<Vec<JobFailure>> = Mutex::new(Vec::new());
-        let timings: Mutex<CostTable> = Mutex::new(CostTable::new());
-
-        // Misses persist through per-worker write-ahead segments: each
-        // worker owns one append-only file, so the lock-free hot path
-        // never serializes on the store. A cache I/O failure is a real
-        // error (a CI warm run silently degrading to 0% hits must not
-        // pass), hence the loud panic.
-        let writers: Option<Vec<CacheWriter>> = cache.as_deref().map(|c| {
-            (0..threads)
-                .map(|_| c.writer())
-                .collect::<Result<Vec<_>, crate::error::Error>>()
-                .unwrap_or_else(|e| panic!("sweep cache: {e}"))
-        });
-
-        let run_worker = |widx: usize, local: Worker<Job>| {
-            let mut observed = CostTable::new();
-            // The canonical crossbeam find-task loop: local deque first,
-            // then a batch from the injector, then steal from siblings;
-            // repeat while anything reports Retry.
-            let find_task = || {
-                local.pop().or_else(|| {
-                    std::iter::repeat_with(|| {
-                        injector
-                            .steal_batch_and_pop(&local)
-                            .or_else(|| stealers.iter().map(Stealer::steal).collect())
-                    })
-                    .find(|s: &Steal<Job>| !s.is_retry())
-                    .and_then(Steal::success)
-                })
-            };
-            while let Some(job) = find_task() {
-                let (scenario, _) = &tasks[job.task];
-                let params = &points[job.task][job.point];
-                let seed = self.seeds[job.seed_idx];
-                let started = Instant::now();
-                // A panicking scenario must not poison shared state or lose
-                // its identity: catch it here and report (scenario, point,
-                // seed). AssertUnwindSafe is sound because a failed sweep
-                // discards all results (no broken invariant is ever read).
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut sim = Simulation::new(seed);
-                    scenario.run(&mut sim, params)
-                }));
-                match outcome {
-                    Ok(metrics) => {
-                        let elapsed = started.elapsed().as_secs_f64();
-                        observed.record(&CostTable::key(scenario.name(), params), elapsed);
-                        if let Some(writers) = &writers {
-                            let key = keys[job.slot].expect("every pool job missed the cache");
-                            writers[widx]
-                                .append(&key, scenario.name(), elapsed, &metrics)
-                                .unwrap_or_else(|e| panic!("sweep cache: {e}"));
-                        }
-                        // SAFETY: `job.slot` is unique per job and the deque
-                        // delivered this job to exactly this worker; the
-                        // scope join below sequences the write before
-                        // `into_vec`.
-                        unsafe { slots.put(job.slot, metrics) };
-                    }
-                    Err(payload) => failures.lock().unwrap().push(JobFailure {
-                        scenario: scenario.name().to_string(),
-                        point: params.label(),
-                        seed,
-                        message: panic_message(payload.as_ref()),
-                    }),
-                }
-            }
-            timings.lock().unwrap().merge(&observed);
         };
-
-        let mut workers = workers.into_iter();
-        if threads <= 1 {
-            run_worker(0, workers.next().expect("one worker"));
+        if locals.len() <= 1 {
+            locals.into_iter().for_each(work);
         } else {
-            let run_worker = &run_worker;
             std::thread::scope(|scope| {
-                for (widx, local) in workers.enumerate() {
-                    scope.spawn(move || run_worker(widx, local));
+                for local in locals {
+                    scope.spawn(move || work(local));
                 }
             });
         }
 
-        self.observed
-            .lock()
-            .unwrap()
-            .merge(&timings.into_inner().unwrap());
-
-        let mut failures = failures.into_inner().unwrap();
-        if !failures.is_empty() {
-            // Deterministic report order however the pool interleaved.
-            // The cache commit is skipped: the workers' write-ahead
-            // segments stay on disk and are recovered at the next open, so
-            // the surviving jobs' results aren't lost either.
-            failures.sort_by(|a, b| {
-                (&a.scenario, &a.point, a.seed).cmp(&(&b.scenario, &b.point, b.seed))
-            });
-            return Err(SweepError { failures });
+        // SAFETY: called once, with every worker done.
+        match unsafe { engine.finalize(&sweep) } {
+            Ok(results) => Ok(results),
+            Err(Error::Sweep(e)) => Err(e),
+            Err(e) => panic!("{e}"),
         }
-
-        // Sweep completion: fsync the per-worker segments and merge them
-        // into the cache index, garbage-collecting stale-salt entries.
-        if let Some(cache) = cache.as_deref_mut() {
-            let writers = writers.expect("an attached cache always has writers");
-            cache
-                .commit(writers)
-                .unwrap_or_else(|e| panic!("sweep cache: {e}"));
-        }
-
-        // Collect slot-major: task, point, seed — the injection order never
-        // shows up here.
-        let names: Vec<&str> = tasks.iter().map(|(s, _)| s.name()).collect();
-        Ok(aggregate_results(
-            &names,
-            points,
-            &self.seeds,
-            slots.into_vec(),
-        ))
     }
 }
 
@@ -643,8 +668,8 @@ mod tests {
     fn slot_buffer_disjoint_writes_from_threads() {
         // The SlotBuffer safety contract, reduced to its essentials so Miri
         // can interpret it directly (the full sweep tests are too heavy):
-        // disjoint per-thread writes, join, then collect — every write must
-        // be visible and land in its own slot.
+        // disjoint per-thread writes, join, then drain — `SweepRunner`'s
+        // protocol. Every write must be visible and land in its own slot.
         let buf = SlotBuffer::<usize>::new(16);
         std::thread::scope(|scope| {
             for t in 0..4 {
@@ -653,13 +678,14 @@ mod tests {
                     for i in (t..16).step_by(4) {
                         // SAFETY: each index is written by exactly one
                         // thread (i ≡ t mod 4), and the scope join orders
-                        // all writes before into_vec below.
+                        // all writes before take_vec below.
                         unsafe { buf.put(i, i * 10) };
                     }
                 });
             }
         });
-        let got = buf.into_vec();
+        // SAFETY: every writer has been joined; this is the only drain.
+        let got = unsafe { buf.take_vec() };
         for (i, v) in got.into_iter().enumerate() {
             assert_eq!(v, Some(i * 10));
         }

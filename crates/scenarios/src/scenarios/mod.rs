@@ -5,8 +5,8 @@
 //! actual experiment against a caller-provided [`des::Simulation`], a
 //! [`crate::Scenario`] impl whose `run` distils `compute`'s output into
 //! scalar [`crate::Metrics`], and a `report` override that prints the
-//! original paper-style tables and shape assertions (what the legacy
-//! `fig*`/`tab*` binaries printed, byte-for-byte logic).
+//! original paper-style tables and shape assertions (what `scenarios
+//! report <name>` prints).
 
 pub mod ablations;
 pub mod fig01;

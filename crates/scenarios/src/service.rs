@@ -1,15 +1,15 @@
-//! The long-running "what-if" sweep service: a persistent worker pool plus
-//! an in-process request registry, serving concurrent [`SweepRequest`]s.
+//! The long-running "what-if" sweep service: the sweep engine of
+//! [`crate::runner`] behind a persistent worker pool and an in-process
+//! request registry, serving concurrent [`SweepRequest`]s.
 //!
-//! This is the serving half of the ROADMAP's sharded what-if item (the
-//! memoization half is [`crate::cache`]). One [`Service`] owns:
+//! Planning, the find-task loop, job execution and finalization are the
+//! engine's — the same functions [`crate::runner::SweepRunner`] calls, so
+//! the CLI, the TCP server and the library entry point cannot drift apart.
+//! What this module adds is everything that outlives one sweep:
 //!
-//! * **A persistent work-stealing pool** — the same Chase–Lev machinery the
-//!   scoped [`crate::runner::SweepRunner`] uses (shared
-//!   [`Injector`], per-worker deques, sibling stealing), but with workers
-//!   that outlive any one request, parking on a condvar when the queue
-//!   runs dry. Jobs from every live request flow through the one shared
-//!   FIFO injector.
+//! * **A persistent pool** — workers that outlive any one request, parking
+//!   on a condvar when the queue runs dry. Jobs from every live request
+//!   flow through the one shared FIFO injector.
 //! * **Fair interleaving** — each request keeps at most `threads` jobs in
 //!   the pool at once (its *window*); completing a job refills the next
 //!   pending one at the injector's tail. A long request therefore owns at
@@ -17,11 +17,10 @@
 //!   submitted behind it starts within one job-completion, not after the
 //!   long sweep drains — the head-of-line guarantee the concurrency tests
 //!   pin down.
-//! * **The cache fast path** — submissions are pre-scanned against the
-//!   shared [`ResultCache`]; hits are written straight into their result
-//!   slot and never touch the pool. An all-hit request finalizes inline at
-//!   submit. Misses append to a per-request WAL segment that commits into
-//!   the same index the CLI uses, so server and CLI stay mutually
+//! * **A shared cache** — every request plans against the one
+//!   [`ResultCache`], so an all-hit request finalizes inline at submit and
+//!   the pool never hears about it, and misses commit into the same index
+//!   every other entry point uses: server, CLI and library stay mutually
 //!   incremental.
 //! * **A metadata plane** — every request gets an id and a
 //!   [`SweepStatus`] lifecycle (queued → running(n/m) → done / failed /
@@ -30,41 +29,30 @@
 //!   Identical in-flight requests are deduplicated: the second submit
 //!   returns the first's id instead of doubling the work.
 //!
-//! Results are bit-identical to the CLI path by construction: the same
-//! slot-indexed write-once buffers, the same task-major/point-major/
-//! seed-minor slot layout, the same aggregation — and the artifact is
-//! rendered once, server-side, with [`SweepSuite::artifact_json`] and
-//! shipped as text verbatim.
+//! The artifact is rendered once, server-side, with
+//! [`SweepSuite::artifact_json`] and shipped as text verbatim.
 //!
 //! Memory ordering of finalization: each worker publishes its slot writes
 //! with an `AcqRel` `fetch_sub` on the request's `remaining` counter; the
 //! thread that observes the count hit zero acquires every decrement in the
-//! release sequence, so all slot writes happen-before the finalizer's
-//! [`SlotBuffer::take_vec`]. The submit-time cache-hit writes are ordered
-//! before any worker runs via the injector push (release) → steal
-//! (acquire) chain, inductively through refills.
+//! release sequence, so all slot writes happen-before the finalizer drains
+//! them. The submit-time cache-hit writes are ordered before any worker
+//! runs via the injector push (release) → steal (acquire) chain,
+//! inductively through refills.
 
-use crate::cache::{self, CacheKey, CacheStats, CacheWriter, ResultCache};
+use crate::cache::{CacheStats, ResultCache};
 use crate::cost::CostTable;
 use crate::error::Error;
-use crate::metrics::Metrics;
-use crate::params::Params;
 use crate::registry::Registry;
-use crate::request::{SweepRequest, SweepResponse, SweepStatus, ValidatedSweep};
-use crate::runner::{
-    aggregate_results, expand_jobs, sort_jobs_lpt, Job, JobFailure, JobOrder, SlotBuffer,
-    SweepError, SweepResult, SweepSuite,
-};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use des::Simulation;
+use crate::request::{SweepRequest, SweepResponse, SweepStatus};
+use crate::runner::{find_task, queues, Engine, Job, Sweep, SweepResult, SweepSuite};
+use crossbeam::deque::{Injector, Stealer, Worker};
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// How a [`Service`] is provisioned.
 #[derive(Debug, Clone)]
@@ -143,18 +131,11 @@ enum Terminal {
     Cancelled,
 }
 
-/// One submitted request's full execution state.
+/// One submitted request: its planned sweep plus the window, progress and
+/// lifecycle state the pool and the status plane need.
 struct ActiveSweep {
     id: u64,
-    /// Scenario names, resolved again via the service registry at run time.
-    names: Vec<String>,
-    /// Expanded parameter points, per task.
-    points: Vec<Vec<Params>>,
-    seeds: Vec<u64>,
-    /// Write-once result slots (task-major, point-major, seed-minor).
-    slots: SlotBuffer<Metrics>,
-    /// Per-slot cache keys — `Some` exactly for the slots that missed.
-    keys: Vec<Option<CacheKey>>,
+    sweep: Sweep,
     total_jobs: usize,
     cache_hits: usize,
     /// Cost-ordered jobs not yet handed to the injector (the part of the
@@ -166,10 +147,6 @@ struct ActiveSweep {
     /// Pool jobs that have begun executing (drives queued → running).
     started: AtomicUsize,
     cancelled: AtomicBool,
-    failures: Mutex<Vec<JobFailure>>,
-    /// This request's append-only WAL segment (all workers share it; a
-    /// sweep is one commit unit, unlike the CLI's per-worker segments).
-    writer: Mutex<Option<CacheWriter>>,
     state: Mutex<Terminal>,
     done_cond: Condvar,
     /// Canonical request text, for in-flight deduplication.
@@ -177,38 +154,22 @@ struct ActiveSweep {
 }
 
 impl ActiveSweep {
-    fn status(&self) -> SweepStatus {
-        match &*self.state.lock().unwrap() {
-            Terminal::Done { .. } => SweepStatus::Done,
+    fn response(&self, include_artifact: bool) -> SweepResponse {
+        let mut artifact = None;
+        let status = match &*self.state.lock().unwrap() {
+            Terminal::Done { artifact: text, .. } => {
+                artifact = include_artifact.then(|| text.clone());
+                SweepStatus::Done
+            }
             Terminal::Failed { message } => SweepStatus::Failed {
                 message: message.clone(),
             },
             Terminal::Cancelled => SweepStatus::Cancelled,
-            Terminal::Pending => {
-                if self.started.load(Ordering::Relaxed) == 0 {
-                    SweepStatus::Queued
-                } else {
-                    let remaining = self.remaining.load(Ordering::Relaxed);
-                    SweepStatus::Running {
-                        done: self.total_jobs - remaining,
-                        total: self.total_jobs,
-                    }
-                }
-            }
-        }
-    }
-
-    fn response(&self, include_artifact: bool) -> SweepResponse {
-        let state = self.state.lock().unwrap();
-        let (status, artifact) = match &*state {
-            Terminal::Done { artifact, .. } => (
-                SweepStatus::Done,
-                include_artifact.then(|| artifact.clone()),
-            ),
-            _ => {
-                drop(state);
-                (self.status(), None)
-            }
+            Terminal::Pending if self.started.load(Ordering::Relaxed) == 0 => SweepStatus::Queued,
+            Terminal::Pending => SweepStatus::Running {
+                done: self.total_jobs - self.remaining.load(Ordering::Relaxed),
+                total: self.total_jobs,
+            },
         };
         SweepResponse {
             id: self.id,
@@ -232,30 +193,17 @@ struct Inner {
     /// "check queue, then wait" window against "push, then notify".
     park: (Mutex<()>, Condvar),
     shutdown: AtomicBool,
-    requests: Mutex<HashMap<u64, Arc<ActiveSweep>>>,
-    /// Submission order of request ids (HashMap iteration is unordered).
-    order: Mutex<Vec<u64>>,
+    /// Every request ever submitted. Ids are monotonic, so iteration order
+    /// is submission order.
+    requests: Mutex<BTreeMap<u64, Arc<ActiveSweep>>>,
     next_id: AtomicU64,
-    cache: Option<Mutex<ResultCache>>,
-    /// Prior costs from config — never mutated, the cold-start estimate.
-    priors: CostTable,
-    /// Costs measured by this service's own jobs; preferred over priors,
-    /// so ordering gets smarter the longer the service runs (warm state).
-    observed: Mutex<CostTable>,
-    /// Canonical request text → in-flight request id.
-    dedup: Mutex<HashMap<String, u64>>,
+    /// The shared cache and cost tables every request plans and runs on.
+    engine: Engine,
+    /// Canonical request text → in-flight request.
+    dedup: Mutex<HashMap<String, Arc<ActiveSweep>>>,
 }
 
 impl Inner {
-    fn estimate(&self, scenario: &str, params: &Params) -> f64 {
-        let key = CostTable::key(scenario, params);
-        self.observed
-            .lock()
-            .unwrap()
-            .mean_secs(&key)
-            .unwrap_or_else(|| self.priors.estimate(scenario, params))
-    }
-
     /// Push one job and wake a worker. Locking the park mutex (empty as it
     /// is) before notifying closes the lost-wakeup window against a worker
     /// that just found the queue dry and is about to wait.
@@ -281,24 +229,24 @@ impl Service {
             None => None,
         };
         let threads = config.threads.max(1);
+        let (injector, locals, stealers) = queues(threads);
         let inner = Arc::new(Inner {
             registry,
             threads,
-            injector: Injector::new(),
+            injector,
             park: (Mutex::new(()), Condvar::new()),
             shutdown: AtomicBool::new(false),
-            requests: Mutex::new(HashMap::new()),
-            order: Mutex::new(Vec::new()),
+            requests: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
-            cache,
-            priors: config.cost_table,
-            observed: Mutex::new(CostTable::new()),
+            engine: Engine {
+                cache,
+                priors: config.cost_table,
+                observed: Mutex::new(CostTable::new()),
+            },
             dedup: Mutex::new(HashMap::new()),
         });
 
-        let locals: Vec<Worker<PoolJob>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Arc<Vec<Stealer<PoolJob>>> =
-            Arc::new(locals.iter().map(Worker::stealer).collect());
+        let stealers: Arc<Vec<Stealer<PoolJob>>> = Arc::new(stealers);
         let workers = locals
             .into_iter()
             .map(|local| {
@@ -329,51 +277,58 @@ impl Service {
 
         // In-flight dedup: the map only ever holds non-terminal requests
         // (finalization removes the entry), so a match means live work we
-        // can share rather than repeat. Holding the lock across the check
-        // prevents two racing identical submits from both missing.
-        {
-            let dedup = inner.dedup.lock().unwrap();
-            if let Some(&id) = dedup.get(&dedup_key) {
-                if let Some(sweep) = inner.requests.lock().unwrap().get(&id) {
-                    return Ok(Submission {
-                        id,
-                        status: sweep.status(),
-                        warnings: validated.warnings,
-                        total_jobs: sweep.total_jobs,
-                        cache_hits: sweep.cache_hits,
-                        deduped: true,
-                    });
-                }
-            }
+        // can share rather than repeat.
+        if let Some(sweep) = inner.dedup.lock().unwrap().get(&dedup_key) {
+            return Ok(Submission {
+                id: sweep.id,
+                status: sweep.response(false).status,
+                warnings: validated.warnings,
+                total_jobs: sweep.total_jobs,
+                cache_hits: sweep.cache_hits,
+                deduped: true,
+            });
         }
 
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let sweep = self.build_sweep(id, &validated, dedup_key)?;
-        let status = sweep.status();
-        let cache_hits = sweep.cache_hits;
-        let total_jobs = sweep.total_jobs;
-        let terminal = status.is_terminal();
+        let tasks = validated.resolve(&inner.registry);
+        let (sweep, mut jobs) = inner
+            .engine
+            .plan(&tasks, &validated.seeds, validated.order)?;
+        let pool_jobs = jobs.len();
+        // The request's window: the first `threads` jobs go into the shared
+        // FIFO below; the rest follow one-per-completion.
+        let window: Vec<Job> = jobs.drain(..inner.threads.min(pool_jobs)).collect();
+        let sweep = Arc::new(ActiveSweep {
+            id,
+            sweep,
+            total_jobs: validated.total_jobs,
+            cache_hits: validated.total_jobs - pool_jobs,
+            pending: Mutex::new(jobs.into()),
+            remaining: AtomicUsize::new(pool_jobs),
+            started: AtomicUsize::new(0),
+            cancelled: AtomicBool::new(false),
+            state: Mutex::new(Terminal::Pending),
+            done_cond: Condvar::new(),
+            dedup_key,
+        });
+        if pool_jobs == 0 {
+            // Every job was a cache hit: finalize inline, entirely on the
+            // submit thread — the pool never hears about this request.
+            finalize(inner, &sweep);
+        }
+        let status = sweep.response(false).status;
 
         inner
             .requests
             .lock()
             .unwrap()
             .insert(id, Arc::clone(&sweep));
-        inner.order.lock().unwrap().push(id);
-        if !terminal {
+        if pool_jobs > 0 {
             inner
                 .dedup
                 .lock()
                 .unwrap()
-                .insert(sweep.dedup_key.clone(), id);
-            // Open the request's window: the first `threads` jobs go into
-            // the shared FIFO; the rest follow one-per-completion.
-            let window: Vec<Job> = {
-                let mut pending = sweep.pending.lock().unwrap();
-                (0..inner.threads.min(pending.len()))
-                    .filter_map(|_| pending.pop_front())
-                    .collect()
-            };
+                .insert(sweep.dedup_key.clone(), Arc::clone(&sweep));
             for job in window {
                 inner.inject(PoolJob {
                     sweep: Arc::clone(&sweep),
@@ -385,106 +340,10 @@ impl Service {
             id,
             status,
             warnings: validated.warnings,
-            total_jobs,
-            cache_hits,
+            total_jobs: sweep.total_jobs,
+            cache_hits: sweep.cache_hits,
             deduped: false,
         })
-    }
-
-    /// Expand, pre-scan the cache, and cost-order one validated request.
-    fn build_sweep(
-        &self,
-        id: u64,
-        validated: &ValidatedSweep,
-        dedup_key: String,
-    ) -> Result<Arc<ActiveSweep>, Error> {
-        let inner = &*self.inner;
-        let names: Vec<String> = validated.tasks.iter().map(|(n, _)| n.clone()).collect();
-        let points: Vec<Vec<Params>> = validated
-            .tasks
-            .iter()
-            .map(|(name, grid)| {
-                let scenario = inner
-                    .registry
-                    .get(name)
-                    .expect("validated scenario vanished from the registry");
-                grid.points(&scenario.default_params())
-            })
-            .collect();
-        let mut jobs = expand_jobs(&points, validated.seeds.len());
-        let n_jobs = jobs.len();
-        let slots = SlotBuffer::new(n_jobs);
-        let mut keys: Vec<Option<CacheKey>> = vec![None; n_jobs];
-
-        // Cache pre-scan, same contract as the runner's: hits land in
-        // their slots here on the submit thread (no worker exists for this
-        // sweep yet) and never reach the pool.
-        let mut cache_hits = 0;
-        if let Some(cache) = &inner.cache {
-            let mut cache = cache.lock().unwrap();
-            let mut misses = Vec::with_capacity(jobs.len());
-            for job in jobs {
-                let key = cache::job_key(
-                    cache.salt(),
-                    &names[job.task],
-                    &points[job.task][job.point],
-                    validated.seeds[job.seed_idx],
-                );
-                match cache.lookup(&key) {
-                    // SAFETY: submit thread only, one visit per slot, and
-                    // hit slots are never handed to the pool.
-                    Some(metrics) => {
-                        unsafe { slots.put(job.slot, metrics) };
-                        cache_hits += 1;
-                    }
-                    None => {
-                        keys[job.slot] = Some(key);
-                        misses.push(job);
-                    }
-                }
-            }
-            jobs = misses;
-        }
-
-        if validated.order == JobOrder::Cost {
-            let estimates: Vec<Vec<f64>> = names
-                .iter()
-                .zip(&points)
-                .map(|(name, pts)| pts.iter().map(|p| inner.estimate(name, p)).collect())
-                .collect();
-            sort_jobs_lpt(&mut jobs, &estimates);
-        }
-
-        let writer = match (&inner.cache, jobs.is_empty()) {
-            (Some(cache), false) => Some(cache.lock().unwrap().writer()?),
-            _ => None,
-        };
-
-        let sweep = Arc::new(ActiveSweep {
-            id,
-            names,
-            points,
-            seeds: validated.seeds.clone(),
-            slots,
-            keys,
-            total_jobs: n_jobs,
-            cache_hits,
-            remaining: AtomicUsize::new(jobs.len()),
-            started: AtomicUsize::new(0),
-            pending: Mutex::new(jobs.into()),
-            cancelled: AtomicBool::new(false),
-            failures: Mutex::new(Vec::new()),
-            writer: Mutex::new(writer),
-            state: Mutex::new(Terminal::Pending),
-            done_cond: Condvar::new(),
-            dedup_key,
-        });
-        if sweep.remaining.load(Ordering::Relaxed) == 0 {
-            // Every job was a cache hit: finalize inline, entirely on the
-            // submit thread — the pool never hears about this request.
-            finalize(inner, &sweep);
-        }
-        Ok(sweep)
     }
 
     fn get(&self, id: u64) -> Result<Arc<ActiveSweep>, Error> {
@@ -505,14 +364,7 @@ impl Service {
     /// Every request this service has seen, in submission order.
     pub fn list(&self) -> Vec<SweepResponse> {
         let requests = self.inner.requests.lock().unwrap();
-        self.inner
-            .order
-            .lock()
-            .unwrap()
-            .iter()
-            .filter_map(|id| requests.get(id))
-            .map(|sweep| sweep.response(false))
-            .collect()
+        requests.values().map(|s| s.response(false)).collect()
     }
 
     /// Block until the request reaches a terminal state; `Done` responses
@@ -533,12 +385,7 @@ impl Service {
     pub fn cancel(&self, id: u64) -> Result<SweepResponse, Error> {
         let sweep = self.get(id)?;
         sweep.cancelled.store(true, Ordering::Release);
-        let drained = {
-            let mut pending = sweep.pending.lock().unwrap();
-            let n = pending.len();
-            pending.clear();
-            n
-        };
+        let drained = std::mem::take(&mut *sweep.pending.lock().unwrap()).len();
         if drained > 0 && sweep.remaining.fetch_sub(drained, Ordering::AcqRel) == drained {
             // The drain took the count to zero: no worker holds a job of
             // this sweep anymore, so finalization falls to us.
@@ -570,22 +417,23 @@ impl Service {
     /// Hit/miss/size counters of the shared cache, if one is attached.
     /// Counters accumulate across every request this service served.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.inner.cache.as_ref().map(|c| c.lock().unwrap().stats())
+        self.inner.engine.cache_stats()
     }
 
     /// Wall-clocks measured by this service's own jobs — the `--costs-out`
     /// table, same keying as [`crate::runner::SweepRunner::observed_costs`].
     pub fn observed_costs(&self) -> CostTable {
-        self.inner.observed.lock().unwrap().clone()
+        self.inner.engine.observed.lock().unwrap().clone()
     }
 
-    /// Stop accepting work and join the pool. In-flight and pending jobs
-    /// are drained first (cancel requests beforehand for a fast exit).
-    pub fn shutdown(mut self) {
-        self.shutdown_impl();
-    }
+    /// Stop accepting work and join the pool — what dropping the service
+    /// does, spelled out. In-flight and pending jobs are drained first
+    /// (cancel requests beforehand for a fast exit).
+    pub fn shutdown(self) {}
+}
 
-    fn shutdown_impl(&mut self) {
+impl Drop for Service {
+    fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         {
             let _guard = self.inner.park.0.lock().unwrap();
@@ -597,32 +445,11 @@ impl Service {
     }
 }
 
-impl Drop for Service {
-    fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            self.shutdown_impl();
-        }
-    }
-}
-
-/// The persistent pool thread: the canonical crossbeam find-task loop
-/// (local deque, then an injector batch, then sibling stealing), parking
-/// on the service condvar when everything is dry.
+/// The persistent pool thread: the engine's find-task loop, parking on the
+/// service condvar when everything is dry.
 fn worker_loop(inner: &Inner, local: Worker<PoolJob>, stealers: &[Stealer<PoolJob>]) {
     loop {
-        let find_task = || {
-            local.pop().or_else(|| {
-                std::iter::repeat_with(|| {
-                    inner
-                        .injector
-                        .steal_batch_and_pop(&local)
-                        .or_else(|| stealers.iter().map(Stealer::steal).collect())
-                })
-                .find(|s: &Steal<PoolJob>| !s.is_retry())
-                .and_then(Steal::success)
-            })
-        };
-        match find_task() {
+        match find_task(&inner.injector, &local, stealers) {
             Some(PoolJob { sweep, job }) => run_job(inner, &sweep, job),
             None => {
                 let guard = inner.park.0.lock().unwrap();
@@ -648,50 +475,12 @@ fn run_job(inner: &Inner, sweep: &Arc<ActiveSweep>, job: Job) {
         sweep.started.fetch_add(1, Ordering::Relaxed);
         let scenario = inner
             .registry
-            .get(&sweep.names[job.task])
+            .get(sweep.sweep.names[job.task])
             .expect("validated scenario vanished from the registry");
-        let params = &sweep.points[job.task][job.point];
-        let seed = sweep.seeds[job.seed_idx];
-        let started = Instant::now();
-        // Same per-job panic isolation as the runner: a panicking scenario
-        // fails its request, never the pool.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut sim = Simulation::new(seed);
-            scenario.run(&mut sim, params)
-        }));
-        match outcome {
-            Ok(metrics) => {
-                let elapsed = started.elapsed().as_secs_f64();
-                inner
-                    .observed
-                    .lock()
-                    .unwrap()
-                    .record(&CostTable::key(scenario.name(), params), elapsed);
-                let writer = sweep.writer.lock().unwrap();
-                if let Some(writer) = writer.as_ref() {
-                    let key = sweep.keys[job.slot].expect("every pool job missed the cache");
-                    if let Err(e) = writer.append(&key, scenario.name(), elapsed, &metrics) {
-                        sweep.failures.lock().unwrap().push(JobFailure {
-                            scenario: scenario.name().to_string(),
-                            point: params.label(),
-                            seed,
-                            message: format!("cache write failed: {e}"),
-                        });
-                    }
-                }
-                drop(writer);
-                // SAFETY: the deque delivered this job to exactly this
-                // worker, `job.slot` is unique per job, and the AcqRel
-                // fetch_sub below releases this write to the finalizer.
-                unsafe { sweep.slots.put(job.slot, metrics) };
-            }
-            Err(payload) => sweep.failures.lock().unwrap().push(JobFailure {
-                scenario: scenario.name().to_string(),
-                point: params.label(),
-                seed,
-                message: crate::runner::panic_message(payload.as_ref()),
-            }),
-        }
+        // SAFETY: the job came out of this sweep's plan through `pending`
+        // and the deques, which hand it to exactly one worker, and the
+        // AcqRel fetch_sub below releases its slot write to the finalizer.
+        unsafe { inner.engine.execute(&sweep.sweep, scenario, job) };
     }
 
     // Refill the window: this request may put its next pending job at the
@@ -710,56 +499,47 @@ fn run_job(inner: &Inner, sweep: &Arc<ActiveSweep>, job: Job) {
     }
 }
 
-/// Turn a fully-drained sweep into its terminal state: aggregate and
-/// render on success, report failures verbatim, commit the WAL segment.
-/// Called exactly once per request — by the last decrementer of
-/// `remaining` (a worker, the canceller, or the submit thread for all-hit
-/// requests).
+/// Turn a fully-drained sweep into its terminal state: render the artifact
+/// on success, report failures verbatim. Called exactly once per request —
+/// by the last decrementer of `remaining` (a worker, the canceller, or the
+/// submit thread for all-hit requests).
 fn finalize(inner: &Inner, sweep: &ActiveSweep) {
-    let failures = std::mem::take(&mut *sweep.failures.lock().unwrap());
     let terminal = if sweep.cancelled.load(Ordering::Acquire) {
         // The WAL segment is deliberately not committed: whatever misses
         // did complete stay on disk and are recovered at the next cache
-        // open, same as the runner's failure path.
+        // open, same as a failed sweep's.
         Terminal::Cancelled
-    } else if !failures.is_empty() {
-        let mut failures = failures;
-        failures
-            .sort_by(|a, b| (&a.scenario, &a.point, a.seed).cmp(&(&b.scenario, &b.point, b.seed)));
-        Terminal::Failed {
-            message: SweepError { failures }.to_string(),
-        }
     } else {
-        // SAFETY: remaining hit zero and we are its observer — every slot
-        // write (workers' puts via the AcqRel release sequence, submit-time
-        // hit puts via the injector push/steal chain or, for all-hit
-        // sweeps, program order) happens-before this drain.
-        let slot_values = unsafe { sweep.slots.take_vec() };
-        let names: Vec<&str> = sweep.names.iter().map(String::as_str).collect();
-        let results = aggregate_results(&names, sweep.points.clone(), &sweep.seeds, slot_values);
-        let suite = SweepSuite {
-            seeds: sweep.seeds.clone(),
-            results,
-        };
-        let artifact = suite.artifact_json();
-        let results = suite.results;
-        match (&inner.cache, sweep.writer.lock().unwrap().take()) {
-            (Some(cache), Some(writer)) => {
-                match cache.lock().unwrap().commit(vec![writer]) {
-                    Ok(()) => Terminal::Done { artifact, results },
+        // SAFETY: remaining hit zero and we are its one observer — every
+        // slot write (workers' via the AcqRel release sequence, submit-time
+        // hits via the injector push/steal chain or, for all-hit sweeps,
+        // program order) happens-before this call.
+        match unsafe { inner.engine.finalize(&sweep.sweep) } {
+            Ok(results) => {
+                let suite = SweepSuite {
+                    seeds: sweep.sweep.seeds.clone(),
+                    results,
+                };
+                Terminal::Done {
+                    artifact: suite.artifact_json(),
+                    results: suite.results,
+                }
+            }
+            Err(e) => Terminal::Failed {
+                message: match e {
+                    Error::Sweep(failures) => failures.to_string(),
                     // A cache that can't commit is a real failure (a warm
                     // CI run silently degrading to 0% hits must not pass),
                     // but it must fail the request, not the pool thread.
-                    Err(e) => Terminal::Failed {
-                        message: format!("sweep cache commit failed: {e}"),
-                    },
-                }
-            }
-            _ => Terminal::Done { artifact, results },
+                    e => format!("sweep cache commit failed: {e}"),
+                },
+            },
         }
     };
 
+    // Leave the dedup map before publishing: a waiter that sees the terminal
+    // state and re-submits the same text must get fresh work, not this id.
+    inner.dedup.lock().unwrap().remove(&sweep.dedup_key);
     *sweep.state.lock().unwrap() = terminal;
     sweep.done_cond.notify_all();
-    inner.dedup.lock().unwrap().remove(&sweep.dedup_key);
 }

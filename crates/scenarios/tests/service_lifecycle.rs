@@ -150,6 +150,80 @@ fn warm_resubmit_is_all_hits_and_finalizes_inline() {
     );
 }
 
+/// Both entry points plan against the same store with the same keys, so
+/// what one computes the other never recomputes — in either direction.
+#[test]
+fn runner_and_service_serve_each_others_cache_entries() {
+    let request = SweepRequest::new()
+        .scenario("tab03_idle_node")
+        .scenario("fig07_latency")
+        .axis(
+            "reps",
+            vec![ParamValue::parse("40"), ParamValue::parse("80")],
+        )
+        .lenient()
+        .with_seeds(2);
+    let registry = Registry::standard();
+    let validated = request.validate(&registry).expect("valid request");
+    let tasks = validated.resolve(&registry);
+    let runner_on = |dir: &PathBuf| {
+        SweepRunner::new(2, validated.seeds.clone())
+            .with_cache(scenarios::ResultCache::open(dir).expect("open cache"))
+    };
+    let service_on = |dir: &PathBuf| {
+        Service::start(
+            Registry::standard(),
+            ServiceConfig::new().with_threads(2).with_cache_dir(dir),
+        )
+        .expect("service starts")
+    };
+
+    // Cold runner, then a service on the same directory.
+    let dir = cache_dir("runner-then-service");
+    let cold = runner_on(&dir);
+    let runner_results = cold.run_suite(&tasks);
+    let stats = cold.cache_stats().expect("cache attached");
+    assert_eq!((stats.hits, stats.misses), (0, 6), "cold runner simulates");
+    let service = service_on(&dir);
+    let submission = service.submit(&request).expect("warm submit");
+    assert_eq!(submission.total_jobs, 6);
+    assert_eq!(
+        submission.cache_hits, submission.total_jobs,
+        "the service must be served entirely by the runner's entries"
+    );
+    assert!(
+        matches!(submission.status, SweepStatus::Done),
+        "an all-hit request finalizes at submit, got {}",
+        submission.status
+    );
+    let served = service.results(submission.id).expect("done has results");
+    for (a, b) in served.iter().zip(&runner_results) {
+        assert!(a.bits_eq(b), "{}: cache-served bits diverged", a.scenario);
+    }
+
+    // Cold service, then a runner on the same directory.
+    let dir = cache_dir("service-then-runner");
+    let service = service_on(&dir);
+    let submission = service.submit(&request).expect("cold submit");
+    assert_eq!(submission.cache_hits, 0, "cold service simulates");
+    let response = service.wait(submission.id).expect("cold wait");
+    assert!(matches!(response.status, SweepStatus::Done));
+    let service_results = service.results(submission.id).expect("done has results");
+    drop(service);
+    let warm = runner_on(&dir);
+    let runner_results = warm.run_suite(&tasks);
+    let stats = warm.cache_stats().expect("cache attached");
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (6, 0),
+        "the runner must be served entirely by the service's entries"
+    );
+    assert!(warm.observed_costs().is_empty(), "hits are not timed");
+    for (a, b) in runner_results.iter().zip(&service_results) {
+        assert!(a.bits_eq(b), "{}: cache-served bits diverged", a.scenario);
+    }
+}
+
 #[test]
 fn identical_inflight_requests_coalesce_onto_one_id() {
     let service = Service::start(sleepy_registry(), ServiceConfig::new().with_threads(1))

@@ -217,6 +217,10 @@ fn concurrent_clients_submit_status_and_cancel() {
 
     let mut client = Client::connect(addr).expect("connect");
     let listed = client.list().expect("list");
+    // Ids are handed out in submission order and `list` reports in id
+    // order, however the racing submits interleaved inside the service.
+    let listed_ids: Vec<u64> = listed.iter().map(|r| r.id).collect();
+    assert_eq!(listed_ids, ids, "list must be id-ordered");
     for (id, cancelled) in &outcomes {
         let row = listed
             .iter()

@@ -1,11 +1,103 @@
-//! Sweep determinism: a parallel `SweepRunner` (threads = 4) must produce
-//! bit-identical per-(point, seed) metrics to a serial run (threads = 1),
-//! for arbitrary seed lists and grids. Worker threads only decide *when* a
-//! job runs; each job owns its own `Simulation`, so *what* it computes is a
-//! pure function of `(params, seed)`.
+//! Sweep determinism: every entry point of the sweep engine — a serial
+//! `SweepRunner` (threads = 1), a parallel one (threads = 4) and the
+//! `Service` — must produce bit-identical per-(point, seed) metrics, for
+//! arbitrary seed lists and grids. Worker threads only decide *when* a job
+//! runs; each job owns its own `Simulation`, so *what* it computes is a pure
+//! function of `(params, seed)`.
+//!
+//! The entry points share one engine, so comparing them with each other
+//! proves little on its own. The reference here is [`serial_oracle`]: plain
+//! nested loops with no slots, deques, cost order or cache.
 
 use proptest::prelude::*;
-use scenarios::{Registry, SweepGrid, SweepRunner};
+use scenarios::service::{Service, ServiceConfig};
+use scenarios::{
+    Metrics, ParamValue, Registry, Scenario, SweepGrid, SweepRequest, SweepResult, SweepRunner,
+    SweepStatus,
+};
+
+/// The reference every entry point must reproduce: `oracle[task][point][seed]`
+/// computed the obvious way, one fresh simulation per job, in input order.
+fn serial_oracle(tasks: &[(&dyn Scenario, SweepGrid)], seeds: &[u64]) -> Vec<Vec<Vec<Metrics>>> {
+    let mut oracle = Vec::new();
+    for (scenario, grid) in tasks {
+        let mut per_point = Vec::new();
+        for params in grid.points(&scenario.default_params()) {
+            let mut per_seed = Vec::new();
+            for &seed in seeds {
+                let mut sim = des::Simulation::new(seed);
+                per_seed.push(scenario.run(&mut sim, &params));
+            }
+            per_point.push(per_seed);
+        }
+        oracle.push(per_point);
+    }
+    oracle
+}
+
+fn assert_matches_oracle(
+    label: &str,
+    results: &[SweepResult],
+    tasks: &[(&dyn Scenario, SweepGrid)],
+    seeds: &[u64],
+    oracle: &[Vec<Vec<Metrics>>],
+) {
+    assert_eq!(results.len(), tasks.len(), "{label}: one result per task");
+    for ((result, (scenario, grid)), expected) in results.iter().zip(tasks).zip(oracle) {
+        let name = scenario.name();
+        assert_eq!(result.scenario, name, "{label}: task order");
+        assert_eq!(result.seeds, seeds, "{label}/{name}: seed list");
+        let points = grid.points(&scenario.default_params());
+        assert_eq!(result.points.len(), points.len(), "{label}/{name}: points");
+        for ((point, params), expected) in result.points.iter().zip(&points).zip(expected) {
+            assert_eq!(&point.params, params, "{label}/{name}: point order");
+            assert_eq!(point.per_seed.len(), seeds.len());
+            for (((seed, metrics), want_seed), want) in
+                point.per_seed.iter().zip(seeds).zip(expected)
+            {
+                assert_eq!(seed, want_seed, "{label}/{name}: seed order");
+                assert!(
+                    metrics.bits_eq(want),
+                    "{label}: {name} point `{}` seed {seed} diverged from the serial oracle",
+                    params.label()
+                );
+            }
+        }
+    }
+}
+
+/// The whole standard registry through all three entry points. The Fig. 1
+/// replay is shrunk (the axes are foreign to most scenarios, so the request
+/// is lenient) to keep an unoptimised test build quick.
+#[test]
+fn every_entry_point_matches_the_serial_oracle_on_the_standard_registry() {
+    let registry = Registry::standard();
+    let request = SweepRequest::new()
+        .every_scenario()
+        .axis("nodes", vec![ParamValue::U64(300)])
+        .axis("horizon_days", vec![ParamValue::parse("1.5")])
+        .lenient()
+        .with_seeds(2);
+    let validated = request.validate(&registry).expect("valid request");
+    let tasks = validated.resolve(&registry);
+    let seeds = &validated.seeds;
+    assert_eq!(tasks.len(), registry.len());
+    let oracle = serial_oracle(&tasks, seeds);
+
+    for threads in [1, 4] {
+        let results = SweepRunner::new(threads, seeds.clone()).run_suite(&tasks);
+        let label = format!("SweepRunner({threads})");
+        assert_matches_oracle(&label, &results, &tasks, seeds, &oracle);
+    }
+
+    let service = Service::start(Registry::standard(), ServiceConfig::new().with_threads(3))
+        .expect("service starts");
+    let submission = service.submit(&request).expect("submit succeeds");
+    let response = service.wait(submission.id).expect("wait succeeds");
+    assert!(matches!(response.status, SweepStatus::Done));
+    let results = service.results(submission.id).expect("done has results");
+    assert_matches_oracle("Service", &results, &tasks, seeds, &oracle);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
