@@ -21,21 +21,6 @@ fn bench_des(c: &mut Criterion) {
             black_box(sim.events_executed())
         });
     });
-    // Same workload injected through the bulk path: one arena reservation
-    // and one wheel anchor instead of 10k incremental pushes.
-    c.bench_function("des_10k_events_batched", |b| {
-        b.iter(|| {
-            let mut sim = Simulation::new(1);
-            sim.schedule_batch((0..10_000u64).map(|i| {
-                (
-                    SimTime::from_nanos(i * 7 % 100_000),
-                    |_: &mut Simulation| {},
-                )
-            }));
-            sim.run();
-            black_box(sim.events_executed())
-        });
-    });
 }
 
 fn bench_fabric(c: &mut Criterion) {

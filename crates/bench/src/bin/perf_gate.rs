@@ -25,34 +25,16 @@
 //! same table CI logs on every run) without touching the baseline file, so
 //! a refresh can be reviewed before it is committed.
 
+use scenarios::cost::{parse_flat_numbers, render_flat_numbers};
+use serde_json::Value;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Parse a flat JSON object of `"key": number` pairs. The bench writes this
+/// Read a flat JSON object of `"key": number` pairs. The bench writes this
 /// shape itself; anything else is a usage error worth failing loudly on.
 fn parse_flat_json(path: &PathBuf) -> Result<Vec<(String, f64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
-    let mut out = Vec::new();
-    let mut rest = text.as_str();
-    while let Some(open) = rest.find('"') {
-        rest = &rest[open + 1..];
-        let close = rest
-            .find('"')
-            .ok_or_else(|| format!("{path:?}: unterminated key"))?;
-        let key = rest[..close].to_string();
-        rest = &rest[close + 1..];
-        let colon = rest
-            .find(':')
-            .ok_or_else(|| format!("{path:?}: key `{key}` without value"))?;
-        rest = rest[colon + 1..].trim_start();
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        let value: f64 = rest[..end]
-            .trim()
-            .parse()
-            .map_err(|e| format!("{path:?}: value of `{key}`: {e}"))?;
-        out.push((key, value));
-        rest = &rest[end..];
-    }
+    let out = parse_flat_numbers(&text).map_err(|e| format!("{path:?}: {e}"))?;
     if out.is_empty() {
         return Err(format!("{path:?}: no metrics found"));
     }
@@ -223,12 +205,11 @@ fn cmd_update_baseline(args: Args) -> Result<(), String> {
     }
     // Write the merged namespace rather than copying one input: with several
     // `--current` files the baseline is their concatenation.
-    let mut json = String::from("{\n");
-    for (i, (key, value)) in current.iter().enumerate() {
-        let sep = if i + 1 < current.len() { "," } else { "" };
-        json.push_str(&format!("  \"{key}\": {value:.0}{sep}\n"));
-    }
-    json.push_str("}\n");
+    let json = render_flat_numbers(
+        current
+            .iter()
+            .map(|(key, value)| (key.as_str(), Value::I64(value.round() as i64))),
+    );
     std::fs::write(&args.baseline, json)
         .map_err(|e| format!("writing {:?}: {e}", args.baseline))?;
     println!(

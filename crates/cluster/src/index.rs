@@ -34,11 +34,10 @@
 //!   the nodes whose idle state changed since its previous sample.
 //!
 //! The cluster publishes every allocation state change through
-//! [`SchedIndex::note_allocated`] / [`SchedIndex::note_released`]. Callers
-//! that mutate nodes directly (`Cluster::node_mut`, e.g. marking a node
-//! down) flip a dirty bit; the next scheduling pass rebuilds from scratch,
-//! so external mutation costs one `O(n log n)` rebuild instead of
-//! correctness.
+//! [`SchedIndex::note_allocated`] / [`SchedIndex::note_released`]. External
+//! node state changes (`Cluster::set_node_down`, `set_node_draining`) are
+//! rare and rebuild everything from scratch on the spot, one `O(n log n)`
+//! sweep, so the index is never out of date when it is read.
 
 use crate::job::{JobSpec, JobTable};
 use crate::node::{Node, NodeResources, NodeState};
@@ -82,7 +81,7 @@ struct Usage {
 }
 
 /// Words of a one-bit-per-node set.
-pub(crate) fn bitmap_words(nodes: usize) -> usize {
+fn bitmap_words(nodes: usize) -> usize {
     nodes.div_ceil(64)
 }
 
@@ -111,9 +110,6 @@ pub(crate) struct SchedIndex {
     usage: Usage,
     /// Bit `i` is set iff node `i` is in its class's idle set.
     idle_bits: Vec<u64>,
-    /// Set when nodes were mutated behind the index's back (`node_mut`);
-    /// the next `ensure_clean` rebuilds everything.
-    dirty: bool,
 }
 
 impl SchedIndex {
@@ -127,18 +123,9 @@ impl SchedIndex {
             free_at: Vec::new(),
             usage: Usage::default(),
             idle_bits: Vec::new(),
-            dirty: false,
         };
         idx.rebuild(nodes, &JobTable::default());
         idx
-    }
-
-    pub fn mark_dirty(&mut self) {
-        self.dirty = true;
-    }
-
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
     }
 
     /// Rebuild every structure from the authoritative node/job state.
@@ -187,7 +174,6 @@ impl SchedIndex {
                 self.shared.insert(key);
             }
         }
-        self.dirty = false;
     }
 
     /// Membership criterion for the shared (partially-allocated) index:
@@ -307,7 +293,6 @@ impl SchedIndex {
     /// identical order, or `None` if fewer than `spec.nodes` candidates
     /// exist.
     pub fn select(&self, nodes: &[Node], spec: &JobSpec) -> Option<Vec<NodeId>> {
-        debug_assert!(!self.dirty, "select on a dirty index");
         let k = spec.nodes as usize;
         let req = &spec.per_node;
 
@@ -364,7 +349,6 @@ impl SchedIndex {
     /// classes (see the module docs for why the clamp commutes with the
     /// order statistic).
     pub fn shadow_time(&self, head: &JobSpec, now: SimTime) -> SimTime {
-        debug_assert!(!self.dirty, "shadow_time on a dirty index");
         let k = head.nodes as usize;
         assert!(k > 0, "shadow_time of a zero-node job");
         if self.fitting_count(&head.per_node) < k {

@@ -243,7 +243,7 @@ pub(crate) mod reference {
             cores: c.core_usage(),
             memory: c.memory_usage(),
             idle_nodes: c.idle_node_count(),
-            idle_bits: c.idle_bits().into_owned(),
+            idle_bits: c.idle_bits().to_vec(),
         }
     }
 
@@ -443,9 +443,9 @@ mod tests {
     #[test]
     fn external_node_mutation_is_seen_before_and_after_the_rebuild() {
         // Four idle nodes sampled three times, then one goes down and one
-        // starts draining behind the scheduler's back. Totals, bitmap and
-        // monitor must match a scan while the index is still dirty and
-        // after the next pass rebuilt it.
+        // starts draining (each setter rebuilds the index). Totals, bitmap
+        // and monitor must match a scan right after the change, before any
+        // scheduling pass, and after the passes that follow.
         let mc = NodeResources::daint_mc();
         let mut c = Cluster::homogeneous(4, mc);
         let mut m = UtilizationMonitor::two_minute();
@@ -456,22 +456,21 @@ mod tests {
         }
         assert_eq!(c.memory_usage(), (0, 0, 4 * mc.memory_mb));
 
-        c.node_mut(NodeId(1)).unwrap().set_down();
-        c.node_mut(NodeId(2)).unwrap().set_draining();
+        assert!(c.set_node_down(NodeId(1)));
+        assert!(c.set_node_draining(NodeId(2)));
         assert_matches_scan(&c);
         assert_eq!(c.idle_node_count(), 2);
         assert_eq!(c.core_usage(), (0, 4 * 36));
         // Capacity moved from free-on-idle to free-on-allocated.
         assert_eq!(c.memory_usage(), (0, 2 * mc.memory_mb, 2 * mc.memory_mb));
-        // Sampled while dirty: both runs close with k = 3.
+        // Sampled before any pass: both runs close with k = 3.
         m.sample(&c, SimTime::from_mins(6));
         r.sample(&c, SimTime::from_mins(6));
         assert_eq!(m.minimal.len(), 2);
         assert_eq!(m.minimal.mean(), 2.0 * 120.0);
         assert_eq!(m.maximal.mean(), 4.0 * 120.0);
 
-        // The pass rebuilds the index; the job lands on one of the two
-        // placeable nodes.
+        // The job lands on one of the two placeable nodes.
         c.submit(spec(1), SimTime::from_mins(30), SimTime::from_mins(7));
         let (started, _) = c.try_schedule(SimTime::from_mins(7));
         assert_eq!(started.len(), 1);
@@ -481,9 +480,9 @@ mod tests {
         r.sample(&c, SimTime::from_mins(8));
         assert_eq!(m.minimal.len(), 3, "the started node's run closes, k = 4");
 
-        // Dirty again with a job running, then clean through `finish`.
-        c.node_mut(NodeId(0)).unwrap().set_draining();
-        c.node_mut(NodeId(3)).unwrap().set_draining();
+        // Again with a job running, then through `finish`.
+        assert!(c.set_node_draining(NodeId(0)));
+        assert!(c.set_node_draining(NodeId(3)));
         assert_matches_scan(&c);
         m.sample(&c, SimTime::from_mins(10));
         r.sample(&c, SimTime::from_mins(10));

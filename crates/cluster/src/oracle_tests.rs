@@ -6,11 +6,11 @@
 //! driver consumes: the started-job sequence and ended idle periods returned
 //! by each `try_schedule`, the pending/idle/running counts, every job's
 //! state and timestamps, `next_completion`, and the usage totals and idle
-//! bitmap the utilization monitor reads (bit for bit, against a scan). A second family drives the bitmap
-//! [`UtilizationMonitor`] and the frozen per-node sampling loop
-//! ([`crate::monitor::reference`]) over one cluster, with external node
-//! mutation and samples taken while the index is dirty, and compares the
-//! full reports bit for bit.
+//! bitmap the utilization monitor reads (bit for bit, against a scan). A
+//! second family drives the bitmap [`UtilizationMonitor`] and the frozen
+//! per-node sampling loop ([`crate::monitor::reference`]) over one cluster,
+//! with nodes going down and draining between samples, and compares the full
+//! reports bit for bit.
 //!
 //! These tests are unit tests (not integration tests) on purpose: the
 //! reference module is `cfg(any(test, feature = "oracle"))`, and unit tests
@@ -207,11 +207,11 @@ enum MonitorOp {
     Cancel {
         k: usize,
     },
-    /// Mark node `node % n` down through `Cluster::node_mut`.
+    /// Mark node `node % n` down through `Cluster::set_node_down`.
     Down {
         node: usize,
     },
-    /// Start draining node `node % n` through `Cluster::node_mut`.
+    /// Start draining node `node % n` through `Cluster::set_node_draining`.
     Drain {
         node: usize,
     },
@@ -267,11 +267,11 @@ proptest! {
                 }
                 MonitorOp::Down { node } => {
                     let id = NodeId((node % c.node_count()) as u32);
-                    c.node_mut(id).expect("in range").set_down();
+                    prop_assert!(c.set_node_down(id));
                 }
                 MonitorOp::Drain { node } => {
                     let id = NodeId((node % c.node_count()) as u32);
-                    c.node_mut(id).expect("in range").set_draining();
+                    prop_assert!(c.set_node_draining(id));
                 }
                 MonitorOp::Sample => {
                     now += monitor.interval();

@@ -21,12 +21,11 @@
 //! [`crate::reference`] and enforced as an oracle by property tests and by
 //! the committed `ci/trace_reference.json` replay artifact.
 
-use crate::index::{bitmap_words, node_free_at, SchedIndex};
+use crate::index::{node_free_at, SchedIndex};
 use crate::job::{Job, JobId, JobSpec, JobState, JobTable};
 use crate::node::{Node, NodeResources};
 use des::SimTime;
 use fabric::NodeId;
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -118,13 +117,28 @@ impl Cluster {
         self.nodes.get(id.0 as usize)
     }
 
-    /// Mutable node access for external state changes (draining a node,
-    /// marking it down, …). The scheduler cannot see what the caller
-    /// mutates, so this conservatively invalidates the incremental indexes;
-    /// the next scheduling pass rebuilds them in one O(n log n) sweep.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
-        self.index.mark_dirty();
-        self.nodes.get_mut(id.0 as usize)
+    /// Mark node `id` down: nothing new is placed on it. Returns whether
+    /// the node exists.
+    pub fn set_node_down(&mut self, id: NodeId) -> bool {
+        self.change_node_state(id, Node::set_down)
+    }
+
+    /// Start draining node `id`: running work finishes, nothing new is
+    /// placed on it. Returns whether the node exists.
+    pub fn set_node_draining(&mut self, id: NodeId) -> bool {
+        self.change_node_state(id, Node::set_draining)
+    }
+
+    /// Apply an external state change and rebuild the indexes around it in
+    /// one O(n log n) sweep. Operator actions are rare next to scheduling
+    /// passes, so the index has no per-state delta to get wrong.
+    fn change_node_state(&mut self, id: NodeId, change: fn(&mut Node)) -> bool {
+        let Some(node) = self.nodes.get_mut(id.0 as usize) else {
+            return false;
+        };
+        change(node);
+        self.index.rebuild(&self.nodes, &self.jobs);
+        true
     }
 
     pub fn nodes(&self) -> &[Node] {
@@ -165,34 +179,15 @@ impl Cluster {
         self.cancelled.len()
     }
 
-    pub fn idle_nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter().filter(|n| n.is_idle())
-    }
-
-    /// Number of idle nodes: a maintained count, or the scan while external
-    /// node mutation has the index dirty (same result).
+    /// Number of idle nodes (a maintained count).
     pub fn idle_node_count(&self) -> usize {
-        if self.index.is_dirty() {
-            self.idle_nodes().count()
-        } else {
-            self.index.idle_node_count()
-        }
+        self.index.idle_node_count()
     }
 
     /// One bit per node, bit `i % 64` of word `i / 64` set iff node `i` is
-    /// idle: the maintained bitmap, or one built by scanning while the index
-    /// is dirty.
-    pub(crate) fn idle_bits(&self) -> Cow<'_, [u64]> {
-        if !self.index.is_dirty() {
-            return Cow::Borrowed(self.index.idle_bits());
-        }
-        let mut bits = vec![0u64; bitmap_words(self.nodes.len())];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.is_idle() {
-                bits[i / 64] |= 1 << (i % 64);
-            }
-        }
-        Cow::Owned(bits)
+    /// idle.
+    pub(crate) fn idle_bits(&self) -> &[u64] {
+        self.index.idle_bits()
     }
 
     /// Submit a job; returns its id. `actual_runtime` is the runtime the
@@ -208,25 +203,9 @@ impl Cluster {
 
     /// Whether `spec` could ever be satisfied by an empty cluster. Node
     /// capacities are static, so this is a per-capacity-class member-count
-    /// sum — O(#classes) — unless external node mutation dirtied the index,
-    /// in which case it falls back to the direct scan (same result).
+    /// sum — O(#classes).
     pub fn is_feasible(&self, spec: &JobSpec) -> bool {
-        let fitting = if self.index.is_dirty() {
-            self.nodes
-                .iter()
-                .filter(|n| n.capacity.fits(&spec.per_node))
-                .count()
-        } else {
-            self.index.fitting_count(&spec.per_node)
-        };
-        fitting >= spec.nodes as usize
-    }
-
-    /// Rebuild the indexes if external node mutation invalidated them.
-    fn ensure_index(&mut self) {
-        if self.index.is_dirty() {
-            self.index.rebuild(&self.nodes, &self.jobs);
-        }
+        self.index.fitting_count(&spec.per_node) >= spec.nodes as usize
     }
 
     fn start_job(&mut self, id: JobId, nodes: Vec<NodeId>, now: SimTime) -> Vec<SimTime> {
@@ -277,7 +256,6 @@ impl Cluster {
     /// conservatively backfill jobs that finish before the head's shadow
     /// time. Returns `(started job ids, idle periods that just ended)`.
     pub fn try_schedule(&mut self, now: SimTime) -> (Vec<JobId>, Vec<SimTime>) {
-        self.ensure_index();
         let mut started = Vec::new();
         let mut idle_periods = Vec::new();
 
@@ -339,7 +317,6 @@ impl Cluster {
 
     /// Complete a running job, releasing its nodes.
     pub fn finish(&mut self, id: JobId, now: SimTime) -> Result<(), SchedulerError> {
-        self.ensure_index();
         let job = self.jobs.get_mut(id).ok_or(SchedulerError::UnknownJob)?;
         if job.state != JobState::Running {
             return Err(SchedulerError::NotRunning);
@@ -400,41 +377,16 @@ impl Cluster {
             .min()
     }
 
-    /// Aggregate used/total core counts (for utilization sampling): running
-    /// totals, or the scan while the index is dirty (same result).
+    /// Aggregate used/total core counts (for utilization sampling), from
+    /// running totals.
     pub fn core_usage(&self) -> (u64, u64) {
-        if !self.index.is_dirty() {
-            return self.index.core_usage();
-        }
-        let mut used = 0;
-        let mut total = 0;
-        for n in &self.nodes {
-            used += u64::from(n.used().cores);
-            total += u64::from(n.capacity.cores);
-        }
-        (used, total)
+        self.index.core_usage()
     }
 
     /// Memory accounting split the way Fig. 1b reports it:
-    /// `(used, free_on_allocated, free_on_idle)` in MB. Running totals, or
-    /// the scan while the index is dirty (same result).
+    /// `(used, free_on_allocated, free_on_idle)` in MB, from running totals.
     pub fn memory_usage(&self) -> (u64, u64, u64) {
-        if !self.index.is_dirty() {
-            return self.index.memory_usage();
-        }
-        let mut used = 0;
-        let mut free_alloc = 0;
-        let mut free_idle = 0;
-        for n in &self.nodes {
-            let u = n.used().memory_mb;
-            used += u;
-            if n.is_idle() {
-                free_idle += n.capacity.memory_mb;
-            } else {
-                free_alloc += n.capacity.memory_mb - u;
-            }
-        }
-        (used, free_alloc, free_idle)
+        self.index.memory_usage()
     }
 }
 
@@ -684,12 +636,12 @@ mod tests {
     }
 
     #[test]
-    fn node_mut_mutation_is_seen_by_the_next_pass() {
-        // Marking a node down behind the scheduler's back must invalidate
-        // the indexes: the downed node cannot be placed on, and a job that
-        // fit before no longer starts.
+    fn downed_node_is_seen_by_the_next_pass() {
+        // Marking a node down must reach the indexes: the downed node
+        // cannot be placed on, and a job that fit before no longer starts.
         let mut c = small_cluster(2);
-        c.node_mut(NodeId(0)).unwrap().set_down();
+        assert!(c.set_node_down(NodeId(0)));
+        assert!(!c.set_node_down(NodeId(2)), "no such node");
         let a = c.submit(excl(2, 10, "a"), SimTime::from_mins(10), SimTime::ZERO);
         let b = c.submit(excl(1, 10, "b"), SimTime::from_mins(10), SimTime::ZERO);
         let (started, _) = c.try_schedule(SimTime::ZERO);

@@ -177,25 +177,20 @@ fn schedule_and_register_completions(
     for p in idle_periods {
         st.monitor.record_exact_idle_period(p);
     }
-    // Batch the completion timers: one arrival can start a whole backlog of
-    // queued jobs, and `schedule_batch` reserves arena capacity for the run
-    // once instead of growing per event. Each closure captures an `Arc` plus
-    // a job id — two words, so every completion stays on the inline-cell
-    // path (no per-event allocation).
-    let cluster = &st.cluster;
-    sim.schedule_batch(started.into_iter().map(|id| {
-        let runtime = cluster.job(id).expect("job").actual_runtime;
+    // Each closure captures an `Arc` plus a job id — two words, so every
+    // completion stays on the inline-cell path (no per-event allocation).
+    for id in started {
+        let runtime = st.cluster.job(id).expect("job").actual_runtime;
         let shared = Arc::clone(shared);
-        let fire = move |sim: &mut Simulation| {
+        sim.schedule_at(now + runtime, move |sim| {
             let mut st = lock(&shared);
             st.cluster
                 .finish(id, sim.now())
                 .expect("running job finishes");
             st.completed += 1;
             schedule_and_register_completions(sim, &shared, &mut st);
-        };
-        (now + runtime, fire)
-    }));
+        });
+    }
 }
 
 fn arrival(sim: &mut Simulation, shared: SharedState) {
@@ -333,7 +328,7 @@ mod tests {
     #[test]
     fn trace_replay_stays_on_the_inline_event_path() {
         // Every closure the replay schedules — arrivals, the sampler, and
-        // batched completions — captures at most an `Arc` plus a job id, so
+        // completions — captures at most an `Arc` plus a job id, so
         // the whole workload must hit the engine's inline payload cells; a
         // capture growing past three words would silently reintroduce a
         // heap allocation per event.
@@ -349,6 +344,47 @@ mod tests {
              ({} boxed)",
             sim.events_scheduled_boxed()
         );
+    }
+
+    #[test]
+    fn replay_traffic_stays_inside_the_queue_envelope() {
+        // The replay is the only event traffic any registered scenario
+        // produces, and `des::queue` is sized for it: a few hundred pending
+        // events (one completion timer per running job plus the arrival and
+        // sampler chains), not the millions an earlier revision provisioned
+        // for. 1024 is that sizing assumption with headroom over the
+        // measured peaks (README, "The event engine", traffic table). If
+        // this ever fails the workload has outgrown it: re-measure peak
+        // arena slots, the largest sorted bucket and `trace_cold` `done_ms`
+        // before adding anything back to the queue.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        fn probe(sim: &mut Simulation, peak: Arc<AtomicUsize>, until: SimTime) {
+            peak.fetch_max(sim.events_pending(), Ordering::Relaxed);
+            if sim.now() < until {
+                sim.schedule_after(SimTime::from_secs(60), move |sim| probe(sim, peak, until));
+            }
+        }
+
+        let horizon = SimTime::from_days(2);
+        for nodes in [1200, 1800, 3600] {
+            let profile = TraceProfile {
+                nodes,
+                ..TraceProfile::piz_daint()
+            };
+            let mut sim = Simulation::new(42);
+            let peak = Arc::new(AtomicUsize::new(0));
+            let p = Arc::clone(&peak);
+            sim.schedule_at(SimTime::ZERO, move |sim| probe(sim, p, horizon));
+            let out = simulate_trace_in(&mut sim, &profile, horizon);
+            assert!(out.jobs_completed > 1000, "the replay did real work");
+            let peak = peak.load(Ordering::Relaxed);
+            assert!(peak > 2, "the probe saw the replay's events");
+            assert!(
+                peak < 1024,
+                "{nodes} nodes: {peak} pending events exceeds the queue's sizing envelope"
+            );
+        }
     }
 
     #[test]

@@ -17,36 +17,13 @@
 //! a sweep runner can construct one per `(parameter point, seed)` inside a
 //! worker thread (or move it across threads) and determinism is preserved,
 //! because nothing about execution order depends on the hosting thread.
-//!
-//! Scenario setup that injects a whole run of events at once (trace replay
-//! scheduling thousands of completions, benchmark priming loops) should use
-//! [`Simulation::schedule_batch`]: identical semantics and ordering to a
-//! `schedule_at` loop, but the queue reserves arena capacity once and
-//! anchors its bucket wheel to the batch's time span instead of discovering
-//! it one event at a time.
 
 use crate::cell::EventCell;
 use crate::queue::CalendarQueue;
 use crate::rng::RngStream;
 use crate::time::SimTime;
-use std::cell::RefCell;
 
 pub use crate::queue::EventId;
-
-/// How many retired queues a thread keeps warm for the next simulation.
-const QUEUE_POOL_CAP: usize = 2;
-
-thread_local! {
-    /// Per-thread pool of retired event queues. A dropped [`Simulation`]
-    /// parks its queue here (payloads dropped, allocations kept — see
-    /// [`CalendarQueue::reset`]) and the next `Simulation::new` on the
-    /// thread adopts it, so a sweep worker running thousands of seeds reuses
-    /// one already-faulted, cache-warm arena instead of paying a fresh
-    /// `mmap` plus thousands of page faults per simulation. Stale
-    /// [`EventId`]s cannot cross simulations: `reset` advances every slot
-    /// generation.
-    static QUEUE_POOL: RefCell<Vec<CalendarQueue<EventCell>>> = const { RefCell::new(Vec::new()) };
-}
 
 /// The discrete-event simulation engine.
 ///
@@ -62,38 +39,20 @@ pub struct Simulation {
     scheduled_inline: u64,
     /// Events whose captures exceeded the inline buffer and were boxed.
     scheduled_boxed: u64,
-    /// Scratch id buffer for [`Simulation::schedule_batch`].
-    batch_ids: Vec<EventId>,
 }
 
 impl Simulation {
     /// Create a simulation with the given root seed. The seed fully
     /// determines every random draw made through [`Simulation::stream`].
     pub fn new(seed: u64) -> Self {
-        // Adopt the biggest retired arena: simulations in a sweep repeat the
-        // same scenario shape, so the largest is the best capacity guess.
-        let queue = QUEUE_POOL
-            .try_with(|p| {
-                let mut pool = p.borrow_mut();
-                let best = pool
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, q)| q.arena_capacity())
-                    .map(|(i, _)| i)?;
-                Some(pool.swap_remove(best))
-            })
-            .ok()
-            .flatten()
-            .unwrap_or_default();
         Simulation {
             now: SimTime::ZERO,
             seq: 0,
-            queue,
+            queue: CalendarQueue::new(),
             seed,
             executed: 0,
             scheduled_inline: 0,
             scheduled_boxed: 0,
-            batch_ids: Vec::new(),
         }
     }
 
@@ -157,44 +116,6 @@ impl Simulation {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(at, seq, EventCell::new(f))
-    }
-
-    /// Schedule a homogeneous run of `(at, f)` events in one pass, returning
-    /// their ids in item order.
-    ///
-    /// Semantically identical to calling [`Simulation::schedule_at`] per
-    /// item — same sequence numbers, same execution order, same panics on a
-    /// past `at` — but the queue reserves arena capacity for the whole batch
-    /// once, performs at most one behind-cursor rebuild, and (when the queue
-    /// is empty, the scenario-setup case) sizes its bucket wheel to the
-    /// batch's time span up front instead of re-anchoring on the first pop.
-    pub fn schedule_batch<F, I>(&mut self, events: I) -> &[EventId]
-    where
-        F: FnOnce(&mut Simulation) + Send + 'static,
-        I: IntoIterator<Item = (SimTime, F)>,
-    {
-        let now = self.now;
-        let seq = &mut self.seq;
-        let mut count = 0u64;
-        let items = events.into_iter().map(|(at, f)| {
-            assert!(
-                at >= now,
-                "cannot schedule event in the past: now={now} at={at}"
-            );
-            let s = *seq;
-            *seq += 1;
-            count += 1;
-            (at, s, EventCell::new(f))
-        });
-        self.batch_ids.clear();
-        self.queue.push_batch(items, &mut self.batch_ids);
-        // One branch for the whole batch: `F` is a single closure type.
-        if const { EventCell::fits_inline::<F>() } {
-            self.scheduled_inline += count;
-        } else {
-            self.scheduled_boxed += count;
-        }
-        &self.batch_ids
     }
 
     /// Of all events scheduled so far, the fraction whose closures were
@@ -277,33 +198,6 @@ impl Simulation {
     /// Run while `pred` holds and events remain.
     pub fn run_while<P: FnMut(&Simulation) -> bool>(&mut self, mut pred: P) {
         while pred(self) && self.step() {}
-    }
-}
-
-impl Drop for Simulation {
-    fn drop(&mut self) {
-        // Park the queue (reset, allocations kept) for the next simulation
-        // on this thread. `try_with` because thread-local storage may
-        // already be torn down when a thread exits holding a Simulation.
-        let mut q = std::mem::take(&mut self.queue);
-        q.reset();
-        let _ = QUEUE_POOL.try_with(|p| {
-            let mut pool = p.borrow_mut();
-            if pool.len() < QUEUE_POOL_CAP {
-                pool.push(q);
-            } else if let Some((i, smallest)) = pool
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, q)| q.arena_capacity())
-                .map(|(i, q)| (i, q.arena_capacity()))
-            {
-                // Full pool: keep the largest arenas (a grown 1M-slot arena
-                // must not be evicted by small calibration runs).
-                if smallest < q.arena_capacity() {
-                    pool[i] = q;
-                }
-            }
-        });
     }
 }
 

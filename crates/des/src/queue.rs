@@ -1,69 +1,54 @@
 //! Arena-allocated calendar event queue.
 //!
 //! The pending-event set of a [`crate::Simulation`] is a *calendar queue*
-//! (Brown 1988) over an arena of payload slots, replacing the seed
-//! implementation's `BinaryHeap` of boxed closures plus tombstone `HashSet`:
+//! (Brown 1988) over an arena of payload slots. It is sized to the traffic
+//! the workspace actually produces, measured rather than guessed: of the 11
+//! registered scenarios only the Fig. 1 trace replay schedules events at
+//! all, and it never holds more than a few hundred at once (178 arena slots
+//! and sorted buckets of at most 35 entries at its defaults, 70 on the
+//! benchmark's backlogged 1200-node point; `cluster::trace` has a test that
+//! fails if the peak ever passes 1024). README's "The event engine" section
+//! carries the full traffic table and the ablation behind this sizing.
+//! Four pieces, one code path per operation:
 //!
 //! * **Arena.** Every scheduled payload lives in a slot of a slab (`Vec`
 //!   plus free list). An [`EventId`] packs `(generation, slot index)`, so
 //!   cancellation is an O(1) slot lookup that drops the payload in place —
 //!   no tombstone set, no heap scan — and a stale id (already fired, already
 //!   cancelled, or from a recycled slot) is rejected by the generation check.
-//! * **Key-carrying bucket entries.** The wheel and the overflow rung store
-//!   `(time, seq, slot)` entries, not bare slot indices: sorting a bucket
-//!   and peeking the front read contiguous entry memory instead of chasing
-//!   random arena slots, which is what makes the per-bucket lazy sort cache
-//!   resident at millions of pending events. The slot is touched exactly
-//!   once per event — when its payload is taken on fire (or dropped on
-//!   cancel).
 //! * **Bucket wheel.** Near-future events are bucketed by virtual time:
 //!   bucket width is `1 << shift` nanoseconds and the wheel covers the
-//!   window `[cursor, cursor + num_buckets)` of bucket indices. A push is an
-//!   O(1) `Vec` push; the bucket under the cursor is sorted by `(time, seq)`
-//!   lazily, once, when the cursor reaches it, so pop is amortized O(1) for
-//!   the clustered timestamps real scenarios produce.
+//!   window `[cursor, cursor + num_buckets)` of bucket indices. The wheel
+//!   and the rung store `(time, seq, slot)` entries, so ordering never
+//!   reads the arena. A push is an O(1) `Vec` push; the bucket under the
+//!   cursor is sorted by `(time, seq)` lazily, once, when the cursor
+//!   reaches it, and an event pushed into that bucket while it drains (a
+//!   zero-delay reschedule — the replay's most common push) is inserted in
+//!   order.
 //! * **Overflow rung.** Events beyond the wheel window land in an unsorted
-//!   overflow list. The rung is merged back into the wheel when the cursor
-//!   catches up with its earliest entry, and when the wheel runs dry the
-//!   queue *re-anchors*: cancelled slots are reclaimed, the wheel is resized
-//!   toward the live population, and the bucket width is recomputed so the
-//!   whole overflow span fits one window pass (see [`CalendarQueue::reanchor`]).
-//! * **Batch push.** [`CalendarQueue::push_batch`] links a whole run of
-//!   events in one pass: arena capacity is reserved up front, the
-//!   behind-cursor rebuild happens at most once for the batch, and a batch
-//!   landing in an empty queue anchors the wheel geometry to the batch's
-//!   span directly — so scenario setup that injects thousands of
-//!   submissions skips the per-event overflow shuffle and the later
-//!   re-anchor entirely.
-//! * **Adaptive radix bucket sort.** A bucket reaching the cursor is sorted
-//!   by an LSD-style counting scatter over the next `ceil(log2(n))` bits of
-//!   the timestamp below the bucket width (capped, and falling back to
-//!   pdqsort for tiny or degenerate buckets). Scattering the entries in
-//!   *reverse* push order lands same-time ties in descending-sequence order
-//!   directly, and a final insertion fixup compares full `(time, seq)` keys,
-//!   so the optimization can never change the drain order.
-//! * **Arena reuse across simulations.** [`CalendarQueue::reset`] retires a
-//!   queue without freeing it: payloads are dropped, cursors rewound, and an
-//!   *epoch* counter — folded into every [`EventId`]'s generation — is
-//!   advanced so all pre-reset handles go stale at once, without walking the
-//!   arena. The engine parks reset queues in a thread-local pool and the
-//!   next [`crate::Simulation`] on the thread adopts the largest one, so a
-//!   sweep worker iterating seeds reuses one warm, already-faulted arena
-//!   instead of paying `mmap` + page faults per run.
+//!   overflow list, merged back into the wheel when the cursor catches up
+//!   with its earliest entry.
+//! * **Re-anchor, rebuild, purge.** When the wheel runs dry the queue
+//!   *re-anchors*: the wheel is resized toward the pending population and
+//!   the bucket width recomputed so the whole overflow span fits one window
+//!   pass (see [`CalendarQueue::reanchor`]). A push behind the cursor
+//!   rebuilds the wheel around it, and a queue with nothing live left
+//!   reclaims every cancelled slot.
 //!
 //! # Inline payload cell
 //!
 //! The engine instantiates this queue with `T =`[`crate::cell::EventCell`]:
 //! event closures whose captures fit three machine words are stored *inside
 //! the arena slot* (no per-event heap allocation), larger ones behind a
-//! boxed fallback. The cell is the workspace's one `unsafe` hot-path type;
-//! its invariants — **call-once** (consuming `call` forgets the cell before
-//! moving the payload out), **drop-on-cancel** (an uncalled cell drops its
-//! payload in place exactly once, whether cancelled or still pending when
-//! the queue is dropped), and **`Send` without `Sync`** (cells move with
-//! their simulation across sweep threads; no shared access exists) — are
-//! documented in [`crate::cell`] and exercised by the leak-tracking
-//! proptests in `tests/drop_correctness.rs`. From the queue's side the
+//! boxed fallback. Everything in the crate that the compiler cannot check
+//! lives in that cell, none of it here; its invariants — **call-once**
+//! (consuming `call` forgets the cell before moving the payload out),
+//! **drop-on-cancel** (an uncalled cell drops its payload in place exactly
+//! once, whether cancelled or still pending when the queue is dropped), and
+//! **`Send` without `Sync`** (cells move with their simulation across sweep
+//! threads; no shared access exists) — are documented in [`crate::cell`]
+//! and exercised by the leak-tracking proptests in
+//! `tests/drop_correctness.rs`. From the queue's side the
 //! contract is simply ownership: a slot's `Option<T>` is `take`n on fire,
 //! `None`d on cancel, and dropped with the queue, so each payload is
 //! finalized exactly once.
@@ -104,15 +89,14 @@ impl EventId {
 
 /// One arena slot: the payload and the generation that validates handles.
 /// `payload: None` marks a cancelled entry whose slot is reclaimed when its
-/// bucket drains (or at the next re-anchor/purge). The ordering key lives in
+/// bucket drains (or at the next rebuild/purge). The ordering key lives in
 /// the wheel's [`Entry`], not here, so sorting never touches the arena.
 struct Slot<T> {
     gen: u32,
     payload: Option<T>,
 }
 
-/// A wheel/overflow entry: the full ordering key plus the arena slot. Kept
-/// `Copy` and compact so per-bucket sorts run over contiguous memory.
+/// A wheel/overflow entry: the full ordering key plus the arena slot.
 #[derive(Clone, Copy)]
 struct Entry {
     at: SimTime,
@@ -124,141 +108,6 @@ impl Entry {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
-    }
-
-    /// `(at, seq)` packed into one `u128`: a single branch-friendly compare
-    /// in the sort inner loops instead of a short-circuiting tuple compare.
-    #[inline]
-    fn key128(&self) -> u128 {
-        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
-    }
-}
-
-/// Widest radix pre-scatter for bucket sorting: up to `1 << MAX_RADIX_BITS`
-/// cells (the `starts` array lives on the stack — 8 KiB at 11 bits).
-const MAX_RADIX_BITS: u32 = 11;
-const MAX_RADIX_CELLS: usize = 1 << MAX_RADIX_BITS;
-/// Below this length plain pdqsort wins (no scatter setup); above
-/// `RADIX_MAX_LEN` a degenerate time distribution could make the insertion
-/// fixup quadratic, so fall back to pdqsort there too.
-const RADIX_MIN_LEN: usize = 32;
-const RADIX_MAX_LEN: usize = 4096;
-
-/// Sort `bucket` descending by `(at, seq)` — drain order, popped from the
-/// back. Comparison sorts pay a mispredicted branch per comparison on
-/// shuffled timestamps (~n log n mispredicts), which dominated drain time;
-/// instead, counting-scatter the entries by their top sub-bucket time bits
-/// (branchless), then finish with an insertion pass over the now
-/// nearly-sorted slice. The cell count adapts to the population — roughly
-/// one entry per cell, clamped by the bucket's own time span and the stack
-/// array — so the fixup pass degenerates to a single compare per entry.
-/// Iterating the source *backwards* during the scatter lands same-time ties
-/// in descending sequence order directly (push order reversed), and the
-/// fixup compares full `(at, seq)` keys, so the result is exactly the drain
-/// order no matter how the radix pass discriminated.
-fn sort_bucket_desc(shift: u32, bucket: &mut [Entry], scratch: &mut Vec<Entry>) {
-    let n = bucket.len();
-    if n < 2 {
-        return;
-    }
-    // ceil(log2(n)) cells ≈ one entry per cell for an even distribution.
-    let bits = (usize::BITS - (n - 1).leading_zeros())
-        .min(MAX_RADIX_BITS)
-        .min(shift);
-    if !(RADIX_MIN_LEN..=RADIX_MAX_LEN).contains(&n) || bits < 2 {
-        bucket.sort_unstable_by_key(|e| std::cmp::Reverse(e.key128()));
-        return;
-    }
-    let cells = 1usize << bits;
-    let rshift = shift - bits;
-    let cell_of = |e: &Entry| cells - 1 - ((e.at.as_nanos() >> rshift) as usize & (cells - 1));
-    let mut starts = [0u32; MAX_RADIX_CELLS + 1];
-    for e in bucket.iter() {
-        starts[cell_of(e) + 1] += 1;
-    }
-    for c in 0..cells {
-        starts[c + 1] += starts[c];
-    }
-    scratch.clear();
-    scratch.resize(n, bucket[0]);
-    let mut cursor = starts;
-    // Reverse iteration: a stable scatter of the reversed source puts each
-    // cell's same-time ties in descending seq (push order reversed), which
-    // is the drain-order tie layout — no per-cell reverse pass needed.
-    for &e in bucket.iter().rev() {
-        let c = cell_of(&e);
-        scratch[cursor[c] as usize] = e;
-        cursor[c] += 1;
-    }
-    bucket.copy_from_slice(scratch);
-    for i in 1..n {
-        let e = bucket[i];
-        let k = e.key128();
-        let mut j = i;
-        while j > 0 && bucket[j - 1].key128() < k {
-            bucket[j] = bucket[j - 1];
-            j -= 1;
-        }
-        bucket[j] = e;
-    }
-}
-
-/// Tune the kernel mapping behind a freshly grown arena buffer. Two pieces
-/// of advice, both best-effort:
-///
-/// * **`MADV_POPULATE_WRITE`** pre-faults the whole capacity in one syscall.
-///   glibc serves multi-megabyte buffers with fresh `mmap`s, so without this
-///   a million-event setup loop takes a page fault every 4 KiB of arena it
-///   touches — roughly 10k trap round-trips per simulation, which measurably
-///   dwarfs the zeroing work itself.
-/// * **`MADV_HUGEPAGE`** on the 2 MiB-aligned interior. The arena is read in
-///   *drain* order — effectively random — so on 4 KiB pages nearly every pop
-///   walks the page table (and dropped-on-TLB-miss prefetches stop hiding
-///   the latency); huge pages let the dTLB cover the whole arena where THP
-///   is functional.
-///
-/// Purely advisory: failures (old kernels, disabled THP) are ignored, and
-/// the call is skipped outside Linux and under Miri (no FFI there).
-fn advise_arena<T>(v: &[T], capacity: usize) {
-    #[cfg(all(target_os = "linux", not(miri)))]
-    {
-        const MADV_HUGEPAGE: core::ffi::c_int = 14;
-        const MADV_POPULATE_WRITE: core::ffi::c_int = 23;
-        const PAGE: usize = 4096;
-        const HUGE: usize = 2 << 20;
-        unsafe extern "C" {
-            fn madvise(
-                addr: *mut core::ffi::c_void,
-                length: usize,
-                advice: core::ffi::c_int,
-            ) -> core::ffi::c_int;
-        }
-        let start = v.as_ptr() as usize;
-        let end = start + capacity * size_of::<T>();
-        let lo_page = start & !(PAGE - 1);
-        let hi_page = (end + PAGE - 1) & !(PAGE - 1);
-        if hi_page - lo_page >= HUGE {
-            // SAFETY: the advised ranges lie inside (the pages spanning) the
-            // live allocation backing `v`; POPULATE_WRITE behaves like an
-            // ordinary write fault (contents preserved) and HUGEPAGE never
-            // alters mapping contents.
-            unsafe {
-                madvise(
-                    lo_page as *mut core::ffi::c_void,
-                    hi_page - lo_page,
-                    MADV_POPULATE_WRITE,
-                );
-                let lo = (start + HUGE - 1) & !(HUGE - 1);
-                let hi = end & !(HUGE - 1);
-                if hi > lo {
-                    madvise(lo as *mut core::ffi::c_void, hi - lo, MADV_HUGEPAGE);
-                }
-            }
-        }
-    }
-    #[cfg(not(all(target_os = "linux", not(miri))))]
-    {
-        let _ = (v, capacity);
     }
 }
 
@@ -272,9 +121,6 @@ const MIN_SHIFT: u32 = 6;
 /// Initial bucket width: 1.024 µs, a good fit for the fabric/latency models
 /// that dominate short simulations. Re-anchoring adapts it afterwards.
 const INITIAL_SHIFT: u32 = 10;
-/// Overflow-rung population below which the push-side adaptive re-anchor
-/// never fires (re-anchoring tiny rungs would churn geometry for nothing).
-const PUSH_REANCHOR_MIN: usize = 4096;
 
 /// Arena-allocated calendar queue ordered by ascending `(SimTime, seq)`.
 ///
@@ -303,14 +149,8 @@ pub struct CalendarQueue<T> {
     overflow_min_vb: u64,
     /// Live (non-cancelled) events — the exact pending count.
     live: usize,
-    /// Generation epoch folded into every issued [`EventId`]. Bumped by
-    /// [`CalendarQueue::reset`], which invalidates all outstanding ids in
-    /// O(1) instead of walking the arena bumping per-slot generations.
-    epoch: u32,
-    /// Scratch per-bucket occupancy counts for the scatter passes.
+    /// Scratch per-bucket occupancy counts for [`CalendarQueue::scatter`].
     counts: Vec<u32>,
-    /// Scratch buffer for the radix bucket sort (see [`sort_bucket_desc`]).
-    sort_scratch: Vec<Entry>,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -332,63 +172,8 @@ impl<T> CalendarQueue<T> {
             overflow: Vec::new(),
             overflow_min_vb: u64::MAX,
             live: 0,
-            epoch: 0,
             counts: Vec::new(),
-            sort_scratch: Vec::new(),
         }
-    }
-
-    /// Drop every pending payload and reset the queue to empty while keeping
-    /// every allocation — arena, wheel, rung, scratch — warm for reuse.
-    ///
-    /// This is what makes per-thread queue pooling work (see the engine's
-    /// `Simulation` drop path): a sweep thread running thousands of seeds
-    /// re-adopts one already-faulted, cache-warm arena instead of paying a
-    /// fresh `mmap` plus ~10k page faults per simulation. The generation
-    /// epoch advances, so [`EventId`]s issued before the reset are rejected
-    /// by [`CalendarQueue::cancel`] afterwards — in O(1), no arena walk.
-    /// The bucket *count* is kept (the vectors' capacity is part of the warm
-    /// allocation), but the bucket *width* resets to the default: a stale
-    /// width tuned to the previous workload's span can leave the next one in
-    /// a half-in-half-out state where neither the wheel nor the push-side
-    /// re-anchor works well.
-    ///
-    /// After a drained run (`pop` returned `None`, which reclaims every
-    /// slot) this is O(bucket count): payloads are already dropped and the
-    /// free list already covers the arena, so only cursors and the epoch
-    /// move. A queue reset mid-simulation pays one arena walk to drop the
-    /// still-pending payloads.
-    pub fn reset(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.live > 0 || self.free.len() != self.slots.len() {
-            for s in &mut self.slots {
-                s.payload = None; // drops a still-pending payload in place
-            }
-        }
-        // Rebuild the free list in slot order even when it is already
-        // complete (the drained-run case leaves it in drain order): the next
-        // simulation then fills the arena with a sequential write stream
-        // instead of hopping slots in the previous run's drain order.
-        self.free.clear();
-        self.free.extend((0..self.slots.len() as u32).rev());
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.wheel_len = 0;
-        self.overflow.clear();
-        self.overflow_min_vb = u64::MAX;
-        self.live = 0;
-        self.cur_vb = 0;
-        self.cur_sorted = false;
-        self.shift = INITIAL_SHIFT;
-    }
-
-    /// Allocated arena capacity in slots — how much pending-event headroom
-    /// this queue can absorb without growing. Used by the engine's queue
-    /// pool to keep the largest retired arena.
-    #[inline]
-    pub fn arena_capacity(&self) -> usize {
-        self.slots.capacity()
     }
 
     /// Number of live (schedulable, non-cancelled) events. Exact: cancelled
@@ -409,35 +194,17 @@ impl<T> CalendarQueue<T> {
         at.as_nanos() >> self.shift
     }
 
-    /// Hint the CPU to pull slot `idx` into cache. The drain order within a
-    /// sorted bucket is known ahead of time, but the slots it visits are
-    /// scattered across the arena; prefetching a few entries ahead overlaps
-    /// those misses instead of paying each one at `pop` time. Purely a
-    /// performance hint — a no-op on non-x86 targets and under Miri.
+    /// Ring index of the bucket under the drain cursor.
     #[inline]
-    fn prefetch_slot(&self, idx: u32) {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        // SAFETY: `idx` indexes into `slots` (entries only carry live slot
-        // indices), and prefetch has no memory effects regardless.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(
-                self.slots.as_ptr().add(idx as usize).cast::<i8>(),
-                _MM_HINT_T0,
-            );
-        }
-        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-        let _ = idx;
+    fn cursor_bucket(&self) -> usize {
+        (self.cur_vb as usize) & (self.buckets.len() - 1)
     }
-
-    /// How many entries ahead of the drain point slots are prefetched.
-    const PREFETCH_AHEAD: usize = 8;
 
     /// Schedule `payload` at `(at, seq)`. `seq` must be unique across the
     /// queue's lifetime — the engine's monotone event counter.
     pub fn push(&mut self, at: SimTime, seq: u64, payload: T) -> EventId {
         let idx = self.alloc(payload);
-        let id = EventId::pack(self.slots[idx as usize].gen.wrapping_add(self.epoch), idx);
+        let id = EventId::pack(self.slots[idx as usize].gen, idx);
         let vb = self.vb_of(at);
         if vb < self.cur_vb {
             // The cursor peeked ahead of this time (run_until stopped at a
@@ -447,86 +214,7 @@ impl<T> CalendarQueue<T> {
         }
         self.link(Entry { at, seq, idx }, vb);
         self.live += 1;
-        // Adaptive re-anchor: bulk setup loops push far beyond the initial
-        // (or stale) window, so everything lands in the rung and the first
-        // pop would pay one huge re-anchor. Once the rung dwarfs the wheel,
-        // re-anchor now — later pushes then land in their final buckets
-        // directly. The `4 ×` guard keeps the fold amortized O(1) per push
-        // (between re-anchors the rung must outgrow the whole previous fold
-        // fourfold, so fold work per push is geometrically bounded) while
-        // still firing when a stale window catches a middling fraction of
-        // the pushes.
-        if self.overflow.len() >= PUSH_REANCHOR_MIN
-            && self.overflow.len() > 4 * (self.wheel_len + 1)
-        {
-            self.reanchor();
-        }
         id
-    }
-
-    /// Schedule a whole run of `(at, seq, payload)` items in one pass,
-    /// appending each event's [`EventId`] to `ids` in item order (callers
-    /// that never cancel can pass a reusable scratch vector).
-    ///
-    /// Equivalent to calling [`CalendarQueue::push`] per item — same final
-    /// structure, same pop order — but amortized: arena capacity for the
-    /// whole batch is reserved once, a behind-cursor landing triggers at
-    /// most one rebuild, and a batch arriving into an *empty* queue anchors
-    /// the wheel geometry (bucket count and width) to the batch's time span
-    /// directly instead of funneling everything through the overflow rung
-    /// and re-anchoring on the first pop.
-    pub fn push_batch<I>(&mut self, items: I, ids: &mut Vec<EventId>)
-    where
-        I: IntoIterator<Item = (SimTime, u64, T)>,
-    {
-        let items = items.into_iter();
-        let hint = items.size_hint().0;
-        let was_empty = self.live == 0;
-        if was_empty {
-            // Nothing live: reclaim leftover cancelled entries up front so
-            // the batch reuses their slots.
-            self.purge();
-        }
-        if hint > self.free.len() {
-            self.slots.reserve(hint - self.free.len());
-            advise_arena(&self.slots, self.slots.capacity());
-        }
-        ids.reserve(hint);
-        let mut staged: Vec<Entry> = Vec::with_capacity(hint);
-        let (mut min_at, mut max_at) = (u64::MAX, 0u64);
-        for (at, seq, payload) in items {
-            let idx = self.alloc(payload);
-            ids.push(EventId::pack(
-                self.slots[idx as usize].gen.wrapping_add(self.epoch),
-                idx,
-            ));
-            min_at = min_at.min(at.as_nanos());
-            max_at = max_at.max(at.as_nanos());
-            staged.push(Entry { at, seq, idx });
-        }
-        if staged.is_empty() {
-            return;
-        }
-        let n = staged.len();
-        if was_empty {
-            // Aim the wheel straight at the batch — the same geometry
-            // reanchor would pick after funneling the batch through the
-            // overflow rung (the wheel was purged empty above) — and
-            // counting-scatter the whole run, which by construction fits
-            // one window.
-            self.adopt_geometry(n, min_at, max_at);
-            self.scatter(&staged);
-        } else {
-            let vb = min_at >> self.shift;
-            if vb < self.cur_vb {
-                self.rebuild(vb);
-            }
-            for e in staged {
-                let vb = self.vb_of(e.at);
-                self.link(e, vb);
-            }
-        }
-        self.live += n;
     }
 
     /// Cancel a pending event. O(1): drops the payload in its slot and
@@ -535,9 +223,8 @@ impl<T> CalendarQueue<T> {
     /// already cancelled, never scheduled here).
     pub fn cancel(&mut self, id: EventId) -> bool {
         let (gen, idx) = id.unpack();
-        let epoch = self.epoch;
         match self.slots.get_mut(idx as usize) {
-            Some(s) if s.gen.wrapping_add(epoch) == gen && s.payload.is_some() => {
+            Some(s) if s.gen == gen && s.payload.is_some() => {
                 s.payload = None;
                 self.live -= 1;
                 true
@@ -547,61 +234,22 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Remove and return the earliest live event as `(at, seq, payload)`.
-    ///
-    /// One fused pass rather than `position_front` + a separate removal:
-    /// the hot path (sorted cursor bucket, live entry at its back) touches
-    /// the bucket once and the arena slot once, which matters at millions
-    /// of pops per second.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        loop {
-            if self.live == 0 {
-                self.purge();
-                return None;
-            }
-            if self.overflow_min_vb <= self.cur_vb {
-                self.merge_overflow();
-            }
-            let b = (self.cur_vb as usize) & (self.buckets.len() - 1);
-            if !self.buckets[b].is_empty() {
-                if !self.cur_sorted {
-                    sort_bucket_desc(self.shift, &mut self.buckets[b], &mut self.sort_scratch);
-                    self.cur_sorted = true;
-                    // Prime the slot-prefetch pipeline for the first few
-                    // drains of this bucket; the pop loop keeps it fed.
-                    let len = self.buckets[b].len();
-                    for i in len.saturating_sub(Self::PREFETCH_AHEAD)..len {
-                        let idx = self.buckets[b][i].idx;
-                        self.prefetch_slot(idx);
-                    }
-                }
-                while let Some(e) = self.buckets[b].pop() {
-                    self.wheel_len -= 1;
-                    if let Some(i) = self.buckets[b].len().checked_sub(Self::PREFETCH_AHEAD) {
-                        let idx = self.buckets[b][i].idx;
-                        self.prefetch_slot(idx);
-                    }
-                    match self.slots[e.idx as usize].payload.take() {
-                        Some(payload) => {
-                            self.live -= 1;
-                            self.release(e.idx);
-                            return Some((e.at, e.seq, payload));
-                        }
-                        // Cancelled mid-bucket: reclaim and keep draining.
-                        None => self.release(e.idx),
-                    }
-                }
-                // Bucket exhausted by cancelled entries: re-check from the
-                // top (`live` may have hit zero) before advancing.
-                continue;
-            }
-            // Cursor bucket empty: walk the wheel, or jump via re-anchor.
-            if self.wheel_len == 0 {
-                self.reanchor();
-            } else {
-                self.cur_vb += 1;
-                self.cur_sorted = false;
-            }
+        if !self.position_front() {
+            return None;
         }
+        let b = self.cursor_bucket();
+        let e = self.buckets[b]
+            .pop()
+            .expect("position_front found an event");
+        self.wheel_len -= 1;
+        let payload = self.slots[e.idx as usize]
+            .payload
+            .take()
+            .expect("position_front stops at a live entry");
+        self.live -= 1;
+        self.release(e.idx);
+        Some((e.at, e.seq, payload))
     }
 
     /// `(at, seq)` of the earliest live event without removing it.
@@ -609,8 +257,7 @@ impl<T> CalendarQueue<T> {
         if !self.position_front() {
             return None;
         }
-        let b = (self.cur_vb as usize) & (self.buckets.len() - 1);
-        let e = self.buckets[b]
+        let e = self.buckets[self.cursor_bucket()]
             .last()
             .expect("position_front found an event");
         Some((e.at, e.seq))
@@ -623,13 +270,6 @@ impl<T> CalendarQueue<T> {
             idx
         } else {
             let idx = u32::try_from(self.slots.len()).expect("event arena exceeds u32 slots");
-            if self.slots.len() == self.slots.capacity() {
-                // Quadruple instead of `Vec`'s doubling: halves the total
-                // bytes memcpy'd across a setup loop's growth series, which
-                // is measurable at 40 bytes × millions of slots.
-                self.slots.reserve(3 * self.slots.len() + 64);
-                advise_arena(&self.slots, self.slots.capacity());
-            }
             self.slots.push(Slot {
                 gen: 0,
                 payload: Some(payload),
@@ -658,13 +298,13 @@ impl<T> CalendarQueue<T> {
             self.overflow.push(e);
         } else {
             let b = (vb as usize) & (self.buckets.len() - 1);
+            let bucket = &mut self.buckets[b];
             if vb == self.cur_vb && self.cur_sorted {
                 // The cursor's bucket is already sorted and mid-drain (the
                 // zero-delay self-reschedule path): insert in order. New
                 // events carry the highest seq so far, so when the bucket's
                 // remainder is at the same-or-later time the insert is a
                 // plain append at the drain end — check that first.
-                let bucket = &mut self.buckets[b];
                 match bucket.last() {
                     Some(last) if last.key() < e.key() => {
                         let pos = bucket.partition_point(|x| x.key() > e.key());
@@ -673,13 +313,6 @@ impl<T> CalendarQueue<T> {
                     _ => bucket.push(e),
                 }
             } else {
-                let bucket = &mut self.buckets[b];
-                if bucket.len() == bucket.capacity() {
-                    // Quadruple instead of `Vec`'s doubling (same reasoning
-                    // as the arena in `alloc`): a setup loop filling the
-                    // wheel copies half as many entry bytes while growing.
-                    bucket.reserve(3 * bucket.len() + 8);
-                }
                 bucket.push(e);
             }
             self.wheel_len += 1;
@@ -698,21 +331,13 @@ impl<T> CalendarQueue<T> {
             if self.overflow_min_vb <= self.cur_vb {
                 self.merge_overflow();
             }
-            let b = (self.cur_vb as usize) & (self.buckets.len() - 1);
+            let b = self.cursor_bucket();
             if !self.buckets[b].is_empty() {
                 if !self.cur_sorted {
-                    // A single entry is trivially sorted — the common case in
-                    // pop-push steady state (self-rescheduling chains). The
-                    // sort reads only the contiguous entries, never the arena.
-                    sort_bucket_desc(self.shift, &mut self.buckets[b], &mut self.sort_scratch);
+                    // Descending, so the bucket drains from the back. Reads
+                    // only the contiguous entries, never the arena.
+                    self.buckets[b].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
                     self.cur_sorted = true;
-                    // Prime the slot-prefetch pipeline for the first few
-                    // drains of this bucket; `pop` keeps it fed after that.
-                    let len = self.buckets[b].len();
-                    for i in len.saturating_sub(Self::PREFETCH_AHEAD)..len {
-                        let idx = self.buckets[b][i].idx;
-                        self.prefetch_slot(idx);
-                    }
                 }
                 // Reclaim trailing cancelled entries; stop at the first live one.
                 while let Some(e) = self.buckets[b].last() {
@@ -760,9 +385,9 @@ impl<T> CalendarQueue<T> {
         self.overflow_min_vb = new_min;
     }
 
-    /// Resize the wheel for `n` live events spanning `[min_at, max_at]`
+    /// Resize the wheel for `n` pending entries spanning `[min_at, max_at]`
     /// nanoseconds and aim the cursor at the span's first bucket: the wheel
-    /// becomes the live count's next power of two (clamped to
+    /// becomes the count's next power of two (clamped to
     /// `[MIN_BUCKETS, MAX_BUCKETS]`) and the bucket width the smallest power
     /// of two for which the whole span fits one window — so events average
     /// O(1) per bucket and a merge pass empties the rung in one go.
@@ -784,9 +409,7 @@ impl<T> CalendarQueue<T> {
     /// Scatter `entries` — every one guaranteed to map inside the current
     /// wheel window — into their buckets: one counting pass over the
     /// contiguous entries, exact per-bucket reservations, then the pushes.
-    /// Never touches the arena and never reallocates a bucket twice, which
-    /// is what keeps bulk landings (re-anchor, empty-queue batch) cheap now
-    /// that entries carry their 24-byte ordering key.
+    /// Never touches the arena and never reallocates a bucket twice.
     fn scatter(&mut self, entries: &[Entry]) {
         let mask = self.buckets.len() - 1;
         let shift = self.shift;
@@ -810,27 +433,15 @@ impl<T> CalendarQueue<T> {
     /// Adapt the wheel to the pending population (see
     /// [`CalendarQueue::adopt_geometry`]) and jump the cursor to its
     /// earliest bucket. Called when the wheel runs dry with events left in
-    /// the rung, and adaptively from [`CalendarQueue::push`] when far-future
-    /// pushes pile into the rung while the wheel holds comparatively nothing
-    /// — any wheel remainder is folded into the rung first. Slot-free:
-    /// cancelled entries migrate like live ones (their keys are in the
-    /// entries) and are reclaimed when their bucket drains, so this pass is
-    /// a sequential sweep plus a counting scatter.
+    /// the rung. Slot-free: cancelled entries migrate like live ones (their
+    /// keys are in the entries) and are reclaimed when their bucket drains,
+    /// so this pass is a sequential sweep plus a counting scatter.
     fn reanchor(&mut self) {
-        if self.wheel_len > 0 {
-            for b in 0..self.buckets.len() {
-                if !self.buckets[b].is_empty() {
-                    self.overflow.extend_from_slice(&self.buckets[b]);
-                    self.buckets[b].clear();
-                }
-            }
-            self.wheel_len = 0;
-        }
+        debug_assert_eq!(self.wheel_len, 0, "re-anchor with a populated wheel");
         let pending = std::mem::take(&mut self.overflow);
         self.overflow_min_vb = u64::MAX;
-        // Callers guarantee something is pending: `pop` checked `live > 0`
-        // with a dry wheel, and the push-side trigger fires only with a
-        // populated rung (entries may include cancelled stragglers).
+        // `position_front` checked `live > 0` with a dry wheel, so the live
+        // events are in the rung (beside any cancelled stragglers).
         assert!(
             !pending.is_empty(),
             "live events lost from the calendar queue"
@@ -1030,98 +641,5 @@ mod tests {
             }
         }
         assert_eq!(popped, 52);
-    }
-
-    #[test]
-    fn batch_into_empty_queue_matches_serial_pushes() {
-        // Same items through push() and push_batch() must drain identically,
-        // and the batch must anchor the wheel without an overflow detour.
-        let items: Vec<(u64, u64, u32)> = (0..500u64)
-            .map(|i| (i.wrapping_mul(2_654_435_761) % 80_000, i, i as u32))
-            .collect();
-        let mut serial = CalendarQueue::new();
-        for &(at, seq, p) in &items {
-            serial.push(SimTime::from_nanos(at), seq, p);
-        }
-        let mut batched = CalendarQueue::new();
-        let mut ids = Vec::new();
-        batched.push_batch(
-            items
-                .iter()
-                .map(|&(at, seq, p)| (SimTime::from_nanos(at), seq, p)),
-            &mut ids,
-        );
-        assert_eq!(ids.len(), items.len());
-        assert_eq!(batched.len(), serial.len());
-        assert!(
-            batched.overflow.is_empty(),
-            "empty-queue batch adopts geometry instead of overflowing"
-        );
-        assert_eq!(drain(&mut batched), drain(&mut serial));
-    }
-
-    #[test]
-    fn batch_ids_cancel_like_serial_ids() {
-        let mut q = CalendarQueue::new();
-        let mut ids = Vec::new();
-        q.push_batch(
-            (0..10u64).map(|i| (SimTime::from_nanos(100 + i), i, i as u32)),
-            &mut ids,
-        );
-        assert!(q.cancel(ids[3]));
-        assert!(!q.cancel(ids[3]), "double cancel is a no-op");
-        assert_eq!(q.len(), 9);
-        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, p)| p).collect();
-        assert_eq!(order, vec![0, 1, 2, 4, 5, 6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn batch_behind_a_peeked_cursor_rebuilds_once() {
-        let mut q = CalendarQueue::new();
-        q.push(SimTime::from_millis(10), 0, 0);
-        assert_eq!(q.peek(), Some((SimTime::from_millis(10), 0)));
-        // The whole batch lands behind the peeked cursor: one rebuild.
-        let mut ids = Vec::new();
-        q.push_batch(
-            [
-                (SimTime::from_nanos(7), 1, 1u32),
-                (SimTime::from_micros(3), 2, 2),
-                (SimTime::from_millis(20), 3, 3),
-            ],
-            &mut ids,
-        );
-        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, p)| p).collect();
-        assert_eq!(order, vec![1, 2, 0, 3]);
-    }
-
-    #[test]
-    fn batch_into_drained_queue_reclaims_cancelled_leftovers() {
-        let mut q = CalendarQueue::new();
-        let a = q.push(SimTime::from_nanos(10), 0, 0);
-        let b = q.push(SimTime::from_secs(10), 1, 1);
-        assert!(q.cancel(a));
-        assert!(q.cancel(b));
-        assert_eq!(q.len(), 0);
-        // A batch into the logically-empty queue purges the two cancelled
-        // slots and re-anchors to the batch span.
-        let mut ids = Vec::new();
-        q.push_batch(
-            (0..4u64).map(|i| (SimTime::from_nanos(50 + i), i + 2, i as u32)),
-            &mut ids,
-        );
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.slots.len(), 4, "purged slots are reused by the batch");
-        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, p)| p).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
-        let mut ids = Vec::new();
-        q.push_batch(std::iter::empty(), &mut ids);
-        assert!(ids.is_empty());
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
     }
 }

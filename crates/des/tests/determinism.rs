@@ -224,15 +224,12 @@ mod reference {
 
 /// The workload both engines execute, written once against this trait.
 /// Events log `(fire time, tag)` and deterministically spawn children:
-/// zero-delay same-time ties and far-future (overflow-rung) descendants.
+/// zero-delay same-time ties (singly and in bursts) and far-future
+/// (overflow-rung) descendants.
 trait Engine: Sized + 'static {
     type Id: Copy;
     fn now_ns(&self) -> u64;
     fn schedule(&mut self, at: SimTime, tag: u32, log: &OracleLog) -> Self::Id;
-    /// Schedule a burst of `(at, tag)` events through the engine's bulk path
-    /// (the calendar engine's `schedule_batch`; a plain loop on the
-    /// reference, which *defines* the required semantics).
-    fn schedule_burst(&mut self, items: &[(SimTime, u32)], log: &OracleLog) -> Vec<Self::Id>;
     fn cancel_id(&mut self, id: Self::Id) -> bool;
     fn pending(&self) -> usize;
     fn run_all(&mut self);
@@ -253,6 +250,13 @@ fn oracle_fire<E: Engine>(e: &mut E, tag: u32, log: &OracleLog) {
             // Far-future child: lands in the overflow rung.
             e.schedule(now + SimTime::from_millis(50), tag + 200_000, log);
         }
+        if tag.is_multiple_of(7) {
+            // A burst from one event: two ties at exactly the current time
+            // around a far-future sibling.
+            e.schedule(now, tag + 300_000, log);
+            e.schedule(now + SimTime::from_millis(40), tag + 400_000, log);
+            e.schedule(now, tag + 500_000, log);
+        }
     }
 }
 
@@ -264,13 +268,6 @@ impl Engine for Simulation {
     fn schedule(&mut self, at: SimTime, tag: u32, log: &OracleLog) -> des::EventId {
         let log = Arc::clone(log);
         self.schedule_at(at, move |sim| oracle_fire(sim, tag, &log))
-    }
-    fn schedule_burst(&mut self, items: &[(SimTime, u32)], log: &OracleLog) -> Vec<des::EventId> {
-        self.schedule_batch(items.iter().map(|&(at, tag)| {
-            let log = Arc::clone(log);
-            (at, move |sim: &mut Simulation| burst_fire(sim, tag, &log))
-        }))
-        .to_vec()
     }
     fn cancel_id(&mut self, id: des::EventId) -> bool {
         self.cancel(id)
@@ -291,16 +288,6 @@ impl Engine for reference::RefSim {
     fn schedule(&mut self, at: SimTime, tag: u32, log: &OracleLog) -> u64 {
         let log = Arc::clone(log);
         self.schedule_at(at, move |sim| oracle_fire(sim, tag, &log))
-    }
-    fn schedule_burst(&mut self, items: &[(SimTime, u32)], log: &OracleLog) -> Vec<u64> {
-        // The burst *is* a schedule_at loop on the reference model.
-        items
-            .iter()
-            .map(|&(at, tag)| {
-                let log = Arc::clone(log);
-                self.schedule_at(at, move |sim| burst_fire(sim, tag, &log))
-            })
-            .collect()
     }
     fn cancel_id(&mut self, id: u64) -> bool {
         self.cancel(id)
@@ -373,78 +360,11 @@ fn calendar_queue_matches_reference_heap_model() {
     }
 }
 
-/// Fire hook for the batch oracle: every fired event spawns a *burst* of
-/// children through the engine's bulk path — two at exactly the current
-/// virtual time (zero-delay ties landing behind the already-peeked cursor,
-/// the rebuild path) and one far-future (overflow-rung) descendant.
-fn burst_fire<E: Engine>(e: &mut E, tag: u32, log: &OracleLog) {
-    log.lock().unwrap().push((e.now_ns(), tag));
-    if tag < 100_000 && tag.is_multiple_of(7) {
-        let now = SimTime::from_nanos(e.now_ns());
-        e.schedule_burst(
-            &[
-                (now, tag + 100_000),
-                (now, tag + 300_000),
-                (now + SimTime::from_millis(40), tag + 200_000),
-            ],
-            log,
-        );
-    }
-}
-
-/// Drive one engine through the batch-heavy workload: bulk initial
-/// injection, bulk zero-delay self-reschedules, cancels against batch ids.
-fn burst_drive<E: Engine>(mut e: E, seed: u64) -> (Vec<(u64, u32)>, Vec<bool>, usize) {
-    let log: OracleLog = Arc::new(Mutex::new(Vec::new()));
-    let mut rng = RngStream::derive(seed, "burst-oracle");
-    // Inject in bursts of 64: dense ties plus a sparse tail per burst.
-    let mut ids = Vec::new();
-    for burst in 0..12u32 {
-        let items: Vec<(SimTime, u32)> = (0..64u32)
-            .map(|i| {
-                let t = if i.is_multiple_of(13) {
-                    SimTime::from_millis(1) + SimTime::from_secs(rng.u64_range(0..3))
-                } else {
-                    SimTime::from_nanos(rng.u64_range(0..400))
-                };
-                (t, burst * 64 + i)
-            })
-            .collect();
-        ids.extend(e.schedule_burst(&items, &log));
-    }
-    let mut cancels = Vec::new();
-    for (i, id) in ids.iter().enumerate() {
-        if i.is_multiple_of(4) {
-            cancels.push(e.cancel_id(*id));
-        }
-    }
-    let pending = e.pending();
-    e.run_all();
-    let trace = log.lock().unwrap().clone();
-    (trace, cancels, pending)
-}
-
-#[test]
-fn batch_scheduling_matches_reference_heap_model() {
-    // `schedule_batch` promises semantics identical to a `schedule_at` loop;
-    // the reference engine implements the burst as exactly that loop, so any
-    // divergence in ids, cancel outcomes, or trace order is a batch bug.
-    let (trace_cal, cancels_cal, pending_cal) = burst_drive(Simulation::new(0xBA7C), 0xBA7C);
-    let (trace_ref, cancels_ref, pending_ref) = burst_drive(reference::RefSim::new(), 0xBA7C);
-
-    assert_eq!(pending_cal, pending_ref);
-    assert_eq!(
-        cancels_cal, cancels_ref,
-        "batch ids must cancel identically"
-    );
-    assert_eq!(trace_cal, trace_ref, "batch trace must match the reference");
-}
-
 #[test]
 fn batch_push_behind_peeked_cursor_keeps_order() {
     // run_until peeks at the far event, walking the queue cursor past the
-    // current time; a batch then lands entirely *behind* that cursor, at and
-    // after `now` — the one-rebuild path — and must still fire in
+    // current time; a batch of pushes then lands entirely *behind* that
+    // cursor, at and after `now` — the rebuild path — and must still fire in
     // (time, seq) order, zero-delay items first.
     let mut sim = Simulation::new(1);
     let log = Arc::new(Mutex::new(Vec::new()));
@@ -459,10 +379,10 @@ fn batch_push_behind_peeked_cursor_keeps_order() {
         (now, 202), // second tie at `now`, later seq
         (SimTime::from_secs(3), 3),
     ];
-    sim.schedule_batch(items.into_iter().map(|(at, tag)| {
+    for (at, tag) in items {
         let l = Arc::clone(&log);
-        (at, move |_: &mut Simulation| l.lock().unwrap().push(tag))
-    }));
+        sim.schedule_at(at, move |_| l.lock().unwrap().push(tag));
+    }
     sim.run();
     assert_eq!(*log.lock().unwrap(), vec![2, 202, 3, 7, 10]);
     assert_eq!(sim.events_executed(), 5);

@@ -1,11 +1,11 @@
 //! Drop-correctness of the inline payload cell: every scheduled closure must
 //! be dropped *exactly once*, whichever way it leaves the queue — fired,
-//! cancelled, discarded by a queue reset when a `Simulation` is dropped
-//! mid-run, or torn down with the thread's arena pool — and for both storage
-//! layouts (captures inline in the arena slot vs. the boxed fallback).
+//! cancelled, or still pending when its `Simulation` is dropped mid-run —
+//! and for both storage layouts (captures inline in the arena slot vs. the
+//! boxed fallback).
 //!
-//! The hand-rolled vtable in `des::cell` is the only `unsafe` on the event
-//! hot path; these tests are its leak/double-free oracle. A missed drop
+//! The hand-rolled vtable in `des::cell` is the only `unsafe` in the crate;
+//! these tests are its leak/double-free oracle. A missed drop
 //! shows up as `dropped < created`; a double drop as `dropped > created`
 //! (or, under Miri, as undefined behaviour at the exact faulty op).
 
@@ -115,8 +115,8 @@ fn cancelled_closures_drop_exactly_once_without_firing() {
 
 #[test]
 fn dropping_a_simulation_mid_run_drops_pending_closures_once() {
-    // The Simulation's Drop parks its queue in the thread pool via `reset`,
-    // which must drop every still-pending payload exactly once.
+    // Dropping the Simulation drops its queue's arena, which must drop
+    // every still-pending payload exactly once.
     let c = Counters::default();
     {
         let mut sim = Simulation::new(1);
@@ -131,55 +131,15 @@ fn dropping_a_simulation_mid_run_drops_pending_closures_once() {
     assert_eq!(
         c.dropped(),
         128,
-        "queue reset on drop releases the pending closures"
+        "dropping the queue releases the pending closures"
     );
     assert_eq!(c.fired(), 42, "pending closures must not fire on drop");
-}
-
-#[test]
-fn pooled_arena_reuse_cannot_leak_or_cancel_across_simulations() {
-    // Run on a dedicated thread so this test owns its thread-local queue
-    // pool: the second Simulation is guaranteed to adopt the first one's
-    // retired arena, and a stale pre-reset EventId must neither cancel nor
-    // free anything in it.
-    std::thread::spawn(|| {
-        let c = Counters::default();
-        let stale = {
-            let mut sim = Simulation::new(1);
-            let id = schedule_inline(&mut sim, SimTime::from_secs(1), &c);
-            schedule_boxed(&mut sim, SimTime::from_secs(2), &c);
-            id
-        };
-        assert_eq!(c.dropped(), 2, "first simulation's payloads released");
-
-        let c2 = Counters::default();
-        let mut sim = Simulation::new(2);
-        let mut ids = Vec::new();
-        for i in 0..32u64 {
-            ids.push(schedule_inline(&mut sim, SimTime::from_nanos(i % 7), &c2));
-        }
-        assert!(
-            !sim.cancel(stale),
-            "EventId from a pre-reset simulation must not validate"
-        );
-        assert_eq!(sim.events_pending(), 32);
-        sim.run();
-        assert_eq!(c2.fired(), 32);
-        assert_eq!(c2.dropped(), 32);
-        assert_eq!(
-            c.dropped(),
-            2,
-            "reuse must not touch the old run's counters"
-        );
-    })
-    .join()
-    .expect("pool thread");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Arbitrary interleavings of inline/boxed/batch scheduling, cancels of
+    /// Arbitrary interleavings of inline/boxed scheduling, cancels of
     /// possibly-stale ids, and partial draining — ending either in a full
     /// drain or an early drop. Whatever the path, `created == dropped` once
     /// the simulation is gone, and only fired closures bumped `fired`.
@@ -204,19 +164,13 @@ proptest! {
                     ids.push(schedule_boxed(&mut sim, at, &c));
                     created += 1;
                 }
-                // A small batch through the bulk path (inline captures).
+                // A small run of inline events, 911 ns apart.
                 2 => {
                     let n = u64::from(x % 3) + 1;
-                    let items: Vec<_> = (0..n).map(|k| {
-                        let g = c.guard();
-                        let fired = Arc::clone(&c.fired);
+                    for k in 0..n {
                         let at = at + SimTime::from_nanos(k * 911);
-                        (at, move |_: &mut Simulation| {
-                            fired.fetch_add(1, Ordering::SeqCst);
-                            let _ = &g;
-                        })
-                    }).collect();
-                    ids.extend_from_slice(sim.schedule_batch(items));
+                        ids.push(schedule_inline(&mut sim, at, &c));
+                    }
                     created += n;
                 }
                 // Cancel an arbitrary, possibly stale or repeated id.

@@ -89,25 +89,14 @@ proptest! {
                         prop_assert_eq!(q.len(), model.pending.len());
                     }
                 }
-                // Bulk-insert through push_batch: a run of events spanning
-                // all regions, landing in one pass (possibly behind a
-                // cursor a previous pop already advanced).
+                // A run of pushes spanning all regions back to back, with
+                // no pop or cancel in between.
                 3 => {
-                    let n = usize::from(x % 4) + 1;
-                    let items: Vec<(SimTime, u64, u32)> = (0..n)
-                        .map(|k| {
-                            let at = now + offset((sel + k as u64) % 4, x.wrapping_add(k as u16));
-                            (SimTime::from_nanos(at), seq + k as u64, u32::from(x) + k as u32)
-                        })
-                        .collect();
-                    let mut batch_ids = Vec::new();
-                    q.push_batch(items.iter().copied(), &mut batch_ids);
-                    prop_assert_eq!(batch_ids.len(), n, "one id per batch item");
-                    for (id, &(at, s, p)) in batch_ids.iter().zip(&items) {
-                        model.push(at.as_nanos(), s, p);
-                        ids.push((*id, (at.as_nanos(), s)));
+                    for k in 0..=u64::from(x % 4) {
+                        let at = now + offset((sel + k) % 4, x.wrapping_add(k as u16));
+                        let payload = u32::from(x) + k as u32;
+                        schedule(&mut q, &mut model, &mut ids, &mut seq, at, payload);
                     }
-                    seq += n as u64;
                 }
                 // Pop a burst; each popped event may self-reschedule at the
                 // exact same time (zero-delay) — into the draining bucket.
@@ -171,59 +160,5 @@ proptest! {
             prop_assert_eq!(model.pop(), Some((t.as_nanos(), s, p)));
         }
         prop_assert_eq!(model.pop(), None);
-    }
-
-    /// A reset queue must behave exactly like a fresh one — same pop order
-    /// for the same subsequent pushes — while every pre-reset id is dead:
-    /// stale cancels return false and disturb nothing. This is the
-    /// engine's arena-pooling contract (a retired simulation's queue is
-    /// reset and reused by the next one on the thread).
-    #[test]
-    fn reset_queue_is_indistinguishable_from_fresh(
-        first in prop::collection::vec((0u64..4, any::<u16>()), 1..60),
-        pops in 0usize..40,
-        second in prop::collection::vec((0u64..4, any::<u16>()), 1..60),
-    ) {
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
-        let mut stale_ids = Vec::new();
-        for (i, &(sel, x)) in first.iter().enumerate() {
-            stale_ids.push(q.push(SimTime::from_nanos(offset(sel, x)), i as u64, u32::from(x)));
-        }
-        for _ in 0..pops.min(first.len()) {
-            q.pop();
-        }
-        q.reset();
-        prop_assert_eq!(q.len(), 0);
-        prop_assert_eq!(q.pop(), None, "reset queue starts empty");
-
-        // Same push sequence against the reset queue and a fresh control.
-        let mut fresh: CalendarQueue<u32> = CalendarQueue::new();
-        let mut new_ids = Vec::new();
-        for (i, &(sel, x)) in second.iter().enumerate() {
-            let (at, s, p) = (SimTime::from_nanos(offset(sel, x)), i as u64, u32::from(x));
-            new_ids.push(q.push(at, s, p));
-            fresh.push(at, s, p);
-        }
-        for id in &stale_ids {
-            prop_assert!(!q.cancel(*id), "pre-reset id must not validate");
-        }
-        prop_assert_eq!(q.len(), second.len(), "stale cancels must not free slots");
-        // Post-reset ids still work: cancel one and both queues must agree.
-        if let Some(&id) = new_ids.first() {
-            prop_assert!(q.cancel(id));
-            // Mirror the cancel on the control: drain both fully and
-            // compare, skipping the cancelled seq-0 entry on the fresh side.
-            let mut want = Vec::new();
-            while let Some(e) = fresh.pop() {
-                if e.1 != 0 {
-                    want.push(e);
-                }
-            }
-            let mut got = Vec::new();
-            while let Some(e) = q.pop() {
-                got.push(e);
-            }
-            prop_assert_eq!(got, want, "reset queue must drain like a fresh one");
-        }
     }
 }

@@ -14,6 +14,7 @@
 
 use crate::error::Error;
 use crate::params::{ParamValue, Params};
+use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -76,20 +77,9 @@ impl CostTable {
     }
 
     /// Serialise as a flat `"key": mean_secs` JSON object, keys sorted —
-    /// the same shape `ci/perf_baseline.json` uses, parseable without a
-    /// deserializer (the serde shim only serialises).
+    /// the same shape `ci/perf_baseline.json` uses.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let mut first = true;
-        for (key, mean) in self.iter() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!("  \"{key}\": {mean:.6}"));
-        }
-        out.push_str("\n}\n");
-        out
+        render_flat_numbers(self.iter().map(|(key, mean)| (key, Value::F64(mean))))
     }
 
     /// Parse the flat JSON object [`CostTable::to_json`] writes. Unknown or
@@ -99,33 +89,13 @@ impl CostTable {
     }
 
     fn parse_json_at(text: &str, path: &Path) -> Result<CostTable, Error> {
-        let err = |message: String| Error::CostTable {
+        let entries = parse_flat_numbers(text).map_err(|message| Error::CostTable {
             path: path.to_path_buf(),
             message,
-        };
+        })?;
         let mut table = CostTable::new();
-        let mut rest = text.trim();
-        rest = rest
-            .strip_prefix('{')
-            .ok_or_else(|| err("expected a JSON object".to_string()))?;
-        while let Some(open) = rest.find('"') {
-            rest = &rest[open + 1..];
-            let close = rest
-                .find('"')
-                .ok_or_else(|| err("unterminated key".to_string()))?;
-            let key = &rest[..close];
-            rest = &rest[close + 1..];
-            let colon = rest
-                .find(':')
-                .ok_or_else(|| err(format!("key `{key}` without value")))?;
-            rest = rest[colon + 1..].trim_start();
-            let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-            let secs: f64 = rest[..end]
-                .trim()
-                .parse()
-                .map_err(|e| err(format!("value of `{key}`: {e}")))?;
-            table.record(key, secs);
-            rest = &rest[end..];
+        for (key, secs) in entries {
+            table.record(&key, secs);
         }
         Ok(table)
     }
@@ -152,6 +122,32 @@ impl CostTable {
             message: format!("writing: {e}"),
         })
     }
+}
+
+/// Render `"key": number` pairs as one flat, pretty-printed JSON object (the
+/// shape of cost tables, bench result files and `ci/perf_baseline.json`).
+pub fn render_flat_numbers<'a>(entries: impl Iterator<Item = (&'a str, Value)>) -> String {
+    let map = Value::Map(entries.map(|(k, v)| (k.to_string(), v)).collect());
+    let mut json = serde_json::to_string_pretty(&map).expect("value-tree rendering is infallible");
+    json.push('\n');
+    json
+}
+
+/// Parse a flat JSON object of `"key": number` pairs, in file order. Any
+/// other structure is an error; an empty object is valid.
+pub fn parse_flat_numbers(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let Value::Map(entries) = serde_json::from_str(text).map_err(|e| e.to_string())? else {
+        return Err("expected a JSON object".to_string());
+    };
+    entries
+        .into_iter()
+        .map(|(key, value)| match value {
+            Value::U64(n) => Ok((key, n as f64)),
+            Value::I64(n) => Ok((key, n as f64)),
+            Value::F64(x) => Ok((key, x)),
+            other => Err(format!("value of `{key}` is not a number: {other:?}")),
+        })
+        .collect()
 }
 
 /// Cold-start stand-in for a measured cost: a monotone function of the
@@ -222,9 +218,27 @@ mod tests {
     }
 
     #[test]
+    fn hostile_labels_round_trip() {
+        // `--param` values are free text, so a key can hold every character
+        // a hand-rolled splitter would trip over.
+        let key = "fig09|reps=a\"b,c}:\\ d\nnext";
+        let mut t = CostTable::new();
+        t.record(key, 0.125);
+        t.record("plain|default", 3.0);
+        let back = CostTable::parse_json(&t.to_json()).expect("valid JSON");
+        assert_eq!(back, t);
+        assert_eq!(back.mean_secs(key), Some(0.125));
+    }
+
+    #[test]
     fn parse_rejects_garbage_and_accepts_empty() {
         assert!(CostTable::parse_json("not json").is_err());
         assert!(CostTable::parse_json("{\"k\": abc}").is_err());
+        assert!(CostTable::parse_json("[1, 2]").is_err(), "not an object");
+        assert!(
+            CostTable::parse_json("{\"k\": \"1\"}").is_err(),
+            "not a number"
+        );
         let empty = CostTable::parse_json("{}\n").expect("empty object");
         assert!(empty.is_empty());
     }
