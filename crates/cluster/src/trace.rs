@@ -349,14 +349,15 @@ mod tests {
     #[test]
     fn replay_traffic_stays_inside_the_queue_envelope() {
         // The replay is the only event traffic any registered scenario
-        // produces, and `des::queue` is sized for it: a few hundred pending
-        // events (one completion timer per running job plus the arrival and
-        // sampler chains), not the millions an earlier revision provisioned
-        // for. 1024 is that sizing assumption with headroom over the
-        // measured peaks (README, "The event engine", traffic table). If
-        // this ever fails the workload has outgrown it: re-measure peak
-        // arena slots, the largest sorted bucket and `trace_cold` `done_ms`
-        // before adding anything back to the queue.
+        // produces: a few hundred pending events (one completion timer per
+        // running job plus the arrival and sampler chains). That peak is the
+        // measurement `des::queue` being a plain `BinaryHeap` rests on — at
+        // this population a bucket wheel moved no end-to-end metric (README,
+        // "The event engine", traffic and heap-vs-wheel tables) — and 1024
+        // is it with headroom. If this ever fails (ROADMAP's `harvest`
+        // scenario may do it) the workload has outgrown the measurement:
+        // re-measure the pending peak and `trace_cold` `done_ms`, heap
+        // against wheel, before trusting or changing the choice.
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         fn probe(sim: &mut Simulation, peak: Arc<AtomicUsize>, until: SimTime) {

@@ -5,7 +5,7 @@
 //! pointer chase per fired one. [`EventCell`] removes both for the common
 //! case: closures whose captures fit [`INLINE_WORDS`] machine words (an
 //! `Arc` handle plus a couple of ids — the overwhelming majority of
-//! `cluster`/`scenarios` call sites) are stored *directly in the calendar
+//! `cluster`/`scenarios` call sites) are stored *directly in the event
 //! queue's arena slot*, behind a hand-rolled two-entry vtable (call-once +
 //! drop). Oversized captures fall back to a single box whose raw pointer
 //! occupies the first inline word.
@@ -21,7 +21,7 @@
 //!    even if the closure panics mid-call.
 //! 2. **Drop-on-cancel.** A cell that is never called (cancelled event,
 //!    queue dropped mid-simulation) drops its payload in place via the
-//!    vtable's `drop_fn` — exactly once, from `EventCell::drop`. The calendar
+//!    vtable's `drop_fn` — exactly once, from `EventCell::drop`. The event
 //!    queue stores cells as `Option<EventCell>` and `Option::take`s them on
 //!    fire, so the two paths are mutually exclusive by construction.
 //! 3. **Layout.** A closure is stored inline only when

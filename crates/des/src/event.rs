@@ -1,15 +1,16 @@
-//! The simulation engine: virtual clock over the calendar event queue.
+//! The simulation engine: virtual clock over the pending-event queue.
 //!
 //! Events are closures scheduled at a virtual time and stored in an
-//! arena-allocated [`CalendarQueue`] (see [`crate::queue`] for the data
-//! structure). A closure whose captures fit three machine words is stored
-//! *inline* in its arena slot via [`crate::cell::EventCell`] — no per-event
-//! heap allocation on the hot path — while oversized captures transparently
-//! fall back to a box ([`Simulation::inline_hit_ratio`] reports the split).
+//! [`EventQueue`] — a binary heap of `(time, seq)` keys over an arena of
+//! payload slots (see [`crate::queue`]). A closure whose captures fit three
+//! machine words is stored *inline* in its arena slot via
+//! [`crate::cell::EventCell`] — no per-event heap allocation on the hot
+//! path — while oversized captures transparently fall back to a box
+//! ([`Simulation::inline_hit_ratio`] reports the split).
 //! Ties are broken by a monotonically increasing sequence number so
 //! execution order is fully deterministic — exactly ascending
-//! `(time, seq)`, bit-identical to the reference binary-heap model that
-//! `tests/determinism.rs` replays against this engine. Events can be
+//! `(time, seq)`, bit-identical to the independent reference engine that
+//! `tests/determinism.rs` replays against this one. Events can be
 //! cancelled by id in O(1) (used e.g. for lease-expiry timers that are
 //! renewed); [`Simulation::events_pending`] is exact under cancellation.
 //!
@@ -19,7 +20,7 @@
 //! because nothing about execution order depends on the hosting thread.
 
 use crate::cell::EventCell;
-use crate::queue::CalendarQueue;
+use crate::queue::EventQueue;
 use crate::rng::RngStream;
 use crate::time::SimTime;
 
@@ -32,7 +33,7 @@ pub use crate::queue::EventId;
 pub struct Simulation {
     now: SimTime,
     seq: u64,
-    queue: CalendarQueue<EventCell>,
+    queue: EventQueue<EventCell>,
     seed: u64,
     executed: u64,
     /// Events whose closures were stored inline in their arena slot.
@@ -48,7 +49,7 @@ impl Simulation {
         Simulation {
             now: SimTime::ZERO,
             seq: 0,
-            queue: CalendarQueue::new(),
+            queue: EventQueue::new(),
             seed,
             executed: 0,
             scheduled_inline: 0,

@@ -1,11 +1,11 @@
 //! # des — deterministic discrete-event simulation kernel
 //!
 //! Foundation for the software-disaggregation reproduction: a virtual clock,
-//! an arena-allocated calendar event queue with deterministic tie-breaking
-//! (see [`queue`]), zero-allocation inline closure storage on the event hot
-//! path (see [`cell`]), per-component seedable RNG streams, and online
-//! statistics (mean/variance/percentiles, histograms, time-weighted
-//! samplers).
+//! a pending-event queue — binary heap over a generational slot arena, with
+//! O(1) cancellation and deterministic tie-breaking (see [`queue`]) —
+//! zero-allocation inline closure storage on the event hot path (see
+//! [`cell`]), per-component seedable RNG streams, and online statistics
+//! (mean/variance/percentiles, histograms, time-weighted samplers).
 //!
 //! Every simulated experiment in the workspace is driven by [`Simulation`]:
 //! components schedule closures at future virtual times and the engine runs
@@ -41,7 +41,7 @@ pub mod time;
 
 pub use cell::EventCell;
 pub use event::{EventId, Simulation};
-pub use queue::CalendarQueue;
+pub use queue::EventQueue;
 pub use rng::RngStream;
 pub use stats::{Histogram, OnlineStats, Percentiles, TimeWeighted};
 pub use time::SimTime;

@@ -137,8 +137,9 @@ fn simultaneous_events_fire_in_scheduling_order() {
 }
 
 /// Reference model: the seed implementation's `BinaryHeap`-of-boxed-closures
-/// engine with tombstone cancellation. The calendar-queue engine must produce
-/// a bit-identical trace for any workload.
+/// engine with tombstone cancellation — its own heap, entries and cancel
+/// bookkeeping, sharing no code with `des::queue`. The engine must produce a
+/// bit-identical trace for any workload.
 mod reference {
     use des::SimTime;
     use std::cmp::Ordering;
@@ -225,7 +226,7 @@ mod reference {
 /// The workload both engines execute, written once against this trait.
 /// Events log `(fire time, tag)` and deterministically spawn children:
 /// zero-delay same-time ties (singly and in bursts) and far-future
-/// (overflow-rung) descendants.
+/// descendants.
 trait Engine: Sized + 'static {
     type Id: Copy;
     fn now_ns(&self) -> u64;
@@ -247,7 +248,7 @@ fn oracle_fire<E: Engine>(e: &mut E, tag: u32, log: &OracleLog) {
             e.schedule(now, tag + 100_000, log);
         }
         if tag.is_multiple_of(11) {
-            // Far-future child: lands in the overflow rung.
+            // Far-future child, five orders of magnitude past the dense cluster.
             e.schedule(now + SimTime::from_millis(50), tag + 200_000, log);
         }
         if tag.is_multiple_of(7) {
@@ -311,7 +312,7 @@ fn oracle_drive<E: Engine>(mut e: E, seed: u64) -> (Vec<(u64, u32)>, Vec<bool>, 
         let t = SimTime::from_nanos(rng.u64_range(0..500));
         ids.push(e.schedule(t, tag, &log));
     }
-    // Sparse far tail: seconds apart, well beyond any initial wheel window.
+    // Sparse far tail: seconds apart.
     for tag in 1500..1700u32 {
         let t = SimTime::from_millis(1) + SimTime::from_secs(rng.u64_range(0..5));
         ids.push(e.schedule(t, tag, &log));
@@ -333,39 +334,38 @@ fn oracle_drive<E: Engine>(mut e: E, seed: u64) -> (Vec<(u64, u32)>, Vec<bool>, 
 }
 
 #[test]
-fn calendar_queue_matches_reference_heap_model() {
-    let (trace_cal, cancels_cal, pending_cal) = oracle_drive(Simulation::new(0xACE), 0xACE);
+fn engine_matches_reference_heap_model() {
+    let (trace_eng, cancels_eng, pending_eng) = oracle_drive(Simulation::new(0xACE), 0xACE);
     let (trace_ref, cancels_ref, pending_ref) = oracle_drive(reference::RefSim::new(), 0xACE);
 
     assert_eq!(
-        pending_cal, pending_ref,
+        pending_eng, pending_ref,
         "pending counts must agree before the run"
     );
     assert_eq!(
-        cancels_cal, cancels_ref,
+        cancels_eng, cancels_ref,
         "cancel outcomes must agree event by event"
     );
     assert_eq!(
-        trace_cal.len(),
+        trace_eng.len(),
         trace_ref.len(),
         "both engines must execute the same number of events"
     );
     // Diff the full trace: any (time, seq) tie-break divergence shows up as
     // the first mismatching (fire time, tag) pair.
-    if let Some(i) = (0..trace_cal.len()).find(|&i| trace_cal[i] != trace_ref[i]) {
+    if let Some(i) = (0..trace_eng.len()).find(|&i| trace_eng[i] != trace_ref[i]) {
         panic!(
-            "traces diverge at event {i}: calendar fired {:?}, reference fired {:?}",
-            trace_cal[i], trace_ref[i]
+            "traces diverge at event {i}: engine fired {:?}, reference fired {:?}",
+            trace_eng[i], trace_ref[i]
         );
     }
 }
 
 #[test]
 fn batch_push_behind_peeked_cursor_keeps_order() {
-    // run_until peeks at the far event, walking the queue cursor past the
-    // current time; a batch of pushes then lands entirely *behind* that
-    // cursor, at and after `now` — the rebuild path — and must still fire in
-    // (time, seq) order, zero-delay items first.
+    // run_until peeks at the far event and stops short of it; a batch of
+    // pushes then lands entirely *before* that peeked head, at and after
+    // `now`, and must still fire in (time, seq) order, zero-delay items first.
     let mut sim = Simulation::new(1);
     let log = Arc::new(Mutex::new(Vec::new()));
     let l = Arc::clone(&log);

@@ -1,10 +1,9 @@
-//! Property tests for the arena-allocated calendar queue: arbitrary
-//! interleavings of schedule / cancel / pop — with identical-`SimTime` ties,
-//! far-future overflow-rung events, and zero-delay self-reschedules — must
-//! match a sorted reference model exactly, `(time, seq, payload)` for
-//! `(time, seq, payload)`.
+//! Property tests for the arena-backed event queue: arbitrary interleavings
+//! of schedule / cancel / pop — with identical-`SimTime` ties, far-future
+//! events, and zero-delay self-reschedules — must match a sorted reference
+//! model exactly, `(time, seq, payload)` for `(time, seq, payload)`.
 
-use des::queue::CalendarQueue;
+use des::queue::EventQueue;
 use des::SimTime;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -33,15 +32,15 @@ impl RefModel {
     }
 }
 
-/// Turn a sampled `(selector, x)` pair into a schedule offset exercising all
-/// three queue regions: exact ties, the in-window wheel, and the far-future
-/// overflow rung.
+/// Turn a sampled `(selector, x)` pair into a schedule offset at one of four
+/// distances: exact ties, nanoseconds, microseconds-to-milliseconds, and
+/// seconds-to-hours.
 fn offset(selector: u64, x: u16) -> u64 {
     match selector {
         0 => 0,                                          // identical SimTime tie
-        1 => 1 + u64::from(x) % 900,                     // same/adjacent bucket
-        2 => 1_000 + u64::from(x) * 64,                  // across the wheel
-        _ => 100_000_000 + u64::from(x) * 1_000_000_000, // overflow rung
+        1 => 1 + u64::from(x) % 900,                     // within a microsecond
+        2 => 1_000 + u64::from(x) * 64,                  // up to ~4 ms
+        _ => 100_000_000 + u64::from(x) * 1_000_000_000, // far future
     }
 }
 
@@ -52,7 +51,7 @@ proptest! {
     fn interleaved_ops_match_reference_model(
         ops in prop::collection::vec((0u8..5, 0u64..4, any::<u16>()), 1..120)
     ) {
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+        let mut q: EventQueue<u32> = EventQueue::new();
         let mut model = RefModel::default();
         // Every id ever returned, with its model key — kept after fire and
         // cancel so ops can target stale handles too.
@@ -60,7 +59,7 @@ proptest! {
         let mut seq = 0u64;
         let mut now = 0u64;
 
-        let schedule = |q: &mut CalendarQueue<u32>,
+        let schedule = |q: &mut EventQueue<u32>,
                             model: &mut RefModel,
                             ids: &mut Vec<(des::EventId, (u64, u64))>,
                             seq: &mut u64,
@@ -89,7 +88,7 @@ proptest! {
                         prop_assert_eq!(q.len(), model.pending.len());
                     }
                 }
-                // A run of pushes spanning all regions back to back, with
+                // A run of pushes spanning all distances back to back, with
                 // no pop or cancel in between.
                 3 => {
                     for k in 0..=u64::from(x % 4) {
@@ -99,7 +98,7 @@ proptest! {
                     }
                 }
                 // Pop a burst; each popped event may self-reschedule at the
-                // exact same time (zero-delay) — into the draining bucket.
+                // exact same time (zero-delay), behind the remaining ties.
                 _ => {
                     for _ in 0..=(x % 3) {
                         let got = q.pop();
@@ -129,12 +128,12 @@ proptest! {
     }
 
     /// Peek must agree with the model's front and never disturb pop order,
-    /// even when peeking walks the cursor far ahead of a later push.
+    /// even when the peeked head is far ahead of a later push.
     #[test]
     fn peek_is_consistent_with_pop(
         ops in prop::collection::vec((0u64..4, any::<u16>()), 1..60)
     ) {
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+        let mut q: EventQueue<u32> = EventQueue::new();
         let mut model = RefModel::default();
         let mut seq = 0u64;
         let mut now = 0u64;
@@ -145,8 +144,7 @@ proptest! {
             seq += 1;
             let front = model.pending.keys().next().copied();
             prop_assert_eq!(q.peek().map(|(t, s)| (t.as_nanos(), s)), front);
-            // Every third op, consume the front (keeps `now` monotone while
-            // the cursor has already walked to the peeked bucket).
+            // Every third op, consume the front (keeps `now` monotone).
             if seq.is_multiple_of(3) {
                 let got = q.pop();
                 let want = model.pop();

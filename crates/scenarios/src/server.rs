@@ -10,18 +10,20 @@
 //!
 //! Shutdown is cooperative: the `shutdown` verb flips a flag, then pokes
 //! the listener with a loopback connect so the blocking `accept` wakes up
-//! and the loop exits; [`Server::run`] then drains the pool by dropping
-//! the service. In-flight connections get their current verb answered;
-//! later verbs fail with a closed socket, which clients surface as I/O
-//! errors.
+//! and the loop exits; [`Server::run`] then closes the read half of every
+//! connection still open, joins their threads, and drains the pool by
+//! dropping the service. In-flight connections get their current verb
+//! answered, idle ones see a hangup; later verbs fail with a closed socket,
+//! which clients surface as I/O errors.
 
 use crate::error::Error;
 use crate::service::Service;
 use crate::wire::{error_reply, ok_reply, read_frame, submission_to_value, write_frame, Verb};
 use serde::{Serialize, Value};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// One listening what-if service endpoint.
 pub struct Server {
@@ -54,25 +56,36 @@ impl Server {
     /// whole life.
     pub fn run(self) -> Result<(), Error> {
         let addr = self.local_addr()?;
-        let mut connections = Vec::new();
+        // Every connection still being served: its thread, and a second
+        // handle on its socket so shutdown can reach a thread blocked in
+        // `read_frame`.
+        let mut connections: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
         for stream in self.listener.incoming() {
             if self.stopping.load(Ordering::Acquire) {
                 break;
             }
-            let stream = match stream {
-                Ok(stream) => stream,
-                // A failed accept (e.g. the peer vanished mid-handshake)
-                // affects no one else; keep serving.
-                Err(_) => continue,
+            connections.retain(|(_, thread)| !thread.is_finished());
+            // A failed accept (e.g. the peer vanished mid-handshake) or a
+            // socket that cannot be duplicated affects no one else; keep
+            // serving.
+            let Ok(stream) = stream else { continue };
+            let Ok(socket) = stream.try_clone() else {
+                continue;
             };
             let service = Arc::clone(&self.service);
             let stopping = Arc::clone(&self.stopping);
-            connections.push(std::thread::spawn(move || {
+            let thread = std::thread::spawn(move || {
                 serve_connection(&service, &stopping, addr, stream);
-            }));
+            });
+            connections.push((socket, thread));
         }
-        for handle in connections {
-            let _ = handle.join();
+        for (socket, thread) in connections {
+            // An idle connection sits in `read_frame` for as long as its
+            // client stays connected; end-of-stream on the read half sends
+            // it home. The write half stays open, so a verb in flight still
+            // gets its reply.
+            let _ = socket.shutdown(Shutdown::Read);
+            let _ = thread.join();
         }
         // Dropping the service joins the pool — in-flight sweeps drain.
         Ok(())
@@ -98,8 +111,9 @@ fn serve_connection(
         if write_frame(&mut stream, &text).is_err() {
             return;
         }
-        // A stopping server answers the current verb, then hangs up, so
-        // the accept loop's join doesn't wait on idle connections.
+        // A stopping server answers the current verb, then hangs up rather
+        // than wait for the next one. (A connection with no verb in flight
+        // never gets here; `Server::run` closes its read half instead.)
         if stopping.load(Ordering::Acquire) {
             return;
         }

@@ -277,8 +277,11 @@ impl Service {
 
         // In-flight dedup: the map only ever holds non-terminal requests
         // (finalization removes the entry), so a match means live work we
-        // can share rather than repeat.
-        if let Some(sweep) = inner.dedup.lock().unwrap().get(&dedup_key) {
+        // can share rather than repeat. The lock is held from this lookup
+        // to the insert below, or two identical submits racing would both
+        // miss and both execute.
+        let mut dedup = inner.dedup.lock().unwrap();
+        if let Some(sweep) = dedup.get(&dedup_key) {
             return Ok(Submission {
                 id: sweep.id,
                 status: sweep.response(false).status,
@@ -311,31 +314,33 @@ impl Service {
             done_cond: Condvar::new(),
             dedup_key,
         });
-        if pool_jobs == 0 {
-            // Every job was a cache hit: finalize inline, entirely on the
-            // submit thread — the pool never hears about this request.
-            finalize(inner, &sweep);
-        }
-        let status = sweep.response(false).status;
-
+        // Registered before the dedup entry is visible: a rider's first
+        // `status` must find the id it was handed.
         inner
             .requests
             .lock()
             .unwrap()
             .insert(id, Arc::clone(&sweep));
-        if pool_jobs > 0 {
-            inner
-                .dedup
-                .lock()
-                .unwrap()
-                .insert(sweep.dedup_key.clone(), Arc::clone(&sweep));
+        let status = if pool_jobs == 0 {
+            // Every job was a cache hit: finalize inline, entirely on the
+            // submit thread — the pool never hears about this request, and
+            // it has no in-flight work to share (`finalize` takes the
+            // dedup lock itself).
+            drop(dedup);
+            finalize(inner, &sweep);
+            sweep.response(false).status
+        } else {
+            dedup.insert(sweep.dedup_key.clone(), Arc::clone(&sweep));
+            drop(dedup);
+            let status = sweep.response(false).status;
             for job in window {
                 inner.inject(PoolJob {
                     sweep: Arc::clone(&sweep),
                     job,
                 });
             }
-        }
+            status
+        };
         Ok(Submission {
             id,
             status,

@@ -334,3 +334,65 @@ fn warm_resubmit_over_the_wire_is_fully_cache_served() {
     client.shutdown().expect("shutdown");
     server.join().expect("server thread");
 }
+
+/// A frame nested deeper than any stack: the parser recurses per level, so
+/// before it carried a depth bound this one frame overflowed the connection
+/// thread's stack and aborted the whole server (not a panic — SIGABRT).
+/// It must be an ordinary protocol error, and the server must live on.
+#[test]
+fn a_deeply_nested_frame_gets_a_protocol_error_not_an_abort() {
+    use std::io::Write;
+
+    let (addr, server) = serve(sleepy_registry(), ServiceConfig::new().with_threads(1));
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    let body = "[".repeat(1_000_000);
+    raw.write_all(&(body.len() as u32).to_be_bytes())
+        .and_then(|()| raw.write_all(body.as_bytes()))
+        .expect("send frame");
+    let reply = scenarios::wire::read_frame(&mut raw)
+        .expect("reply frame")
+        .expect("server must answer, not hang up");
+    assert!(
+        reply.starts_with(r#"{"ok":false,"error":{"kind":"protocol","#)
+            && reply.contains("recursion limit exceeded"),
+        "reply must be a protocol error naming the problem: {reply}"
+    );
+
+    let mut client = Client::connect(addr).expect("second client connects");
+    client
+        .ping()
+        .expect("server still answers after the bad frame");
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
+
+/// A client that merely stays connected must not hold shutdown hostage:
+/// its connection thread sits in `read_frame` with no verb in flight, and
+/// `Server::run` used to join it before returning — i.e. never.
+#[test]
+fn shutdown_does_not_wait_for_idle_connections() {
+    let service = Service::start(sleepy_registry(), ServiceConfig::new().with_threads(1))
+        .expect("service starts");
+    let server = Server::bind(service, "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let result = server.run();
+        let _ = done_tx.send(());
+        result.expect("server run");
+    });
+
+    let mut idle = Client::connect(addr).expect("connect");
+    idle.ping().expect("ping");
+    let mut other = Client::connect(addr).expect("connect");
+    other.shutdown().expect("shutdown");
+
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("Server::run must return while an idle client is still connected");
+    server.join().expect("server thread");
+    assert!(
+        idle.ping().is_err(),
+        "the idle connection was hung up on, so its next verb fails"
+    );
+}

@@ -133,10 +133,10 @@ proptest! {
     }
 }
 
-/// A scenario that leans on everything the calendar-queue engine promises
+/// A scenario that leans on everything the event engine promises
 /// the runner: `Simulation: Send` (jobs run inside worker threads), exact
 /// `events_pending` under cancellation, `run_until` deadline semantics, and
-/// far-future (overflow-rung) timers that are renewed — i.e. cancelled and
+/// far-future timers that are renewed — i.e. cancelled and
 /// rescheduled — on every tick.
 #[test]
 fn sweep_with_cancellation_heavy_scenario_is_deterministic() {

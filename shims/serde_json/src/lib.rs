@@ -15,7 +15,10 @@
 //! them (`U64`, then `I64`, then `F64`), matching what the renderer
 //! emits. Rust's float parsing is correctly rounded, and the renderer
 //! prints shortest-round-trip decimals, so a finite `f64` survives a
-//! render→parse round trip bit-exactly.
+//! render→parse round trip bit-exactly. Containers may nest 128
+//! deep — real `serde_json`'s default — because the parser recurses per
+//! level and its input arrives off a socket: deeper input is an error, not a
+//! stack overflow.
 
 pub use serde::Value;
 use std::fmt;
@@ -138,12 +141,16 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
     Ok(out)
 }
 
+/// How deep arrays and objects may nest before [`from_str`] refuses.
+const MAX_DEPTH: usize = 128;
+
 /// Parse JSON text into a [`Value`] tree. Strict: the whole input must be
 /// one JSON value (plus surrounding whitespace).
 pub fn from_str(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -160,6 +167,8 @@ pub fn from_str(text: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -206,8 +215,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(Error::parse(format!(
                 "unexpected `{}` at byte {}",
@@ -215,6 +224,21 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error::parse("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object a level deeper, refusing past [`MAX_DEPTH`]:
+    /// `value → seq/map → value` recurses on the thread's stack.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::parse(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn seq(&mut self) -> Result<Value, Error> {
@@ -510,6 +534,32 @@ mod tests {
         ] {
             assert!(from_str(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth_instead_of_overflowing_the_stack() {
+        // 1 MB of openers: an error, where unbounded recursion aborted the
+        // process (stack overflow is not a panic).
+        for opener in ["[", "{\"a\":"] {
+            let err = from_str(&opener.repeat(1_000_000 / opener.len())).unwrap_err();
+            let at = MAX_DEPTH * opener.len();
+            assert_eq!(
+                err.to_string(),
+                format!("json serialization error: recursion limit exceeded at byte {at}")
+            );
+        }
+        // Exactly MAX_DEPTH levels still parse; one more does not.
+        let nest = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        let mut v = &from_str(&nest(MAX_DEPTH)).unwrap();
+        let mut levels = 0;
+        while let Value::Seq(items) = v {
+            v = &items[0];
+            levels += 1;
+        }
+        assert_eq!((levels, v), (MAX_DEPTH, &Value::U64(1)));
+        assert!(from_str(&nest(MAX_DEPTH + 1)).is_err());
+        let maps = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(from_str(&maps).is_ok());
     }
 
     #[test]
