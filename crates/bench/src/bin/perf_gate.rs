@@ -25,10 +25,35 @@
 //! same table CI logs on every run) without touching the baseline file, so
 //! a refresh can be reviewed before it is committed.
 
-use scenarios::cost::{parse_flat_numbers, render_flat_numbers};
 use serde_json::Value;
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// Render `"key": number` pairs as one flat, pretty-printed JSON object (the
+/// shape of bench result files and `ci/perf_baseline.json`).
+fn render_flat_numbers<'a>(entries: impl Iterator<Item = (&'a str, Value)>) -> String {
+    let map = Value::Map(entries.map(|(k, v)| (k.to_string(), v)).collect());
+    let mut json = serde_json::to_string_pretty(&map).expect("value-tree rendering is infallible");
+    json.push('\n');
+    json
+}
+
+/// Parse a flat JSON object of `"key": number` pairs, in file order. Any
+/// other structure is an error; an empty object is valid.
+fn parse_flat_numbers(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let Value::Map(entries) = serde_json::from_str(text).map_err(|e| e.to_string())? else {
+        return Err("expected a JSON object".to_string());
+    };
+    entries
+        .into_iter()
+        .map(|(key, value)| match value {
+            Value::U64(n) => Ok((key, n as f64)),
+            Value::I64(n) => Ok((key, n as f64)),
+            Value::F64(x) => Ok((key, x)),
+            other => Err(format!("value of `{key}` is not a number: {other:?}")),
+        })
+        .collect()
+}
 
 /// Read a flat JSON object of `"key": number` pairs. The bench writes this
 /// shape itself; anything else is a usage error worth failing loudly on.
@@ -246,5 +271,33 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hostile_keys_round_trip() {
+        // Bench and metric names are free text, so a key can hold every
+        // character a hand-rolled splitter would trip over.
+        let hostile = "fig09|reps=a\"b,c}:\\ d\nnext";
+        let entries = [(hostile, 0.125), ("plain|default", 3.0)];
+        let json = render_flat_numbers(entries.iter().map(|&(k, v)| (k, Value::F64(v))));
+        let back = parse_flat_numbers(&json).expect("valid JSON");
+        assert_eq!(back, entries.map(|(k, v)| (k.to_string(), v)));
+    }
+
+    #[test]
+    fn parse_rejects_garbage_and_accepts_empty() {
+        assert!(parse_flat_numbers("not json").is_err());
+        assert!(parse_flat_numbers("{\"k\": abc}").is_err());
+        assert!(parse_flat_numbers("[1, 2]").is_err(), "not an object");
+        assert!(
+            parse_flat_numbers("{\"k\": \"1\"}").is_err(),
+            "not a number"
+        );
+        assert_eq!(parse_flat_numbers("{}\n"), Ok(Vec::new()));
     }
 }

@@ -5,12 +5,10 @@
 //! scenarios list
 //! scenarios report <name> | --all
 //! scenarios run <name> | --all [--seeds N] [--threads K] [--json PATH]
-//!                              [--order cost|input] [--cost-table PATH]
-//!                              [--costs-out PATH]
+//!                              [--order cost|input]
 //!                              [--cache-dir PATH] [--no-cache] [--cache-stats]
 //!                              [--param k=v]... [--grid k=v1,v2,...]...
 //! scenarios serve [--addr HOST:PORT] [--threads K] [--cache-dir PATH]
-//!                 [--cost-table PATH]
 //! scenarios submit <name>... [--addr HOST:PORT] [run flags] [--wait]
 //! scenarios status [--addr HOST:PORT] [<id>]
 //! scenarios cancel [--addr HOST:PORT] <id>
@@ -37,8 +35,8 @@ use scenarios::report::fmt;
 use scenarios::service::{Service, ServiceConfig};
 use scenarios::wire::Client;
 use scenarios::{
-    CacheStats, CostTable, Error, JobOrder, ParamValue, Registry, Server, SweepRequest,
-    SweepResponse, SweepResult, SweepStatus,
+    CacheStats, Error, JobOrder, ParamValue, Registry, Server, SweepRequest, SweepResponse,
+    SweepResult, SweepStatus,
 };
 use serde::Serialize;
 use std::path::PathBuf;
@@ -49,12 +47,10 @@ const USAGE: &str = "usage:
   scenarios list
   scenarios report <name> | --all
   scenarios run <name> | --all [--seeds N] [--threads K] [--json PATH]
-                               [--order cost|input] [--cost-table PATH]
-                               [--costs-out PATH]
+                               [--order cost|input]
                                [--cache-dir PATH] [--no-cache] [--cache-stats]
                                [--param k=v]... [--grid k=v1,v2,...]...
   scenarios serve [--addr HOST:PORT] [--threads K] [--cache-dir PATH]
-                  [--cost-table PATH]
   scenarios submit <name>... [--addr HOST:PORT] [--seeds N] [--json PATH]
                              [--order cost|input] [--param k=v]...
                              [--grid k=v1,v2,...]... [--wait]
@@ -101,8 +97,6 @@ struct SweepInvocation {
     request: SweepRequest,
     threads: usize,
     json: Option<PathBuf>,
-    cost_table: Option<PathBuf>,
-    costs_out: Option<PathBuf>,
     cache_dir: Option<PathBuf>,
     no_cache: bool,
     cache_stats: bool,
@@ -138,8 +132,6 @@ fn parse_sweep(args: &[String]) -> Result<SweepInvocation, String> {
         request: SweepRequest::new(),
         threads: ServiceConfig::new().threads,
         json: None,
-        cost_table: None,
-        costs_out: None,
         cache_dir: None,
         no_cache: false,
         cache_stats: false,
@@ -173,8 +165,6 @@ fn parse_sweep(args: &[String]) -> Result<SweepInvocation, String> {
                     .clone()
                     .with_order(JobOrder::parse(&value_of("--order")?)?);
             }
-            "--cost-table" => inv.cost_table = Some(PathBuf::from(value_of("--cost-table")?)),
-            "--costs-out" => inv.costs_out = Some(PathBuf::from(value_of("--costs-out")?)),
             "--cache-dir" => inv.cache_dir = Some(PathBuf::from(value_of("--cache-dir")?)),
             "--no-cache" => inv.no_cache = true,
             "--cache-stats" => inv.cache_stats = true,
@@ -251,15 +241,6 @@ fn local_service(registry: Registry, inv: &SweepInvocation) -> Result<Service, C
     if let (Some(dir), false) = (&inv.cache_dir, inv.no_cache) {
         config = config.with_cache_dir(dir);
     }
-    if let Some(path) = &inv.cost_table {
-        let table = CostTable::load(path)?;
-        println!(
-            "[scenarios] cost table {} ({} point shapes) orders the pool",
-            path.display(),
-            table.len()
-        );
-        config = config.with_cost_table(table);
-    }
     let service = Service::start(registry, config)?;
     if let (Some(dir), Some(stats)) = (&inv.cache_dir, service.cache_stats()) {
         println!(
@@ -291,7 +272,7 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
         );
     }
     println!(
-        "[scenarios] running {} jobs on {} work-stealing threads ({} order)",
+        "[scenarios] running {} jobs on {} threads ({} order)",
         validated.total_jobs,
         service.thread_count(),
         match validated.order {
@@ -309,11 +290,6 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
     let results = service.results(submission.id)?;
     for result in &results {
         print_sweep(result);
-    }
-
-    if let Some(path) = &inv.costs_out {
-        service.observed_costs().save(path)?;
-        println!("[costs] {}", path.display());
     }
 
     let artifact = response

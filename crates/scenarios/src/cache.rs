@@ -16,7 +16,7 @@
 //!   [`Metrics::bits_eq`]-identical to the live value — decimal formatting
 //!   never touches the stored floats.
 //! * The sweep engine ([`crate::runner`]) consults the cache while it
-//!   plans (hits bypass the work-stealing pool entirely and record no cost
+//!   plans (hits bypass the worker pool entirely and record no cost
 //!   observations) and its workers append misses to the sweep's one
 //!   segment — the hot path never takes the store's lock. On sweep
 //!   completion the segment is fsync'd and merged into the index.

@@ -1,30 +1,26 @@
 //! Per-job wall-clock cost estimation for deadline-aware job ordering.
 //!
-//! The sweep runner schedules longest-expected-first (LPT): with a work
-//! pool, makespan is minimised by starting the long jobs early so the short
-//! ones pack around them. "Expected" comes from a [`CostTable`] — mean
-//! measured wall-clock per `(scenario, point shape)` — persisted as a flat
-//! JSON object so CI's timed-sweep artifacts can feed the next run's
-//! ordering (`ci/sweep_costs.json` is the committed seed of that loop).
+//! The sweep engine schedules longest-expected-first (LPT): makespan is
+//! minimised by starting the long jobs early so the short ones pack around
+//! them. "Expected" comes from a [`CostTable`] — mean measured wall-clock
+//! per `(scenario, point shape)`, accumulated by the process's own jobs and
+//! gone when it exits.
 //!
 //! Cost estimates influence only the *order* jobs start in, never their
 //! results: the emitted artifact is bit-identical whatever the table says.
-//! For shapes the table has never seen (cold start) a crude size heuristic
-//! over the numeric parameters breaks ties instead.
+//! For shapes the table has never seen (a process's first sweep) a crude
+//! size heuristic over the numeric parameters orders them instead.
 
-use crate::error::Error;
 use crate::params::{ParamValue, Params};
-use serde_json::Value;
 use std::collections::BTreeMap;
-use std::path::Path;
 
 /// Mean observed wall-clock per `(scenario, point-shape)` key.
 ///
 /// Keys are `scenario|point-label` (see [`CostTable::key`]); the label folds
 /// in every parameter, so two points of one scenario with different grid
-/// values are distinct shapes. Entries accumulate (sum, count) in memory and
-/// persist as the mean, which is all ordering needs.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// values are distinct shapes. Entries accumulate (sum, count); ordering
+/// reads the mean.
+#[derive(Debug, Clone, Default)]
 pub struct CostTable {
     entries: BTreeMap<String, (f64, u64)>,
 }
@@ -41,10 +37,6 @@ impl CostTable {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// Record one measured job duration.
@@ -68,86 +60,6 @@ impl CostTable {
         self.mean_secs(&CostTable::key(scenario, params))
             .unwrap_or_else(|| size_heuristic(params))
     }
-
-    /// Iterate `(key, mean_secs)` in deterministic (sorted) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.entries
-            .iter()
-            .map(|(k, (sum, n))| (k.as_str(), sum / *n as f64))
-    }
-
-    /// Serialise as a flat `"key": mean_secs` JSON object, keys sorted —
-    /// the same shape `ci/perf_baseline.json` uses.
-    pub fn to_json(&self) -> String {
-        render_flat_numbers(self.iter().map(|(key, mean)| (key, Value::F64(mean))))
-    }
-
-    /// Parse the flat JSON object [`CostTable::to_json`] writes. Unknown or
-    /// malformed structure is an error; an empty object is a valid table.
-    pub fn parse_json(text: &str) -> Result<CostTable, Error> {
-        CostTable::parse_json_at(text, Path::new("<inline>"))
-    }
-
-    fn parse_json_at(text: &str, path: &Path) -> Result<CostTable, Error> {
-        let entries = parse_flat_numbers(text).map_err(|message| Error::CostTable {
-            path: path.to_path_buf(),
-            message,
-        })?;
-        let mut table = CostTable::new();
-        for (key, secs) in entries {
-            table.record(&key, secs);
-        }
-        Ok(table)
-    }
-
-    /// Load a persisted table from `path`.
-    pub fn load(path: &Path) -> Result<CostTable, Error> {
-        let text = std::fs::read_to_string(path).map_err(|e| Error::CostTable {
-            path: path.to_path_buf(),
-            message: format!("reading: {e}"),
-        })?;
-        CostTable::parse_json_at(&text, path)
-    }
-
-    /// Write the table to `path`, creating parent directories.
-    pub fn save(&self, path: &Path) -> Result<(), Error> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| Error::CostTable {
-                path: path.to_path_buf(),
-                message: format!("creating {}: {e}", dir.display()),
-            })?;
-        }
-        std::fs::write(path, self.to_json()).map_err(|e| Error::CostTable {
-            path: path.to_path_buf(),
-            message: format!("writing: {e}"),
-        })
-    }
-}
-
-/// Render `"key": number` pairs as one flat, pretty-printed JSON object (the
-/// shape of cost tables, bench result files and `ci/perf_baseline.json`).
-pub fn render_flat_numbers<'a>(entries: impl Iterator<Item = (&'a str, Value)>) -> String {
-    let map = Value::Map(entries.map(|(k, v)| (k.to_string(), v)).collect());
-    let mut json = serde_json::to_string_pretty(&map).expect("value-tree rendering is infallible");
-    json.push('\n');
-    json
-}
-
-/// Parse a flat JSON object of `"key": number` pairs, in file order. Any
-/// other structure is an error; an empty object is valid.
-pub fn parse_flat_numbers(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let Value::Map(entries) = serde_json::from_str(text).map_err(|e| e.to_string())? else {
-        return Err("expected a JSON object".to_string());
-    };
-    entries
-        .into_iter()
-        .map(|(key, value)| match value {
-            Value::U64(n) => Ok((key, n as f64)),
-            Value::I64(n) => Ok((key, n as f64)),
-            Value::F64(x) => Ok((key, x)),
-            other => Err(format!("value of `{key}` is not a number: {other:?}")),
-        })
-        .collect()
 }
 
 /// Cold-start stand-in for a measured cost: a monotone function of the
@@ -203,44 +115,6 @@ mod tests {
             .with("flag", true)
             .with("bad", f64::NAN);
         assert_eq!(size_heuristic(&p), base);
-    }
-
-    #[test]
-    fn json_round_trips_and_sorts_keys() {
-        let mut t = CostTable::new();
-        t.record("z|default", 1.5);
-        t.record("a|k=2", 0.25);
-        let json = t.to_json();
-        assert!(json.find("a|k=2").unwrap() < json.find("z|default").unwrap());
-        let back = CostTable::parse_json(&json).expect("parses");
-        assert_eq!(back.mean_secs("z|default"), Some(1.5));
-        assert_eq!(back.mean_secs("a|k=2"), Some(0.25));
-    }
-
-    #[test]
-    fn hostile_labels_round_trip() {
-        // `--param` values are free text, so a key can hold every character
-        // a hand-rolled splitter would trip over.
-        let key = "fig09|reps=a\"b,c}:\\ d\nnext";
-        let mut t = CostTable::new();
-        t.record(key, 0.125);
-        t.record("plain|default", 3.0);
-        let back = CostTable::parse_json(&t.to_json()).expect("valid JSON");
-        assert_eq!(back, t);
-        assert_eq!(back.mean_secs(key), Some(0.125));
-    }
-
-    #[test]
-    fn parse_rejects_garbage_and_accepts_empty() {
-        assert!(CostTable::parse_json("not json").is_err());
-        assert!(CostTable::parse_json("{\"k\": abc}").is_err());
-        assert!(CostTable::parse_json("[1, 2]").is_err(), "not an object");
-        assert!(
-            CostTable::parse_json("{\"k\": \"1\"}").is_err(),
-            "not a number"
-        );
-        let empty = CostTable::parse_json("{}\n").expect("empty object");
-        assert!(empty.is_empty());
     }
 
     #[test]

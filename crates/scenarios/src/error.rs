@@ -1,10 +1,9 @@
 //! The crate's single error surface.
 //!
 //! Every fallible public operation in `scenarios` — request validation,
-//! sweep execution, the persistent result cache, cost-table I/O, the
-//! what-if service and its wire protocol — reports through [`Error`], so
-//! server responses and CLI exit messages render the same failure the same
-//! way. The enum is `#[non_exhaustive]`: new subsystems add variants
+//! sweep execution, the persistent result cache, the what-if service and
+//! its wire protocol — reports through [`Error`], so server responses and
+//! CLI exit messages render the same failure the same way. The enum is `#[non_exhaustive]`: new subsystems add variants
 //! without breaking downstream matches.
 //!
 //! Validation variants name the offending field and list the known-good
@@ -45,8 +44,6 @@ pub enum Error {
     },
     /// Persistent result-cache I/O or format trouble.
     Cache { path: PathBuf, message: String },
-    /// Cost-table load/save/parse trouble.
-    CostTable { path: PathBuf, message: String },
     /// Wire-protocol framing or JSON trouble.
     Protocol { message: String },
     /// Plain I/O (artifact writes, sockets), with the operation named.
@@ -130,9 +127,6 @@ impl fmt::Display for Error {
             }
             Error::Cache { path, message } => {
                 write!(f, "sweep cache ({}): {message}", path.display())
-            }
-            Error::CostTable { path, message } => {
-                write!(f, "cost table ({}): {message}", path.display())
             }
             Error::Protocol { message } => write!(f, "wire protocol: {message}"),
             Error::Io { context, source } => write!(f, "{context}: {source}"),

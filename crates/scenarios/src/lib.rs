@@ -23,6 +23,8 @@
 //! assert_eq!(result.points[0].per_seed.len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod cost;
 pub mod error;

@@ -3,36 +3,41 @@
 //! A sweep is the cartesian product of one or more scenarios' grid points
 //! and a seed list. However it is entered — [`SweepRunner`] here, or the
 //! long-running [`crate::service::Service`] behind the CLI and the TCP
-//! server — it goes through the same four steps, each implemented once:
+//! server — it goes through the same three steps, each implemented once:
 //!
 //! * **plan** (`Engine::plan`): expand `(task, point, seed)` jobs with
 //!   consecutive result slots; pre-scan the [`ResultCache`], writing hits
-//!   straight into their slots so they never reach a pool, a cost estimate
-//!   or the observed-cost table; order the misses longest-expected-first
-//!   (LPT: measured wall-clocks first, then the prior [`CostTable`], then a
-//!   size heuristic) or leave them in input order.
-//! * **find-task** (`find_task`): the canonical Chase–Lev loop — local
-//!   deque, then a batch from the shared injector, then a sibling steal —
-//!   so one long job never pins a worker while short jobs queue behind it.
-//! * **execute** (`Engine::execute`): one fresh [`Simulation`] per job,
-//!   the panic caught and kept with its `(scenario, point, seed)` identity,
-//!   the wall-clock recorded, the result appended to the sweep's one
-//!   write-ahead segment and written to its slot.
+//!   straight into their slots so they never reach a worker, a cost
+//!   estimate or the observed-cost table; order the misses
+//!   longest-expected-first (LPT: wall-clocks this process has measured,
+//!   else a size heuristic) or leave them in input order.
+//! * **run** (`Engine::run_job`): one fresh [`Simulation`] per job, the
+//!   panic caught and kept with its `(scenario, point, seed)` identity, the
+//!   wall-clock recorded — all with no lock held — then one trip through
+//!   the sweep's lock to append the result to the sweep's write-ahead
+//!   segment, store its slot, pop the next pending job and count down.
 //! * **finalize** (`Engine::finalize`): failures, sorted, become a
 //!   [`SweepError`]; otherwise the segment commits into the cache index and
 //!   the slots fold into per-scenario results in task, point, seed order.
 //!
+//! Everything a running sweep mutates is one [`Progress`] value behind the
+//! sweep's one mutex. Whoever takes the count of outstanding jobs to zero
+//! moves it out of the lock and owns it: finalization is exactly-once by
+//! ownership, and a failed or cancelled sweep releases its segment, slots
+//! and pending jobs when that owner drops it.
+//!
 //! Scheduling never touches results: every job's metrics are a pure
 //! function of `(params, seed)` and land in the slot the plan gave them, so
-//! the artifact is bit-identical whatever the thread count, job order,
-//! steal interleaving or cache state — only the wall-clock changes.
+//! the artifact is bit-identical whatever the thread count, job order or
+//! cache state — only the wall-clock changes.
 //!
-//! The entry points differ only in who runs the loop. The service keeps
-//! parked workers, a per-request window and a status plane across requests;
-//! [`SweepRunner::try_run_suite`] borrows its `&dyn Scenario`s from the
-//! caller, so it cannot hand them to threads that outlive the call: it
-//! plans one sweep, drains it on the calling thread (`threads <= 1`) or on
-//! scoped workers, and finalizes it before returning.
+//! The entry points differ only in who runs the jobs. A sweep keeps at most
+//! a *window* of its jobs out at once, and each finished job hands back the
+//! one that takes its place. The service passes those through its shared
+//! queue to persistent workers; [`SweepRunner::try_run_suite`] borrows its
+//! `&dyn Scenario`s from the caller, so it cannot hand them to threads that
+//! outlive the call: its window is its scoped workers, each running the job
+//! its last one handed back (`threads <= 1`: the calling thread alone).
 
 use crate::cache::{self, CacheKey, CacheStats, CacheWriter, ResultCache};
 use crate::cost::CostTable;
@@ -40,10 +45,9 @@ use crate::error::Error;
 use crate::metrics::{summarize, MetricSummary, Metrics};
 use crate::params::{Params, SweepGrid};
 use crate::Scenario;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use des::Simulation;
 use serde::Serialize;
-use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -85,7 +89,7 @@ impl SweepSuite {
     }
 }
 
-/// How the engine orders a sweep's jobs before any pool sees them.
+/// How the engine orders a sweep's jobs before any worker sees them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JobOrder {
     /// Longest-expected-first by [`CostTable`] estimate (LPT scheduling);
@@ -142,48 +146,6 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Slot-indexed, write-once result storage shared by a sweep's workers.
-///
-/// Each job owns exactly one slot, and the deques hand each job to exactly
-/// one worker, so writes are disjoint by construction. That invariant is
-/// what lets results land without a mutex per slot — and what keeps the
-/// output independent of who executed what.
-pub(crate) struct SlotBuffer<T> {
-    slots: Vec<UnsafeCell<Option<T>>>,
-}
-
-// SAFETY: the only shared-reference accesses are `put` and `take_vec`,
-// whose contracts make every access to a slot exclusive; moving a `T` to
-// the thread that drains it needs `T: Send`.
-unsafe impl<T: Send> Sync for SlotBuffer<T> {}
-
-impl<T> SlotBuffer<T> {
-    pub(crate) fn new(n: usize) -> SlotBuffer<T> {
-        SlotBuffer {
-            slots: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-        }
-    }
-
-    /// # Safety
-    /// At most one thread may ever call this per index, and all calls must
-    /// happen-before [`SlotBuffer::take_vec`] (a thread join, or an acquire
-    /// of a release made after the write).
-    pub(crate) unsafe fn put(&self, index: usize, value: T) {
-        *self.slots[index].get() = Some(value);
-    }
-
-    /// Drain every slot through a shared reference (a sweep inside the
-    /// service's `Arc` can't be consumed by value).
-    ///
-    /// # Safety
-    /// Exactly one thread may call this, exactly once, and every
-    /// [`SlotBuffer::put`] must happen-before it.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn take_vec(&self) -> Vec<Option<T>> {
-        self.slots.iter().map(|c| (*c.get()).take()).collect()
-    }
-}
-
 /// One `(task, point, seed)` unit of work; `slot` is its global result index.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Job {
@@ -193,55 +155,157 @@ pub(crate) struct Job {
     seed_idx: usize,
 }
 
-/// One planned sweep: the state [`Engine::plan`], [`Engine::execute`] and
-/// [`Engine::finalize`] share, whichever entry point drives them.
+/// One planned sweep: the plan, which never changes, and the lock every
+/// mutation of the running sweep goes through.
 pub(crate) struct Sweep {
     pub(crate) names: Vec<&'static str>,
     points: Vec<Vec<Params>>,
     pub(crate) seeds: Vec<u64>,
-    /// Write-once result slots (task-major, point-major, seed-minor).
-    slots: SlotBuffer<Metrics>,
     /// Per-slot cache keys — `Some` exactly for the slots that missed.
     keys: Vec<Option<CacheKey>>,
-    failures: Mutex<Vec<JobFailure>>,
-    /// The sweep's append-only WAL segment — a sweep is one commit unit,
-    /// so every worker appends to the same file. `None` without a cache,
-    /// or when every job hit.
-    writer: Mutex<Option<CacheWriter>>,
+    /// `Some` from [`Sweep::start`] until the last outstanding job (or the
+    /// cancel that dropped it) moves the value out.
+    progress: Mutex<Option<Progress>>,
+}
+
+/// Everything a running sweep mutates, owned by one thread at a time:
+/// [`Engine::plan`] builds it, [`Sweep::start`] parks it behind the sweep's
+/// lock while jobs are outstanding, and whoever completes the last one gets
+/// it back to finalize — or to drop, which closes the segment uncommitted.
+pub(crate) struct Progress {
+    /// Result slots (task-major, point-major, seed-minor).
+    slots: Vec<Option<Metrics>>,
+    failures: Vec<JobFailure>,
+    /// The sweep's append-only WAL segment — a sweep is one commit unit, so
+    /// every job appends to the same file. `None` without a cache, or when
+    /// every job hit.
+    writer: Option<CacheWriter>,
+    /// Jobs beyond the window, in start order.
+    pending: VecDeque<Job>,
+    /// Jobs pending or handed out, not yet completed or skipped.
+    outstanding: usize,
+    /// Jobs that have begun executing (drives queued → running).
+    started: usize,
+    cancelled: bool,
+}
+
+impl Progress {
+    pub(crate) fn outstanding(&self) -> usize {
+        self.outstanding
+    }
+
+    pub(crate) fn cancelled(&self) -> bool {
+        self.cancelled
+    }
+}
+
+/// What one finished (or skipped) job's trip through the sweep lock yields.
+pub(crate) enum Step {
+    /// More of the sweep is outstanding; `Some` is the pending job that
+    /// takes the finished one's place in the window.
+    Continue(Option<Job>),
+    /// That was the last outstanding job: the caller now owns the sweep's
+    /// progress, and finalizes or drops it.
+    Last(Progress),
+}
+
+impl Sweep {
+    /// Park `progress` behind the lock and hand back the first `window`
+    /// jobs; every job [`Engine::run_job`] completes then yields the next.
+    pub(crate) fn start(&self, mut progress: Progress, window: usize) -> Vec<Job> {
+        let first = window.min(progress.pending.len());
+        let jobs = progress.pending.drain(..first).collect();
+        *self.progress.lock().unwrap() = Some(progress);
+        jobs
+    }
+
+    /// `(started, outstanding)` job counts, while the sweep is running.
+    pub(crate) fn counts(&self) -> Option<(usize, usize)> {
+        let progress = self.progress.lock().unwrap();
+        progress.as_ref().map(|p| (p.started, p.outstanding))
+    }
+
+    /// Drop the jobs still pending and have workers skip the ones already
+    /// handed out. Yields the progress if nothing was handed out, so that
+    /// no job is left to do it.
+    pub(crate) fn cancel(&self) -> Option<Progress> {
+        let mut guard = self.progress.lock().unwrap();
+        let progress = guard.as_mut()?;
+        progress.cancelled = true;
+        progress.outstanding -= progress.pending.len();
+        progress.pending.clear();
+        if progress.outstanding == 0 {
+            guard.take()
+        } else {
+            None
+        }
+    }
+
+    /// Count one handed-out job as started — unless the sweep was cancelled
+    /// meanwhile, in which case the job is to be skipped.
+    fn begin(&self) -> bool {
+        let mut guard = self.progress.lock().unwrap();
+        let progress = guard.as_mut().expect("a job outlived its sweep");
+        if !progress.cancelled {
+            progress.started += 1;
+        }
+        !progress.cancelled
+    }
+
+    /// One job's single trip through the lock: `record` its outcome, pop
+    /// the job that replaces it, count down, and move the progress out if
+    /// that was the last one.
+    fn settle(&self, record: impl FnOnce(&mut Progress)) -> Step {
+        let mut guard = self.progress.lock().unwrap();
+        let progress = guard.as_mut().expect("a job outlived its sweep");
+        record(progress);
+        let next = progress.pending.pop_front();
+        progress.outstanding -= 1;
+        if progress.outstanding == 0 {
+            Step::Last(guard.take().expect("checked above"))
+        } else {
+            Step::Continue(next)
+        }
+    }
 }
 
 /// What the sweeps of one entry point share — the result cache and the
-/// cost tables — and, as its methods, the plan, execute and finalize steps.
+/// observed costs — and, as its methods, the plan, run and finalize steps.
 #[derive(Debug)]
 pub(crate) struct Engine {
     /// Memoized `(scenario, params, seed) → Metrics` store.
     pub(crate) cache: Option<Mutex<ResultCache>>,
-    /// Configured prior costs, the cold-start estimate (typically loaded
-    /// from CI's persisted timing artifact). Never mutated by a sweep.
-    pub(crate) priors: CostTable,
-    /// Wall-clocks measured by this engine's own jobs; preferred over the
-    /// priors, so ordering gets smarter the longer it runs. Cache hits
-    /// never contribute: a hit costs microseconds, and folding it in would
-    /// drag the estimate for that point shape toward zero.
+    /// Wall-clocks measured by this engine's own jobs, so ordering gets
+    /// smarter the longer the process runs. Cache hits never contribute: a
+    /// hit costs microseconds, and folding it in would drag the estimate
+    /// for that point shape toward zero.
     pub(crate) observed: Mutex<CostTable>,
 }
 
 impl Engine {
+    pub(crate) fn new(cache: Option<ResultCache>) -> Engine {
+        Engine {
+            cache: cache.map(Mutex::new),
+            observed: Mutex::new(CostTable::new()),
+        }
+    }
+
     /// Hit/miss/size counters of the attached cache, if any.
     pub(crate) fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.lock().unwrap().stats())
     }
 
-    /// Plan one sweep over `tasks × seeds`: returns it with the jobs that
-    /// still have to run, in the order they should start. Jobs get
-    /// consecutive slots in task-major, point-major, seed-minor order — the
-    /// layout that makes every entry point's artifact interchangeable.
+    /// Plan one sweep over `tasks × seeds`: returns it with its initial
+    /// progress — hits already in their slots, the jobs that still have to
+    /// run pending in the order they should start. Jobs get consecutive
+    /// slots in task-major, point-major, seed-minor order — the layout that
+    /// makes every entry point's artifact interchangeable.
     pub(crate) fn plan(
         &self,
         tasks: &[(&dyn Scenario, SweepGrid)],
         seeds: &[u64],
         order: JobOrder,
-    ) -> Result<(Sweep, Vec<Job>), Error> {
+    ) -> Result<(Sweep, Progress), Error> {
         let names: Vec<&'static str> = tasks.iter().map(|(s, _)| s.name()).collect();
         let points: Vec<Vec<Params>> = tasks
             .iter()
@@ -261,7 +325,7 @@ impl Engine {
                 }
             }
         }
-        let slots = SlotBuffer::new(jobs.len());
+        let mut slots: Vec<Option<Metrics>> = vec![None; jobs.len()];
         let mut keys: Vec<Option<CacheKey>> = vec![None; jobs.len()];
 
         // Memoization pre-scan: only genuine misses stay in `jobs`.
@@ -274,11 +338,7 @@ impl Engine {
                 let key = cache::job_key(cache.salt(), names[job.task], params, seed);
                 match cache.lookup(&key) {
                     Some(metrics) => {
-                        // SAFETY: the pre-scan runs on this thread before
-                        // the sweep is visible to any worker, visits each
-                        // slot at most once, and hit slots never become
-                        // pool jobs.
-                        unsafe { slots.put(job.slot, metrics) };
+                        slots[job.slot] = Some(metrics);
                         false
                     }
                     None => {
@@ -299,15 +359,10 @@ impl Engine {
         // sweep has nothing left to order and skips the estimates.
         if order == JobOrder::Cost && jobs.len() > 1 {
             let observed = self.observed.lock().unwrap();
-            let estimate = |name: &str, p: &Params| {
-                observed
-                    .mean_secs(&CostTable::key(name, p))
-                    .unwrap_or_else(|| self.priors.estimate(name, p))
-            };
             let estimates: Vec<Vec<f64>> = names
                 .iter()
                 .zip(&points)
-                .map(|(name, pts)| pts.iter().map(|p| estimate(name, p)).collect())
+                .map(|(name, pts)| pts.iter().map(|p| observed.estimate(name, p)).collect())
                 .collect();
             jobs.sort_by(|a, b| {
                 estimates[b.task][b.point]
@@ -320,123 +375,101 @@ impl Engine {
             names,
             points,
             seeds: seeds.to_vec(),
-            slots,
             keys,
-            failures: Mutex::new(Vec::new()),
-            writer: Mutex::new(writer),
+            progress: Mutex::new(None),
         };
-        Ok((sweep, jobs))
+        let progress = Progress {
+            slots,
+            failures: Vec::new(),
+            writer,
+            outstanding: jobs.len(),
+            pending: jobs.into(),
+            started: 0,
+            cancelled: false,
+        };
+        Ok((sweep, progress))
     }
 
-    /// Run one job: simulate it, record its wall-clock, persist it, and
-    /// write its slot — or record a [`JobFailure`] if the scenario panics
-    /// or the cache write fails (a warm CI run silently degrading to 0%
-    /// hits must not pass).
-    ///
-    /// # Safety
-    /// `job` must come from the [`Engine::plan`] call that built `sweep`,
-    /// with `scenario` the task it indexes, and be executed at most once;
-    /// every call must happen-before [`Engine::finalize`].
-    pub(crate) unsafe fn execute(&self, sweep: &Sweep, scenario: &dyn Scenario, job: Job) {
+    /// Run one job of a started sweep — simulate it and record its
+    /// wall-clock with no lock held, then persist it and store its slot
+    /// under the sweep lock — or record a [`JobFailure`] if the scenario
+    /// panics or the cache write fails (a warm CI run silently degrading to
+    /// 0% hits must not pass). A cancelled sweep's jobs are skipped.
+    pub(crate) fn run_job(&self, sweep: &Sweep, scenario: &dyn Scenario, job: Job) -> Step {
+        if !sweep.begin() {
+            return sweep.settle(|_| {});
+        }
         let params = &sweep.points[job.task][job.point];
         let seed = sweep.seeds[job.seed_idx];
         let started = Instant::now();
         // A panicking scenario must not poison shared state or lose its
-        // identity: catch it here. AssertUnwindSafe is sound because a
-        // failed sweep discards all results (no broken invariant is read).
+        // identity: catch it here, where no lock is held. AssertUnwindSafe
+        // is sound because a failed sweep discards all results (no broken
+        // invariant is read).
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut sim = Simulation::new(seed);
             scenario.run(&mut sim, params)
-        }));
-        let failure = match outcome {
-            Ok(metrics) => {
-                let elapsed = started.elapsed().as_secs_f64();
-                self.observed
-                    .lock()
-                    .unwrap()
-                    .record(&CostTable::key(scenario.name(), params), elapsed);
-                let appended = match &*sweep.writer.lock().unwrap() {
-                    Some(writer) => {
-                        let key = sweep.keys[job.slot].expect("every pool job missed the cache");
-                        writer.append(&key, scenario.name(), elapsed, &metrics)
-                    }
-                    None => Ok(()),
-                };
-                // SAFETY: the caller runs each job at most once, so this is
-                // the slot's only write, and orders it before `finalize`.
-                unsafe { sweep.slots.put(job.slot, metrics) };
-                appended.err().map(|e| format!("cache write failed: {e}"))
-            }
-            Err(payload) => Some(panic_message(payload.as_ref())),
-        };
-        if let Some(message) = failure {
-            sweep.failures.lock().unwrap().push(JobFailure {
-                scenario: scenario.name().to_string(),
-                point: params.label(),
-                seed,
-                message,
-            });
+        }))
+        .map_err(|payload| panic_message(payload.as_ref()));
+        let elapsed = started.elapsed().as_secs_f64();
+        if outcome.is_ok() {
+            let key = CostTable::key(scenario.name(), params);
+            self.observed.lock().unwrap().record(&key, elapsed);
         }
+        sweep.settle(|progress| {
+            let failure = match outcome {
+                Ok(metrics) => {
+                    let appended = match &progress.writer {
+                        Some(writer) => {
+                            let key = sweep.keys[job.slot].expect("every planned job missed");
+                            writer.append(&key, scenario.name(), elapsed, &metrics)
+                        }
+                        None => Ok(()),
+                    };
+                    progress.slots[job.slot] = Some(metrics);
+                    appended.err().map(|e| format!("cache write failed: {e}"))
+                }
+                Err(message) => Some(message),
+            };
+            if let Some(message) = failure {
+                progress.failures.push(JobFailure {
+                    scenario: scenario.name().to_string(),
+                    point: params.label(),
+                    seed,
+                    message,
+                });
+            }
+        })
     }
 
-    /// Turn the drained sweep into its outcome: every failed job, in a
-    /// deterministic order however the pool interleaved, or the aggregated
-    /// results once the WAL segment is committed to the cache index. On
-    /// failure nothing commits; the segment stays on disk and is recovered
-    /// at the next cache open, so the surviving jobs' results aren't lost.
-    ///
-    /// # Safety
-    /// Call at most once per sweep, after every [`Engine::execute`] on it
-    /// happened-before (a thread join, or acquiring the last job's release).
-    pub(crate) unsafe fn finalize(&self, sweep: &Sweep) -> Result<Vec<SweepResult>, Error> {
-        let mut failures = std::mem::take(&mut *sweep.failures.lock().unwrap());
-        if !failures.is_empty() {
-            failures.sort_by(|a, b| {
+    /// Turn a drained sweep's progress into its outcome: every failed job,
+    /// in a deterministic order however the workers interleaved, or the
+    /// aggregated results once the WAL segment is committed to the cache
+    /// index. On failure nothing commits; the segment is closed and stays
+    /// on disk to be recovered at the next cache open, so the surviving
+    /// jobs' results aren't lost.
+    pub(crate) fn finalize(
+        &self,
+        sweep: &Sweep,
+        mut progress: Progress,
+    ) -> Result<Vec<SweepResult>, Error> {
+        if !progress.failures.is_empty() {
+            progress.failures.sort_by(|a, b| {
                 (&a.scenario, &a.point, a.seed).cmp(&(&b.scenario, &b.point, b.seed))
             });
+            let failures = progress.failures;
             return Err(Error::Sweep(SweepError { failures }));
         }
-        if let (Some(cache), Some(writer)) = (&self.cache, sweep.writer.lock().unwrap().take()) {
+        if let (Some(cache), Some(writer)) = (&self.cache, progress.writer) {
             cache.lock().unwrap().commit(vec![writer])?;
         }
-        // SAFETY: per this function's contract every slot write — the
-        // plan's hits and the executed misses — happens-before this drain,
-        // and nothing drains twice.
-        let slot_values = unsafe { sweep.slots.take_vec() };
         Ok(aggregate_results(
             &sweep.names,
             &sweep.points,
             &sweep.seeds,
-            slot_values,
+            progress.slots,
         ))
     }
-}
-
-/// A pool's queues: the shared FIFO injector, a Chase–Lev deque per worker,
-/// and the handles siblings steal by.
-pub(crate) fn queues<T>(threads: usize) -> (Injector<T>, Vec<Worker<T>>, Vec<Stealer<T>>) {
-    let locals: Vec<Worker<T>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers = locals.iter().map(Worker::stealer).collect();
-    (Injector::new(), locals, stealers)
-}
-
-/// The canonical crossbeam find-task loop: local deque first, then a batch
-/// from the injector, then steal from siblings; repeat while anything
-/// reports Retry.
-pub(crate) fn find_task<T>(
-    injector: &Injector<T>,
-    local: &Worker<T>,
-    stealers: &[Stealer<T>],
-) -> Option<T> {
-    local.pop().or_else(|| {
-        std::iter::repeat_with(|| {
-            injector
-                .steal_batch_and_pop(local)
-                .or_else(|| stealers.iter().map(Stealer::steal).collect())
-        })
-        .find(|s| !s.is_retry())
-        .and_then(Steal::success)
-    })
 }
 
 /// Fold slot-ordered metrics back into per-scenario results: task, point,
@@ -487,11 +520,7 @@ impl SweepRunner {
             threads: threads.max(1),
             seeds,
             order: JobOrder::default(),
-            engine: Engine {
-                cache: None,
-                priors: CostTable::new(),
-                observed: Mutex::new(CostTable::new()),
-            },
+            engine: Engine::new(None),
         }
     }
 
@@ -506,12 +535,6 @@ impl SweepRunner {
     /// Choose the start order (default: [`JobOrder::Cost`]).
     pub fn with_order(mut self, order: JobOrder) -> Self {
         self.order = order;
-        self
-    }
-
-    /// Supply prior wall-clock measurements for the LPT order.
-    pub fn with_cost_table(mut self, costs: CostTable) -> Self {
-        self.engine.priors = costs;
         self
     }
 
@@ -533,8 +556,7 @@ impl SweepRunner {
     }
 
     /// The wall-clocks this runner has measured so far (all `run`/
-    /// `run_suite` calls on this instance), keyed like the prior table —
-    /// persist with [`CostTable::save`] to feed the next run's ordering.
+    /// `run_suite` calls on this instance) — what orders its next sweep.
     pub fn observed_costs(&self) -> CostTable {
         self.engine.observed.lock().unwrap().clone()
     }
@@ -571,34 +593,40 @@ impl SweepRunner {
         tasks: &[(&dyn Scenario, SweepGrid)],
     ) -> Result<Vec<SweepResult>, SweepError> {
         let engine = &self.engine;
-        let (sweep, jobs) = engine
+        let (sweep, progress) = engine
             .plan(tasks, &self.seeds, self.order)
             .unwrap_or_else(|e| panic!("{e}"));
 
-        let (injector, locals, stealers) = queues(self.threads.min(jobs.len()).max(1));
-        for job in jobs {
-            injector.push(job);
-        }
-        let work = |local: Worker<Job>| {
-            while let Some(job) = find_task(&injector, &local, &stealers) {
-                // SAFETY: the job is one of this sweep's plan, the deques
-                // deliver it to exactly one worker, and the workers finish
-                // (return or scope join) before `finalize` below.
-                unsafe { engine.execute(&sweep, tasks[job.task].0, job) };
+        // The window is the workers: each runs the job its last one handed
+        // back, and the one that completes the sweep's last job returns
+        // the progress.
+        let work = |mut job: Job| loop {
+            match engine.run_job(&sweep, tasks[job.task].0, job) {
+                Step::Continue(Some(next)) => job = next,
+                Step::Continue(None) => return None,
+                Step::Last(progress) => return Some(progress),
             }
         };
-        if locals.len() <= 1 {
-            locals.into_iter().for_each(work);
+        let progress = if progress.outstanding() == 0 {
+            progress
         } else {
-            std::thread::scope(|scope| {
-                for local in locals {
-                    scope.spawn(move || work(local));
-                }
-            });
-        }
+            let window = sweep.start(progress, self.threads);
+            let last = if let [job] = window[..] {
+                work(job)
+            } else {
+                std::thread::scope(|scope| {
+                    let workers: Vec<_> = window
+                        .into_iter()
+                        .map(|job| scope.spawn(move || work(job)))
+                        .collect();
+                    let done = workers.into_iter().map(|w| w.join().expect("worker died"));
+                    done.flatten().last()
+                })
+            };
+            last.expect("the sweep's last job hands its progress back")
+        };
 
-        // SAFETY: called once, with every worker done.
-        match unsafe { engine.finalize(&sweep) } {
+        match engine.finalize(&sweep, progress) {
             Ok(results) => Ok(results),
             Err(Error::Sweep(e)) => Err(e),
             Err(e) => panic!("{e}"),
@@ -608,7 +636,7 @@ impl SweepRunner {
 
 /// Best-effort text of a panic payload (panics carry `&str` or `String`
 /// unless thrown with `panic_any`).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -665,70 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_buffer_disjoint_writes_from_threads() {
-        // The SlotBuffer safety contract, reduced to its essentials so Miri
-        // can interpret it directly (the full sweep tests are too heavy):
-        // disjoint per-thread writes, join, then drain — `SweepRunner`'s
-        // protocol. Every write must be visible and land in its own slot.
-        let buf = SlotBuffer::<usize>::new(16);
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let buf = &buf;
-                scope.spawn(move || {
-                    for i in (t..16).step_by(4) {
-                        // SAFETY: each index is written by exactly one
-                        // thread (i ≡ t mod 4), and the scope join orders
-                        // all writes before take_vec below.
-                        unsafe { buf.put(i, i * 10) };
-                    }
-                });
-            }
-        });
-        // SAFETY: every writer has been joined; this is the only drain.
-        let got = unsafe { buf.take_vec() };
-        for (i, v) in got.into_iter().enumerate() {
-            assert_eq!(v, Some(i * 10));
-        }
-    }
-
-    #[test]
-    fn slot_buffer_disjoint_writes_from_threads_then_take_vec() {
-        // The service-finalizer variant of the contract above: writers
-        // publish with a release fetch_sub, the last decrementer acquires
-        // and drains through &self — exactly the what-if service's
-        // finalization protocol, reduced for Miri.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let buf = SlotBuffer::<usize>::new(16);
-        let remaining = AtomicUsize::new(16);
-        let drained = std::sync::Mutex::new(None);
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let buf = &buf;
-                let remaining = &remaining;
-                let drained = &drained;
-                scope.spawn(move || {
-                    for i in (t..16).step_by(4) {
-                        // SAFETY: index i is written only by thread t
-                        // (i ≡ t mod 4); the AcqRel fetch_sub below
-                        // releases the write, and the thread observing the
-                        // count hit zero acquires every prior decrement.
-                        unsafe { buf.put(i, i * 10) };
-                        if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            // SAFETY: last decrement — every put
-                            // happens-before this take_vec.
-                            *drained.lock().unwrap() = Some(unsafe { buf.take_vec() });
-                        }
-                    }
-                });
-            }
-        });
-        let got = drained.lock().unwrap().take().expect("one thread drained");
-        for (i, v) in got.into_iter().enumerate() {
-            assert_eq!(v, Some(i * 10));
-        }
-    }
-
-    #[test]
     fn jobs_land_in_their_slots() {
         let runner = SweepRunner::new(3, vec![7, 8]);
         let grid = SweepGrid::new().axis("k", vec![10u64, 20, 30]);
@@ -756,18 +720,57 @@ mod tests {
     #[test]
     fn job_order_cannot_influence_results() {
         let grid = SweepGrid::new().axis("k", vec![1u64, 2, 3, 4]);
-        let mut prior = CostTable::new();
-        // A deliberately *wrong* prior (claims k=1 is the longest job):
-        // ordering may be misled, results must not be.
-        prior.record("probe|k=1", 100.0);
-        prior.record("probe|k=4", 0.001);
-        let cost = SweepRunner::new(3, vec![1, 2])
-            .with_cost_table(prior)
-            .run(&Probe, &grid);
+        // The two orders start the jobs in opposite directions (cost order
+        // puts k=4 first on an unmeasured grid): ordering differs, results
+        // must not.
+        let cost = SweepRunner::new(3, vec![1, 2]).run(&Probe, &grid);
         let input = SweepRunner::new(3, vec![1, 2])
             .with_order(JobOrder::Input)
             .run(&Probe, &grid);
         assert!(cost.bits_eq(&input));
+    }
+
+    /// Records the `(k, seed)` of every job as it starts.
+    struct StartLog(Mutex<Vec<(u64, u64)>>);
+
+    impl Scenario for StartLog {
+        fn name(&self) -> &'static str {
+            "start_log"
+        }
+        fn title(&self) -> &'static str {
+            "logs job starts"
+        }
+        fn default_params(&self) -> Params {
+            Params::new().with("k", 1u64)
+        }
+        fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
+            let job = (params.u64("k", 0), sim.seed());
+            self.0.lock().unwrap().push(job);
+            Metrics::new()
+        }
+    }
+
+    #[test]
+    fn one_thread_starts_jobs_in_exactly_the_plans_order() {
+        let grid = SweepGrid::new().axis("k", vec![3u64, 100, 20]);
+        let starts = |order: JobOrder| {
+            let log = StartLog(Mutex::new(Vec::new()));
+            SweepRunner::new(1, vec![7, 8])
+                .with_order(order)
+                .run(&log, &grid);
+            log.0.into_inner().unwrap()
+        };
+        // Input order is slot order: point-major, seed-minor.
+        assert_eq!(
+            starts(JobOrder::Input),
+            [3, 100, 20].map(|k| [(k, 7), (k, 8)]).concat()
+        );
+        // Nothing measured yet, so the estimate is the size heuristic:
+        // descending k, and a point's equal-estimate seeds tie-break by slot.
+        assert_eq!(
+            starts(JobOrder::Cost),
+            [100, 20, 3].map(|k| [(k, 7), (k, 8)]).concat()
+        );
     }
 
     #[test]

@@ -2,17 +2,18 @@
 //! [`crate::runner`] behind a persistent worker pool and an in-process
 //! request registry, serving concurrent [`SweepRequest`]s.
 //!
-//! Planning, the find-task loop, job execution and finalization are the
-//! engine's — the same functions [`crate::runner::SweepRunner`] calls, so
-//! the CLI, the TCP server and the library entry point cannot drift apart.
-//! What this module adds is everything that outlives one sweep:
+//! Planning, job execution and finalization are the engine's — the same
+//! functions [`crate::runner::SweepRunner`] calls, so the CLI, the TCP
+//! server and the library entry point cannot drift apart. What this module
+//! adds is everything that outlives one sweep:
 //!
-//! * **A persistent pool** — workers that outlive any one request, parking
-//!   on a condvar when the queue runs dry. Jobs from every live request
-//!   flow through the one shared FIFO injector.
+//! * **A persistent pool** — workers that outlive any one request, parked
+//!   on a condvar while the queue is empty. Jobs from every live request
+//!   flow through the one FIFO queue, a `VecDeque` under a mutex that also
+//!   guards the shutdown flag.
 //! * **Fair interleaving** — each request keeps at most `threads` jobs in
-//!   the pool at once (its *window*); completing a job refills the next
-//!   pending one at the injector's tail. A long request therefore owns at
+//!   the pool at once (its *window*); completing a job puts the request's
+//!   next pending one at the queue's tail. A long request therefore owns at
 //!   most a window's worth of queue at any instant, and a short request
 //!   submitted behind it starts within one job-completion, not after the
 //!   long sweep drains — the head-of-line guarantee the concurrency tests
@@ -32,25 +33,28 @@
 //! The artifact is rendered once, server-side, with
 //! [`SweepSuite::artifact_json`] and shipped as text verbatim.
 //!
-//! Memory ordering of finalization: each worker publishes its slot writes
-//! with an `AcqRel` `fetch_sub` on the request's `remaining` counter; the
-//! thread that observes the count hit zero acquires every decrement in the
-//! release sequence, so all slot writes happen-before the finalizer drains
-//! them. The submit-time cache-hit writes are ordered before any worker
-//! runs via the injector push (release) → steal (acquire) chain,
-//! inductively through refills.
+//! Locking invariant, which the failure tests rest on: no lock in this
+//! file or in `runner.rs` is held while [`crate::Scenario::run`] executes.
+//! A worker pops its job and releases the queue, runs the scenario under
+//! `catch_unwind`, and only then takes the sweep's lock to record the
+//! outcome. A panicking scenario therefore fails its own request and can
+//! poison nothing: concurrent and later requests on the same service are
+//! unaffected. Each request is finalized by whoever the sweep's lock hands
+//! its [`Progress`] to — the worker that completed the last job, the
+//! cancel that dropped the last pending one, or the submit that found
+//! every job in the cache — so exactly once, and a failed or cancelled
+//! request drops its write-ahead segment, slots and pending jobs right
+//! there.
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::cost::CostTable;
 use crate::error::Error;
 use crate::registry::Registry;
 use crate::request::{SweepRequest, SweepResponse, SweepStatus};
-use crate::runner::{find_task, queues, Engine, Job, Sweep, SweepResult, SweepSuite};
-use crossbeam::deque::{Injector, Stealer, Worker};
+use crate::runner::{Engine, Job, Progress, Step, Sweep, SweepResult, SweepSuite};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -62,8 +66,6 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Attach the persistent result cache at this directory.
     pub cache_dir: Option<PathBuf>,
-    /// Prior wall-clock measurements driving the LPT job order.
-    pub cost_table: CostTable,
 }
 
 impl Default for ServiceConfig {
@@ -80,7 +82,6 @@ impl ServiceConfig {
                 .unwrap_or(1)
                 .min(8),
             cache_dir: None,
-            cost_table: CostTable::new(),
         }
     }
 
@@ -91,11 +92,6 @@ impl ServiceConfig {
 
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    pub fn with_cost_table(mut self, table: CostTable) -> Self {
-        self.cost_table = table;
         self
     }
 }
@@ -131,22 +127,13 @@ enum Terminal {
     Cancelled,
 }
 
-/// One submitted request: its planned sweep plus the window, progress and
-/// lifecycle state the pool and the status plane need.
+/// One submitted request: its planned sweep plus the lifecycle state the
+/// status plane needs.
 struct ActiveSweep {
     id: u64,
     sweep: Sweep,
     total_jobs: usize,
     cache_hits: usize,
-    /// Cost-ordered jobs not yet handed to the injector (the part of the
-    /// sweep beyond the in-flight window).
-    pending: Mutex<VecDeque<Job>>,
-    /// Pool jobs not yet completed or skipped. Hitting zero triggers
-    /// finalization by whichever thread got there.
-    remaining: AtomicUsize,
-    /// Pool jobs that have begun executing (drives queued → running).
-    started: AtomicUsize,
-    cancelled: AtomicBool,
     state: Mutex<Terminal>,
     done_cond: Condvar,
     /// Canonical request text, for in-flight deduplication.
@@ -165,10 +152,13 @@ impl ActiveSweep {
                 message: message.clone(),
             },
             Terminal::Cancelled => SweepStatus::Cancelled,
-            Terminal::Pending if self.started.load(Ordering::Relaxed) == 0 => SweepStatus::Queued,
-            Terminal::Pending => SweepStatus::Running {
-                done: self.total_jobs - self.remaining.load(Ordering::Relaxed),
-                total: self.total_jobs,
+            Terminal::Pending => match self.sweep.counts() {
+                Some((0, _)) => SweepStatus::Queued,
+                // `None`: every job is in and the sweep is being finalized.
+                counts => SweepStatus::Running {
+                    done: self.total_jobs - counts.map_or(0, |(_, outstanding)| outstanding),
+                    total: self.total_jobs,
+                },
             },
         };
         SweepResponse {
@@ -185,32 +175,37 @@ struct PoolJob {
     job: Job,
 }
 
+/// The pool's one queue and, under the same lock, the flag that tells
+/// parked workers to leave once it is empty.
+#[derive(Default)]
+struct PoolQueue {
+    jobs: VecDeque<PoolJob>,
+    shutdown: bool,
+}
+
 struct Inner {
     registry: Registry,
     threads: usize,
-    injector: Injector<PoolJob>,
-    /// Worker parking. The mutex guards no data — it sequences the
-    /// "check queue, then wait" window against "push, then notify".
-    park: (Mutex<()>, Condvar),
-    shutdown: AtomicBool,
+    queue: Mutex<PoolQueue>,
+    /// Signalled per pushed job, and to all at shutdown.
+    ready: Condvar,
     /// Every request ever submitted. Ids are monotonic, so iteration order
     /// is submission order.
     requests: Mutex<BTreeMap<u64, Arc<ActiveSweep>>>,
     next_id: AtomicU64,
-    /// The shared cache and cost tables every request plans and runs on.
+    /// The shared cache and observed costs every request plans and runs on.
     engine: Engine,
     /// Canonical request text → in-flight request.
     dedup: Mutex<HashMap<String, Arc<ActiveSweep>>>,
 }
 
 impl Inner {
-    /// Push one job and wake a worker. Locking the park mutex (empty as it
-    /// is) before notifying closes the lost-wakeup window against a worker
-    /// that just found the queue dry and is about to wait.
-    fn inject(&self, pool_job: PoolJob) {
-        self.injector.push(pool_job);
-        let _guard = self.park.0.lock().unwrap();
-        self.park.1.notify_one();
+    /// Push one job at the queue's tail and wake a worker.
+    fn inject(&self, sweep: &Arc<ActiveSweep>, job: Job) {
+        let sweep = Arc::clone(sweep);
+        let mut queue = self.queue.lock().unwrap();
+        queue.jobs.push_back(PoolJob { sweep, job });
+        self.ready.notify_one();
     }
 }
 
@@ -225,34 +220,24 @@ impl Service {
     /// the cache, if configured.
     pub fn start(registry: Registry, config: ServiceConfig) -> Result<Service, Error> {
         let cache = match &config.cache_dir {
-            Some(dir) => Some(Mutex::new(ResultCache::open(dir)?)),
+            Some(dir) => Some(ResultCache::open(dir)?),
             None => None,
         };
         let threads = config.threads.max(1);
-        let (injector, locals, stealers) = queues(threads);
         let inner = Arc::new(Inner {
             registry,
             threads,
-            injector,
-            park: (Mutex::new(()), Condvar::new()),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(PoolQueue::default()),
+            ready: Condvar::new(),
             requests: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
-            engine: Engine {
-                cache,
-                priors: config.cost_table,
-                observed: Mutex::new(CostTable::new()),
-            },
+            engine: Engine::new(cache),
             dedup: Mutex::new(HashMap::new()),
         });
-
-        let stealers: Arc<Vec<Stealer<PoolJob>>> = Arc::new(stealers);
-        let workers = locals
-            .into_iter()
-            .map(|local| {
+        let workers = (0..threads)
+            .map(|_| {
                 let inner = Arc::clone(&inner);
-                let stealers = Arc::clone(&stealers);
-                std::thread::spawn(move || worker_loop(&inner, local, &stealers))
+                std::thread::spawn(move || worker_loop(&inner))
             })
             .collect();
         Ok(Service { inner, workers })
@@ -294,26 +279,26 @@ impl Service {
 
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let tasks = validated.resolve(&inner.registry);
-        let (sweep, mut jobs) = inner
+        let (sweep, progress) = inner
             .engine
             .plan(&tasks, &validated.seeds, validated.order)?;
-        let pool_jobs = jobs.len();
-        // The request's window: the first `threads` jobs go into the shared
-        // FIFO below; the rest follow one-per-completion.
-        let window: Vec<Job> = jobs.drain(..inner.threads.min(pool_jobs)).collect();
+        let pool_jobs = progress.outstanding();
         let sweep = Arc::new(ActiveSweep {
             id,
             sweep,
             total_jobs: validated.total_jobs,
             cache_hits: validated.total_jobs - pool_jobs,
-            pending: Mutex::new(jobs.into()),
-            remaining: AtomicUsize::new(pool_jobs),
-            started: AtomicUsize::new(0),
-            cancelled: AtomicBool::new(false),
             state: Mutex::new(Terminal::Pending),
             done_cond: Condvar::new(),
             dedup_key,
         });
+        // The request's window: the first `threads` jobs go into the shared
+        // FIFO below; the rest follow one-per-completion. Started before
+        // the request is visible, so a `cancel` can never find it unstarted.
+        let window = match pool_jobs {
+            0 => Err(progress),
+            _ => Ok(sweep.sweep.start(progress, inner.threads)),
+        };
         // Registered before the dedup entry is visible: a rider's first
         // `status` must find the id it was handed.
         inner
@@ -321,25 +306,25 @@ impl Service {
             .lock()
             .unwrap()
             .insert(id, Arc::clone(&sweep));
-        let status = if pool_jobs == 0 {
-            // Every job was a cache hit: finalize inline, entirely on the
-            // submit thread — the pool never hears about this request, and
-            // it has no in-flight work to share (`finalize` takes the
-            // dedup lock itself).
-            drop(dedup);
-            finalize(inner, &sweep);
-            sweep.response(false).status
-        } else {
-            dedup.insert(sweep.dedup_key.clone(), Arc::clone(&sweep));
-            drop(dedup);
-            let status = sweep.response(false).status;
-            for job in window {
-                inner.inject(PoolJob {
-                    sweep: Arc::clone(&sweep),
-                    job,
-                });
+        let status = match window {
+            Err(progress) => {
+                // Every job was a cache hit: finalize inline, entirely on
+                // the submit thread — the pool never hears about this
+                // request, and it has no in-flight work to share
+                // (`finalize` takes the dedup lock itself).
+                drop(dedup);
+                finalize(inner, &sweep, progress);
+                sweep.response(false).status
             }
-            status
+            Ok(window) => {
+                dedup.insert(sweep.dedup_key.clone(), Arc::clone(&sweep));
+                drop(dedup);
+                let status = sweep.response(false).status;
+                for job in window {
+                    inner.inject(&sweep, job);
+                }
+                status
+            }
         };
         Ok(Submission {
             id,
@@ -389,12 +374,10 @@ impl Service {
     /// unaffected (the current status comes back).
     pub fn cancel(&self, id: u64) -> Result<SweepResponse, Error> {
         let sweep = self.get(id)?;
-        sweep.cancelled.store(true, Ordering::Release);
-        let drained = std::mem::take(&mut *sweep.pending.lock().unwrap()).len();
-        if drained > 0 && sweep.remaining.fetch_sub(drained, Ordering::AcqRel) == drained {
-            // The drain took the count to zero: no worker holds a job of
-            // this sweep anymore, so finalization falls to us.
-            finalize(&self.inner, &sweep);
+        if let Some(progress) = sweep.sweep.cancel() {
+            // Dropping the pending jobs took the count to zero: no worker
+            // holds a job of this sweep anymore, so finalization falls to us.
+            finalize(&self.inner, &sweep, progress);
         }
         Ok(sweep.response(false))
     }
@@ -425,12 +408,6 @@ impl Service {
         self.inner.engine.cache_stats()
     }
 
-    /// Wall-clocks measured by this service's own jobs — the `--costs-out`
-    /// table, same keying as [`crate::runner::SweepRunner::observed_costs`].
-    pub fn observed_costs(&self) -> CostTable {
-        self.inner.engine.observed.lock().unwrap().clone()
-    }
-
     /// Stop accepting work and join the pool — what dropping the service
     /// does, spelled out. In-flight and pending jobs are drained first
     /// (cancel requests beforehand for a fast exit).
@@ -439,87 +416,53 @@ impl Service {
 
 impl Drop for Service {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.inner.park.0.lock().unwrap();
-            self.inner.park.1.notify_all();
-        }
+        self.inner.queue.lock().unwrap().shutdown = true;
+        self.inner.ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// The persistent pool thread: the engine's find-task loop, parking on the
-/// service condvar when everything is dry.
-fn worker_loop(inner: &Inner, local: Worker<PoolJob>, stealers: &[Stealer<PoolJob>]) {
+/// The persistent pool thread: take the queue's head, run it with the
+/// queue released, repeat; park while the queue is empty, leave once it is
+/// empty and shut down.
+fn worker_loop(inner: &Inner) {
     loop {
-        match find_task(&inner.injector, &local, stealers) {
-            Some(PoolJob { sweep, job }) => run_job(inner, &sweep, job),
-            None => {
-                let guard = inner.park.0.lock().unwrap();
-                // Re-check under the lock: a pusher notifies holding it,
-                // so work pushed since find_task can't slip past us.
-                if !inner.injector.is_empty() {
-                    continue;
-                }
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                // Park until a submit/refill wakes us.
-                drop(inner.park.1.wait(guard).unwrap());
-            }
-        }
-    }
-}
-
-/// Execute (or, when cancelled, skip) one job, refill the request's
-/// window, and finalize if this was the sweep's last outstanding job.
-fn run_job(inner: &Inner, sweep: &Arc<ActiveSweep>, job: Job) {
-    if !sweep.cancelled.load(Ordering::Acquire) {
-        sweep.started.fetch_add(1, Ordering::Relaxed);
+        let idle = |queue: &mut PoolQueue| queue.jobs.is_empty() && !queue.shutdown;
+        let queue = inner.queue.lock().unwrap();
+        let mut queue = inner.ready.wait_while(queue, idle).unwrap();
+        let Some(PoolJob { sweep, job }) = queue.jobs.pop_front() else {
+            return;
+        };
+        drop(queue);
         let scenario = inner
             .registry
             .get(sweep.sweep.names[job.task])
             .expect("validated scenario vanished from the registry");
-        // SAFETY: the job came out of this sweep's plan through `pending`
-        // and the deques, which hand it to exactly one worker, and the
-        // AcqRel fetch_sub below releases its slot write to the finalizer.
-        unsafe { inner.engine.execute(&sweep.sweep, scenario, job) };
-    }
-
-    // Refill the window: this request may put its next pending job at the
-    // injector's tail — behind anything other requests queued meanwhile,
-    // which is exactly the interleaving fairness we want.
-    let next = sweep.pending.lock().unwrap().pop_front();
-    if let Some(next_job) = next {
-        inner.inject(PoolJob {
-            sweep: Arc::clone(sweep),
-            job: next_job,
-        });
-    }
-
-    if sweep.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finalize(inner, sweep);
+        match inner.engine.run_job(&sweep.sweep, scenario, job) {
+            // Refill the window at the queue's tail — behind anything
+            // other requests queued meanwhile, which is exactly the
+            // interleaving fairness we want.
+            Step::Continue(Some(next)) => inner.inject(&sweep, next),
+            Step::Continue(None) => {}
+            Step::Last(progress) => finalize(inner, &sweep, progress),
+        }
     }
 }
 
 /// Turn a fully-drained sweep into its terminal state: render the artifact
-/// on success, report failures verbatim. Called exactly once per request —
-/// by the last decrementer of `remaining` (a worker, the canceller, or the
-/// submit thread for all-hit requests).
-fn finalize(inner: &Inner, sweep: &ActiveSweep) {
-    let terminal = if sweep.cancelled.load(Ordering::Acquire) {
-        // The WAL segment is deliberately not committed: whatever misses
-        // did complete stay on disk and are recovered at the next cache
-        // open, same as a failed sweep's.
+/// on success, report failures verbatim. Called by whoever the sweep's lock
+/// handed the progress to, so exactly once per request.
+fn finalize(inner: &Inner, sweep: &ActiveSweep, progress: Progress) {
+    let terminal = if progress.cancelled() {
+        // The WAL segment is closed here but deliberately not committed:
+        // whatever misses did complete stay on disk and are recovered at
+        // the next cache open, same as a failed sweep's.
+        drop(progress);
         Terminal::Cancelled
     } else {
-        // SAFETY: remaining hit zero and we are its one observer — every
-        // slot write (workers' via the AcqRel release sequence, submit-time
-        // hits via the injector push/steal chain or, for all-hit sweeps,
-        // program order) happens-before this call.
-        match unsafe { inner.engine.finalize(&sweep.sweep) } {
+        match inner.engine.finalize(&sweep.sweep, progress) {
             Ok(results) => {
                 let suite = SweepSuite {
                     seeds: sweep.sweep.seeds.clone(),

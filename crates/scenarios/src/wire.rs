@@ -163,7 +163,6 @@ pub fn error_kind(error: &Error) -> &'static str {
         Error::UnknownAxis { .. } => "unknown_axis",
         Error::InvalidRequest { .. } => "invalid_request",
         Error::Cache { .. } => "cache",
-        Error::CostTable { .. } => "cost_table",
         Error::Protocol { .. } => "protocol",
         Error::Io { .. } => "io",
         Error::UnknownRequest { .. } => "unknown_request",
@@ -177,7 +176,6 @@ pub fn error_kind(error: &Error) -> &'static str {
                 "unknown_axis" => "unknown_axis",
                 "invalid_request" => "invalid_request",
                 "cache" => "cache",
-                "cost_table" => "cost_table",
                 "io" => "io",
                 "unknown_request" => "unknown_request",
                 "cancelled" => "cancelled",

@@ -3,15 +3,19 @@
 //! cache without touching the pool, identical in-flight requests coalesced
 //! onto one id, cancellation dropping pending work promptly, and — the
 //! head-of-line guarantee — a short request completing while a long one is
-//! still running on a saturated pool.
+//! still running on a saturated pool. Also: a panicking request leaves its
+//! neighbours and successors untouched, a cancelled request gives its cache
+//! segment's descriptor back, and one worker starts a sweep's jobs in
+//! exactly the planned order.
 
 use scenarios::service::{Service, ServiceConfig};
 use scenarios::{
-    Metrics, ParamValue, Params, Registry, Scenario, SweepRequest, SweepRunner, SweepStatus,
-    SweepSuite,
+    JobOrder, Metrics, ParamValue, Params, Registry, Scenario, SweepRequest, SweepRunner,
+    SweepStatus, SweepSuite,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Fresh per-test cache directory under cargo's integration-test tmpdir.
@@ -363,6 +367,8 @@ fn unknown_request_id_is_a_structured_error() {
     assert!(service.wait(999).is_err());
 }
 
+/// A panicking job fails its own request and nothing else: no lock is held
+/// while a scenario runs, so there is nothing for the panic to poison.
 #[test]
 fn failed_jobs_surface_in_the_terminal_status() {
     struct Panics;
@@ -377,10 +383,15 @@ fn failed_jobs_surface_in_the_terminal_status() {
             panic!("scripted failure");
         }
     }
-    let mut registry = Registry::new();
+    let mut registry = sleepy_registry();
     registry.register(Box::new(Panics));
     let service =
         Service::start(registry, ServiceConfig::new().with_threads(2)).expect("service starts");
+
+    // 3 seeds × 25ms: still running on the shared workers when the panics hit.
+    let concurrent = service
+        .submit(&SweepRequest::new().scenario("slow").with_seeds(3))
+        .expect("concurrent submit");
     let submission = service
         .submit(&SweepRequest::new().scenario("panics").with_seeds(2))
         .expect("submit");
@@ -394,4 +405,167 @@ fn failed_jobs_surface_in_the_terminal_status() {
         }
         other => panic!("expected failed status, got {other}"),
     }
+    let response = service.wait(concurrent.id).expect("concurrent wait");
+    assert!(
+        matches!(response.status, SweepStatus::Done),
+        "a request sharing the pool with the panic ended {}",
+        response.status
+    );
+
+    let follow_up = service
+        .submit(&SweepRequest::new().scenario("fast").with_seeds(2))
+        .expect("submit after the failure");
+    let response = service.wait(follow_up.id).expect("follow-up wait");
+    assert!(
+        matches!(response.status, SweepStatus::Done),
+        "a request after the panic ended {}",
+        response.status
+    );
+
+    let listed: Vec<(u64, String)> = service
+        .list()
+        .into_iter()
+        .map(|r| (r.id, r.status.to_string()))
+        .collect();
+    let failed = service.status(submission.id).expect("status").status;
+    assert_eq!(
+        listed,
+        [
+            (concurrent.id, "done".to_string()),
+            (submission.id, failed.to_string()),
+            (follow_up.id, "done".to_string()),
+        ]
+    );
+}
+
+/// With one worker and one sweep the queue is the plan: jobs start in the
+/// order `plan` put them in, whichever order that is.
+#[test]
+fn one_worker_starts_a_sweeps_jobs_in_plan_order() {
+    static STARTS: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
+    struct StartLog;
+    impl Scenario for StartLog {
+        fn name(&self) -> &'static str {
+            "start_log"
+        }
+        fn title(&self) -> &'static str {
+            "logs job starts"
+        }
+        fn default_params(&self) -> Params {
+            Params::new().with("k", 1u64)
+        }
+        fn run(&self, sim: &mut des::Simulation, params: &Params) -> Metrics {
+            STARTS
+                .lock()
+                .unwrap()
+                .push((params.u64("k", 0), sim.seed()));
+            Metrics::new()
+        }
+    }
+    let mut registry = Registry::new();
+    registry.register(Box::new(StartLog));
+    let service =
+        Service::start(registry, ServiceConfig::new().with_threads(1)).expect("service starts");
+    let starts = |order: JobOrder| {
+        let request = SweepRequest::new()
+            .scenario("start_log")
+            .axis("k", [3, 100, 20].map(ParamValue::U64).to_vec())
+            .with_seeds(2)
+            .with_order(order);
+        let submission = service.submit(&request).expect("submit");
+        let response = service.wait(submission.id).expect("wait");
+        assert!(matches!(response.status, SweepStatus::Done));
+        std::mem::take(&mut *STARTS.lock().unwrap())
+    };
+    // Nothing is measured on a fresh service, so the estimate is the size
+    // heuristic: descending k, a point's equal-estimate seeds tie-breaking
+    // by slot.
+    assert_eq!(
+        starts(JobOrder::Cost),
+        [100, 20, 3].map(|k| [(k, 42), (k, 43)]).concat()
+    );
+    // Input order is slot order — point-major, seed-minor — whatever the
+    // first sweep measured.
+    assert_eq!(
+        starts(JobOrder::Input),
+        [3, 100, 20].map(|k| [(k, 42), (k, 43)]).concat()
+    );
+}
+
+/// Cancelled (and failed) requests give back what they held at the terminal
+/// transition — above all the write-ahead segment's descriptor, which a
+/// long-running server would otherwise leak once per such request.
+#[cfg(target_os = "linux")]
+#[test]
+fn cancelled_requests_release_their_cache_segments() {
+    static EXECUTED: AtomicU64 = AtomicU64::new(0);
+    struct Counted;
+    impl Scenario for Counted {
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+        fn title(&self) -> &'static str {
+            "counts its executions"
+        }
+        fn default_params(&self) -> Params {
+            Params::new().with("k", 1u64)
+        }
+        fn run(&self, _sim: &mut des::Simulation, params: &Params) -> Metrics {
+            std::thread::sleep(Duration::from_millis(1));
+            EXECUTED.fetch_add(1, Ordering::Relaxed);
+            let mut m = Metrics::new();
+            m.push("k", params.u64("k", 1) as f64);
+            m
+        }
+    }
+    // Descriptors open on files under `dir` — other tests in this binary
+    // open and close their own concurrently, so the bare count would race.
+    let open_under = |dir: &PathBuf| {
+        std::fs::read_dir("/proc/self/fd")
+            .expect("procfs")
+            .filter_map(|entry| std::fs::read_link(entry.ok()?.path()).ok())
+            .filter(|target| target.starts_with(dir))
+            .count()
+    };
+
+    let dir = cache_dir("fd-leak");
+    let mut registry = Registry::new();
+    registry.register(Box::new(Counted));
+    let service = Service::start(
+        registry,
+        ServiceConfig::new().with_threads(1).with_cache_dir(&dir),
+    )
+    .expect("service starts");
+    let before = open_under(&dir);
+
+    for request in 0..40u64 {
+        // Novel every time: six points no earlier request asked for.
+        let points = (0..6).map(|p| ParamValue::U64(10 * request + p)).collect();
+        let submission = service
+            .submit(&SweepRequest::new().scenario("counted").axis("k", points))
+            .expect("submit");
+        assert_eq!(submission.cache_hits, 0, "request {request} is novel");
+        // Let at least one job through, so there is something to recover.
+        while matches!(
+            service.status(submission.id).expect("status").status,
+            SweepStatus::Queued
+        ) {
+            std::thread::yield_now();
+        }
+        service.cancel(submission.id).expect("cancel");
+        let response = service.wait(submission.id).expect("wait");
+        assert!(matches!(response.status, SweepStatus::Cancelled));
+    }
+    assert_eq!(
+        open_under(&dir),
+        before,
+        "cancelled requests kept their cache segments open"
+    );
+
+    // Closed, never committed — and still recovered by the next open.
+    drop(service);
+    let executed = EXECUTED.load(Ordering::Relaxed);
+    assert!((40..240).contains(&executed), "{executed} jobs ran");
+    let recovered = scenarios::ResultCache::open(&dir).expect("reopen");
+    assert_eq!(recovered.len() as u64, executed);
 }

@@ -215,16 +215,17 @@ fn sweep_with_cancellation_heavy_scenario_is_deterministic() {
     }
 }
 
-/// Work-stealing under heavy job-length skew: a sweep whose longest point
+/// Parallel workers under heavy job-length skew: a sweep whose longest point
 /// does ~400× the work of its shortest (the fig01-vs-everything-else shape
 /// that motivates LPT ordering) must still be bit-identical to serial, both
-/// with the cost-table order misled by wrong priors and with input order.
-/// Stealing moves jobs between workers *while* their siblings execute long
-/// traces — exactly the interleaving the lock-free deque must get right.
+/// in cost order (which starts the long points first) and in input order
+/// (which scatters them). Short jobs finish and hand their worker the next
+/// one *while* siblings execute long traces — exactly the interleaving the
+/// sweep lock must get right.
 #[test]
 fn work_stealing_is_bit_identical_under_job_length_skew() {
     use des::{SimTime, Simulation};
-    use scenarios::{CostTable, JobOrder, Metrics, Params, Scenario};
+    use scenarios::{JobOrder, Metrics, Params, Scenario};
 
     struct Skewed;
 
@@ -266,19 +267,11 @@ fn work_stealing_is_bit_identical_under_job_length_skew() {
     let seeds = vec![42, 43, 44];
     let serial = SweepRunner::new(1, seeds.clone()).run(&Skewed, &grid);
 
-    // Misleading priors: claim the shortest job is by far the longest, so
-    // LPT starts the sweep in the worst possible order.
-    let mut wrong_priors = CostTable::new();
-    wrong_priors.record("skewed_probe|events=1", 1e6);
-    wrong_priors.record("skewed_probe|events=2000", 1e-9);
-
     for threads in [2, 4, 8] {
-        let stolen = SweepRunner::new(threads, seeds.clone())
-            .with_cost_table(wrong_priors.clone())
-            .run(&Skewed, &grid);
+        let cost_order = SweepRunner::new(threads, seeds.clone()).run(&Skewed, &grid);
         assert!(
-            serial.bits_eq(&stolen),
-            "threads={threads} with misleading cost priors diverged"
+            serial.bits_eq(&cost_order),
+            "threads={threads} cost order diverged"
         );
         let input_order = SweepRunner::new(threads, seeds.clone())
             .with_order(JobOrder::Input)
