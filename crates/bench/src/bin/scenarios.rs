@@ -1,42 +1,45 @@
-//! `scenarios` — the unified scenario CLI, now a thin front over the
-//! what-if sweep service.
+//! `scenarios` — the unified scenario CLI: a thin front over the sweep
+//! engine's two entry points.
 //!
 //! ```text
 //! scenarios list
 //! scenarios report <name> | --all
 //! scenarios run <name> | --all [--seeds N] [--threads K] [--json PATH]
 //!                              [--order cost|input]
-//!                              [--cache-dir PATH] [--no-cache] [--cache-stats]
+//!                              [--cache-dir PATH] [--cache-stats]
 //!                              [--param k=v]... [--grid k=v1,v2,...]...
 //! scenarios serve [--addr HOST:PORT] [--threads K] [--cache-dir PATH]
-//! scenarios submit <name>... [--addr HOST:PORT] [run flags] [--wait]
+//! scenarios submit <name>... | --all [--addr HOST:PORT] [--seeds N]
+//!                              [--json PATH] [--order cost|input]
+//!                              [--param k=v]... [--grid k=v1,v2,...]... [--wait]
 //! scenarios status [--addr HOST:PORT] [<id>]
 //! scenarios cancel [--addr HOST:PORT] <id>
 //! scenarios shutdown [--addr HOST:PORT]
 //! ```
 //!
-//! `run` builds a versioned [`SweepRequest`] from its flags and pushes it
-//! through an in-process [`Service`] — submit, wait, render — the *same*
-//! code path a long-running `serve` instance executes for remote clients,
-//! so a sweep gives byte-identical artifacts whether it ran via `run`,
-//! or via `submit --wait` against a server, or was answered straight from
-//! the memoization cache. `serve` binds the TCP front; `submit`/`status`/
-//! `cancel` are its wire clients.
+//! `run` builds a versioned [`SweepRequest`] from its flags, validates it
+//! and runs it on a [`SweepRunner`], the engine's synchronous entry point;
+//! `serve` puts a [`Service`], the long-running one, behind the TCP front,
+//! and `submit`/`status`/`cancel` are its wire clients. Both entry points
+//! plan, run and finalize through the same engine and render with the same
+//! function, so a sweep gives byte-identical artifacts whether it ran via
+//! `run`, or via `submit --wait` against a server, or was answered straight
+//! from the memoization cache. Each subcommand accepts exactly the flags on
+//! its own usage line.
 //!
 //! `--cache-dir` attaches the persistent memoization cache: jobs already
 //! stored under the current engine salt are served bit-exactly without
 //! simulating, so a repeated sweep over an unchanged tree is incremental.
 //! The artifact stays byte-identical cached or not; hit/miss/bytes/saved
 //! wall-clock land in a `<artifact>.cache.json` sidecar (printed too under
-//! `--cache-stats`). `--no-cache` wins over `--cache-dir`, so scripts can
-//! force a cold run without editing their cache configuration.
+//! `--cache-stats`).
 
 use scenarios::report::fmt;
 use scenarios::service::{Service, ServiceConfig};
 use scenarios::wire::Client;
 use scenarios::{
-    CacheStats, Error, JobOrder, ParamValue, Registry, Server, SweepRequest, SweepResponse,
-    SweepResult, SweepStatus,
+    CacheStats, Error, JobOrder, ParamValue, Registry, ResultCache, Server, SweepRequest,
+    SweepResponse, SweepResult, SweepRunner, SweepStatus, SweepSuite,
 };
 use serde::Serialize;
 use std::path::PathBuf;
@@ -48,15 +51,32 @@ const USAGE: &str = "usage:
   scenarios report <name> | --all
   scenarios run <name> | --all [--seeds N] [--threads K] [--json PATH]
                                [--order cost|input]
-                               [--cache-dir PATH] [--no-cache] [--cache-stats]
+                               [--cache-dir PATH] [--cache-stats]
                                [--param k=v]... [--grid k=v1,v2,...]...
   scenarios serve [--addr HOST:PORT] [--threads K] [--cache-dir PATH]
-  scenarios submit <name>... [--addr HOST:PORT] [--seeds N] [--json PATH]
+  scenarios submit <name>... | --all [--addr HOST:PORT] [--seeds N] [--json PATH]
                              [--order cost|input] [--param k=v]...
                              [--grid k=v1,v2,...]... [--wait]
   scenarios status [--addr HOST:PORT] [<id>]
   scenarios cancel [--addr HOST:PORT] <id>
   scenarios shutdown [--addr HOST:PORT]";
+
+/// The flags of each sweep subcommand's usage line; any other is unknown to it.
+const RUN_FLAGS: &[&str] = &[
+    "--all",
+    "--seeds",
+    "--threads",
+    "--json",
+    "--order",
+    "--cache-dir",
+    "--cache-stats",
+    "--param",
+    "--grid",
+];
+const SERVE_FLAGS: &[&str] = &["--addr", "--threads", "--cache-dir"];
+const SUBMIT_FLAGS: &[&str] = &[
+    "--all", "--addr", "--seeds", "--json", "--order", "--param", "--grid", "--wait",
+];
 
 /// Where `submit`/`status`/`cancel` look for a server, and where `serve`
 /// binds, unless `--addr` overrides.
@@ -91,14 +111,14 @@ impl std::fmt::Display for CliError {
     }
 }
 
-/// Everything `run`/`submit` parse: the portable request plus local-only
-/// execution knobs (threads/cache/artifact paths never cross the wire).
+/// Everything `run`/`serve`/`submit` parse: the portable request plus
+/// local-only execution knobs (threads/cache/artifact paths never cross the
+/// wire).
 struct SweepInvocation {
     request: SweepRequest,
     threads: usize,
     json: Option<PathBuf>,
     cache_dir: Option<PathBuf>,
-    no_cache: bool,
     cache_stats: bool,
     addr: String,
     wait: bool,
@@ -127,19 +147,21 @@ fn parse_kv(arg: &str, flag: &str) -> Result<(String, String), String> {
         .ok_or_else(|| format!("{flag} expects key=value, got `{arg}`"))
 }
 
-fn parse_sweep(args: &[String]) -> Result<SweepInvocation, String> {
+fn parse_sweep(args: &[String], flags: &[&str]) -> Result<SweepInvocation, String> {
     let mut inv = SweepInvocation {
         request: SweepRequest::new(),
         threads: ServiceConfig::new().threads,
         json: None,
         cache_dir: None,
-        no_cache: false,
         cache_stats: false,
         addr: DEFAULT_ADDR.to_string(),
         wait: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if arg.starts_with('-') && !flags.contains(&arg.as_str()) {
+            return Err(format!("unknown flag `{arg}`"));
+        }
         let mut value_of = |flag: &str| {
             it.next()
                 .cloned()
@@ -166,7 +188,6 @@ fn parse_sweep(args: &[String]) -> Result<SweepInvocation, String> {
                     .with_order(JobOrder::parse(&value_of("--order")?)?);
             }
             "--cache-dir" => inv.cache_dir = Some(PathBuf::from(value_of("--cache-dir")?)),
-            "--no-cache" => inv.no_cache = true,
             "--cache-stats" => inv.cache_stats = true,
             "--addr" => inv.addr = value_of("--addr")?,
             "--wait" => inv.wait = true,
@@ -179,11 +200,16 @@ fn parse_sweep(args: &[String]) -> Result<SweepInvocation, String> {
                 let values: Vec<ParamValue> = vs.split(',').map(ParamValue::parse).collect();
                 inv.request = inv.request.clone().axis(&k, values);
             }
-            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
             name => inv.request = inv.request.clone().scenario(name),
         }
     }
-    if inv.request.scenarios.is_empty() && !inv.request.all {
+    // A subcommand with `--all` on its usage line sweeps targets and needs
+    // one; the one without (`serve`) takes none.
+    let takes_targets = flags.contains(&"--all");
+    if let (false, Some(name)) = (takes_targets, inv.request.scenarios.first()) {
+        return Err(format!("serve takes no scenario arguments, got `{name}`"));
+    }
+    if takes_targets && inv.request.scenarios.is_empty() && !inv.request.all {
         return Err("pick a scenario name or --all".to_string());
     }
     Ok(inv)
@@ -234,34 +260,30 @@ fn write_artifact(path: &PathBuf, artifact: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Boot a local service configured by the invocation's flags — the exact
-/// provisioning `serve` does, minus the TCP listener.
-fn local_service(registry: Registry, inv: &SweepInvocation) -> Result<Service, CliError> {
-    let mut config = ServiceConfig::new().with_threads(inv.threads);
-    if let (Some(dir), false) = (&inv.cache_dir, inv.no_cache) {
-        config = config.with_cache_dir(dir);
-    }
-    let service = Service::start(registry, config)?;
-    if let (Some(dir), Some(stats)) = (&inv.cache_dir, service.cache_stats()) {
-        println!(
-            "[cache] {} ({} stored result{}, salt {})",
-            dir.display(),
-            stats.entries,
-            if stats.entries == 1 { "" } else { "s" },
-            scenarios::engine_salt()
-        );
-    }
-    Ok(service)
+/// The line every cache-backed command opens with.
+fn print_cache_opened(dir: &std::path::Path, entries: u64) {
+    println!(
+        "[cache] {} ({entries} stored result{}, salt {})",
+        dir.display(),
+        if entries == 1 { "" } else { "s" },
+        scenarios::engine_salt()
+    );
 }
 
-/// `run` — submit + wait against an in-process service: the same request
-/// vocabulary, submission path, cache, and artifact bytes as the server.
+/// `run` — one synchronous sweep: validate, run on a [`SweepRunner`] with
+/// the cache attached, render. The same engine, cache and renderer as the
+/// server, so the same artifact bytes.
 fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
-    let service = local_service(registry, &inv)?;
+    let cache = inv
+        .cache_dir
+        .as_deref()
+        .map(ResultCache::open)
+        .transpose()?;
+    if let (Some(dir), Some(cache)) = (&inv.cache_dir, &cache) {
+        print_cache_opened(dir, cache.stats().entries);
+    }
 
-    // Validate up front (the service will again, cheaply) so the per-task
-    // job counts print before any work starts, like the CLI always has.
-    let validated = inv.request.validate(service.registry())?;
+    let validated = inv.request.validate(&registry)?;
     for warning in &validated.warnings {
         println!("[scenarios] {warning}");
     }
@@ -271,10 +293,15 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
             grid.points(&scenarios::Params::new()).len() * validated.seeds.len(),
         );
     }
+    let mut runner =
+        SweepRunner::new(inv.threads, validated.seeds.clone()).with_order(validated.order);
+    if let Some(cache) = cache {
+        runner = runner.with_cache(cache);
+    }
     println!(
         "[scenarios] running {} jobs on {} threads ({} order)",
         validated.total_jobs,
-        service.thread_count(),
+        runner.thread_count(),
         match validated.order {
             JobOrder::Cost => "longest-expected-first",
             JobOrder::Input => "input",
@@ -282,19 +309,14 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
     );
 
     let sweep_started = Instant::now();
-    let submission = service.submit(&inv.request)?;
-    let response = service.wait(submission.id)?;
+    let results = runner.try_run_suite(&validated.resolve(&registry))?;
     let wall_secs = sweep_started.elapsed().as_secs_f64();
-    // `results` doubles as the terminal-state gate: failed or cancelled
-    // requests surface their structured error here.
-    let results = service.results(submission.id)?;
     for result in &results {
         print_sweep(result);
     }
 
-    let artifact = response
-        .artifact
-        .expect("done responses carry the artifact");
+    let seeds = validated.seeds;
+    let artifact = SweepSuite { seeds, results }.artifact_json();
     let path = inv.json.clone().unwrap_or_else(default_artifact_path);
     write_artifact(&path, &artifact)?;
     println!("\n[json] {}", path.display());
@@ -302,8 +324,7 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
     // Memoization counters go to a sidecar, never the artifact: cached and
     // uncached sweeps must stay byte-identical. CI's incremental-sweep job
     // gates on this file reporting a 100% hit rate for the warm pass.
-    let effective_cache = (!inv.no_cache).then_some(()).and(inv.cache_dir.as_ref());
-    if let (Some(dir), Some(stats)) = (effective_cache, service.cache_stats()) {
+    if let (Some(dir), Some(stats)) = (&inv.cache_dir, runner.cache_stats()) {
         let sidecar = sidecar_for(dir, &stats, wall_secs);
         let sidecar_path = path.with_extension("cache.json");
         let json =
@@ -366,7 +387,14 @@ fn sidecar_for(dir: &std::path::Path, stats: &CacheStats, wall_secs: f64) -> Cac
 /// `serve` — the what-if service on TCP, until a `shutdown` verb arrives.
 fn cmd_serve(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
     let scenario_count = registry.len();
-    let service = local_service(registry, &inv)?;
+    let mut config = ServiceConfig::new().with_threads(inv.threads);
+    if let Some(dir) = &inv.cache_dir {
+        config = config.with_cache_dir(dir);
+    }
+    let service = Service::start(registry, config)?;
+    if let (Some(dir), Some(stats)) = (&inv.cache_dir, service.cache_stats()) {
+        print_cache_opened(dir, stats.entries);
+    }
     let server = Server::bind(service, inv.addr.as_str())?;
     println!(
         "[serve] what-if service listening on {} ({} scenarios, {} worker threads)",
@@ -504,17 +532,13 @@ fn main() -> ExitCode {
                 ))
             }
         }
-        Some("run") => parse_sweep(&args[1..])
+        Some("run") => parse_sweep(&args[1..], RUN_FLAGS)
             .map_err(CliError::Usage)
             .and_then(|inv| cmd_run(registry, inv)),
-        Some("serve") => {
-            // `serve` takes no scenario targets: patch an empty selection
-            // through the shared parser (the server serves everything).
-            parse_sweep_serverside(&args[1..])
-                .map_err(CliError::Usage)
-                .and_then(|inv| cmd_serve(registry, inv))
-        }
-        Some("submit") => parse_sweep(&args[1..])
+        Some("serve") => parse_sweep(&args[1..], SERVE_FLAGS)
+            .map_err(CliError::Usage)
+            .and_then(|inv| cmd_serve(registry, inv)),
+        Some("submit") => parse_sweep(&args[1..], SUBMIT_FLAGS)
             .map_err(CliError::Usage)
             .and_then(cmd_submit),
         Some("status") => parse_addr_id(&args[1..])
@@ -546,16 +570,4 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-/// `serve` reuses the sweep flag parser but has no scenario targets to
-/// name — inject a placeholder selection to satisfy its invariant.
-fn parse_sweep_serverside(args: &[String]) -> Result<SweepInvocation, String> {
-    let mut padded = args.to_vec();
-    padded.push("--all".to_string());
-    let inv = parse_sweep(&padded)?;
-    if let Some(name) = inv.request.scenarios.first() {
-        return Err(format!("serve takes no scenario arguments, got `{name}`"));
-    }
-    Ok(inv)
 }

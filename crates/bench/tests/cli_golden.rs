@@ -167,3 +167,63 @@ fn submit_wait_artifact_is_byte_identical_to_run() {
     let status = server.wait().expect("server exits");
     assert!(status.success(), "serve exited nonzero: {status}");
 }
+
+/// Exit code and stderr of a `scenarios` invocation expected to fail.
+fn failure_of(args: &[&str]) -> (Option<i32>, String) {
+    let output = scenarios_bin()
+        .args(args)
+        .output()
+        .expect("scenarios binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    (output.status.code(), stderr)
+}
+
+/// Each subcommand accepts the flags on its own usage line and no others:
+/// `submit` cannot size a remote server's pool, `serve` has no sweep to
+/// shape, and a flag that would be silently ignored is an error instead.
+/// (The `serve` cases name an address nothing can bind, so a build that
+/// swallowed the flag would fail on that rather than serve forever.)
+#[test]
+fn subcommands_reject_flags_outside_their_usage_line() {
+    let cases: [(&[&str], &str); 7] = [
+        (&["run", "tab03_idle_node", "--wait"], "--wait"),
+        (
+            &["submit", "tab03_idle_node", "--threads", "2"],
+            "--threads",
+        ),
+        (
+            &["submit", "tab03_idle_node", "--cache-dir", "/x"],
+            "--cache-dir",
+        ),
+        (
+            &["submit", "tab03_idle_node", "--cache-stats"],
+            "--cache-stats",
+        ),
+        (&["serve", "--addr", "nowhere", "--wait"], "--wait"),
+        (&["serve", "--addr", "nowhere", "--seeds", "7"], "--seeds"),
+        (&["serve", "--addr", "nowhere", "--grid", "a=1"], "--grid"),
+    ];
+    for (args, flag) in cases {
+        let (code, stderr) = failure_of(args);
+        assert_eq!(code, Some(2), "scenarios {args:?}: {stderr}");
+        assert_eq!(stderr, format!("unknown flag `{flag}`\n"), "{args:?}");
+    }
+}
+
+/// A cache directory that cannot be created is the cache's structured
+/// error and exit code 2 — from the open, before anything runs.
+#[test]
+fn run_reports_an_unusable_cache_dir_as_an_error() {
+    let file = out_path("not-a-dir");
+    std::fs::write(&file, "").expect("plain file");
+    let under_a_file = file.join("cache");
+    let (code, stderr) = failure_of(&[
+        "run",
+        "tab03_idle_node",
+        "--cache-dir",
+        under_a_file.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.starts_with("sweep cache ("), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

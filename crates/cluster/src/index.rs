@@ -1,6 +1,6 @@
 //! Incrementally-maintained scheduler indexes.
 //!
-//! The scan scheduler (kept as [`crate::reference`]) re-derives three
+//! The scan scheduler (kept as `crate::reference`) re-derives three
 //! quantities from all `n` nodes on every scheduling attempt: the placement
 //! order of free nodes, the backfill shadow time, and the feasibility count.
 //! This module maintains each one incrementally so a placement attempt is

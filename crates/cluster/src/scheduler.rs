@@ -8,7 +8,7 @@
 //! shorter.
 //!
 //! The hot paths run on incrementally-maintained indexes (see
-//! [`crate::index`]): placement pulls the first `k` nodes from an ordered
+//! `crate::index`): placement pulls the first `k` nodes from an ordered
 //! free-node index instead of filtering and sorting all nodes, the backfill
 //! shadow time is a k-th order statistic over an incrementally-updated
 //! per-node walltime horizon, feasibility is a per-capacity-class member
@@ -18,7 +18,7 @@
 //! `memory_usage`, `idle_node_count`) read running totals kept alongside
 //! the indexes. Scheduling decisions are bit-identical to the
 //! original scan implementation, which is kept verbatim in
-//! [`crate::reference`] and enforced as an oracle by property tests and by
+//! `crate::reference` and enforced as an oracle by property tests and by
 //! the committed `ci/trace_reference.json` replay artifact.
 
 use crate::index::{node_free_at, SchedIndex};

@@ -53,12 +53,6 @@ pub enum Error {
     },
     /// The service has no request under this id.
     UnknownRequest { id: u64 },
-    /// The request was cancelled before completing.
-    Cancelled { id: u64 },
-    /// The request reached a terminal failure; `message` carries the
-    /// rendered cause (shared between waiters, so the structured source
-    /// lives with the service's terminal state).
-    RequestFailed { id: u64, message: String },
     /// A remote service refused a verb; `kind` is the server error's
     /// stable tag (see [`crate::wire::error_kind`]), `message` its
     /// rendered text.
@@ -131,10 +125,6 @@ impl fmt::Display for Error {
             Error::Protocol { message } => write!(f, "wire protocol: {message}"),
             Error::Io { context, source } => write!(f, "{context}: {source}"),
             Error::UnknownRequest { id } => write!(f, "no request with id {id}"),
-            Error::Cancelled { id } => write!(f, "request {id} was cancelled"),
-            Error::RequestFailed { id, message } => {
-                write!(f, "request {id} failed: {message}")
-            }
             Error::Server { message, .. } => write!(f, "{message}"),
         }
     }

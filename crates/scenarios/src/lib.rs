@@ -10,7 +10,7 @@
 //! aggregates with confidence intervals, ready for JSON emission. It has two
 //! entry points: [`runner::SweepRunner`], one synchronous sweep per call,
 //! and [`service::Service`], a long-running pool serving concurrent
-//! requests (in-process for the CLI, over TCP via [`server::Server`]).
+//! requests over TCP via [`server::Server`].
 //!
 //! ```
 //! use scenarios::{registry::Registry, runner::SweepRunner, SweepGrid};
@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod cost;
 pub mod error;
 pub mod metrics;
 pub mod paper;
@@ -41,7 +40,6 @@ pub mod service;
 pub mod wire;
 
 pub use cache::{engine_salt, job_key, CacheKey, CacheStats, CacheWriter, ResultCache};
-pub use cost::CostTable;
 pub use error::Error;
 pub use metrics::{summarize, MetricSummary, Metrics};
 pub use params::{ParamValue, Params, SweepGrid};
@@ -52,7 +50,7 @@ pub use runner::{
 };
 pub use server::Server;
 pub use service::{Service, ServiceConfig, Submission};
-pub use wire::{Client, SubmitReceipt};
+pub use wire::Client;
 
 use des::Simulation;
 

@@ -413,20 +413,26 @@ impl SweepStatus {
 
     /// Decode the wire spelling written by `to_value`.
     pub fn from_value(value: &Value) -> Result<SweepStatus, Error> {
-        let Value::Map(fields) = value else {
+        if !matches!(value, Value::Map(_)) {
             return Err(Error::invalid("status", "expected an object"));
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let state = get("state").ok_or_else(|| Error::invalid("status.state", "missing"))?;
+        }
+        let state = value
+            .get("state")
+            .ok_or_else(|| Error::invalid("status.state", "missing"))?;
         match as_str("status.state", state)?.as_str() {
             "queued" => Ok(SweepStatus::Queued),
             "running" => Ok(SweepStatus::Running {
-                done: get("done").map_or(Ok(0), |v| as_u64("status.done", v))? as usize,
-                total: get("total").map_or(Ok(0), |v| as_u64("status.total", v))? as usize,
+                done: value
+                    .get("done")
+                    .map_or(Ok(0), |v| as_u64("status.done", v))? as usize,
+                total: value
+                    .get("total")
+                    .map_or(Ok(0), |v| as_u64("status.total", v))? as usize,
             }),
             "done" => Ok(SweepStatus::Done),
             "failed" => Ok(SweepStatus::Failed {
-                message: get("message")
+                message: value
+                    .get("message")
                     .map_or(Ok(String::new()), |v| as_str("status.message", v))?,
             }),
             "cancelled" => Ok(SweepStatus::Cancelled),
@@ -484,13 +490,16 @@ pub struct SweepResponse {
 
 impl SweepResponse {
     pub fn from_value(value: &Value) -> Result<SweepResponse, Error> {
-        let Value::Map(fields) = value else {
+        if !matches!(value, Value::Map(_)) {
             return Err(Error::invalid("response", "expected an object"));
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let id = get("id").ok_or_else(|| Error::invalid("response.id", "missing"))?;
-        let status = get("status").ok_or_else(|| Error::invalid("response.status", "missing"))?;
-        let artifact = match get("artifact") {
+        }
+        let id = value
+            .get("id")
+            .ok_or_else(|| Error::invalid("response.id", "missing"))?;
+        let status = value
+            .get("status")
+            .ok_or_else(|| Error::invalid("response.status", "missing"))?;
+        let artifact = match value.get("artifact") {
             None | Some(Value::Null) => None,
             Some(v) => Some(as_str("response.artifact", v)?),
         };

@@ -7,20 +7,21 @@
 //!
 //! * **plan** (`Engine::plan`): expand `(task, point, seed)` jobs with
 //!   consecutive result slots; pre-scan the [`ResultCache`], writing hits
-//!   straight into their slots so they never reach a worker, a cost
-//!   estimate or the observed-cost table; order the misses
-//!   longest-expected-first (LPT: wall-clocks this process has measured,
-//!   else a size heuristic) or leave them in input order.
+//!   straight into their slots so they never reach a worker; order the
+//!   misses largest-point-first (a size heuristic over the point's numeric
+//!   parameters) or leave them in input order. The order is a function of
+//!   the request and the cache's contents: the engine keeps nothing from
+//!   one sweep to the next.
 //! * **run** (`Engine::run_job`): one fresh [`Simulation`] per job, the
-//!   panic caught and kept with its `(scenario, point, seed)` identity, the
-//!   wall-clock recorded — all with no lock held — then one trip through
-//!   the sweep's lock to append the result to the sweep's write-ahead
-//!   segment, store its slot, pop the next pending job and count down.
+//!   panic caught and kept with its `(scenario, point, seed)` identity —
+//!   all with no lock held — then one trip through the sweep's lock to
+//!   append the result to the sweep's write-ahead segment, store its slot,
+//!   pop the next pending job and count down.
 //! * **finalize** (`Engine::finalize`): failures, sorted, become a
 //!   [`SweepError`]; otherwise the segment commits into the cache index and
 //!   the slots fold into per-scenario results in task, point, seed order.
 //!
-//! Everything a running sweep mutates is one [`Progress`] value behind the
+//! Everything a running sweep mutates is one `Progress` value behind the
 //! sweep's one mutex. Whoever takes the count of outstanding jobs to zero
 //! moves it out of the lock and owns it: finalization is exactly-once by
 //! ownership, and a failed or cancelled sweep releases its segment, slots
@@ -40,10 +41,9 @@
 //! its last one handed back (`threads <= 1`: the calling thread alone).
 
 use crate::cache::{self, CacheKey, CacheStats, CacheWriter, ResultCache};
-use crate::cost::CostTable;
 use crate::error::Error;
 use crate::metrics::{summarize, MetricSummary, Metrics};
-use crate::params::{Params, SweepGrid};
+use crate::params::{ParamValue, Params, SweepGrid};
 use crate::Scenario;
 use des::Simulation;
 use serde::Serialize;
@@ -92,8 +92,8 @@ impl SweepSuite {
 /// How the engine orders a sweep's jobs before any worker sees them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JobOrder {
-    /// Longest-expected-first by [`CostTable`] estimate (LPT scheduling);
-    /// ties broken by input position so the order is fully deterministic.
+    /// Largest point first, by a size heuristic over its numeric parameters
+    /// (LPT scheduling on a guess); ties keep their input order.
     #[default]
     Cost,
     /// The natural input order: task-major, point-major, seed-minor.
@@ -269,24 +269,18 @@ impl Sweep {
     }
 }
 
-/// What the sweeps of one entry point share — the result cache and the
-/// observed costs — and, as its methods, the plan, run and finalize steps.
+/// What the sweeps of one entry point share — the result cache, nothing
+/// else — and, as its methods, the plan, run and finalize steps.
 #[derive(Debug)]
 pub(crate) struct Engine {
     /// Memoized `(scenario, params, seed) → Metrics` store.
     pub(crate) cache: Option<Mutex<ResultCache>>,
-    /// Wall-clocks measured by this engine's own jobs, so ordering gets
-    /// smarter the longer the process runs. Cache hits never contribute: a
-    /// hit costs microseconds, and folding it in would drag the estimate
-    /// for that point shape toward zero.
-    pub(crate) observed: Mutex<CostTable>,
 }
 
 impl Engine {
     pub(crate) fn new(cache: Option<ResultCache>) -> Engine {
         Engine {
             cache: cache.map(Mutex::new),
-            observed: Mutex::new(CostTable::new()),
         }
     }
 
@@ -352,23 +346,9 @@ impl Engine {
             }
         }
 
-        // Deadline-aware ordering: estimate each point once, then start
-        // longest-expected-first, ties broken by slot so the order is fully
-        // deterministic. Estimates steer only the start order — results
-        // are slot-indexed, so the artifact cannot observe them. A warm
-        // sweep has nothing left to order and skips the estimates.
+        // A warm sweep has nothing left to order.
         if order == JobOrder::Cost && jobs.len() > 1 {
-            let observed = self.observed.lock().unwrap();
-            let estimates: Vec<Vec<f64>> = names
-                .iter()
-                .zip(&points)
-                .map(|(name, pts)| pts.iter().map(|p| observed.estimate(name, p)).collect())
-                .collect();
-            jobs.sort_by(|a, b| {
-                estimates[b.task][b.point]
-                    .total_cmp(&estimates[a.task][a.point])
-                    .then(a.slot.cmp(&b.slot))
-            });
+            largest_first(&mut jobs, &points);
         }
 
         let sweep = Sweep {
@@ -390,11 +370,11 @@ impl Engine {
         Ok((sweep, progress))
     }
 
-    /// Run one job of a started sweep — simulate it and record its
-    /// wall-clock with no lock held, then persist it and store its slot
-    /// under the sweep lock — or record a [`JobFailure`] if the scenario
-    /// panics or the cache write fails (a warm CI run silently degrading to
-    /// 0% hits must not pass). A cancelled sweep's jobs are skipped.
+    /// Run one job of a started sweep — simulate it with no lock held, then
+    /// persist it and store its slot under the sweep lock — or record a
+    /// [`JobFailure`] if the scenario panics or the cache write fails (a
+    /// warm CI run silently degrading to 0% hits must not pass). A
+    /// cancelled sweep's jobs are skipped.
     pub(crate) fn run_job(&self, sweep: &Sweep, scenario: &dyn Scenario, job: Job) -> Step {
         if !sweep.begin() {
             return sweep.settle(|_| {});
@@ -412,10 +392,6 @@ impl Engine {
         }))
         .map_err(|payload| panic_message(payload.as_ref()));
         let elapsed = started.elapsed().as_secs_f64();
-        if outcome.is_ok() {
-            let key = CostTable::key(scenario.name(), params);
-            self.observed.lock().unwrap().record(&key, elapsed);
-        }
         sweep.settle(|progress| {
             let failure = match outcome {
                 Ok(metrics) => {
@@ -470,6 +446,36 @@ impl Engine {
             progress.slots,
         ))
     }
+}
+
+/// [`JobOrder::Cost`]: start the largest points first so the short jobs pack
+/// around the long ones. The sort is stable and `jobs` arrives in slot
+/// order, so equal sizes — a point's seeds, above all — keep it. Only the
+/// start order moves: results are slot-indexed, so the artifact cannot
+/// observe it.
+fn largest_first(jobs: &mut [Job], points: &[Vec<Params>]) {
+    let sizes: Vec<Vec<f64>> = points
+        .iter()
+        .map(|task_points| task_points.iter().map(size_heuristic).collect())
+        .collect();
+    jobs.sort_by(|a, b| sizes[b.task][b.point].total_cmp(&sizes[a.task][a.point]));
+}
+
+/// Stand-in for a job's cost: a monotone function of the point's numeric
+/// parameter magnitudes. Size-like tunables (ranks, reps, trace lengths,
+/// grid extents) dominate a scenario's runtime, so "bigger numbers ⇒
+/// longer job". Logarithms keep one huge axis from drowning the others.
+fn size_heuristic(params: &Params) -> f64 {
+    let mut score = 1.0;
+    for (_, v) in params.iter() {
+        let x = match v {
+            ParamValue::U64(n) => *n as f64,
+            ParamValue::F64(x) if x.is_finite() => x.abs(),
+            _ => continue,
+        };
+        score += (1.0 + x).ln();
+    }
+    score
 }
 
 /// Fold slot-ordered metrics back into per-scenario results: task, point,
@@ -555,12 +561,6 @@ impl SweepRunner {
         self.threads
     }
 
-    /// The wall-clocks this runner has measured so far (all `run`/
-    /// `run_suite` calls on this instance) — what orders its next sweep.
-    pub fn observed_costs(&self) -> CostTable {
-        self.engine.observed.lock().unwrap().clone()
-    }
-
     /// Run `scenario` over every `(grid point, seed)` combination.
     /// Panics (with every failing job named) if any job panics; use
     /// [`SweepRunner::try_run`] to handle failures programmatically.
@@ -570,11 +570,7 @@ impl SweepRunner {
     }
 
     /// Fallible variant of [`SweepRunner::run`].
-    pub fn try_run(
-        &self,
-        scenario: &dyn Scenario,
-        grid: &SweepGrid,
-    ) -> Result<SweepResult, SweepError> {
+    pub fn try_run(&self, scenario: &dyn Scenario, grid: &SweepGrid) -> Result<SweepResult, Error> {
         let mut results = self.try_run_suite(&[(scenario, grid.clone())])?;
         Ok(results.pop().expect("one task in, one result out"))
     }
@@ -586,16 +582,14 @@ impl SweepRunner {
         self.try_run_suite(tasks).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`SweepRunner::run_suite`]. Job failures come
-    /// back as the error; a cache I/O failure is a loud panic.
+    /// Fallible variant of [`SweepRunner::run_suite`]: failed jobs come back
+    /// as [`Error::Sweep`], cache I/O trouble as [`Error::Cache`].
     pub fn try_run_suite(
         &self,
         tasks: &[(&dyn Scenario, SweepGrid)],
-    ) -> Result<Vec<SweepResult>, SweepError> {
+    ) -> Result<Vec<SweepResult>, Error> {
         let engine = &self.engine;
-        let (sweep, progress) = engine
-            .plan(tasks, &self.seeds, self.order)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let (sweep, progress) = engine.plan(tasks, &self.seeds, self.order)?;
 
         // The window is the workers: each runs the job its last one handed
         // back, and the one that completes the sweep's last job returns
@@ -626,11 +620,7 @@ impl SweepRunner {
             last.expect("the sweep's last job hands its progress back")
         };
 
-        match engine.finalize(&sweep, progress) {
-            Ok(results) => Ok(results),
-            Err(Error::Sweep(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
+        engine.finalize(&sweep, progress)
     }
 }
 
@@ -753,24 +743,25 @@ mod tests {
     #[test]
     fn one_thread_starts_jobs_in_exactly_the_plans_order() {
         let grid = SweepGrid::new().axis("k", vec![3u64, 100, 20]);
-        let starts = |order: JobOrder| {
-            let log = StartLog(Mutex::new(Vec::new()));
-            SweepRunner::new(1, vec![7, 8])
-                .with_order(order)
-                .run(&log, &grid);
-            log.0.into_inner().unwrap()
+        let log = StartLog(Mutex::new(Vec::new()));
+        let starts = |runner: &SweepRunner| {
+            runner.run(&log, &grid);
+            std::mem::take(&mut *log.0.lock().unwrap())
         };
         // Input order is slot order: point-major, seed-minor.
+        let input = SweepRunner::new(1, vec![7, 8]).with_order(JobOrder::Input);
         assert_eq!(
-            starts(JobOrder::Input),
+            starts(&input),
             [3, 100, 20].map(|k| [(k, 7), (k, 8)]).concat()
         );
-        // Nothing measured yet, so the estimate is the size heuristic:
-        // descending k, and a point's equal-estimate seeds tie-break by slot.
-        assert_eq!(
-            starts(JobOrder::Cost),
-            [100, 20, 3].map(|k| [(k, 7), (k, 8)]).concat()
-        );
+        // Cost order is the size heuristic: descending k, and a point's
+        // equal-size seeds stay in slot order.
+        let cost = SweepRunner::new(1, vec![7, 8]);
+        let first = starts(&cost);
+        assert_eq!(first, [100, 20, 3].map(|k| [(k, 7), (k, 8)]).concat());
+        // The runner keeps nothing from one sweep to the next, so whatever
+        // the first sweep's jobs cost, the second starts in the same order.
+        assert_eq!(starts(&cost), first);
     }
 
     #[test]
@@ -823,15 +814,13 @@ mod tests {
     }
 
     #[test]
-    fn observed_costs_accumulate_per_point_shape() {
-        let runner = SweepRunner::new(2, vec![1, 2, 3]);
-        let grid = SweepGrid::new().axis("k", vec![1u64, 2]);
-        runner.run(&Probe, &grid);
-        let observed = runner.observed_costs();
-        for key in ["probe|k=1", "probe|k=2"] {
-            let mean = observed.mean_secs(key).expect("key measured");
-            assert!(mean >= 0.0 && mean.is_finite(), "{key}: {mean}");
-        }
+    fn heuristic_ignores_non_numeric_and_non_finite() {
+        let base = size_heuristic(&Params::new());
+        let p = Params::new()
+            .with("mode", "fast")
+            .with("flag", true)
+            .with("bad", f64::NAN);
+        assert_eq!(size_heuristic(&p), base);
     }
 
     /// A scenario that panics on one specific (point, seed) pair.
@@ -860,9 +849,10 @@ mod tests {
     fn panicking_job_reports_its_identity() {
         let grid = SweepGrid::new().axis("k", vec![1u64, 2, 3]);
         for threads in [1, 4] {
-            let err = SweepRunner::new(threads, vec![7, 8])
-                .try_run(&Grenade, &grid)
-                .expect_err("the k=2/seed=8 job panics");
+            let err = match SweepRunner::new(threads, vec![7, 8]).try_run(&Grenade, &grid) {
+                Err(Error::Sweep(err)) => err,
+                other => panic!("the k=2/seed=8 job panics, got {other:?}"),
+            };
             assert_eq!(err.failures.len(), 1, "threads={threads}");
             let j = &err.failures[0];
             assert_eq!(j.scenario, "grenade");
@@ -884,9 +874,10 @@ mod tests {
         // sweep (partial artifacts would silently skew aggregates) and the
         // error must name exactly the failing job.
         let grid = SweepGrid::new().axis("k", vec![2u64]);
-        let err = SweepRunner::new(2, vec![7, 8, 9])
-            .try_run(&Grenade, &grid)
-            .expect_err("seed 8 panics");
+        let err = match SweepRunner::new(2, vec![7, 8, 9]).try_run(&Grenade, &grid) {
+            Err(Error::Sweep(err)) => err,
+            other => panic!("seed 8 panics, got {other:?}"),
+        };
         assert_eq!(err.failures.len(), 1);
         assert_eq!(err.failures[0].seed, 8);
     }

@@ -28,10 +28,14 @@
 //!   cancelled) queryable via [`Service::status`] / [`Service::list`],
 //!   cancellable via [`Service::cancel`], awaitable via [`Service::wait`].
 //!   Identical in-flight requests are deduplicated: the second submit
-//!   returns the first's id instead of doubling the work.
+//!   returns the first's id instead of doubling the work. Requests in
+//!   flight are always known; of the finished ones the service remembers
+//!   the last [`RETAINED_REQUESTS`], so its memory is bounded however long
+//!   it runs.
 //!
 //! The artifact is rendered once, server-side, with
-//! [`SweepSuite::artifact_json`] and shipped as text verbatim.
+//! [`SweepSuite::artifact_json`] and shipped as text verbatim; the rendered
+//! text is all a finished request keeps of its outcome.
 //!
 //! Locking invariant, which the failure tests rest on: no lock in this
 //! file or in `runner.rs` is held while [`crate::Scenario::run`] executes.
@@ -40,7 +44,7 @@
 //! outcome. A panicking scenario therefore fails its own request and can
 //! poison nothing: concurrent and later requests on the same service are
 //! unaffected. Each request is finalized by whoever the sweep's lock hands
-//! its [`Progress`] to — the worker that completed the last job, the
+//! its `Progress` to — the worker that completed the last job, the
 //! cancel that dropped the last pending one, or the submit that found
 //! every job in the cache — so exactly once, and a failed or cancelled
 //! request drops its write-ahead segment, slots and pending jobs right
@@ -50,13 +54,18 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::error::Error;
 use crate::registry::Registry;
 use crate::request::{SweepRequest, SweepResponse, SweepStatus};
-use crate::runner::{Engine, Job, Progress, Step, Sweep, SweepResult, SweepSuite};
+use crate::runner::{Engine, Job, Progress, Step, Sweep, SweepSuite};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// How many finished (done, failed or cancelled) requests a service keeps
+/// answering for. Beyond it the one that finished longest ago is forgotten
+/// — artifact and all — and its id becomes [`Error::UnknownRequest`].
+pub const RETAINED_REQUESTS: usize = 256;
 
 /// How a [`Service`] is provisioned.
 #[derive(Debug, Clone)]
@@ -117,13 +126,8 @@ pub struct Submission {
 /// Terminal (or not-yet-terminal) state of one request.
 enum Terminal {
     Pending,
-    Done {
-        artifact: String,
-        results: Vec<SweepResult>,
-    },
-    Failed {
-        message: String,
-    },
+    Done { artifact: String },
+    Failed { message: String },
     Cancelled,
 }
 
@@ -144,7 +148,7 @@ impl ActiveSweep {
     fn response(&self, include_artifact: bool) -> SweepResponse {
         let mut artifact = None;
         let status = match &*self.state.lock().unwrap() {
-            Terminal::Done { artifact: text, .. } => {
+            Terminal::Done { artifact: text } => {
                 artifact = include_artifact.then(|| text.clone());
                 SweepStatus::Done
             }
@@ -183,17 +187,25 @@ struct PoolQueue {
     shutdown: bool,
 }
 
+/// The request registry.
+#[derive(Default)]
+struct Requests {
+    /// Every request in flight and the finished ones still retained. Ids
+    /// are monotonic, so iteration order is submission order.
+    by_id: BTreeMap<u64, Arc<ActiveSweep>>,
+    /// The retained finished requests, longest-finished first.
+    finished: VecDeque<u64>,
+}
+
 struct Inner {
     registry: Registry,
     threads: usize,
     queue: Mutex<PoolQueue>,
     /// Signalled per pushed job, and to all at shutdown.
     ready: Condvar,
-    /// Every request ever submitted. Ids are monotonic, so iteration order
-    /// is submission order.
-    requests: Mutex<BTreeMap<u64, Arc<ActiveSweep>>>,
+    requests: Mutex<Requests>,
     next_id: AtomicU64,
-    /// The shared cache and observed costs every request plans and runs on.
+    /// The shared cache every request plans and runs on.
     engine: Engine,
     /// Canonical request text → in-flight request.
     dedup: Mutex<HashMap<String, Arc<ActiveSweep>>>,
@@ -229,7 +241,7 @@ impl Service {
             threads,
             queue: Mutex::new(PoolQueue::default()),
             ready: Condvar::new(),
-            requests: Mutex::new(BTreeMap::new()),
+            requests: Mutex::new(Requests::default()),
             next_id: AtomicU64::new(1),
             engine: Engine::new(cache),
             dedup: Mutex::new(HashMap::new()),
@@ -305,6 +317,7 @@ impl Service {
             .requests
             .lock()
             .unwrap()
+            .by_id
             .insert(id, Arc::clone(&sweep));
         let status = match window {
             Err(progress) => {
@@ -341,6 +354,7 @@ impl Service {
             .requests
             .lock()
             .unwrap()
+            .by_id
             .get(&id)
             .cloned()
             .ok_or(Error::UnknownRequest { id })
@@ -351,10 +365,10 @@ impl Service {
         Ok(self.get(id)?.response(false))
     }
 
-    /// Every request this service has seen, in submission order.
+    /// Every request this service still knows, in submission order.
     pub fn list(&self) -> Vec<SweepResponse> {
         let requests = self.inner.requests.lock().unwrap();
-        requests.values().map(|s| s.response(false)).collect()
+        requests.by_id.values().map(|s| s.response(false)).collect()
     }
 
     /// Block until the request reaches a terminal state; `Done` responses
@@ -380,26 +394,6 @@ impl Service {
             finalize(&self.inner, &sweep, progress);
         }
         Ok(sweep.response(false))
-    }
-
-    /// The aggregated per-scenario results of a `Done` request — what the
-    /// CLI renders as summary tables. Errors on non-terminal, failed, or
-    /// cancelled requests (their outcome is in `status`, not here).
-    pub fn results(&self, id: u64) -> Result<Vec<SweepResult>, Error> {
-        let sweep = self.get(id)?;
-        let state = sweep.state.lock().unwrap();
-        match &*state {
-            Terminal::Done { results, .. } => Ok(results.clone()),
-            Terminal::Cancelled => Err(Error::Cancelled { id }),
-            Terminal::Failed { message } => Err(Error::RequestFailed {
-                id,
-                message: message.clone(),
-            }),
-            Terminal::Pending => Err(Error::RequestFailed {
-                id,
-                message: "request has no results yet (not terminal)".to_string(),
-            }),
-        }
     }
 
     /// Hit/miss/size counters of the shared cache, if one is attached.
@@ -464,14 +458,9 @@ fn finalize(inner: &Inner, sweep: &ActiveSweep, progress: Progress) {
     } else {
         match inner.engine.finalize(&sweep.sweep, progress) {
             Ok(results) => {
-                let suite = SweepSuite {
-                    seeds: sweep.sweep.seeds.clone(),
-                    results,
-                };
-                Terminal::Done {
-                    artifact: suite.artifact_json(),
-                    results: suite.results,
-                }
+                let seeds = sweep.sweep.seeds.clone();
+                let artifact = SweepSuite { seeds, results }.artifact_json();
+                Terminal::Done { artifact }
             }
             Err(e) => Terminal::Failed {
                 message: match e {
@@ -490,4 +479,13 @@ fn finalize(inner: &Inner, sweep: &ActiveSweep, progress: Progress) {
     inner.dedup.lock().unwrap().remove(&sweep.dedup_key);
     *sweep.state.lock().unwrap() = terminal;
     sweep.done_cond.notify_all();
+
+    // Finished requests are retained newest-first up to the cap; a waiter
+    // that already holds the one forgotten here still gets its answer.
+    let mut requests = inner.requests.lock().unwrap();
+    requests.finished.push_back(sweep.id);
+    if requests.finished.len() > RETAINED_REQUESTS {
+        let oldest = requests.finished.pop_front().expect("just pushed");
+        requests.by_id.remove(&oldest);
+    }
 }

@@ -119,16 +119,14 @@ impl Verb {
     }
 
     pub fn from_value(value: &Value) -> Result<Verb, Error> {
-        let fields = match value {
-            Value::Map(fields) => fields,
-            _ => return Err(Error::protocol("request frame must be a JSON object")),
-        };
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let verb = match get("verb") {
+        if !matches!(value, Value::Map(_)) {
+            return Err(Error::protocol("request frame must be a JSON object"));
+        }
+        let verb = match value.get("verb") {
             Some(Value::Str(v)) => v.as_str(),
             _ => return Err(Error::protocol("request frame is missing the `verb` field")),
         };
-        let id = || match get("id") {
+        let id = || match value.get("id") {
             Some(Value::U64(id)) => Ok(*id),
             _ => Err(Error::protocol(format!(
                 "`{verb}` needs a numeric `id` field"
@@ -136,7 +134,8 @@ impl Verb {
         };
         match verb {
             "submit" => {
-                let request = get("request")
+                let request = value
+                    .get("request")
                     .ok_or_else(|| Error::protocol("`submit` needs a `request` field"))?;
                 Ok(Verb::Submit(SweepRequest::from_value(request)?))
             }
@@ -155,8 +154,9 @@ impl Verb {
 }
 
 /// Stable machine-readable tag for each error variant, carried in the
-/// error reply next to the human-readable message.
-pub fn error_kind(error: &Error) -> &'static str {
+/// error reply next to the human-readable message. Forwarding a remote
+/// error keeps the tag it arrived with.
+pub fn error_kind(error: &Error) -> &str {
     match error {
         Error::Sweep(_) => "sweep",
         Error::UnknownScenario { .. } => "unknown_scenario",
@@ -166,23 +166,7 @@ pub fn error_kind(error: &Error) -> &'static str {
         Error::Protocol { .. } => "protocol",
         Error::Io { .. } => "io",
         Error::UnknownRequest { .. } => "unknown_request",
-        Error::Cancelled { .. } => "cancelled",
-        Error::RequestFailed { .. } => "request_failed",
-        Error::Server { kind, .. } => {
-            // Forwarding a remote error keeps its original tag when known.
-            match kind.as_str() {
-                "sweep" => "sweep",
-                "unknown_scenario" => "unknown_scenario",
-                "unknown_axis" => "unknown_axis",
-                "invalid_request" => "invalid_request",
-                "cache" => "cache",
-                "io" => "io",
-                "unknown_request" => "unknown_request",
-                "cancelled" => "cancelled",
-                "request_failed" => "request_failed",
-                _ => "protocol",
-            }
-        }
+        Error::Server { kind, .. } => kind,
     }
 }
 
@@ -240,18 +224,6 @@ pub fn submission_to_value(submission: &Submission) -> Vec<(String, Value)> {
     ]
 }
 
-/// A submit receipt as decoded client-side — mirrors [`Submission`].
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct SubmitReceipt {
-    pub id: u64,
-    pub status: SweepStatus,
-    pub warnings: Vec<String>,
-    pub total_jobs: usize,
-    pub cache_hits: usize,
-    pub deduped: bool,
-}
-
 /// Blocking client for one service connection. One outstanding verb at a
 /// time (the protocol is strictly request → reply on a connection); open
 /// more clients for concurrency.
@@ -276,78 +248,60 @@ impl Client {
             .ok_or_else(|| Error::protocol("service hung up before replying"))?;
         let value = serde_json::from_str(&reply)
             .map_err(|e| Error::protocol(format!("malformed reply frame: {e}")))?;
-        let fields = match &value {
-            Value::Map(fields) => fields.clone(),
-            _ => return Err(Error::protocol("reply frame must be a JSON object")),
-        };
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-        };
-        match get("ok") {
+        match value.get("ok") {
             Some(Value::Bool(true)) => Ok(value),
             Some(Value::Bool(false)) => {
-                let (mut kind, mut message) = ("error".to_string(), String::new());
-                if let Some(Value::Map(err)) = get("error") {
-                    for (k, v) in err {
-                        match (k.as_str(), v) {
-                            ("kind", Value::Str(s)) => kind = s,
-                            ("message", Value::Str(s)) => message = s,
-                            _ => {}
-                        }
-                    }
-                }
-                Err(Error::Server { kind, message })
+                let text = |key: &str| match value.get("error").and_then(|e| e.get(key)) {
+                    Some(Value::Str(s)) => Some(s.clone()),
+                    _ => None,
+                };
+                Err(Error::Server {
+                    kind: text("kind").unwrap_or_else(|| "error".to_string()),
+                    message: text("message").unwrap_or_default(),
+                })
             }
-            _ => Err(Error::protocol("reply frame is missing the `ok` field")),
+            _ => Err(Error::protocol(
+                "reply frame must be a JSON object with an `ok` field",
+            )),
         }
     }
 
-    fn field(value: &Value, key: &str) -> Option<Value> {
-        match value {
-            Value::Map(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone()),
-            _ => None,
-        }
-    }
-
-    pub fn submit(&mut self, request: &SweepRequest) -> Result<SubmitReceipt, Error> {
+    /// Decodes the six fields [`submission_to_value`] wrote.
+    pub fn submit(&mut self, request: &SweepRequest) -> Result<Submission, Error> {
         let reply = self.call(&Verb::Submit(request.clone()))?;
-        let status = Self::field(&reply, "status")
+        let status = reply
+            .get("status")
             .ok_or_else(|| Error::protocol("submit reply is missing `status`"))?;
-        let warnings = match Self::field(&reply, "warnings") {
+        let warnings = match reply.get("warnings") {
             Some(Value::Seq(items)) => items
-                .into_iter()
+                .iter()
                 .filter_map(|v| match v {
-                    Value::Str(s) => Some(s),
+                    Value::Str(s) => Some(s.clone()),
                     _ => None,
                 })
                 .collect(),
             _ => Vec::new(),
         };
-        let num = |key: &str| match Self::field(&reply, key) {
-            Some(Value::U64(n)) => Ok(n),
+        let num = |key: &str| match reply.get(key) {
+            Some(Value::U64(n)) => Ok(*n),
             _ => Err(Error::protocol(format!("submit reply is missing `{key}`"))),
         };
-        Ok(SubmitReceipt {
+        Ok(Submission {
             id: num("id")?,
-            status: SweepStatus::from_value(&status)?,
+            status: SweepStatus::from_value(status)?,
             warnings,
             total_jobs: num("total_jobs")? as usize,
             cache_hits: num("cache_hits")? as usize,
-            deduped: matches!(Self::field(&reply, "deduped"), Some(Value::Bool(true))),
+            deduped: matches!(reply.get("deduped"), Some(Value::Bool(true))),
         })
     }
 
     fn response_verb(&mut self, verb: Verb) -> Result<SweepResponse, Error> {
         let reply = self.call(&verb)?;
-        let response = Self::field(&reply, "response")
+        let response = reply
+            .get("response")
             .ok_or_else(|| Error::protocol("reply is missing `response`"))?;
-        SweepResponse::from_value(&response)
+        SweepResponse::from_value(response)
     }
 
     pub fn status(&mut self, id: u64) -> Result<SweepResponse, Error> {
@@ -365,7 +319,7 @@ impl Client {
 
     pub fn list(&mut self) -> Result<Vec<SweepResponse>, Error> {
         let reply = self.call(&Verb::List)?;
-        match Self::field(&reply, "requests") {
+        match reply.get("requests") {
             Some(Value::Seq(items)) => items
                 .iter()
                 .map(SweepResponse::from_value)

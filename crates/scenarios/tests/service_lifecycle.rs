@@ -174,6 +174,10 @@ fn runner_and_service_serve_each_others_cache_entries() {
         SweepRunner::new(2, validated.seeds.clone())
             .with_cache(scenarios::ResultCache::open(dir).expect("open cache"))
     };
+    let artifact_of = |results| {
+        let seeds = validated.seeds.clone();
+        SweepSuite { seeds, results }.artifact_json()
+    };
     let service_on = |dir: &PathBuf| {
         Service::start(
             Registry::standard(),
@@ -200,10 +204,12 @@ fn runner_and_service_serve_each_others_cache_entries() {
         "an all-hit request finalizes at submit, got {}",
         submission.status
     );
-    let served = service.results(submission.id).expect("done has results");
-    for (a, b) in served.iter().zip(&runner_results) {
-        assert!(a.bits_eq(b), "{}: cache-served bits diverged", a.scenario);
-    }
+    let served = service.wait(submission.id).expect("warm wait").artifact;
+    assert_eq!(
+        served.expect("done carries the artifact"),
+        artifact_of(runner_results),
+        "cache-served artifact diverged from the runner's"
+    );
 
     // Cold service, then a runner on the same directory.
     let dir = cache_dir("service-then-runner");
@@ -212,7 +218,7 @@ fn runner_and_service_serve_each_others_cache_entries() {
     assert_eq!(submission.cache_hits, 0, "cold service simulates");
     let response = service.wait(submission.id).expect("cold wait");
     assert!(matches!(response.status, SweepStatus::Done));
-    let service_results = service.results(submission.id).expect("done has results");
+    let served = response.artifact.expect("done carries the artifact");
     drop(service);
     let warm = runner_on(&dir);
     let runner_results = warm.run_suite(&tasks);
@@ -222,10 +228,11 @@ fn runner_and_service_serve_each_others_cache_entries() {
         (6, 0),
         "the runner must be served entirely by the service's entries"
     );
-    assert!(warm.observed_costs().is_empty(), "hits are not timed");
-    for (a, b) in runner_results.iter().zip(&service_results) {
-        assert!(a.bits_eq(b), "{}: cache-served bits diverged", a.scenario);
-    }
+    assert_eq!(
+        artifact_of(runner_results),
+        served,
+        "cache-served artifact diverged from the service's"
+    );
 }
 
 #[test]
@@ -477,19 +484,66 @@ fn one_worker_starts_a_sweeps_jobs_in_plan_order() {
         assert!(matches!(response.status, SweepStatus::Done));
         std::mem::take(&mut *STARTS.lock().unwrap())
     };
-    // Nothing is measured on a fresh service, so the estimate is the size
-    // heuristic: descending k, a point's equal-estimate seeds tie-breaking
-    // by slot.
-    assert_eq!(
-        starts(JobOrder::Cost),
-        [100, 20, 3].map(|k| [(k, 42), (k, 43)]).concat()
-    );
-    // Input order is slot order — point-major, seed-minor — whatever the
-    // first sweep measured.
+    // Cost order is the size heuristic: descending k, a point's
+    // equal-size seeds staying in slot order.
+    let first = starts(JobOrder::Cost);
+    assert_eq!(first, [100, 20, 3].map(|k| [(k, 42), (k, 43)]).concat());
+    // The service keeps nothing of a sweep but its outcome, so the same
+    // request again (no cache: every job reruns) starts in the same order.
+    assert_eq!(starts(JobOrder::Cost), first);
+    // Input order is slot order: point-major, seed-minor.
     assert_eq!(
         starts(JobOrder::Input),
         [3, 100, 20].map(|k| [(k, 42), (k, 43)]).concat()
     );
+}
+
+/// A server that runs for weeks must not remember every request it ever
+/// finished: beyond the cap the longest-finished go, ids and artifacts
+/// both, while anything still in flight stays however old it is.
+#[test]
+fn finished_requests_are_retained_up_to_the_cap() {
+    use scenarios::service::RETAINED_REQUESTS;
+
+    let dir = cache_dir("retention");
+    let service = Service::start(
+        sleepy_registry(),
+        ServiceConfig::new().with_threads(1).with_cache_dir(&dir),
+    )
+    .expect("service starts");
+    let hit = SweepRequest::new().scenario("fast").with_seeds(1);
+    let oldest = service.submit(&hit).expect("cold submit");
+    let artifact = service.wait(oldest.id).expect("cold wait").artifact;
+
+    // 12 points × 2 seeds × 25 ms on the one worker: in flight throughout.
+    let points = (1..=12).map(ParamValue::U64).collect::<Vec<ParamValue>>();
+    let running = service
+        .submit(&SweepRequest::new().scenario("slow").axis("k", points))
+        .expect("long submit");
+
+    let mut newest = oldest.id;
+    for _ in 0..RETAINED_REQUESTS + 100 {
+        let submission = service.submit(&hit).expect("warm submit");
+        assert!(matches!(submission.status, SweepStatus::Done), "all hits");
+        newest = submission.id;
+    }
+    assert!(
+        service.list().len() <= RETAINED_REQUESTS + 1,
+        "{} requests listed: the cap plus the one in flight is the most",
+        service.list().len()
+    );
+    let err = service.status(oldest.id).expect_err("forgotten");
+    assert!(matches!(err, scenarios::Error::UnknownRequest { id } if id == oldest.id));
+    assert_eq!(
+        service.wait(newest).expect("newest wait").artifact,
+        artifact
+    );
+    let status = service.status(running.id).expect("in flight, so known");
+    assert!(
+        !status.status.is_terminal(),
+        "the flood outlasted the sweep"
+    );
+    service.cancel(running.id).expect("cancel");
 }
 
 /// Cancelled (and failed) requests give back what they held at the terminal

@@ -366,6 +366,69 @@ fn a_deeply_nested_frame_gets_a_protocol_error_not_an_abort() {
     server.join().expect("server thread");
 }
 
+/// Broken and hostile peers, one after another against one server. None of
+/// them can be answered (there is no frame boundary to answer at), so each
+/// must cost exactly its own connection: the server keeps answering `ping`,
+/// and a well-behaved client's `submit` + `wait` gets the bytes it got
+/// before the abuse.
+#[test]
+fn hostile_and_broken_frames_cost_only_their_own_connection() {
+    use scenarios::wire::{write_frame, Verb, MAX_FRAME_BYTES};
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    let (addr, server) = serve(sleepy_registry(), ServiceConfig::new().with_threads(2));
+    let request = SweepRequest::new().scenario("fast").with_seeds(2);
+    let served = || {
+        let mut client = Client::connect(addr).expect("connect");
+        client.ping().expect("the server still answers ping");
+        let receipt = client.submit(&request).expect("submit");
+        let response = client.wait(receipt.id).expect("wait");
+        assert!(matches!(response.status, SweepStatus::Done));
+        response.artifact.expect("artifact")
+    };
+    let before = served();
+
+    // Each case writes its bytes and hangs up by dropping the socket.
+    let send = |bytes: &[u8]| {
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.write_all(bytes).expect("send");
+    };
+    let oversize = (MAX_FRAME_BYTES as u32 + 1).to_be_bytes();
+    let abandoned_wait = || {
+        // 4 points × 3 seeds × 25 ms on two workers: the `wait` below blocks
+        // server-side long after its connection is gone.
+        let points = (1..=4).map(ParamValue::U64).collect::<Vec<ParamValue>>();
+        let slow = SweepRequest::new().scenario("slow").axis("k", points);
+        let id = Client::connect(addr)
+            .and_then(|mut client| client.submit(&slow))
+            .expect("submit")
+            .id;
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        let verb = serde_json::to_string(&Verb::Wait(id).to_value()).expect("renders");
+        write_frame(&mut raw, &verb).expect("send wait");
+    };
+    let cases: [(&str, &dyn Fn()); 5] = [
+        ("truncated length prefix", &|| send(&[0, 0])),
+        ("oversize length claim", &|| send(&oversize)),
+        ("invalid UTF-8 body", &|| {
+            send(&[0, 0, 0, 4, 0xff, 0xfe, 0xfd, 0xfc])
+        }),
+        ("disconnect mid-frame", &|| {
+            send(&[0, 0, 0, 100, b'{', b'"', b'v'])
+        }),
+        ("disconnect while blocked in wait", &abandoned_wait),
+    ];
+    for (name, abuse) in cases {
+        abuse();
+        assert_eq!(served(), before, "after {name}: the served bytes changed");
+    }
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
+
 /// A client that merely stays connected must not hold shutdown hostage:
 /// its connection thread sits in `read_frame` with no verb in flight, and
 /// `Server::run` used to join it before returning — i.e. never.

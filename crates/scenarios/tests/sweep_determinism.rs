@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 use scenarios::service::{Service, ServiceConfig};
 use scenarios::{
-    Metrics, ParamValue, Registry, Scenario, SweepGrid, SweepRequest, SweepResult, SweepRunner,
-    SweepStatus,
+    summarize, Metrics, ParamValue, PointResult, Registry, Scenario, SweepGrid, SweepRequest,
+    SweepResult, SweepRunner, SweepStatus, SweepSuite,
 };
 
 /// The reference every entry point must reproduce: `oracle[task][point][seed]`
@@ -33,6 +33,35 @@ fn serial_oracle(tasks: &[(&dyn Scenario, SweepGrid)], seeds: &[u64]) -> Vec<Vec
         oracle.push(per_point);
     }
     oracle
+}
+
+/// The artifact text the oracle's metrics render to — what an entry point
+/// that only hands out text (the service) is compared with.
+fn oracle_artifact(
+    tasks: &[(&dyn Scenario, SweepGrid)],
+    seeds: &[u64],
+    oracle: &[Vec<Vec<Metrics>>],
+) -> String {
+    let results = tasks
+        .iter()
+        .zip(oracle)
+        .map(|((scenario, grid), per_point)| SweepResult {
+            scenario: scenario.name().to_string(),
+            seeds: seeds.to_vec(),
+            points: grid
+                .points(&scenario.default_params())
+                .into_iter()
+                .zip(per_point)
+                .map(|(params, runs)| PointResult {
+                    params,
+                    summary: summarize(runs),
+                    per_seed: seeds.iter().copied().zip(runs.iter().cloned()).collect(),
+                })
+                .collect(),
+        })
+        .collect();
+    let seeds = seeds.to_vec();
+    SweepSuite { seeds, results }.artifact_json()
 }
 
 fn assert_matches_oracle(
@@ -95,8 +124,11 @@ fn every_entry_point_matches_the_serial_oracle_on_the_standard_registry() {
     let submission = service.submit(&request).expect("submit succeeds");
     let response = service.wait(submission.id).expect("wait succeeds");
     assert!(matches!(response.status, SweepStatus::Done));
-    let results = service.results(submission.id).expect("done has results");
-    assert_matches_oracle("Service", &results, &tasks, seeds, &oracle);
+    assert_eq!(
+        response.artifact.expect("done carries the artifact"),
+        oracle_artifact(&tasks, seeds, &oracle),
+        "Service: served artifact diverged from the serial oracle's"
+    );
 }
 
 proptest! {

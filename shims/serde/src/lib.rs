@@ -27,6 +27,17 @@ pub enum Value {
     Map(Vec<(String, Value)>),
 }
 
+impl Value {
+    /// The value under `key` if this is a [`Value::Map`] that has one —
+    /// `serde_json::Value::get` for string keys.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Map(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+}
+
 /// Conversion into a [`Value`] tree.
 pub trait Serialize {
     fn to_value(&self) -> Value;
@@ -272,5 +283,8 @@ mod tests {
         let mut m = std::collections::BTreeMap::new();
         m.insert("a".to_string(), 1u8);
         assert_eq!(m.to_value(), Value::Map(vec![("a".into(), Value::U64(1))]));
+        assert_eq!(m.to_value().get("a"), Some(&Value::U64(1)));
+        assert_eq!(m.to_value().get("b"), None);
+        assert_eq!(v.get("a"), None, "only maps have keys");
     }
 }
