@@ -72,6 +72,25 @@ fn run_artifact_matches_the_committed_goldens() {
         std::fs::read(golden("fig07_reps50_100_seeds2.json")).expect("golden present"),
         "fig07 artifact bytes drifted from the golden"
     );
+
+    let fig11 = out_path("fig11");
+    run_cli(&[
+        "run",
+        "fig11_memory_sharing",
+        "--seeds",
+        "2",
+        "--threads",
+        "2",
+        "--grid",
+        "reps=5,10",
+        "--json",
+        fig11.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        std::fs::read(&fig11).expect("artifact written"),
+        std::fs::read(golden("fig11_reps5_10_seeds2.json")).expect("golden present"),
+        "fig11 artifact bytes drifted from the golden"
+    );
 }
 
 /// `scenarios report <name>` is the one way to print a paper-style report

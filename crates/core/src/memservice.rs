@@ -2,11 +2,16 @@
 //! block of idle node memory, exposes it for one-sided RMA, and serves a
 //! batch job's remote-paging traffic. One-sided access keeps CPU overhead
 //! minimal, so many such functions co-locate even with compute-heavy jobs.
+//!
+//! [`RemoteMemoryClient::write`]/[`RemoteMemoryClient::read`] move real
+//! bytes; [`RemoteMemoryClient::time`] runs the same checks and returns the
+//! same duration without moving them. Fig. 11's functional check uses both:
+//! it times the paper's 10 MB transfers and moves one real page.
 
 use crate::functions::FunctionRequirements;
 use bytes::Bytes;
 use des::SimTime;
-use fabric::{CompletionMode, Fabric, JobToken, MrKey, NodeId, QueuePair, VerbsError};
+use fabric::{CompletionMode, Fabric, JobToken, MrKey, NodeId, QueuePair, RdmaOp, VerbsError};
 use serde::Serialize;
 
 /// A running memory-service function: one pinned region on one node.
@@ -105,9 +110,7 @@ impl RemoteMemoryClient {
         data: &[u8],
     ) -> Result<SimTime, VerbsError> {
         let t = fabric.rdma_write(&self.qp, self.region, offset, data)?;
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        self.stats.total_time += t;
+        self.record(RdmaOp::Write, data.len(), t);
         Ok(t)
     }
 
@@ -119,10 +122,34 @@ impl RemoteMemoryClient {
         len: usize,
     ) -> Result<(Bytes, SimTime), VerbsError> {
         let (data, t) = fabric.rdma_read(&self.qp, self.region, offset, len)?;
-        self.stats.reads += 1;
-        self.stats.bytes_read += len as u64;
-        self.stats.total_time += t;
+        self.record(RdmaOp::Read, len, t);
         Ok((data, t))
+    }
+
+    /// How long [`RemoteMemoryClient::read`] or [`RemoteMemoryClient::write`]
+    /// (`op`) of `len` bytes at `offset` takes, without moving the bytes
+    /// (see [`Fabric::rdma_time`]). Counted in the stats like the real op.
+    pub fn time(
+        &mut self,
+        fabric: &mut Fabric,
+        offset: usize,
+        len: usize,
+        op: RdmaOp,
+    ) -> Result<SimTime, VerbsError> {
+        let t = fabric.rdma_time(&self.qp, self.region, offset, len, op)?;
+        self.record(op, len, t);
+        Ok(t)
+    }
+
+    fn record(&mut self, op: RdmaOp, len: usize, t: SimTime) {
+        if op == RdmaOp::Read {
+            self.stats.reads += 1;
+            self.stats.bytes_read += len as u64;
+        } else {
+            self.stats.writes += 1;
+            self.stats.bytes_written += len as u64;
+        }
+        self.stats.total_time += t;
     }
 
     /// Achieved bandwidth so far, bytes/s.
@@ -185,6 +212,21 @@ mod tests {
         let t = client.write(&mut fabric, 0, &chunk).unwrap();
         let ms = t.as_millis_f64();
         assert!(ms > 0.5 && ms < 3.0, "10 MB at ~10 GB/s: {ms} ms");
+    }
+
+    #[test]
+    fn timed_paging_counts_like_real_paging_and_moves_nothing() {
+        let (mut fabric, svc) = setup();
+        let (mut client, _) =
+            RemoteMemoryClient::connect(&mut fabric, &svc, NodeId(0), BATCH_JOB).unwrap();
+        let t = client
+            .time(&mut fabric, 0, 10 << 20, RdmaOp::Write)
+            .unwrap();
+        assert_eq!(client.stats.writes, 1);
+        assert_eq!(client.stats.bytes_written, 10 << 20);
+        assert_eq!(client.stats.total_time, t);
+        let (page, _) = client.read(&mut fabric, 0, 4096).unwrap();
+        assert!(page.iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use bytes::{Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Remote key identifying a registered region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -89,26 +90,27 @@ impl MemoryRegion {
 
     /// Local read (no permission machinery beyond LOCAL_READ).
     pub fn read_local(&self, offset: usize, len: usize) -> Result<Bytes, MrError> {
-        if !self.access.contains(AccessFlags::LOCAL_READ) {
-            return Err(MrError::AccessDenied);
-        }
-        self.slice(offset, len)
+        let range = self.range(AccessFlags::LOCAL_READ, offset, len)?;
+        Ok(Bytes::copy_from_slice(&self.data[range]))
     }
 
-    fn slice(&self, offset: usize, len: usize) -> Result<Bytes, MrError> {
+    /// The check every access runs: the flags grant `need`, and
+    /// `[offset, offset + len)` lies inside the region (an overflowing end
+    /// is out of bounds, not a panic).
+    fn range(&self, need: AccessFlags, offset: usize, len: usize) -> Result<Range<usize>, MrError> {
+        if !self.access.contains(need) {
+            return Err(MrError::AccessDenied);
+        }
         let end = offset.checked_add(len).ok_or(MrError::OutOfBounds)?;
         if end > self.data.len() {
             return Err(MrError::OutOfBounds);
         }
-        Ok(Bytes::copy_from_slice(&self.data[offset..end]))
+        Ok(offset..end)
     }
 
-    fn write(&mut self, offset: usize, data: &[u8]) -> Result<(), MrError> {
-        let end = offset.checked_add(data.len()).ok_or(MrError::OutOfBounds)?;
-        if end > self.data.len() {
-            return Err(MrError::OutOfBounds);
-        }
-        self.data[offset..end].copy_from_slice(data);
+    fn write(&mut self, need: AccessFlags, offset: usize, data: &[u8]) -> Result<(), MrError> {
+        let range = self.range(need, offset, data.len())?;
+        self.data[range].copy_from_slice(data);
         Ok(())
     }
 }
@@ -207,28 +209,44 @@ impl RegionTable {
     /// Remote read: permission-checked copy out of the region.
     pub fn remote_read(&self, key: MrKey, offset: usize, len: usize) -> Result<Bytes, MrError> {
         let region = self.get(key)?;
-        if !region.access.contains(AccessFlags::REMOTE_READ) {
-            return Err(MrError::AccessDenied);
-        }
-        region.slice(offset, len)
+        let range = region.range(AccessFlags::REMOTE_READ, offset, len)?;
+        Ok(Bytes::copy_from_slice(&region.data[range]))
     }
 
     /// Remote write: permission-checked copy into the region.
     pub fn remote_write(&mut self, key: MrKey, offset: usize, data: &[u8]) -> Result<(), MrError> {
-        let region = self.regions.get_mut(&key).ok_or(MrError::UnknownRegion)?;
-        if !region.access.contains(AccessFlags::REMOTE_WRITE) {
-            return Err(MrError::AccessDenied);
-        }
-        region.write(offset, data)
+        self.get_mut(key)?
+            .write(AccessFlags::REMOTE_WRITE, offset, data)
     }
 
     /// Local write by the owner.
     pub fn local_write(&mut self, key: MrKey, offset: usize, data: &[u8]) -> Result<(), MrError> {
-        let region = self.regions.get_mut(&key).ok_or(MrError::UnknownRegion)?;
-        if !region.access.contains(AccessFlags::LOCAL_WRITE) {
-            return Err(MrError::AccessDenied);
+        self.get_mut(key)?
+            .write(AccessFlags::LOCAL_WRITE, offset, data)
+    }
+
+    /// The `len` bytes at `(key, offset)` as a NIC on `node` reaches them:
+    /// a region registered on another node is unknown there, then the
+    /// flags must grant `need` and the range must lie inside the region.
+    /// Every one-sided verb runs this one check.
+    pub(crate) fn reach(
+        &mut self,
+        node: crate::network::NodeId,
+        key: MrKey,
+        need: AccessFlags,
+        offset: usize,
+        len: usize,
+    ) -> Result<&mut [u8], MrError> {
+        let region = self.get_mut(key)?;
+        if region.node != node {
+            return Err(MrError::UnknownRegion);
         }
-        region.write(offset, data)
+        let range = region.range(need, offset, len)?;
+        Ok(&mut region.data[range])
+    }
+
+    fn get_mut(&mut self, key: MrKey) -> Result<&mut MemoryRegion, MrError> {
+        self.regions.get_mut(&key).ok_or(MrError::UnknownRegion)
     }
 }
 

@@ -6,6 +6,8 @@
 //! Operations are synchronous-with-cost: they validate, move the bytes, and
 //! return the virtual duration the operation takes. Callers running inside a
 //! [`des::Simulation`] schedule their continuations after that duration.
+//! [`Fabric::rdma_time`] is the one-sided op without the byte move, for
+//! callers that need only the duration: same checks, same timing.
 
 use crate::drc::{Credential, DrcError, DrcManager, JobToken};
 use crate::loggp::{CompletionMode, LogGpParams, Transport};
@@ -174,6 +176,31 @@ impl Fabric {
         Ok(self.timed_transfer(qp, RdmaOp::Send, payload.len()))
     }
 
+    /// The validation every one-sided op runs, in order: the QP is
+    /// connected, its credential still grants the job, the region is
+    /// registered on the QP's remote node, its flags allow `op`, and
+    /// `[offset, offset + len)` lies inside it. Returns those bytes.
+    ///
+    /// # Panics
+    ///
+    /// If `op` is [`RdmaOp::Send`], which targets no region.
+    fn one_sided(
+        &mut self,
+        qp: &QueuePair,
+        region: MrKey,
+        offset: usize,
+        len: usize,
+        op: RdmaOp,
+    ) -> Result<&mut [u8], VerbsError> {
+        self.check(qp)?;
+        let need = match op {
+            RdmaOp::Read => AccessFlags::REMOTE_READ,
+            RdmaOp::Write => AccessFlags::REMOTE_WRITE,
+            RdmaOp::Send => panic!("a two-sided send is not a one-sided op"),
+        };
+        Ok(self.regions.reach(qp.remote, region, need, offset, len)?)
+    }
+
     /// One-sided RDMA WRITE of `data` into `(region, offset)`.
     pub fn rdma_write(
         &mut self,
@@ -182,8 +209,8 @@ impl Fabric {
         offset: usize,
         data: &[u8],
     ) -> Result<SimTime, VerbsError> {
-        self.check(qp)?;
-        self.regions.remote_write(region, offset, data)?;
+        self.one_sided(qp, region, offset, data.len(), RdmaOp::Write)?
+            .copy_from_slice(data);
         Ok(self.timed_transfer(qp, RdmaOp::Write, data.len()))
     }
 
@@ -195,10 +222,30 @@ impl Fabric {
         offset: usize,
         len: usize,
     ) -> Result<(Bytes, SimTime), VerbsError> {
-        self.check(qp)?;
-        let data = self.regions.remote_read(region, offset, len)?;
+        let data = Bytes::copy_from_slice(self.one_sided(qp, region, offset, len, RdmaOp::Read)?);
         let t = self.timed_transfer(qp, RdmaOp::Read, len);
         Ok((data, t))
+    }
+
+    /// The one-sided `op` ([`RdmaOp::Read`] or [`RdmaOp::Write`]) of `len`
+    /// bytes at `(region, offset)`, timed but not performed: it refuses
+    /// exactly what [`Fabric::rdma_read`]/[`Fabric::rdma_write`] refuse and
+    /// returns the duration they would, without touching the region's
+    /// bytes.
+    ///
+    /// # Panics
+    ///
+    /// If `op` is [`RdmaOp::Send`].
+    pub fn rdma_time(
+        &mut self,
+        qp: &QueuePair,
+        region: MrKey,
+        offset: usize,
+        len: usize,
+        op: RdmaOp,
+    ) -> Result<SimTime, VerbsError> {
+        self.one_sided(qp, region, offset, len, op)?;
+        Ok(self.timed_transfer(qp, op, len))
     }
 
     /// Register an RMA-exposed buffer of `len` zeroed bytes on `node`.
@@ -218,6 +265,11 @@ mod tests {
     use super::*;
 
     fn setup() -> (Fabric, QueuePair, MrKey) {
+        setup_sized(4096)
+    }
+
+    /// A QP from node 0 to node 1 and a `region_len`-byte region on node 1.
+    fn setup_sized(region_len: usize) -> (Fabric, QueuePair, MrKey) {
         let mut fabric = Fabric::new(Transport::Ugni, 4);
         let client_job = JobToken(1);
         let exec_job = JobToken(2);
@@ -232,8 +284,144 @@ mod tests {
                 CompletionMode::BusyPoll,
             )
             .unwrap();
-        let mr = fabric.register_buffer(NodeId(1), 4096);
+        let mr = fabric.register_buffer(NodeId(1), region_len);
         (fabric, qp, mr)
+    }
+
+    #[test]
+    fn rdma_time_matches_the_real_ops_on_a_twin_fabric() {
+        for len in [0, 1, 4 << 10, 10 << 20] {
+            let (mut real, qp, mr) = setup_sized(10 << 20);
+            let (mut timed, tqp, tmr) = setup_sized(10 << 20);
+            let write = real.rdma_write(&qp, mr, 0, &vec![7u8; len]).unwrap();
+            let (_, read) = real.rdma_read(&qp, mr, 0, len).unwrap();
+            assert_eq!(
+                timed.rdma_time(&tqp, tmr, 0, len, RdmaOp::Write).unwrap(),
+                write,
+                "write of {len} B"
+            );
+            assert_eq!(
+                timed.rdma_time(&tqp, tmr, 0, len, RdmaOp::Read).unwrap(),
+                read,
+                "read of {len} B"
+            );
+            assert_eq!(timed.ops_count(), real.ops_count());
+            assert_eq!(timed.bytes_moved(), real.bytes_moved());
+            let untouched = timed.regions.remote_read(tmr, 0, len).unwrap();
+            assert!(untouched.iter().all(|&b| b == 0), "rdma_time moved bytes");
+        }
+    }
+
+    /// Each case breaks one thing about a fresh fabric and names the target
+    /// `(region, offset, len)`. On twin fabrics, `rdma_time` must return
+    /// exactly what `rdma_write`/`rdma_read` return, and those must be the
+    /// listed outcome for `[write, read]`.
+    #[test]
+    fn rdma_time_refuses_exactly_what_the_real_ops_refuse() {
+        type Break = fn(&mut Fabric, &mut QueuePair, MrKey) -> (MrKey, usize, usize);
+        type Outcome = Result<(), VerbsError>;
+        let mr_err = |e| Err(VerbsError::Mr(e));
+        let cases: [(&str, Break, [Outcome; 2]); 8] = [
+            ("valid", |_, _, mr| (mr, 8, 64), [Ok(()), Ok(())]),
+            (
+                "disconnected QP",
+                |f, qp, mr| {
+                    f.disconnect(qp);
+                    (mr, 0, 8)
+                },
+                [Err(VerbsError::QpDisconnected); 2],
+            ),
+            (
+                "revoked credential",
+                |f, qp, mr| {
+                    f.drc
+                        .revoke(qp.credential, JobToken(2), JobToken(1))
+                        .unwrap();
+                    (mr, 0, 8)
+                },
+                [Err(VerbsError::Drc(DrcError::NotGranted)); 2],
+            ),
+            (
+                "out of bounds",
+                |_, _, mr| (mr, 4090, 9),
+                [mr_err(MrError::OutOfBounds); 2],
+            ),
+            (
+                "offset + len overflows",
+                |_, _, mr| (mr, usize::MAX, 2),
+                [mr_err(MrError::OutOfBounds); 2],
+            ),
+            (
+                "region on another node",
+                |f, _, _| (f.register_buffer(NodeId(3), 4096), 0, 8),
+                [mr_err(MrError::UnknownRegion); 2],
+            ),
+            (
+                "no REMOTE_WRITE",
+                |f, _, _| {
+                    (
+                        f.regions
+                            .register(NodeId(1), 4096, AccessFlags::REMOTE_READ),
+                        0,
+                        8,
+                    )
+                },
+                [mr_err(MrError::AccessDenied), Ok(())],
+            ),
+            (
+                "no REMOTE_READ",
+                |f, _, _| {
+                    (
+                        f.regions
+                            .register(NodeId(1), 4096, AccessFlags::REMOTE_WRITE),
+                        0,
+                        8,
+                    )
+                },
+                [Ok(()), mr_err(MrError::AccessDenied)],
+            ),
+        ];
+        for (name, break_it, expected) in cases {
+            for (op, expected) in [RdmaOp::Write, RdmaOp::Read].into_iter().zip(expected) {
+                let (mut real, mut qp, mr) = setup();
+                let (region, offset, len) = break_it(&mut real, &mut qp, mr);
+                let real_result = match op {
+                    RdmaOp::Write => real.rdma_write(&qp, region, offset, &vec![1u8; len]),
+                    _ => real.rdma_read(&qp, region, offset, len).map(|(_, t)| t),
+                };
+                let (mut timed, mut tqp, tmr) = setup();
+                let (region, offset, len) = break_it(&mut timed, &mut tqp, tmr);
+                let timed_result = timed.rdma_time(&tqp, region, offset, len, op);
+                assert_eq!(real_result.map(|_| ()), expected, "{name}: {op:?}");
+                assert_eq!(timed_result, real_result, "{name}: {op:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_sided_ops_reach_only_regions_on_the_qp_remote_node() {
+        // The QP runs from node 0 to node 1; a region on node 3 is not
+        // addressable through it, whatever its key and flags.
+        let (mut fabric, qp, _) = setup();
+        let elsewhere = fabric.register_buffer(NodeId(3), 4096);
+        let unknown = VerbsError::Mr(MrError::UnknownRegion);
+        assert_eq!(
+            fabric.rdma_write(&qp, elsewhere, 0, b"x").unwrap_err(),
+            unknown
+        );
+        assert_eq!(fabric.rdma_read(&qp, elsewhere, 0, 1).unwrap_err(), unknown);
+        assert_eq!(
+            &fabric.regions.remote_read(elsewhere, 0, 1).unwrap()[..],
+            &[0],
+            "the refused write must not land"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a one-sided op")]
+    fn rdma_time_rejects_a_send() {
+        let (mut fabric, qp, mr) = setup();
+        let _ = fabric.rdma_time(&qp, mr, 0, 8, RdmaOp::Send);
     }
 
     #[test]

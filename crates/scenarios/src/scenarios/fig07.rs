@@ -54,29 +54,48 @@ fn rfaas_distribution(
     p
 }
 
-fn compute(sim: &mut Simulation, params: &Params) -> Vec<Row> {
+/// The four latency distributions at one message size.
+struct Dists {
+    size: usize,
+    busy: Percentiles,
+    wait: Percentiles,
+    hot: Percentiles,
+    warm: Percentiles,
+}
+
+impl Dists {
+    /// Median and p95 of each series (sorts all four distributions).
+    fn row(mut self) -> Row {
+        Row {
+            size: self.size,
+            ugni_busy_med: self.busy.median(),
+            ugni_busy_p95: self.busy.p95(),
+            ugni_wait_med: self.wait.median(),
+            ugni_wait_p95: self.wait.p95(),
+            rfaas_hot_med: self.hot.median(),
+            rfaas_hot_p95: self.hot.p95(),
+            rfaas_warm_med: self.warm.median(),
+            rfaas_warm_p95: self.warm.p95(),
+        }
+    }
+}
+
+/// Draws every size's four series in one fixed order, whatever the caller
+/// reads; each caller summarises only the sizes it uses.
+fn compute(sim: &mut Simulation, params: &Params) -> Vec<Dists> {
     let reps = params.usize("reps", 2000);
     let net = LogGpParams::ugni();
     let mut rng = sim.stream("fig7");
-    let mut rows = Vec::new();
-    for size in fig7_sizes() {
-        let mut busy = ping_pong(&net, CompletionMode::BusyPoll, size, reps, &mut rng);
-        let mut wait = ping_pong(&net, CompletionMode::EventWait, size, reps, &mut rng);
-        let mut hot = rfaas_distribution(ExecutorMode::Hot, size, reps, &mut rng);
-        let mut warm = rfaas_distribution(ExecutorMode::Warm, size, reps, &mut rng);
-        rows.push(Row {
+    fig7_sizes()
+        .into_iter()
+        .map(|size| Dists {
             size,
-            ugni_busy_med: busy.median(),
-            ugni_busy_p95: busy.p95(),
-            ugni_wait_med: wait.median(),
-            ugni_wait_p95: wait.p95(),
-            rfaas_hot_med: hot.median(),
-            rfaas_hot_p95: hot.p95(),
-            rfaas_warm_med: warm.median(),
-            rfaas_warm_p95: warm.p95(),
-        });
-    }
-    rows
+            busy: ping_pong(&net, CompletionMode::BusyPoll, size, reps, &mut rng),
+            wait: ping_pong(&net, CompletionMode::EventWait, size, reps, &mut rng),
+            hot: rfaas_distribution(ExecutorMode::Hot, size, reps, &mut rng),
+            warm: rfaas_distribution(ExecutorMode::Warm, size, reps, &mut rng),
+        })
+        .collect()
 }
 
 pub struct Fig07Latency;
@@ -95,9 +114,9 @@ impl Scenario for Fig07Latency {
     }
 
     fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
-        let rows = compute(sim, params);
-        let small = &rows[0];
-        let large = rows.last().unwrap();
+        let mut dists = compute(sim, params);
+        let large = dists.pop().unwrap().row();
+        let small = dists.swap_remove(0).row();
         let mut m = Metrics::new();
         m.push("ugni_busy_med_1b_us", small.ugni_busy_med);
         m.push("ugni_wait_med_1b_us", small.ugni_wait_med);
@@ -121,7 +140,10 @@ impl Scenario for Fig07Latency {
         println!("seed = {seed}; {reps} repetitions per point; values in µs");
 
         let mut sim = Simulation::new(seed);
-        let rows = compute(&mut sim, &params);
+        let rows: Vec<Row> = compute(&mut sim, &params)
+            .into_iter()
+            .map(Dists::row)
+            .collect();
 
         print_table(
             "Fig. 7 — median (p95) invocation latency [µs]",

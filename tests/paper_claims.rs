@@ -41,6 +41,24 @@ fn claim_remote_memory_sustains_1gbps() {
 }
 
 #[test]
+fn claim_memory_functions_perturb_batch_jobs_little_and_rate_independently() {
+    // Fig. 11: LULESH slows by at most ~8 %, MILC by more (up to ~20 %),
+    // and the transfer interval (1–500 ms) hardly changes either — the
+    // same bounds `scenarios report fig11_memory_sharing` asserts.
+    use hpc_serverless_disagg::scenarios::{Registry, REPORT_SEED};
+    let registry = Registry::standard();
+    let fig11 = registry.get("fig11_memory_sharing").unwrap();
+    let mut sim = hpc_serverless_disagg::des::Simulation::new(REPORT_SEED);
+    let m = fig11.run(&mut sim, &fig11.default_params());
+    let lulesh = m.get("lulesh_max_overhead_pct").unwrap();
+    let milc = m.get("milc_max_overhead_pct").unwrap();
+    let spread = m.get("max_interval_spread_pct_points").unwrap();
+    assert!(lulesh < 9.0, "LULESH max overhead {lulesh} %");
+    assert!(lulesh < milc && milc < 25.0, "MILC max overhead {milc} %");
+    assert!(spread < 6.0, "interval spread {spread} pct-points");
+}
+
+#[test]
 fn claim_throughput_improvement_up_to_53_pct() {
     // Conclusion: "improving system throughput by up to 53%" — in Fig. 10
     // terms, disaggregated utilization over realistic exclusive allocation.
