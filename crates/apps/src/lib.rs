@@ -2,19 +2,15 @@
 //!
 //! Scaled-down but *real* compute kernels standing in for the paper's
 //! evaluation workloads: the NAS Parallel Benchmarks (EP, CG, MG, FT, BT,
-//! LU), the LULESH shock-hydrodynamics proxy, a MILC-like SU(3) lattice
-//! sweep, the PARSEC Black-Scholes pricer, an OpenMC-like Monte Carlo
-//! neutron-transport kernel, and Rodinia-like GPU kernels executed on the
-//! CPU. Every kernel is deterministic, parameterised by a problem class, and
-//! returns a checksum so tests can pin behaviour.
+//! LU), a MILC-like SU(3) lattice sweep, the PARSEC Black-Scholes pricer, an
+//! OpenMC-like Monte Carlo neutron-transport kernel, and Rodinia-like GPU
+//! kernels executed on the CPU. Every kernel is deterministic, parameterised
+//! by a problem class, and returns a checksum so tests can pin behaviour.
 //!
-//! These kernels serve three roles:
-//! 1. **Functions** — the payloads executed by rFaaS executors in the
-//!    examples and integration tests;
-//! 2. **Criterion benches** — real wall-clock measurements of the kernels
-//!    (Table III's workloads, Fig. 13's offload bodies);
-//! 3. **Calibration** — their relative costs anchor the demand vectors in
-//!    `interference::profiles`.
+//! Nothing the figures, tables, examples or benchmarks run depends on these
+//! kernels: the scenarios reproduce the paper from `interference::profiles`,
+//! `gpu::kernels` and `scenarios::paper`. Only this crate's own tests and
+//! one root proptest exercise them.
 
 // Index-based loops are the lingua franca of these numerical kernels
 // (stencils, banded matrices, 3×3 SU(3) blocks); iterator rewrites would
@@ -22,7 +18,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod blackscholes;
-pub mod lulesh;
 pub mod milc;
 pub mod nas;
 pub mod openmc;

@@ -7,9 +7,10 @@
 //! * **OpenMP + rFaaS** — local threads plus one executor per thread
 //!   ("doubling parallel resources with cheap serverless allocation").
 //!
-//! Speedups come from the Eq. (1)/LogP planner calibrated with the real
-//! kernels' measured task costs; the real kernels themselves run in the
-//! criterion benches.
+//! Speedups come from the Eq. (1)/LogP planner on the uGNI network model,
+//! calibrated from the paper's measured runtimes ([`FIG13_BLACKSCHOLES`],
+//! [`FIG13_OPENMC`]): each serial time splits into an unparallelisable
+//! set-up and a per-task cost. No kernel runs.
 
 use crate::paper::{FIG13_BLACKSCHOLES, FIG13_OPENMC};
 use crate::report::{banner, compare, fmt, print_table, write_json};

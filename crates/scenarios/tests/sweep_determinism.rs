@@ -1,5 +1,5 @@
 //! Sweep determinism: every entry point of the sweep engine — a serial
-//! `SweepRunner` (threads = 1), a parallel one (threads = 4) and the
+//! `SweepRunner` (threads = 1), parallel ones (threads = 4 and 8) and the
 //! `Service` — must produce bit-identical per-(point, seed) metrics, for
 //! arbitrary seed lists and grids. Worker threads only decide *when* a job
 //! runs; each job owns its own `Simulation`, so *what* it computes is a pure
@@ -113,7 +113,7 @@ fn every_entry_point_matches_the_serial_oracle_on_the_standard_registry() {
     assert_eq!(tasks.len(), registry.len());
     let oracle = serial_oracle(&tasks, seeds);
 
-    for threads in [1, 4] {
+    for threads in [1, 4, 8] {
         let results = SweepRunner::new(threads, seeds.clone()).run_suite(&tasks);
         let label = format!("SweepRunner({threads})");
         assert_matches_oracle(&label, &results, &tasks, seeds, &oracle);

@@ -1,12 +1,13 @@
 //! Co-location scenario (Sec. III-B / Fig. 9): a LULESH batch job that can
 //! only use 32 of 36 cores per node (cubic rank counts!) opts into sharing;
 //! the spare cores serve NAS functions, guarded by the co-location policy.
+//! Every outcome the log prints is asserted, so a policy change that flips
+//! one fails the example.
 //!
 //! ```bash
 //! cargo run --example colocation
 //! ```
 
-use hpc_serverless_disagg::apps::lulesh::{self, LuleshConfig};
 use hpc_serverless_disagg::cluster::{JobSpec, NodeResources};
 use hpc_serverless_disagg::des::SimTime;
 use hpc_serverless_disagg::interference::{NasClass, NasKernel, WorkloadProfile};
@@ -14,11 +15,9 @@ use hpc_serverless_disagg::rfaas::{ExecutorMode, Platform};
 
 fn main() {
     // LULESH wants a cubic rank count: 64 ranks = 32/node on 2 nodes.
-    assert!(lulesh::is_cubic(64));
-    println!(
-        "valid LULESH rank counts up to 130: {:?}",
-        lulesh::valid_rank_counts(130)
-    );
+    let valid: Vec<u32> = (1..).map(|k| k * k * k).take_while(|&n| n <= 130).collect();
+    assert!(valid.contains(&64));
+    println!("valid LULESH rank counts up to 130: {valid:?}");
 
     let mut platform = Platform::daint(2);
     platform
@@ -42,31 +41,23 @@ fn main() {
         platform.manager.registered_nodes()
     );
 
-    // Actually run (a scaled-down) LULESH on real threads to prove the
-    // workload is genuine: 8 ranks, 6^3 elements each, 10 steps.
-    let result = lulesh::run(8, LuleshConfig { size: 6, steps: 10 });
-    println!(
-        "LULESH proxy: total energy {:.3e}, max velocity {:.3e}",
-        result.total_energy, result.max_velocity
-    );
-
     // LULESH is compute-heavy, so the requirement model accepts both a
     // compute-bound EP function and even a cache-hungry CG one — the
     // predicted perturbation stays under the threshold.
     let ep = WorkloadProfile::nas(NasKernel::Ep, NasClass::B);
     let ep_id = platform.register_function(&ep, 2.0, 2048, 25.0);
     let mut ep_client = platform.client(ep_id, ExecutorMode::Hot).unwrap();
-    match platform.invoke(&mut ep_client, 64 << 10, 1024) {
-        Ok(latency) => println!("EP co-located with LULESH: latency {latency}"),
-        Err(e) => println!("EP rejected: {e}"),
-    }
+    let latency = platform
+        .invoke(&mut ep_client, 64 << 10, 1024)
+        .unwrap_or_else(|e| panic!("EP rejected next to LULESH: {e}"));
+    println!("EP co-located with LULESH: latency {latency}");
     let cg = WorkloadProfile::nas(NasKernel::Cg, NasClass::B);
     let cg_id = platform.register_function(&cg, 4.0, 4096, 25.0);
     let mut cg_client = platform.client(cg_id, ExecutorMode::Hot).unwrap();
-    match platform.invoke(&mut cg_client, 64 << 10, 1024) {
-        Ok(latency) => println!("CG co-located with LULESH: latency {latency}"),
-        Err(e) => println!("CG rejected: {e}"),
-    }
+    let latency = platform
+        .invoke(&mut cg_client, 64 << 10, 1024)
+        .unwrap_or_else(|e| panic!("CG rejected next to LULESH: {e}"));
+    println!("CG co-located with LULESH: latency {latency}");
     platform.finish_job(job);
 
     // A memory-bound MILC job is a different story: the policy predicts
@@ -86,16 +77,20 @@ fn main() {
     );
     let milc_job = platform.submit_job(milc_spec, SimTime::from_mins(5));
     cg_client.disconnect(&mut platform.manager, platform.now);
-    match platform.invoke(&mut cg_client, 64 << 10, 1024) {
-        Ok(latency) => println!("unexpected: CG co-located with MILC ({latency})"),
-        Err(e) => println!("CG rejected next to MILC: {e}"),
-    }
+    let e = platform
+        .invoke(&mut cg_client, 64 << 10, 1024)
+        .expect_err("CG co-located with MILC");
+    assert!(
+        e.to_string().contains("PredictedInterference"),
+        "CG rejected next to MILC for the wrong reason: {e}"
+    );
+    println!("CG rejected next to MILC: {e}");
     // EP remains harmless and is still allowed.
     ep_client.disconnect(&mut platform.manager, platform.now);
-    match platform.invoke(&mut ep_client, 64 << 10, 1024) {
-        Ok(latency) => println!("EP co-located with MILC: latency {latency}"),
-        Err(e) => println!("unexpected: EP rejected ({e})"),
-    }
+    let latency = platform
+        .invoke(&mut ep_client, 64 << 10, 1024)
+        .unwrap_or_else(|e| panic!("EP rejected next to MILC: {e}"));
+    println!("EP co-located with MILC: latency {latency}");
 
     // When MILC completes, both nodes become fully idle donations and even
     // CG is welcome.
@@ -104,8 +99,8 @@ fn main() {
         "job finished; donations now: {} idle nodes",
         platform.manager.registered_nodes()
     );
-    match platform.invoke(&mut cg_client, 64 << 10, 1024) {
-        Ok(latency) => println!("CG now runs on the idle node: latency {latency}"),
-        Err(e) => println!("unexpected: {e}"),
-    }
+    let latency = platform
+        .invoke(&mut cg_client, 64 << 10, 1024)
+        .unwrap_or_else(|e| panic!("CG rejected on the idle node: {e}"));
+    println!("CG now runs on the idle node: latency {latency}");
 }

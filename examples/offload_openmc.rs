@@ -1,90 +1,63 @@
-//! Offload scenario (Sec. IV-F / Fig. 13): accelerate a Monte Carlo particle
-//! transport run by shipping particle batches to elastic workers — the
+//! Offload scenario (Sec. IV-F / Fig. 13): accelerate an OpenMC Monte Carlo
+//! particle-transport run by shipping particles to leased executors — the
 //! "MPI functions" pattern, driven by the Eq. (1) offload planner.
+//!
+//! The planner is calibrated the way the `fig13_offload` scenario calibrates
+//! it: from the paper's measured serial and 64-thread OpenMP runtimes
+//! (`scenarios::paper::FIG13_OPENMC`) on the uGNI network model, so the
+//! output is deterministic.
 //!
 //! ```bash
 //! cargo run --example offload_openmc --release
 //! ```
 
-use hpc_serverless_disagg::apps::openmc::{run_batch, Reactor};
 use hpc_serverless_disagg::des::SimTime;
 use hpc_serverless_disagg::fabric::LogGpParams;
-use hpc_serverless_disagg::minimpi::ElasticPool;
 use hpc_serverless_disagg::rfaas::OffloadPlanner;
-use std::time::Instant;
+use hpc_serverless_disagg::scenarios::paper::FIG13_OPENMC;
 
 fn main() {
-    let reactor = Reactor::opr_like();
-    let particles: u64 = 20_000;
-    let batch: u64 = 500;
-    let n_batches = (particles / batch) as usize;
+    let network = LogGpParams::ugni();
+    for r in &FIG13_OPENMC {
+        let n = r.particles as usize;
+        // Split the serial runtime into unparallelisable set-up and a
+        // per-particle cost, exactly as `fig13_offload` does.
+        let serial_setup = (r.openmp_s - (r.serial_s - r.openmp_s) / 63.0).max(0.5) * 0.66;
+        let task_s = (r.serial_s - serial_setup) / n as f64;
+        let planner = OffloadPlanner::from_network(
+            &network,
+            SimTime::from_secs_f64(task_s),
+            SimTime::from_secs_f64(task_s * 1.25),
+            64 << 10, // particle batch state
+            4 << 10,
+        );
+        println!(
+            "OpenMC, {n} particles: serial {} s = {serial_setup:.2} s set-up + {:.1} ms per particle",
+            r.serial_s,
+            task_s * 1e3
+        );
+        println!(
+            "  Eq. (1): keep ≥ {} particles local",
+            planner.n_local_min()
+        );
 
-    // Serial baseline (real compute).
-    let t0 = Instant::now();
-    let serial_tally = run_batch(&reactor, particles, 42);
-    let serial = t0.elapsed();
-    println!(
-        "serial: {particles} particles in {serial:?}; k = {:.3}",
-        serial_tally.k_estimate(particles)
-    );
-
-    // Plan the offload with Eq. (1): how many batches must stay local?
-    let task_s = serial.as_secs_f64() / n_batches as f64;
-    let planner = OffloadPlanner::from_network(
-        &LogGpParams::ugni(),
-        SimTime::from_secs_f64(task_s),
-        SimTime::from_secs_f64(task_s * 1.2),
-        64 << 10,
-        4 << 10,
-    );
-    let workers = 4;
-    let plan = planner.plan_with_workers(n_batches, workers, workers);
-    println!(
-        "Eq. (1): keep ≥ {} batches local; plan: {} local / {} remote (max in-flight {})",
-        planner.n_local_min(),
-        plan.local,
-        plan.remote,
-        plan.max_in_flight
-    );
-
-    // Execute with an elastic pool: workers join like leased executors.
-    let reactor2 = reactor.clone();
-    let mut pool: ElasticPool<(u64, u64), _> =
-        ElasticPool::new(move |_worker, (seed, batch)| run_batch(&reactor2, batch, seed));
-    let mut handles = Vec::new();
-    for _ in 0..workers {
-        handles.push(pool.grow());
+        // One leased executor per local thread, as in Fig. 13's
+        // "OpenMP + rFaaS" series.
+        for workers in [4, 16, 64] {
+            let plan = planner.plan_with_workers(n, workers, workers);
+            assert_eq!(plan.local + plan.remote, n);
+            assert!(plan.local >= planner.n_local_min());
+            let speedup = planner.predicted_speedup(n, workers, true);
+            println!(
+                "  {workers:>2} threads + {workers:>2} executors: {} local / {} remote \
+                 (max in-flight {}); particle speedup {speedup:.2}x (remote only {:.2}x), \
+                 run {:.1} s",
+                plan.local,
+                plan.remote,
+                plan.max_in_flight,
+                planner.predicted_remote_only_speedup(n, workers),
+                serial_setup + n as f64 * task_s / speedup
+            );
+        }
     }
-    let t1 = Instant::now();
-    for i in 0..n_batches {
-        pool.submit_to(i % workers, (1000 + i as u64, batch));
-    }
-    let mut merged = hpc_serverless_disagg::apps::openmc::Tally::default();
-    for _ in 0..n_batches {
-        let (_, _, tally) = pool.next_result();
-        merged.merge(&tally);
-    }
-    let parallel = t1.elapsed();
-    println!(
-        "elastic pool ({workers} workers): {parallel:?}; k = {:.3}; speedup {:.2}x",
-        merged.k_estimate(particles),
-        serial.as_secs_f64() / parallel.as_secs_f64()
-    );
-
-    // Drain one worker mid-flight (lease cancellation) and keep going.
-    let mut h = handles.pop().expect("workers exist");
-    pool.drain_worker(&mut h);
-    println!(
-        "worker {} drained gracefully; {} remain",
-        h.id,
-        pool.workers()
-    );
-    for i in 0..4 {
-        pool.submit((5000 + i, batch));
-    }
-    for _ in 0..4 {
-        pool.next_result();
-    }
-    println!("post-drain batches completed — elastic rescaling works");
-    pool.shutdown();
 }

@@ -13,22 +13,18 @@
 //! * [`containers`] — HPC sandbox runtimes + warm pool
 //! * [`storage`] — Lustre / object-store models
 //! * [`gpu`] — GPU device model + Rodinia workloads
-//! * [`interference`] — contention model + co-location policies
-//! * [`minimpi`] — in-process MPI with elastic ranks
-//! * [`apps`] — real mini-app kernels (NAS, LULESH, MILC, Black-Scholes,
-//!   OpenMC, Rodinia)
+//! * [`interference`] — contention model, per-application demand profiles
+//!   (NAS, LULESH, MILC) + co-location policies
 //! * [`des`] — deterministic discrete-event simulation kernel
 //!
 //! Start with `examples/quickstart.rs`.
 
-pub use apps;
 pub use cluster;
 pub use containers;
 pub use des;
 pub use fabric;
 pub use gpu;
 pub use interference;
-pub use minimpi;
 pub use rfaas;
 pub use scenarios;
 pub use storage;
