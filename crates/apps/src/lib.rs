@@ -1,29 +1,27 @@
 //! # apps — mini-application workloads
 //!
-//! Scaled-down but *real* compute kernels standing in for the paper's
-//! evaluation workloads: the NAS Parallel Benchmarks (EP, CG, MG, FT, BT,
-//! LU), a MILC-like SU(3) lattice sweep, the PARSEC Black-Scholes pricer, an
-//! OpenMC-like Monte Carlo neutron-transport kernel, and Rodinia-like GPU
-//! kernels executed on the CPU. Every kernel is deterministic, parameterised
-//! by a problem class, and returns a checksum so tests can pin behaviour.
+//! Scaled-down but *real* compute kernels standing in for some of the
+//! paper's evaluation workloads: a MILC-like SU(3) lattice sweep, the PARSEC
+//! Black-Scholes pricer, an OpenMC-like Monte Carlo neutron-transport
+//! kernel, and Rodinia-like GPU kernels executed on the CPU. Every kernel is
+//! deterministic, parameterised by a problem size, and returns a checksum so
+//! tests can pin behaviour.
 //!
 //! Nothing the figures, tables, examples or benchmarks run depends on these
-//! kernels: the scenarios reproduce the paper from `interference::profiles`,
-//! `gpu::kernels` and `scenarios::paper`. Only this crate's own tests and
-//! one root proptest exercise them.
+//! kernels: the scenarios reproduce the paper from `interference::profiles`
+//! (whose `NasKernel`/`NasClass` demand vectors stand in for the NAS
+//! benchmarks), `gpu::kernels` and `scenarios::paper`. Only this crate's own
+//! tests and one root proptest exercise them.
 
 // Index-based loops are the lingua franca of these numerical kernels
-// (stencils, banded matrices, 3×3 SU(3) blocks); iterator rewrites would
-// obscure the correspondence with the reference benchmarks.
+// (stencils, 3×3 SU(3) blocks); iterator rewrites would obscure the
+// correspondence with the reference benchmarks.
 #![allow(clippy::needless_range_loop)]
 
 pub mod blackscholes;
 pub mod milc;
-pub mod nas;
 pub mod openmc;
 pub mod rodinia;
-
-pub use nas::{NasClass, NasKernel, NasResult};
 
 /// A tiny deterministic LCG (NAS-style) used by kernels that need
 /// reproducible pseudo-random input without threading a generator through.

@@ -1,20 +1,20 @@
-//! Library half of the `bench` crate: what its binaries and tests share.
+//! Library half of the `bench` crate.
 //!
 //! The experiments themselves live in the [`scenarios`] crate (one
 //! [`scenarios::Scenario`] per figure/table, discoverable through
-//! [`scenarios::Registry::standard`]) and are driven by the `scenarios`
-//! binary: `scenarios report <name>` prints one paper-style report,
-//! `scenarios run` sweeps. This file holds only the trace-replay reference
-//! workload behind `ci/trace_reference.json`.
+//! [`scenarios::Registry::standard`]) and are driven by the crate's one
+//! binary, `scenarios`: `scenarios report <name>` prints one paper-style
+//! report, `scenarios run` sweeps. This file holds only the trace-replay
+//! reference workload behind `ci/trace_reference.json`.
 
 /// The canonical trace-replay artifact behind `ci/trace_reference.json`:
 /// fixed `(profile, horizon, seed)` workloads covering the scheduler's three
 /// regimes — an exclusive-only stream, an overloaded backlog that keeps the
 /// backfill path hot, and a shared-job mix that exercises partially-allocated
 /// packing. The committed reference was generated by the pre-index scan
-/// scheduler; the indexed scheduler must reproduce it byte-for-byte (the
-/// `trace_ref` binary for CI's `determinism` job, and the
-/// `trace_reference_matches_committed_artifact` test on every `cargo test`).
+/// scheduler; the indexed scheduler must reproduce it byte-for-byte, which
+/// the `trace_reference_matches_committed_artifact` test checks on every
+/// `cargo test`.
 pub fn trace_reference_json() -> String {
     use cluster::{simulate_trace, TraceProfile};
     use des::SimTime;

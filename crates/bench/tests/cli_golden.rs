@@ -1,12 +1,15 @@
 //! Golden-file pin on the `scenarios` CLI: the artifact a `run` writes
 //! today must be byte-for-byte what the pre-service CLI wrote (the
 //! committed goldens), and a `serve` + `submit --wait` round trip must
-//! write those same bytes again. This is the API-redesign safety net —
-//! the sweep service may reroute everything, but the artifact bytes are
-//! the contract.
+//! write those same bytes again, cold or out of the cache. This is the
+//! API-redesign safety net — the sweep service may reroute everything, but
+//! the artifact bytes are the contract.
 
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use serde_json::Value;
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn scenarios_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_scenarios"))
@@ -21,7 +24,16 @@ fn out_path(tag: &str) -> PathBuf {
         .join(format!("cli-golden-{tag}-{}.json", std::process::id()))
 }
 
-fn run_cli(args: &[&str]) {
+/// An empty cache directory of this test process's own.
+fn fresh_cache_dir(tag: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("cli-golden-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Run `scenarios` with `args`, require exit 0, and return its stdout.
+fn run_cli(args: &[&str]) -> String {
     let output = scenarios_bin()
         .args(args)
         .output()
@@ -31,6 +43,7 @@ fn run_cli(args: &[&str]) {
         "scenarios {args:?} failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
+    String::from_utf8(output.stdout).expect("stdout is UTF-8")
 }
 
 #[test]
@@ -93,6 +106,59 @@ fn run_artifact_matches_the_committed_goldens() {
     );
 }
 
+/// One counter of a `<artifact>.cache.json` sidecar.
+fn sidecar_counter(artifact: &Path, key: &str) -> u64 {
+    let path = artifact.with_extension("cache.json");
+    let text = std::fs::read_to_string(&path).expect("sidecar written");
+    let sidecar = serde_json::from_str(&text).expect("sidecar is JSON");
+    match sidecar.get(key) {
+        Some(Value::U64(n)) => *n,
+        other => panic!("{}: `{key}` is {other:?}", path.display()),
+    }
+}
+
+/// The same `run` twice on one fresh cache directory: the second is served
+/// entirely from the cache — byte-identical artifact, every job a hit and
+/// none a miss in its sidecar.
+#[test]
+fn repeated_run_on_one_cache_dir_is_byte_identical_and_all_hits() {
+    // tab03 has one grid point: two seeds are two jobs.
+    const JOBS: u64 = 2;
+    let cache_dir = fresh_cache_dir("incremental");
+    let sweep = |tag: &str| {
+        let artifact = out_path(tag);
+        run_cli(&[
+            "run",
+            "tab03_idle_node",
+            "--seeds",
+            "2",
+            "--cache-dir",
+            cache_dir.to_str().unwrap(),
+            "--cache-stats",
+            "--json",
+            artifact.to_str().unwrap(),
+        ]);
+        artifact
+    };
+
+    let cold = sweep("incremental-cold");
+    assert_eq!(sidecar_counter(&cold, "hits"), 0, "cold run on a fresh dir");
+    assert_eq!(
+        sidecar_counter(&cold, "misses"),
+        JOBS,
+        "cold run on a fresh dir"
+    );
+
+    let warm = sweep("incremental-warm");
+    assert_eq!(
+        std::fs::read(&warm).expect("warm artifact written"),
+        std::fs::read(&cold).expect("cold artifact written"),
+        "the cache-served artifact diverged from the computed one"
+    );
+    assert_eq!(sidecar_counter(&warm, "misses"), 0, "warm run missed");
+    assert_eq!(sidecar_counter(&warm, "hits"), JOBS, "warm run hits");
+}
+
 /// `scenarios report <name>` is the one way to print a paper-style report
 /// (the per-figure wrapper binaries are gone): a known name prints its
 /// banner and tables, an unknown one is a usage error, not a silent no-op.
@@ -120,26 +186,54 @@ fn report_prints_one_scenario_and_rejects_unknown_names() {
     );
 }
 
-/// Boot `scenarios serve` on a fixed loopback port and wait for it to
-/// answer a ping. Killed (via shutdown verb) by the caller.
-fn spawn_server(addr: &str) -> Child {
+/// A `scenarios serve` child, killed if the test panics before stopping it.
+/// Its stdout stays open so the server's closing line has a reader.
+struct ServerChild {
+    child: Child,
+    stdout: BufReader<ChildStdout>,
+}
+
+impl Drop for ServerChild {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Boot `scenarios serve` on a free loopback port with a cache directory
+/// and read the address it bound from its `listening on` line.
+fn spawn_server(cache_dir: &Path) -> (ServerChild, String) {
     let mut child = scenarios_bin()
-        .args(["serve", "--addr", addr, "--threads", "2"])
-        .stdout(Stdio::null())
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--threads",
+            "2",
+            "--cache-dir",
+        ])
+        .arg(cache_dir)
+        .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
         .expect("serve spawns");
-    for _ in 0..100 {
-        if let Ok(mut client) = scenarios::wire::Client::connect(addr) {
-            if client.ping().is_ok() {
-                return child;
-            }
+    let mut server = ServerChild {
+        stdout: BufReader::new(child.stdout.take().expect("piped stdout")),
+        child,
+    };
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let read = server
+            .stdout
+            .read_line(&mut line)
+            .expect("read serve's stdout");
+        assert!(read > 0, "serve exited before it was listening");
+        if let Some((_, rest)) = line.split_once("listening on ") {
+            let addr = rest.split(' ').next().unwrap_or_default().to_string();
+            return (server, addr);
         }
-        std::thread::sleep(std::time::Duration::from_millis(50));
     }
-    let _ = child.kill();
-    let _ = child.wait();
-    panic!("server at {addr} never answered a ping");
 }
 
 #[test]
@@ -156,34 +250,71 @@ fn submit_wait_artifact_is_byte_identical_to_run() {
         direct.to_str().unwrap(),
     ]);
 
-    // A fixed port keeps the client/server pair simple; pick one unlikely
-    // to collide and retry-connect until the listener is up.
-    let addr = "127.0.0.1:17411";
-    let mut server = spawn_server(addr);
+    let (mut server, addr) = spawn_server(&fresh_cache_dir("service-cache"));
+    let addr = addr.as_str();
 
-    let served = out_path("served");
-    run_cli(&[
-        "submit",
-        "tab03_idle_node",
-        "--seeds",
-        "2",
-        "--addr",
-        addr,
-        "--wait",
-        "--json",
-        served.to_str().unwrap(),
-    ]);
-    assert_eq!(
-        std::fs::read(&served).expect("served artifact written"),
-        std::fs::read(&direct).expect("direct artifact written"),
-        "submit --wait artifact bytes diverged from run"
-    );
+    // The same request twice: computed, then answered from the cache. The
+    // receipt line reads `[submit] request <id> on <addr> — <status>
+    // (<n> jobs, <k> from cache)`.
+    let submit = |tag: &str| {
+        let served = out_path(tag);
+        let stdout = run_cli(&[
+            "submit",
+            "tab03_idle_node",
+            "--seeds",
+            "2",
+            "--addr",
+            addr,
+            "--wait",
+            "--json",
+            served.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            std::fs::read(&served).expect("served artifact written"),
+            std::fs::read(&direct).expect("direct artifact written"),
+            "{tag} submit --wait artifact bytes diverged from run"
+        );
+        let receipt = stdout
+            .lines()
+            .find_map(|line| line.strip_prefix("[submit] request "))
+            .unwrap_or_else(|| panic!("no receipt line in:\n{stdout}"))
+            .to_string();
+        let id: u64 = receipt
+            .split(' ')
+            .next()
+            .and_then(|id| id.parse().ok())
+            .unwrap_or_else(|| panic!("no request id in `{receipt}`"));
+        (id, receipt)
+    };
+    let (cold_id, cold) = submit("served-cold");
+    assert!(cold.ends_with("(2 jobs, 0 from cache)"), "{cold}");
+    let (warm_id, warm) = submit("served-warm");
+    assert!(warm.ends_with("(2 jobs, 2 from cache)"), "{warm}");
 
-    scenarios::wire::Client::connect(addr)
-        .expect("connect for shutdown")
-        .shutdown()
-        .expect("shutdown verb");
-    let status = server.wait().expect("server exits");
+    // `status`, `status <id>` and `cancel <id>` print one `request <id>
+    // <status>` line per request; cancelling a finished request is a no-op.
+    let line = |id: u64, status: &str| format!("request {id:>4}  {status}");
+    let listed = run_cli(&["status", "--addr", addr]);
+    for id in [cold_id, warm_id] {
+        assert!(listed.lines().any(|l| l == line(id, "done")), "{listed}");
+    }
+    let one = run_cli(&["status", "--addr", addr, &cold_id.to_string()]);
+    assert_eq!(one, format!("{}\n", line(cold_id, "done")));
+    let cancelled = run_cli(&["cancel", "--addr", addr, &cold_id.to_string()]);
+    assert_eq!(cancelled, format!("{}\n", line(cold_id, "done")));
+
+    run_cli(&["shutdown", "--addr", addr]);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = server.child.try_wait().expect("poll server") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "serve did not exit after `scenarios shutdown`"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
     assert!(status.success(), "serve exited nonzero: {status}");
 }
 

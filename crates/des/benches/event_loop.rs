@@ -1,7 +1,9 @@
 //! Raw DES event-loop throughput: how many schedule/cancel/fire operations
-//! per second the engine sustains. CI's `perf-gate` job compares the JSON
-//! this bench writes (`target/figures/BENCH_event_loop.json`, override with
-//! `BENCH_EVENT_LOOP_JSON`) against the committed `ci/perf_baseline.json`.
+//! per second the engine sustains. The measured pass writes
+//! `target/figures/BENCH_event_loop.json`; the repo-root
+//! `BENCH_event_loop.json` is a committed reading of it, refreshed by
+//! copying that file over it. It is a record, not a gate: end-to-end
+//! regressions are judged by the repository benchmark (`benchmark/`).
 //!
 //! Two cases, the engine's tripwires beside the `trace_replay_*` cases of
 //! `cluster_sched`: `chain_100k_reschedule` is shaped like the only traffic
@@ -91,7 +93,7 @@ fn bench_event_loop(c: &mut Criterion) {
         return;
     }
 
-    // Headline numbers and the perf-gate artifact. Rates count every
+    // Headline numbers and the JSON record. Rates count every
     // schedule/cancel/fire operation the routine performs.
     let chain_100k = median_events_per_sec(2 * 100_000, || chain_reschedule(100_000));
     let cancel_100k = median_events_per_sec(
@@ -103,12 +105,10 @@ fn bench_event_loop(c: &mut Criterion) {
         "{{\n  \"chain_100k_reschedule_ops_per_sec\": {chain_100k:.0},\n  \
          \"cancel_heavy_100k_ops_per_sec\": {cancel_100k:.0}\n}}\n"
     );
-    let path = std::env::var("BENCH_EVENT_LOOP_JSON").unwrap_or_else(|_| {
-        format!(
-            "{}/../../target/figures/BENCH_event_loop.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
+    let path = format!(
+        "{}/../../target/figures/BENCH_event_loop.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
     if let Some(dir) = std::path::Path::new(&path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
