@@ -5,15 +5,13 @@
 //! shared (`--shared` / oversubscription partition) allocations and GRES
 //! tracking for GPUs; a workload trace generator calibrated to the Piz Daint
 //! March-2022 statistics of Fig. 1; a 2-minute sampling monitor reproducing
-//! the paper's idle-CPU / free-memory / idle-period measurements; and a
-//! core-hour billing ledger used by the Fig. 10 utilization comparison.
+//! the paper's idle-CPU / free-memory / idle-period measurements.
 
 /// This crate's version, folded into the sweep result cache's engine salt:
 /// scheduler/trace semantics changes ship as version bumps, which must
 /// invalidate memoized simulation results.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
-pub mod billing;
 pub(crate) mod index;
 pub mod job;
 pub mod monitor;
@@ -29,7 +27,6 @@ pub mod trace;
 #[cfg(test)]
 mod oracle_tests;
 
-pub use billing::{BillingLedger, BillingPolicy};
 pub use fabric::NodeId;
 pub use job::{Job, JobId, JobSpec, JobState};
 pub use monitor::{IdlePeriodStats, MonitorReport, UtilizationMonitor};

@@ -1,4 +1,5 @@
-//! ABLATIONS — the design-choice studies called out in DESIGN.md §4.
+//! ABLATIONS — design-choice studies behind the paper's Sec. III, III-E,
+//! IV-A and IV-B.
 //!
 //! 1. Warm pool in idle memory vs always-cold sandboxes (Sec. IV-B).
 //! 2. Busy-poll vs event-wait executors: latency vs CPU burn (Sec. IV-A).
@@ -173,7 +174,7 @@ impl Scenario for Ablations {
     }
 
     fn title(&self) -> &'static str {
-        "Design-choice studies from DESIGN.md §4"
+        "Design-choice studies (Sec. III, III-E, IV-A, IV-B)"
     }
 
     fn default_params(&self) -> Params {

@@ -83,6 +83,30 @@ fn claim_throughput_improvement_up_to_53_pct() {
         improvement <= 0.53 + 1e-9,
         "must stay within the paper's 'up to 53%' claim: {improvement}"
     );
+
+    // The registered scenario must reach the same headline, and its three
+    // schedules must keep the order and the billing gap that
+    // `scenarios report fig10_utilization` asserts: whole-node billing
+    // wastes core-hours that disaggregation reclaims.
+    use hpc_serverless_disagg::scenarios::{Registry, REPORT_SEED};
+    let registry = Registry::standard();
+    let fig10 = registry.get("fig10_utilization").unwrap();
+    let mut sim = hpc_serverless_disagg::des::Simulation::new(REPORT_SEED);
+    let m = fig10.run(&mut sim, &fig10.default_params());
+    let best = m.get("best_util_improvement_pct").unwrap();
+    assert!((48.0..=53.0).contains(&best), "best improvement {best} %");
+    let realistic_ch = m.get("mean_core_hours_realistic_rel").unwrap();
+    assert!(
+        realistic_ch > 1.15,
+        "realistic core-hours {realistic_ch} × ideal"
+    );
+    let util_d = m.get("mean_util_disaggregation").unwrap();
+    let util_i = m.get("mean_util_ideal").unwrap();
+    let util_r = m.get("mean_util_realistic").unwrap();
+    assert!(
+        util_d > util_i && util_i > util_r,
+        "utilisation order {util_d} > {util_i} > {util_r}"
+    );
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! Property-based tests over the core data structures and invariants.
 
-use apps::blackscholes;
 use hpc_serverless_disagg::cluster::{Cluster, JobSpec, NodeResources};
 use hpc_serverless_disagg::des::{SimTime, Simulation};
 use hpc_serverless_disagg::fabric::{CompletionMode, LogGpParams};
@@ -144,18 +143,6 @@ proptest! {
                 prop_assert_eq!(node.job_count(), 1);
             }
         }
-    }
-
-    #[test]
-    fn black_scholes_chunking_invariant(
-        n in 1usize..500,
-        chunk in 1usize..100,
-        seed in 0u64..1000,
-    ) {
-        let opts = blackscholes::portfolio(n, seed);
-        let whole = blackscholes::price_chunk(&opts, 1);
-        let split: f64 = opts.chunks(chunk).map(|c| blackscholes::price_chunk(c, 1)).sum();
-        prop_assert!((whole - split).abs() < 1e-8 * whole.abs().max(1.0));
     }
 
     #[test]
