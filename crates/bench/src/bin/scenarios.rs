@@ -358,7 +358,7 @@ fn print_cache_stats(stats: &CacheStats, hit_rate: f64, wall_secs: f64) {
     );
     if stats.stale_dropped > 0 {
         println!(
-            "[cache] {} stale entr{} (engine salt changed) garbage-collected",
+            "[cache] {} stale entr{} (engine salt or cache layout changed) deleted",
             stats.stale_dropped,
             if stats.stale_dropped == 1 { "y" } else { "ies" },
         );

@@ -9,7 +9,6 @@
 //! it times the paper's 10 MB transfers and moves one real page.
 
 use crate::functions::FunctionRequirements;
-use bytes::Bytes;
 use des::SimTime;
 use fabric::{CompletionMode, Fabric, JobToken, MrKey, NodeId, QueuePair, RdmaOp, VerbsError};
 use serde::Serialize;
@@ -120,7 +119,7 @@ impl RemoteMemoryClient {
         fabric: &mut Fabric,
         offset: usize,
         len: usize,
-    ) -> Result<(Bytes, SimTime), VerbsError> {
+    ) -> Result<(Vec<u8>, SimTime), VerbsError> {
         let (data, t) = fabric.rdma_read(&self.qp, self.region, offset, len)?;
         self.record(RdmaOp::Read, len, t);
         Ok((data, t))

@@ -6,7 +6,6 @@
 //! [`AccessFlags`] and checked at operation time together with the DRC
 //! credential (see [`crate::drc`]).
 
-use bytes::{Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -68,7 +67,7 @@ bitflags_lite! {
 #[derive(Debug)]
 pub struct MemoryRegion {
     key: MrKey,
-    data: BytesMut,
+    data: Vec<u8>,
     access: AccessFlags,
     /// Node hosting the region (for routing / congestion accounting).
     pub node: crate::network::NodeId,
@@ -89,9 +88,9 @@ impl MemoryRegion {
     }
 
     /// Local read (no permission machinery beyond LOCAL_READ).
-    pub fn read_local(&self, offset: usize, len: usize) -> Result<Bytes, MrError> {
+    pub fn read_local(&self, offset: usize, len: usize) -> Result<Vec<u8>, MrError> {
         let range = self.range(AccessFlags::LOCAL_READ, offset, len)?;
-        Ok(Bytes::copy_from_slice(&self.data[range]))
+        Ok(self.data[range].to_vec())
     }
 
     /// The check every access runs: the flags grant `need`, and
@@ -156,14 +155,14 @@ impl RegionTable {
         len: usize,
         access: AccessFlags,
     ) -> MrKey {
-        self.register_with_data(node, BytesMut::zeroed(len), access)
+        self.register_with_data(node, vec![0; len], access)
     }
 
     /// Register a region initialised with `data`.
     pub fn register_with_data(
         &mut self,
         node: crate::network::NodeId,
-        data: BytesMut,
+        data: Vec<u8>,
         access: AccessFlags,
     ) -> MrKey {
         self.next_key += 1;
@@ -182,7 +181,7 @@ impl RegionTable {
     }
 
     /// Deregister, returning the buffer so callers can reuse it.
-    pub fn deregister(&mut self, key: MrKey) -> Result<BytesMut, MrError> {
+    pub fn deregister(&mut self, key: MrKey) -> Result<Vec<u8>, MrError> {
         let region = self.regions.remove(&key).ok_or(MrError::UnknownRegion)?;
         if let Some(b) = self.pinned_bytes_per_node.get_mut(&region.node) {
             *b = b.saturating_sub(region.data.len());
@@ -207,10 +206,10 @@ impl RegionTable {
     }
 
     /// Remote read: permission-checked copy out of the region.
-    pub fn remote_read(&self, key: MrKey, offset: usize, len: usize) -> Result<Bytes, MrError> {
+    pub fn remote_read(&self, key: MrKey, offset: usize, len: usize) -> Result<Vec<u8>, MrError> {
         let region = self.get(key)?;
         let range = region.range(AccessFlags::REMOTE_READ, offset, len)?;
-        Ok(Bytes::copy_from_slice(&region.data[range]))
+        Ok(region.data[range].to_vec())
     }
 
     /// Remote write: permission-checked copy into the region.

@@ -13,7 +13,6 @@ use crate::drc::{Credential, DrcError, DrcManager, JobToken};
 use crate::loggp::{CompletionMode, LogGpParams, Transport};
 use crate::mr::{AccessFlags, MrError, MrKey, RegionTable};
 use crate::network::{Network, NodeId};
-use bytes::{Bytes, BytesMut};
 use des::SimTime;
 use std::fmt;
 
@@ -221,8 +220,10 @@ impl Fabric {
         region: MrKey,
         offset: usize,
         len: usize,
-    ) -> Result<(Bytes, SimTime), VerbsError> {
-        let data = Bytes::copy_from_slice(self.one_sided(qp, region, offset, len, RdmaOp::Read)?);
+    ) -> Result<(Vec<u8>, SimTime), VerbsError> {
+        let data = self
+            .one_sided(qp, region, offset, len, RdmaOp::Read)?
+            .to_vec();
         let t = self.timed_transfer(qp, RdmaOp::Read, len);
         Ok((data, t))
     }
@@ -256,7 +257,7 @@ impl Fabric {
     /// Register a buffer initialised with `data`.
     pub fn register_buffer_with(&mut self, node: NodeId, data: &[u8]) -> MrKey {
         self.regions
-            .register_with_data(node, BytesMut::from(data), AccessFlags::all())
+            .register_with_data(node, data.to_vec(), AccessFlags::all())
     }
 }
 

@@ -10,39 +10,36 @@
 //!   name, an engine-version salt (see [`engine_salt`]), the canonicalized
 //!   [`Params`] (floats hashed via `to_bits()`, never via `format!`), and
 //!   the seed.
-//! * [`ResultCache`] is the persistent store: a merged index file plus a
-//!   write-ahead directory of per-sweep append-only segments. Metrics are
-//!   persisted as hex `f64` bit patterns, so a cache hit round-trips
-//!   [`Metrics::bits_eq`]-identical to the live value — decimal formatting
-//!   never touches the stored floats.
+//! * [`ResultCache`] is the persistent store: one append-only log per salt.
+//!   Metrics are persisted as hex `f64` bit patterns, so a cache hit
+//!   round-trips [`Metrics::bits_eq`]-identical to the live value — decimal
+//!   formatting never touches the stored floats.
 //! * The sweep engine ([`crate::runner`]) consults the cache while it
 //!   plans (hits bypass the worker pool entirely and record no cost
-//!   observations) and its workers append misses to the sweep's one
-//!   segment — the hot path never takes the store's lock. On sweep
-//!   completion the segment is fsync'd and merged into the index.
+//!   observations) and its workers append misses to the log through the
+//!   sweep's [`CacheWriter`] — the hot path never takes the store's lock.
+//!   On sweep completion the log is fsync'd and its new lines replayed.
 //!
-//! A salt change (crate version bump or [`ENGINE_SALT_REV`] bump)
-//! invalidates every prior entry: stale entries are ignored at load and
-//! garbage-collected at the next commit, which rewrites the index with
-//! current-salt entries only.
+//! A salt change (crate version bump or [`ENGINE_SALT_REV`] bump) starts a
+//! new log: opening under one salt deletes every other salt's log.
 //!
-//! Concurrency model: segment files are uniquely named per (process,
-//! writer), each written by one sweep (its workers take turns under the
-//! sweep's writer lock), and a commit only deletes its own segments (plus segments recovered from a crashed run at
-//! open time). Torn tail lines from a crashed or concurrent writer fail to
-//! parse and are skipped. Two racing commits both re-read the on-disk
-//! index before rewriting, so the last writer still carries the union of
-//! everything it could see; a lost entry is only a future cache miss,
-//! never a wrong result.
+//! Concurrency and crash model: every append is one `O_APPEND` write of one
+//! whole line, so writers — threads, sweeps or processes — never interleave
+//! within a line, and a crash or a failed write can only leave a torn last
+//! line. Open replays the log and skips lines that fail to parse: the
+//! fixed-width fields reject a torn line even when the next writer's line
+//! was glued onto it. Open also ends a torn tail with a newline, so the next
+//! append starts a line of its own. Racing sweeps may append the same job
+//! twice; both lines carry the same bits and replay keeps one. A lost line
+//! is only a future cache miss, never a wrong result.
 
 use crate::error::Error;
 use crate::metrics::Metrics;
 use crate::params::{ParamValue, Params};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Manual engine-version override: bump whenever simulation semantics
 /// change without a crate version bump (e.g. a scheduler tie-break fix
@@ -146,21 +143,10 @@ pub fn job_key(salt: &str, scenario: &str, params: &Params, seed: u64) -> CacheK
     CacheKey(h.finalize())
 }
 
-/// Whether a file merge counts foreign-salt entries toward
-/// `stale_dropped`. `Record` at open (first sighting), `Skip` for the
-/// commit-time re-read of the same index.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StaleCount {
-    Record,
-    Skip,
-}
-
-/// One cached run: the bit-exact metrics, the scenario that produced them
-/// (observability only — the key already commits to it), and the
-/// wall-clock the original miss cost — what a hit is credited as saving.
+/// One cached run: the bit-exact metrics and the wall-clock the original
+/// miss cost — what a hit is credited as saving.
 #[derive(Debug, Clone)]
 struct CachedRun {
-    scenario: String,
     metrics: Metrics,
     secs: f64,
 }
@@ -171,12 +157,11 @@ struct CachedRun {
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
-    /// Entries currently resident (loaded + committed this instance).
+    /// Entries currently resident (replayed at open and at each commit).
     pub entries: u64,
-    /// Entries ignored at load/commit because their salt didn't match —
-    /// they are garbage-collected at the next index rewrite.
+    /// Lines in the other salts' logs that open deleted.
     pub stale_dropped: u64,
-    /// Index file size after the last open/commit.
+    /// Log bytes replayed by the last open/commit.
     pub bytes_on_disk: u64,
     /// Sum of the recorded wall-clocks of every hit — the simulated work
     /// this cache instance did not have to redo.
@@ -185,31 +170,33 @@ pub struct CacheStats {
 
 /// Persistent content-addressed `(job key) → Metrics` store.
 ///
-/// Layout under the cache directory:
+/// Layout under the cache directory: one log per engine salt, named by the
+/// first 64 bits of the salt's SHA-256,
 ///
 /// ```text
-/// <dir>/index.v1.log     merged index, one entry per line
-/// <dir>/wal/seg-*.log    per-sweep append-only write-ahead segments
+/// <dir>/results-<16 hex digits>.log
 /// ```
 ///
-/// Both use the same line format (tab-separated, `\t`/`\n`/`\\` escaped in
-/// text fields, floats as 16-hex-digit bit patterns):
+/// one entry per line (tab-separated, `\t`/`\n`/`\\` escaped in text
+/// fields, floats as 16-hex-digit bit patterns):
 ///
 /// ```text
-/// v1 <key> <salt> <scenario> <secs-bits> <n> (<name> <f64-bits>)*n
+/// v2 <key> <scenario> <secs-bits> <n> (<name> <f64-bits>)*n
 /// ```
+///
+/// The scenario is there for a reader of the file; the key already commits
+/// to it and to the salt.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
-    dir: PathBuf,
     salt: String,
+    log: PathBuf,
     entries: HashMap<CacheKey, CachedRun>,
-    /// WAL segments found at open (a crashed or failed sweep left them):
-    /// already merged into `entries`, deleted at the next commit.
-    recovered: Vec<PathBuf>,
+    /// How far the log has been replayed into `entries`: always just past
+    /// a newline, so a line still being written is read whole next time.
+    replayed: u64,
     hits: u64,
     misses: u64,
     stale_dropped: u64,
-    bytes_on_disk: u64,
     saved_secs: f64,
 }
 
@@ -223,31 +210,33 @@ impl ResultCache {
     /// Open with an explicit salt — the test hook for simulating engine
     /// version bumps without rebuilding crates.
     pub fn open_with_salt(dir: &Path, salt: &str) -> Result<ResultCache, Error> {
-        std::fs::create_dir_all(dir.join("wal"))
+        std::fs::create_dir_all(dir)
             .map_err(|e| Error::cache(dir, format!("creating cache dir: {e}")))?;
+        let mut salt_hash = sha256::Sha256::new();
+        salt_hash.update(salt.as_bytes());
+        let log = dir.join(format!(
+            "results-{}.log",
+            &CacheKey(salt_hash.finalize()).hex()[..16]
+        ));
         let mut cache = ResultCache {
-            dir: dir.to_path_buf(),
             salt: salt.to_string(),
+            log,
             entries: HashMap::new(),
-            recovered: Vec::new(),
+            replayed: 0,
             hits: 0,
             misses: 0,
             stale_dropped: 0,
-            bytes_on_disk: 0,
             saved_secs: 0.0,
         };
-        cache.load_index();
-        // Crash recovery: segments a failed/killed sweep never merged are
-        // still valid results — absorb them now, delete them at commit.
-        for seg in cache.wal_segments()? {
-            cache.absorb_file(&seg, StaleCount::Record);
-            cache.recovered.push(seg);
+        cache.delete_stale_logs(dir);
+        if cache.replay() {
+            // A torn last line: end it, so the next append is not glued on.
+            // Best effort: a store that cannot be written can still be read.
+            if let Ok(writer) = cache.writer() {
+                let _ = writer.append_bytes(b"\n");
+            }
         }
         Ok(cache)
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     pub fn salt(&self) -> &str {
@@ -262,57 +251,57 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    pub fn index_path(&self) -> PathBuf {
-        self.dir.join("index.v1.log")
+    /// This salt's log file.
+    pub fn log_path(&self) -> &Path {
+        &self.log
     }
 
-    fn wal_segments(&self) -> Result<Vec<PathBuf>, Error> {
-        let wal = self.dir.join("wal");
-        let mut segs = Vec::new();
-        let dir = std::fs::read_dir(&wal)
-            .map_err(|e| Error::cache(&wal, format!("reading cache WAL dir: {e}")))?;
-        for entry in dir.flatten() {
-            let path = entry.path();
-            if path.extension().is_some_and(|e| e == "log") {
-                segs.push(path);
-            }
-        }
-        segs.sort();
-        Ok(segs)
-    }
-
-    fn load_index(&mut self) {
-        let path = self.index_path();
-        self.absorb_file(&path, StaleCount::Record);
-        self.bytes_on_disk = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    }
-
-    /// Merge every parseable current-salt line of `path` into the map.
-    /// Unreadable files, torn lines, and foreign-salt entries are skipped
-    /// (the latter counted for GC reporting when `stale` says so — the
-    /// commit-time re-read of the index would otherwise double-count the
-    /// entries `open` already saw) — a cache can only ever miss, never
-    /// fail a sweep.
-    fn absorb_file(&mut self, path: &Path, stale: StaleCount) {
-        let Ok(text) = std::fs::read_to_string(path) else {
+    /// Delete every other salt's log, counting its lines as dropped, and
+    /// what the layout before the per-salt log left: the `index.v1.log`
+    /// index, its `index.tmp-*` temporaries and the `wal/` segments.
+    fn delete_stale_logs(&mut self, dir: &Path) {
+        let Ok(listing) = std::fs::read_dir(dir) else {
             return;
         };
-        for line in text.lines() {
-            match parse_line(line) {
-                Some(entry) if entry.salt == self.salt => {
-                    self.entries.insert(
-                        entry.key,
-                        CachedRun {
-                            scenario: entry.scenario,
-                            metrics: entry.metrics,
-                            secs: entry.secs,
-                        },
-                    );
-                }
-                Some(_) if stale == StaleCount::Record => self.stale_dropped += 1,
-                Some(_) | None => {}
+        for path in listing.flatten().map(|entry| entry.path()) {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            let stale = (name.starts_with("results-") && name.ends_with(".log"))
+                || name == "index.v1.log"
+                || name.starts_with("index.tmp-");
+            if !stale || path == self.log {
+                continue;
+            }
+            let lines =
+                std::fs::read(&path).map_or(0, |b| b.iter().filter(|&&c| c == b'\n').count());
+            if std::fs::remove_file(&path).is_ok() {
+                self.stale_dropped += lines as u64;
             }
         }
+        let _ = std::fs::remove_dir_all(dir.join("wal"));
+    }
+
+    /// Fold every whole line the log gained since the last replay into the
+    /// map; later lines win. Unparseable lines (torn, or a torn line with
+    /// the next one glued on) are skipped, and so is an unreadable log — a
+    /// cache can only ever miss, never fail a sweep. Returns whether the
+    /// log ends in a partial line.
+    fn replay(&mut self) -> bool {
+        let mut text = Vec::new();
+        let read = File::open(&self.log).and_then(|mut file| {
+            file.seek(SeekFrom::Start(self.replayed))?;
+            file.read_to_end(&mut text)
+        });
+        if read.is_err() {
+            return false;
+        }
+        let whole = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        for line in text[..whole].split(|&b| b == b'\n') {
+            if let Some((key, run)) = std::str::from_utf8(line).ok().and_then(parse_line) {
+                self.entries.insert(key, run);
+            }
+        }
+        self.replayed += whole as u64;
+        whole < text.len()
     }
 
     /// Look up one job. Hits hand back a bit-exact clone of the stored
@@ -331,91 +320,34 @@ impl ResultCache {
         }
     }
 
-    /// Create one append-only WAL segment (the engine makes one per sweep). Segment
-    /// names are unique per (process, writer), so concurrent sweeps over
-    /// one cache directory never interleave writes within a file.
+    /// An append handle on the log (the engine takes one per sweep).
     pub fn writer(&self) -> Result<CacheWriter, Error> {
-        static NEXT_SEGMENT: AtomicU64 = AtomicU64::new(0);
-        let id = NEXT_SEGMENT.fetch_add(1, Ordering::Relaxed);
-        let path = self
-            .dir
-            .join("wal")
-            .join(format!("seg-{}-{id}.log", std::process::id()));
         let file = OpenOptions::new()
-            .create_new(true)
+            .create(true)
             .append(true)
-            .open(&path)
-            .map_err(|e| Error::cache(&path, format!("creating cache segment: {e}")))?;
+            .open(&self.log)
+            .map_err(|e| Error::cache(&self.log, format!("opening cache log: {e}")))?;
         Ok(CacheWriter {
-            path,
+            path: self.log.clone(),
             file,
-            salt: self.salt.clone(),
         })
     }
 
-    /// Sweep-completion barrier: fsync the given segments, fold them
-    /// (and any other segment currently on disk) into the in-memory map,
-    /// rewrite the index atomically (write-temp + rename, fsync'd), and
-    /// delete the segments this cache owns. Stale-salt entries never make
-    /// it into the rewritten index — this is where a salt bump's garbage
-    /// collection happens.
+    /// Sweep-completion barrier: fsync the sweeps' appends, then replay
+    /// what the log gained since the last open or commit — those appends
+    /// and any other writer's — so later lookups hit on them.
     pub fn commit(&mut self, writers: Vec<CacheWriter>) -> Result<(), Error> {
-        let mut own: Vec<PathBuf> = Vec::with_capacity(writers.len());
         for w in writers {
             w.file
                 .sync_all()
-                .map_err(|e| Error::cache(&w.path, format!("fsync cache segment: {e}")))?;
-            own.push(w.path);
+                .map_err(|e| Error::cache(&w.path, format!("fsync cache log: {e}")))?;
         }
-        // Re-read the on-disk index first: another process may have
-        // committed since we opened, and a rewrite must not drop its work.
-        let index = self.index_path();
-        self.absorb_file(&index, StaleCount::Skip);
-        for seg in self.wal_segments()? {
-            self.absorb_file(&seg, StaleCount::Skip);
-        }
-
-        // Deterministic index layout: entries sorted by key.
-        let mut keys: Vec<&CacheKey> = self.entries.keys().collect();
-        keys.sort_by_key(|k| k.0);
-        let mut text = String::new();
-        for key in keys {
-            let run = &self.entries[key];
-            encode_line(
-                &mut text,
-                key,
-                &self.salt,
-                &run.scenario,
-                run.secs,
-                &run.metrics,
-            );
-        }
-        let tmp = self.dir.join(format!(
-            "index.tmp-{}-{}",
-            std::process::id(),
-            own.first()
-                .and_then(|p| p.file_name())
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "solo".to_string())
-        ));
-        {
-            let mut f = File::create(&tmp)
-                .map_err(|e| Error::cache(&tmp, format!("creating cache index: {e}")))?;
-            f.write_all(text.as_bytes())
-                .map_err(|e| Error::cache(&tmp, format!("writing cache index: {e}")))?;
-            f.sync_all()
-                .map_err(|e| Error::cache(&tmp, format!("fsync cache index: {e}")))?;
-        }
-        std::fs::rename(&tmp, &index)
-            .map_err(|e| Error::cache(&index, format!("publishing cache index: {e}")))?;
-        self.bytes_on_disk = text.len() as u64;
-
-        for seg in own.iter().chain(&self.recovered) {
-            // A concurrent commit may have raced us to a recovered segment;
-            // missing files are fine.
-            let _ = std::fs::remove_file(seg);
-        }
-        self.recovered.clear();
+        // The log may be new: its directory entry must be durable too.
+        let dir = self.log.parent().expect("the log lives in the cache dir");
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| Error::cache(dir, format!("fsync cache dir: {e}")))?;
+        self.replay();
         Ok(())
     }
 
@@ -425,21 +357,21 @@ impl ResultCache {
             misses: self.misses,
             entries: self.entries.len() as u64,
             stale_dropped: self.stale_dropped,
-            bytes_on_disk: self.bytes_on_disk,
+            bytes_on_disk: self.replayed,
             saved_secs: self.saved_secs,
         }
     }
 }
 
-/// One append-only WAL segment. Appends go through `&self` (`&File` writes
-/// need no mutable borrow; the engine serializes a sweep's workers on the
-/// segment with a mutex), one `write_all` per entry, so a torn line can
-/// only be the file's tail.
+/// An append handle on the log. Appends go through `&self` (`&File` writes
+/// need no mutable borrow; the engine serializes a sweep's workers on it
+/// with a mutex), one `write_all` per entry on an `O_APPEND` file, so lines
+/// of concurrent writers never interleave: only a short write can tear a
+/// line, costing it and the line glued onto it.
 #[derive(Debug)]
 pub struct CacheWriter {
     path: PathBuf,
     file: File,
-    salt: String,
 }
 
 impl CacheWriter {
@@ -454,24 +386,15 @@ impl CacheWriter {
         metrics: &Metrics,
     ) -> Result<(), Error> {
         let mut line = String::new();
-        encode_line(&mut line, key, &self.salt, scenario, secs, metrics);
+        encode_line(&mut line, key, scenario, secs, metrics);
+        self.append_bytes(line.as_bytes())
+    }
+
+    fn append_bytes(&self, bytes: &[u8]) -> Result<(), Error> {
         (&self.file)
-            .write_all(line.as_bytes())
-            .map_err(|e| Error::cache(&self.path, format!("appending to cache segment: {e}")))
+            .write_all(bytes)
+            .map_err(|e| Error::cache(&self.path, format!("appending to cache log: {e}")))
     }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// One parsed cache line.
-struct Entry {
-    key: CacheKey,
-    salt: String,
-    scenario: String,
-    secs: f64,
-    metrics: Metrics,
 }
 
 fn esc(s: &str) -> String {
@@ -507,18 +430,9 @@ fn unesc(s: &str) -> Option<String> {
     Some(out)
 }
 
-fn encode_line(
-    out: &mut String,
-    key: &CacheKey,
-    salt: &str,
-    scenario: &str,
-    secs: f64,
-    metrics: &Metrics,
-) {
-    out.push_str("v1\t");
+fn encode_line(out: &mut String, key: &CacheKey, scenario: &str, secs: f64, metrics: &Metrics) {
+    out.push_str("v2\t");
     out.push_str(&key.hex());
-    out.push('\t');
-    out.push_str(&esc(salt));
     out.push('\t');
     out.push_str(&esc(scenario));
     out.push_str(&format!("\t{:016x}\t{}", secs.to_bits(), metrics.len()));
@@ -540,16 +454,16 @@ fn parse_f64_bits(field: &str) -> Option<f64> {
     u64::from_str_radix(field, 16).ok().map(f64::from_bits)
 }
 
-/// Parse one line; `None` for anything malformed (torn tails, foreign
-/// formats) — callers skip those.
-fn parse_line(line: &str) -> Option<Entry> {
+/// Parse one line; `None` for anything malformed — a torn tail, a torn
+/// line with the next writer's glued on (every fixed-format field then
+/// receives the wrong text), a foreign format — and callers skip those.
+fn parse_line(line: &str) -> Option<(CacheKey, CachedRun)> {
     let mut fields = line.split('\t');
-    if fields.next()? != "v1" {
+    if fields.next()? != "v2" {
         return None;
     }
     let key = CacheKey::from_hex(fields.next()?)?;
-    let salt = unesc(fields.next()?)?;
-    let scenario = unesc(fields.next()?)?;
+    fields.next()?; // the scenario, for readers of the file
     let secs = parse_f64_bits(fields.next()?)?;
     let n: usize = fields.next()?.parse().ok()?;
     let mut metrics = Metrics::new();
@@ -560,13 +474,7 @@ fn parse_line(line: &str) -> Option<Entry> {
     if fields.next().is_some() || metrics.len() != n {
         return None; // trailing garbage or duplicate metric names
     }
-    Some(Entry {
-        key,
-        salt,
-        scenario,
-        secs,
-        metrics,
-    })
+    Some((key, CachedRun { metrics, secs }))
 }
 
 /// Minimal SHA-256 (FIPS 180-4). The workspace has no crates.io access, so
@@ -772,15 +680,17 @@ mod tests {
         m.push("tab\tand\nnewline\\slash", -0.0);
         m.push("ulp", f64::from_bits(0x3ff0_0000_0000_0001));
         m.push("nan", f64::NAN);
-        let key = job_key("salt\twith\ttabs", "scen", &Params::new(), 7);
+        let key = job_key("salt", "scen\twith\ttabs", &Params::new(), 7);
         let mut line = String::new();
-        encode_line(&mut line, &key, "salt\twith\ttabs", "scen", 1.25, &m);
-        assert!(line.ends_with('\n'));
-        let entry = parse_line(line.trim_end()).expect("round trip");
-        assert_eq!(entry.key, key);
-        assert_eq!(entry.salt, "salt\twith\ttabs");
-        assert_eq!(entry.secs.to_bits(), 1.25f64.to_bits());
-        assert!(entry.metrics.bits_eq(&m), "bit-exact metrics round trip");
+        encode_line(&mut line, &key, "scen\twith\ttabs", 1.25, &m);
+        let line = line
+            .strip_suffix('\n')
+            .expect("one line, newline-terminated");
+        assert!(!line.contains('\n'));
+        let (parsed, run) = parse_line(line).expect("round trip");
+        assert_eq!(parsed, key);
+        assert_eq!(run.secs.to_bits(), 1.25f64.to_bits());
+        assert!(run.metrics.bits_eq(&m), "bit-exact metrics round trip");
     }
 
     #[test]
@@ -790,14 +700,19 @@ mod tests {
         m.push("b", 2.5);
         let key = job_key("s", "x", &Params::new(), 1);
         let mut line = String::new();
-        encode_line(&mut line, &key, "s", "x", 0.5, &m);
+        encode_line(&mut line, &key, "x", 0.5, &m);
         let line = line.trim_end().to_string();
         assert!(parse_line(&line).is_some());
-        // Every strict prefix (a torn tail) must fail to parse.
         for cut in 0..line.len() {
+            // Every strict prefix (a torn tail) must fail to parse, and so
+            // must one with the next writer's whole line glued on.
             assert!(
                 parse_line(&line[..cut]).is_none(),
                 "torn prefix of length {cut} parsed"
+            );
+            assert!(
+                cut == 0 || parse_line(&format!("{}{line}", &line[..cut])).is_none(),
+                "torn prefix of length {cut} with a line glued on parsed"
             );
         }
         assert!(parse_line(&format!("{line}\textra")).is_none());

@@ -15,17 +15,17 @@
 //! * **run** (`Engine::run_job`): one fresh [`Simulation`] per job, the
 //!   panic caught and kept with its `(scenario, point, seed)` identity —
 //!   all with no lock held — then one trip through the sweep's lock to
-//!   append the result to the sweep's write-ahead segment, store its slot,
-//!   pop the next pending job and count down.
+//!   append the result to the cache log, store its slot, pop the next
+//!   pending job and count down.
 //! * **finalize** (`Engine::finalize`): failures, sorted, become a
-//!   [`SweepError`]; otherwise the segment commits into the cache index and
+//!   [`SweepError`]; otherwise the cache commits the sweep's appends and
 //!   the slots fold into per-scenario results in task, point, seed order.
 //!
 //! Everything a running sweep mutates is one `Progress` value behind the
 //! sweep's one mutex. Whoever takes the count of outstanding jobs to zero
 //! moves it out of the lock and owns it: finalization is exactly-once by
-//! ownership, and a failed or cancelled sweep releases its segment, slots
-//! and pending jobs when that owner drops it.
+//! ownership, and a failed or cancelled sweep releases its log handle,
+//! slots and pending jobs when that owner drops it.
 //!
 //! Scheduling never touches results: every job's metrics are a pure
 //! function of `(params, seed)` and land in the slot the plan gave them, so
@@ -171,14 +171,13 @@ pub(crate) struct Sweep {
 /// Everything a running sweep mutates, owned by one thread at a time:
 /// [`Engine::plan`] builds it, [`Sweep::start`] parks it behind the sweep's
 /// lock while jobs are outstanding, and whoever completes the last one gets
-/// it back to finalize — or to drop, which closes the segment uncommitted.
+/// it back to finalize — or to drop, which closes the log handle uncommitted.
 pub(crate) struct Progress {
     /// Result slots (task-major, point-major, seed-minor).
     slots: Vec<Option<Metrics>>,
     failures: Vec<JobFailure>,
-    /// The sweep's append-only WAL segment — a sweep is one commit unit, so
-    /// every job appends to the same file. `None` without a cache, or when
-    /// every job hit.
+    /// The sweep's append handle on the cache log — a sweep is one commit
+    /// unit. `None` without a cache, or when every job hit.
     writer: Option<CacheWriter>,
     /// Jobs beyond the window, in start order.
     pending: VecDeque<Job>,
@@ -420,10 +419,10 @@ impl Engine {
 
     /// Turn a drained sweep's progress into its outcome: every failed job,
     /// in a deterministic order however the workers interleaved, or the
-    /// aggregated results once the WAL segment is committed to the cache
-    /// index. On failure nothing commits; the segment is closed and stays
-    /// on disk to be recovered at the next cache open, so the surviving
-    /// jobs' results aren't lost.
+    /// aggregated results once the sweep's appends are committed. On
+    /// failure nothing commits, but the surviving jobs' lines are already in
+    /// the log: the next cache open replays them, so their results aren't
+    /// lost.
     pub(crate) fn finalize(
         &self,
         sweep: &Sweep,

@@ -20,7 +20,7 @@
 //!   pin down.
 //! * **A shared cache** — every request plans against the one
 //!   [`ResultCache`], so an all-hit request finalizes inline at submit and
-//!   the pool never hears about it, and misses commit into the same index
+//!   the pool never hears about it, and misses append to the same log
 //!   every other entry point uses: server, CLI and library stay mutually
 //!   incremental.
 //! * **A metadata plane** — every request gets an id and a
@@ -47,7 +47,7 @@
 //! its `Progress` to — the worker that completed the last job, the
 //! cancel that dropped the last pending one, or the submit that found
 //! every job in the cache — so exactly once, and a failed or cancelled
-//! request drops its write-ahead segment, slots and pending jobs right
+//! request drops its cache log handle, slots and pending jobs right
 //! there.
 
 use crate::cache::{CacheStats, ResultCache};
@@ -450,9 +450,9 @@ fn worker_loop(inner: &Inner) {
 /// handed the progress to, so exactly once per request.
 fn finalize(inner: &Inner, sweep: &ActiveSweep, progress: Progress) {
     let terminal = if progress.cancelled() {
-        // The WAL segment is closed here but deliberately not committed:
-        // whatever misses did complete stay on disk and are recovered at
-        // the next cache open, same as a failed sweep's.
+        // The log handle is closed here but deliberately not committed:
+        // whatever misses did complete are in the log and replayed at the
+        // next cache open, same as a failed sweep's.
         drop(progress);
         Terminal::Cancelled
     } else {

@@ -1,9 +1,9 @@
 //! The sweep memoization cache's contract: a cache hit is
 //! indistinguishable from a live run (bit-exact metrics, byte-identical
 //! artifacts), hits never pollute the LPT cost table, concurrent sweeps
-//! over one cache directory never tear or duplicate entries, and an
-//! engine-salt bump invalidates — and garbage-collects — every prior
-//! entry.
+//! over one cache directory never tear or duplicate entries, any byte
+//! prefix of a log opens to exactly its whole lines, and an engine-salt
+//! bump invalidates — and garbage-collects — every prior entry.
 
 use proptest::prelude::*;
 use scenarios::{
@@ -143,17 +143,17 @@ fn salt_bump_invalidates_every_entry_and_garbage_collects() {
     assert_eq!(stats.misses, n_jobs);
     assert_eq!(stats.stale_dropped, n_jobs, "old entries seen and skipped");
 
-    // ...and the commit's index rewrite garbage-collects them.
-    let index = std::fs::read_to_string(dir.join("index.v1.log")).expect("index");
-    assert!(
-        !index.contains("engine-v1"),
-        "stale-salt entries survived the rewrite"
-    );
-    assert!(index.contains("engine-v2"));
-    let reopened_v1 = ResultCache::open_with_salt(&dir, "engine-v1").expect("reopen v1");
-    assert_eq!(reopened_v1.len(), 0, "v1 entries are gone, not just hidden");
+    // ...and the v2 open garbage-collected them: v1's log is gone.
     let reopened_v2 = ResultCache::open_with_salt(&dir, "engine-v2").expect("reopen v2");
     assert_eq!(reopened_v2.len(), n_jobs as usize);
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    let v2_log = reopened_v2.log_path().file_name().expect("log name");
+    assert_eq!(files, [v2_log.to_os_string()], "one log, v2's");
+    let reopened_v1 = ResultCache::open_with_salt(&dir, "engine-v1").expect("reopen v1");
+    assert_eq!(reopened_v1.len(), 0, "v1 entries are gone, not just hidden");
 }
 
 #[test]
@@ -238,14 +238,10 @@ fn failed_sweeps_leave_recoverable_segments_not_a_corrupt_index() {
     failing
         .try_run(&Grenade, &SweepGrid::new().axis("k", vec![1u64, 2, 3]))
         .expect_err("k=2 panics");
-    // No commit happened: the index holds nothing yet, but the surviving
-    // jobs' WAL segments are recovered at the next open.
+    // No commit happened, but the surviving jobs' lines are in the log and
+    // the next open replays them.
     let recovered = ResultCache::open(&dir).expect("reopen");
-    assert_eq!(
-        recovered.len(),
-        2,
-        "k=1 and k=3 results recovered from write-ahead segments"
-    );
+    assert_eq!(recovered.len(), 2, "k=1 and k=3 results recovered");
 
     // The recovered entries serve a successful follow-up sweep's hits.
     let retry = SweepRunner::new(2, vec![1]).with_cache(recovered);
@@ -255,14 +251,68 @@ fn failed_sweeps_leave_recoverable_segments_not_a_corrupt_index() {
     assert_eq!(stats.misses, 0);
 }
 
+/// A process that dies mid-append leaves a byte prefix of what it wrote.
+/// Cut a log at every byte: the next open must hold exactly the entries
+/// whose lines are whole, each bit-exact, and the next append must land on
+/// a line of its own rather than be glued onto the torn one. (A line that
+/// lacked only its newline is whole once open ends it.)
+#[test]
+fn every_byte_prefix_of_a_log_opens_to_exactly_its_whole_lines() {
+    let dir = cache_dir("prefix");
+    let cache = ResultCache::open(&dir).expect("open");
+    let params = Probe.default_params();
+    let job = |seed: u64| {
+        let metrics = Probe.run(&mut des::Simulation::new(seed), &params);
+        (job_key(cache.salt(), "cache_probe", &params, seed), metrics)
+    };
+    let jobs: Vec<_> = (0..4).map(job).collect();
+    let writer = cache.writer().expect("writer");
+    for (key, metrics) in &jobs {
+        writer
+            .append(key, "cache_probe", 0.25, metrics)
+            .expect("append");
+    }
+    drop(writer);
+    let log_path = cache.log_path().to_path_buf();
+    let log = std::fs::read(&log_path).expect("log");
+    let (late_key, late_metrics) = job(99);
+
+    for cut in 0..=log.len() {
+        std::fs::write(&log_path, &log[..cut]).expect("cut the log");
+        let whole = log[..cut].iter().filter(|&&b| b == b'\n').count();
+        let mut reopened = ResultCache::open(&dir).expect("reopen");
+        assert_eq!(reopened.len(), whole, "cut at byte {cut}");
+        for (key, metrics) in &jobs[..whole] {
+            let held = reopened.lookup(key).expect("a whole line is held");
+            assert!(held.bits_eq(metrics), "cut at byte {cut}: wrong bits");
+        }
+        let writer = reopened.writer().expect("writer");
+        writer
+            .append(&late_key, "cache_probe", 0.25, &late_metrics)
+            .expect("append");
+        drop(writer);
+        let lacked_only_newline = log.get(cut) == Some(&b'\n');
+        let mut healed = ResultCache::open(&dir).expect("reopen");
+        assert_eq!(
+            healed.len(),
+            whole + lacked_only_newline as usize + 1,
+            "cut at byte {cut}"
+        );
+        let held = healed
+            .lookup(&late_key)
+            .expect("the append after a torn tail");
+        assert!(held.bits_eq(&late_metrics));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Two sweeps over the same job set race on one cache directory across
     /// 2–8 worker threads each. Whatever the interleaving: both emit
-    /// bit-identical results to serial, and the merged index ends up with
-    /// exactly one well-formed line per job — no torn writes, no
-    /// duplicates.
+    /// bit-identical results to serial, and the shared log ends up with
+    /// only whole, well-formed lines — each job once, or twice when both
+    /// sweeps missed it — and exactly one entry per job.
     #[test]
     fn concurrent_sweeps_never_tear_or_duplicate_cache_entries(
         seed_base in 0u64..100_000,
@@ -294,21 +344,22 @@ proptest! {
         prop_assert!(res_a.bits_eq(&serial), "racing sweep A diverged");
         prop_assert!(res_b.bits_eq(&serial), "racing sweep B diverged");
 
-        // The committed index: one parseable line per job, every key unique.
-        let index = std::fs::read_to_string(dir.join("index.v1.log")).expect("index");
-        let lines: Vec<&str> = index.lines().collect();
-        prop_assert_eq!(lines.len(), n_jobs, "one line per job, no duplicates");
-        for line in &lines {
-            prop_assert!(line.starts_with("v1\t"), "malformed line: {line:?}");
-        }
+        // The shared log: whole lines only, each naming one of the jobs.
         let reloaded = ResultCache::open(&dir).expect("reopen");
-        prop_assert_eq!(
-            reloaded.len(),
-            n_jobs,
-            "every line parses back (torn lines would be dropped)"
-        );
+        let log = std::fs::read_to_string(reloaded.log_path()).expect("log");
+        prop_assert!(log.ends_with('\n'), "torn tail");
+        let lines: Vec<&str> = log.lines().collect();
+        prop_assert!((n_jobs..=2 * n_jobs).contains(&lines.len()), "{} lines", lines.len());
+        let mut keys = std::collections::BTreeSet::new();
+        for line in &lines {
+            let fields: Vec<&str> = line.split('\t').collect();
+            prop_assert!(fields[0] == "v2" && fields.len() == 13, "malformed line: {line:?}");
+            keys.insert(fields[1]);
+        }
+        prop_assert_eq!(keys.len(), n_jobs, "every job, and no other key");
+        prop_assert_eq!(reloaded.len(), n_jobs, "every job parses back");
 
-        // And the racing runs' combined WAL must leave nothing behind that
+        // And the racing runs' combined log must leave nothing behind that
         // a warm sweep cannot serve: a third run is fully cache-served.
         let warm = SweepRunner::new(4, seeds).with_cache(reloaded);
         let warm_result = warm.run(&Probe, &grid);

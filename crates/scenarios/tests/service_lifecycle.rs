@@ -5,7 +5,7 @@
 //! head-of-line guarantee — a short request completing while a long one is
 //! still running on a saturated pool. Also: a panicking request leaves its
 //! neighbours and successors untouched, a cancelled request gives its cache
-//! segment's descriptor back, and one worker starts a sweep's jobs in
+//! log descriptor back, and one worker starts a sweep's jobs in
 //! exactly the planned order.
 
 use scenarios::service::{Service, ServiceConfig};
@@ -547,7 +547,7 @@ fn finished_requests_are_retained_up_to_the_cap() {
 }
 
 /// Cancelled (and failed) requests give back what they held at the terminal
-/// transition — above all the write-ahead segment's descriptor, which a
+/// transition — above all the cache log's descriptor, which a
 /// long-running server would otherwise leak once per such request.
 #[cfg(target_os = "linux")]
 #[test]
@@ -613,7 +613,7 @@ fn cancelled_requests_release_their_cache_segments() {
     assert_eq!(
         open_under(&dir),
         before,
-        "cancelled requests kept their cache segments open"
+        "cancelled requests kept their cache log open"
     );
 
     // Closed, never committed — and still recovered by the next open.
