@@ -86,6 +86,25 @@ fn run_artifact_matches_the_committed_goldens() {
         "fig07 artifact bytes drifted from the golden"
     );
 
+    // Default parameters: `run` summarises the 1 B and 4 KiB sizes and
+    // passes over the eleven between without computing them.
+    let fig07_default = out_path("fig07-default");
+    run_cli(&[
+        "run",
+        "fig07_latency",
+        "--seeds",
+        "3",
+        "--threads",
+        "2",
+        "--json",
+        fig07_default.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        std::fs::read(&fig07_default).expect("artifact written"),
+        std::fs::read(golden("fig07_default_seeds3.json")).expect("golden present"),
+        "fig07 default-parameter artifact bytes drifted from the golden"
+    );
+
     let fig11 = out_path("fig11");
     run_cli(&[
         "run",

@@ -117,6 +117,31 @@ impl RngStream {
         (1.0 + self.normal(0.0, rel_std)).max(0.05)
     }
 
+    /// A noisy measurement of `base`: multiplicative [`jitter`](Self::jitter)
+    /// plus, with probability `straggler_p`, an [`exponential`](Self::exponential)
+    /// straggler of mean `0.8·base` (a preempted or descheduled run that
+    /// fattens the tail). Draws two words for the jitter, one for the
+    /// chance and one more only on a straggler.
+    pub fn noisy(&mut self, base: f64, rel_std: f64, straggler_p: f64) -> f64 {
+        let mut t = base * self.jitter(rel_std);
+        if self.chance(straggler_p) {
+            t += self.exponential(base * 0.8);
+        }
+        t
+    }
+
+    /// Advance the stream exactly as [`noisy`](Self::noisy) with the same
+    /// `straggler_p` would, without computing the sample: the same words
+    /// are drawn, no `ln`/`sqrt`/`cos` is evaluated. A change to how many
+    /// words `normal`, `exponential` or `chance` draw must change this too.
+    pub fn skip_noisy(&mut self, straggler_p: f64) {
+        self.u64();
+        self.u64();
+        if self.chance(straggler_p) {
+            self.u64();
+        }
+    }
+
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

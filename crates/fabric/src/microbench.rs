@@ -1,20 +1,22 @@
-//! Ping-pong microbenchmark harness: generates latency distributions for a
-//! transport/completion combination across message sizes, with deterministic
-//! jitter. This produces the two libfabric baseline series of Fig. 7; the
-//! rFaaS hot/warm series are produced by the executor in `crates/core` and
-//! plotted against these.
+//! Ping-pong microbenchmark harness: the latency distribution of one
+//! transport/completion combination at one message size, with
+//! deterministic jitter. Fig. 7's two libfabric baseline series are
+//! [`ping_pong`] at each of [`fig7_sizes`]; the rFaaS hot/warm series are
+//! produced by the executor in `crates/core` and plotted against these.
+//! Every sample is one [`RngStream::noisy`] draw, so a caller that needs
+//! the stream past a distribution it does not read can advance it with
+//! [`RngStream::skip_noisy`] and [`straggler_p`] instead.
 
 use crate::loggp::{CompletionMode, LogGpParams};
 use des::{Percentiles, RngStream};
-use serde::Serialize;
 
-/// One (message size → latency distribution) measurement row.
-#[derive(Debug, Serialize)]
-pub struct LatencyRow {
-    pub size_bytes: usize,
-    pub median_us: f64,
-    pub p95_us: f64,
-    pub mean_us: f64,
+/// Probability that one ping-pong is a straggler (scheduler preemption),
+/// which fattens the p95 — pronounced for event-wait.
+pub fn straggler_p(completion: CompletionMode) -> f64 {
+    match completion {
+        CompletionMode::BusyPoll => 0.01,
+        CompletionMode::EventWait => 0.06,
+    }
 }
 
 /// Run `reps` simulated ping-pongs of `size` bytes and collect round-trip
@@ -29,41 +31,9 @@ pub fn ping_pong(
     let mut p = Percentiles::new();
     let base = params.round_trip(size, size, completion).as_micros_f64();
     for _ in 0..reps {
-        // Multiplicative OS/NIC jitter plus a rare straggler (scheduler
-        // preemption) that fattens the p95 — pronounced for event-wait.
-        let mut t = base * rng.jitter(params.jitter_rel_std);
-        let straggler_p = match completion {
-            CompletionMode::BusyPoll => 0.01,
-            CompletionMode::EventWait => 0.06,
-        };
-        if rng.chance(straggler_p) {
-            t += rng.exponential(base * 0.8);
-        }
-        p.push(t);
+        p.push(rng.noisy(base, params.jitter_rel_std, straggler_p(completion)));
     }
     p
-}
-
-/// Sweep message sizes and produce the measurement table.
-pub fn latency_sweep(
-    params: &LogGpParams,
-    completion: CompletionMode,
-    sizes: &[usize],
-    reps: usize,
-    rng: &mut RngStream,
-) -> Vec<LatencyRow> {
-    sizes
-        .iter()
-        .map(|&size| {
-            let mut p = ping_pong(params, completion, size, reps, rng);
-            LatencyRow {
-                size_bytes: size,
-                median_us: p.median(),
-                p95_us: p.p95(),
-                mean_us: p.mean(),
-            }
-        })
-        .collect()
 }
 
 /// The message sizes of Fig. 7: 1 B .. 4 KiB in powers of two.
@@ -75,6 +45,20 @@ pub fn fig7_sizes() -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::loggp::LogGpParams;
+
+    /// Median of `ping_pong` at each size, all drawn from one stream.
+    fn sweep_medians(
+        completion: CompletionMode,
+        sizes: &[usize],
+        reps: usize,
+        rng: &mut RngStream,
+    ) -> Vec<f64> {
+        let p = LogGpParams::ugni();
+        sizes
+            .iter()
+            .map(|&size| ping_pong(&p, completion, size, reps, rng).median())
+            .collect()
+    }
 
     #[test]
     fn fig7_sizes_are_powers_of_two_up_to_4k() {
@@ -111,40 +95,31 @@ mod tests {
 
     #[test]
     fn sweep_is_monotone_in_size() {
-        let p = LogGpParams::ugni();
         let mut rng = RngStream::from_seed(3);
-        let rows = latency_sweep(&p, CompletionMode::BusyPoll, &fig7_sizes(), 500, &mut rng);
-        for w in rows.windows(2) {
+        let medians = sweep_medians(CompletionMode::BusyPoll, &fig7_sizes(), 500, &mut rng);
+        for w in medians.windows(2) {
             // Jitter can wiggle adjacent medians slightly; allow 3%.
-            assert!(w[1].median_us > w[0].median_us * 0.97);
+            assert!(w[1] > w[0] * 0.97);
         }
     }
 
     #[test]
     fn event_wait_sweep_slower_than_busy_poll() {
-        let p = LogGpParams::ugni();
+        let sizes = fig7_sizes();
         let mut r1 = RngStream::from_seed(3);
         let mut r2 = RngStream::from_seed(3);
-        let busy = latency_sweep(&p, CompletionMode::BusyPoll, &fig7_sizes(), 300, &mut r1);
-        let wait = latency_sweep(&p, CompletionMode::EventWait, &fig7_sizes(), 300, &mut r2);
-        for (b, w) in busy.iter().zip(&wait) {
-            assert!(
-                w.median_us > b.median_us + 5.0,
-                "wakeup penalty visible at {}B",
-                b.size_bytes
-            );
+        let busy = sweep_medians(CompletionMode::BusyPoll, &sizes, 300, &mut r1);
+        let wait = sweep_medians(CompletionMode::EventWait, &sizes, 300, &mut r2);
+        for ((b, w), size) in busy.iter().zip(&wait).zip(&sizes) {
+            assert!(w > &(b + 5.0), "wakeup penalty visible at {size}B");
         }
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let p = LogGpParams::ugni();
         let run = |seed| {
             let mut rng = RngStream::from_seed(seed);
-            latency_sweep(&p, CompletionMode::BusyPoll, &[64, 1024], 200, &mut rng)
-                .iter()
-                .map(|r| r.median_us)
-                .collect::<Vec<_>>()
+            sweep_medians(CompletionMode::BusyPoll, &[64, 1024], 200, &mut rng)
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));

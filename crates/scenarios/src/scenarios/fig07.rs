@@ -3,11 +3,20 @@
 //! Four series over message sizes 1 B – 4 KiB, median and 95th percentile:
 //! uGNI busy-poll, uGNI queue-wait (the libfabric baselines), rFaaS hot and
 //! rFaaS warm invocations of a no-op function.
+//!
+//! Every sample is one [`RngStream::noisy`] draw from the job's `fig7`
+//! stream, in a fixed order: size by size, the four series in the order
+//! above, `reps` samples each. `run` reads only the 1 B and 4 KiB sizes;
+//! the samples of the sizes between are passed over with
+//! [`RngStream::skip_noisy`], which draws exactly the same words without
+//! computing the sample. The summarised sizes therefore see the stream
+//! where a full draw leaves it, and `run`'s metrics are bit-identical to
+//! those of the all-sizes draw `report` prints.
 
 use crate::report::{banner, fmt, print_table, write_json};
 use crate::{Metrics, Params, Scenario, REPORT_SEED};
 use des::{Percentiles, RngStream, SimTime, Simulation};
-use fabric::microbench::{fig7_sizes, ping_pong};
+use fabric::microbench::{fig7_sizes, ping_pong, straggler_p};
 use fabric::{CompletionMode, LogGpParams};
 use rfaas::{Executor, ExecutorMode, FunctionRegistry};
 use serde::Serialize;
@@ -25,6 +34,14 @@ pub struct Row {
     rfaas_warm_p95: f64,
 }
 
+/// Probability that one rFaaS invocation is a straggler.
+fn rfaas_straggler_p(mode: ExecutorMode) -> f64 {
+    match mode {
+        ExecutorMode::Hot => 0.01,
+        ExecutorMode::Warm => 0.06,
+    }
+}
+
 /// Distribution of rFaaS invocation latencies for a no-op function.
 fn rfaas_distribution(
     mode: ExecutorMode,
@@ -38,18 +55,12 @@ fn rfaas_distribution(
     let def = reg.get(id).unwrap().clone();
     let mut ex = Executor::new(def, mode);
     ex.adopt_warm_container();
+    // A warm-adopted executor's invocation time does not change between
+    // calls; only the noise around it does.
+    let base = ex.invoke(&params, size, size, 1.0).total().as_micros_f64();
     let mut p = Percentiles::new();
-    let straggler_p = match mode {
-        ExecutorMode::Hot => 0.01,
-        ExecutorMode::Warm => 0.06,
-    };
     for _ in 0..reps {
-        let t = ex.invoke(&params, size, size, 1.0).total();
-        let mut us = t.as_micros_f64() * rng.jitter(params.jitter_rel_std);
-        if rng.chance(straggler_p) {
-            us += rng.exponential(t.as_micros_f64() * 0.8);
-        }
-        p.push(us);
+        p.push(rng.noisy(base, params.jitter_rel_std, rfaas_straggler_p(mode)));
     }
     p
 }
@@ -80,22 +91,55 @@ impl Dists {
     }
 }
 
-/// Draws every size's four series in one fixed order, whatever the caller
-/// reads; each caller summarises only the sizes it uses.
-fn compute(sim: &mut Simulation, params: &Params) -> Vec<Dists> {
+/// Draws every size's four series in one fixed order and summarises the
+/// sizes in `keep`. Each sample of any other size is passed over with
+/// [`RngStream::skip_noisy`] (same words, no sample computed), so the kept
+/// sizes' distributions are bit-identical whatever else is kept.
+fn compute(sim: &mut Simulation, params: &Params, keep: &[usize]) -> Vec<Dists> {
     let reps = params.usize("reps", 2000);
     let net = LogGpParams::ugni();
     let mut rng = sim.stream("fig7");
-    fig7_sizes()
-        .into_iter()
-        .map(|size| Dists {
-            size,
-            busy: ping_pong(&net, CompletionMode::BusyPoll, size, reps, &mut rng),
-            wait: ping_pong(&net, CompletionMode::EventWait, size, reps, &mut rng),
-            hot: rfaas_distribution(ExecutorMode::Hot, size, reps, &mut rng),
-            warm: rfaas_distribution(ExecutorMode::Warm, size, reps, &mut rng),
-        })
-        .collect()
+    let mut dists = Vec::with_capacity(keep.len());
+    for size in fig7_sizes() {
+        if keep.contains(&size) {
+            dists.push(Dists {
+                size,
+                busy: ping_pong(&net, CompletionMode::BusyPoll, size, reps, &mut rng),
+                wait: ping_pong(&net, CompletionMode::EventWait, size, reps, &mut rng),
+                hot: rfaas_distribution(ExecutorMode::Hot, size, reps, &mut rng),
+                warm: rfaas_distribution(ExecutorMode::Warm, size, reps, &mut rng),
+            });
+            continue;
+        }
+        for p in [
+            straggler_p(CompletionMode::BusyPoll),
+            straggler_p(CompletionMode::EventWait),
+            rfaas_straggler_p(ExecutorMode::Hot),
+            rfaas_straggler_p(ExecutorMode::Warm),
+        ] {
+            for _ in 0..reps {
+                rng.skip_noisy(p);
+            }
+        }
+    }
+    dists
+}
+
+/// `run`'s eight metrics from the 1 B and 4 KiB rows.
+fn metrics(small: &Row, large: &Row) -> Metrics {
+    let mut m = Metrics::new();
+    m.push("ugni_busy_med_1b_us", small.ugni_busy_med);
+    m.push("ugni_wait_med_1b_us", small.ugni_wait_med);
+    m.push("rfaas_hot_med_1b_us", small.rfaas_hot_med);
+    m.push("rfaas_hot_p95_1b_us", small.rfaas_hot_p95);
+    m.push("rfaas_warm_med_1b_us", small.rfaas_warm_med);
+    m.push(
+        "hot_overhead_1b_us",
+        small.rfaas_hot_med - small.ugni_busy_med,
+    );
+    m.push("ugni_busy_med_4k_us", large.ugni_busy_med);
+    m.push("rfaas_hot_med_4k_us", large.rfaas_hot_med);
+    m
 }
 
 pub struct Fig07Latency;
@@ -114,22 +158,11 @@ impl Scenario for Fig07Latency {
     }
 
     fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
-        let mut dists = compute(sim, params);
-        let large = dists.pop().unwrap().row();
-        let small = dists.swap_remove(0).row();
-        let mut m = Metrics::new();
-        m.push("ugni_busy_med_1b_us", small.ugni_busy_med);
-        m.push("ugni_wait_med_1b_us", small.ugni_wait_med);
-        m.push("rfaas_hot_med_1b_us", small.rfaas_hot_med);
-        m.push("rfaas_hot_p95_1b_us", small.rfaas_hot_p95);
-        m.push("rfaas_warm_med_1b_us", small.rfaas_warm_med);
-        m.push(
-            "hot_overhead_1b_us",
-            small.rfaas_hot_med - small.ugni_busy_med,
-        );
-        m.push("ugni_busy_med_4k_us", large.ugni_busy_med);
-        m.push("rfaas_hot_med_4k_us", large.rfaas_hot_med);
-        m
+        let sizes = fig7_sizes();
+        let mut dists = compute(sim, params, &[sizes[0], sizes[sizes.len() - 1]]);
+        let large = dists.pop().expect("4 KiB was kept").row();
+        let small = dists.pop().expect("1 B was kept").row();
+        metrics(&small, &large)
     }
 
     fn report(&self) {
@@ -140,7 +173,7 @@ impl Scenario for Fig07Latency {
         println!("seed = {seed}; {reps} repetitions per point; values in µs");
 
         let mut sim = Simulation::new(seed);
-        let rows: Vec<Row> = compute(&mut sim, &params)
+        let rows: Vec<Row> = compute(&mut sim, &params, &fig7_sizes())
             .into_iter()
             .map(Dists::row)
             .collect();
@@ -197,5 +230,32 @@ impl Scenario for Fig07Latency {
         assert!(t > SimTime::from_micros_f64(rows[0].ugni_busy_med));
 
         write_json("fig07_latency", &rows);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `run` summarises two sizes and skips the rest; its metrics must be
+    /// bit-identical to the same two rows of the all-sizes draw.
+    #[test]
+    fn run_matches_the_all_sizes_draw() {
+        for reps in [1u64, 7, 2000] {
+            let params = Fig07Latency.default_params().with("reps", reps);
+            for seed in 1..=20 {
+                let run = Fig07Latency.run(&mut Simulation::new(seed), &params);
+                let mut all = compute(&mut Simulation::new(seed), &params, &fig7_sizes());
+                assert_eq!(all.len(), fig7_sizes().len());
+                let large = all.pop().unwrap().row();
+                let small = all.swap_remove(0).row();
+                let drawn = metrics(&small, &large);
+                assert_eq!(run.len(), 8);
+                assert!(
+                    run.bits_eq(&drawn),
+                    "seed {seed}, reps {reps}: run {run:?} vs all-sizes draw {drawn:?}"
+                );
+            }
+        }
     }
 }

@@ -15,10 +15,18 @@
 //! dropping the service. In-flight connections get their current verb
 //! answered, idle ones see a hangup; later verbs fail with a closed socket,
 //! which clients surface as I/O errors.
+//!
+//! Request frames are capped at [`MAX_REQUEST_BYTES`], far below the
+//! artifact-sized [`crate::wire::MAX_FRAME_BYTES`] clients read with: a
+//! larger length claim gets a `protocol` error naming the limit and a
+//! hangup, and none of its body is read or allocated.
 
 use crate::error::Error;
 use crate::service::Service;
-use crate::wire::{error_reply, ok_reply, read_frame, submission_to_value, write_frame, Verb};
+use crate::wire::{
+    error_reply, ok_reply, read_frame_limited, submission_to_value, write_frame, Verb,
+    MAX_REQUEST_BYTES,
+};
 use serde::{Serialize, Value};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,8 +65,8 @@ impl Server {
     pub fn run(self) -> Result<(), Error> {
         let addr = self.local_addr()?;
         // Every connection still being served: its thread, and a second
-        // handle on its socket so shutdown can reach a thread blocked in
-        // `read_frame`.
+        // handle on its socket so shutdown can reach a thread blocked
+        // reading its next frame.
         let mut connections: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
         for stream in self.listener.incoming() {
             if self.stopping.load(Ordering::Acquire) {
@@ -80,7 +88,7 @@ impl Server {
             connections.push((socket, thread));
         }
         for (socket, thread) in connections {
-            // An idle connection sits in `read_frame` for as long as its
+            // An idle connection waits for its next frame for as long as its
             // client stays connected; end-of-stream on the read half sends
             // it home. The write half stays open, so a verb in flight still
             // gets its reply.
@@ -100,8 +108,19 @@ fn serve_connection(
     mut stream: TcpStream,
 ) {
     loop {
-        let frame = match read_frame(&mut stream) {
+        let frame = match read_frame_limited(&mut stream, MAX_REQUEST_BYTES) {
             Ok(Some(frame)) => frame,
+            // An oversize length claim or a non-UTF-8 body: say why, then
+            // hang up — after an unread body there is no frame boundary.
+            // (`Server::run` holds a second handle, so dropping this one
+            // alone would not close the socket.)
+            Err(e @ Error::Protocol { .. }) => {
+                let text = serde_json::to_string(&error_reply(&e))
+                    .expect("value-tree rendering is infallible");
+                let _ = write_frame(&mut stream, &text);
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
+            }
             // Clean hangup or a torn frame: either way this connection is
             // done; torn frames can't be answered (no frame boundary).
             Ok(None) | Err(_) => return,

@@ -32,6 +32,11 @@ use std::net::{TcpStream, ToSocketAddrs};
 /// fast instead of attempting a multi-gigabyte allocation.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
+/// Ceiling on a request frame, applied by the server. Requests are a verb
+/// and a sweep description, never an artifact; a length prefix above this
+/// is refused before any of the body is read or allocated.
+pub const MAX_REQUEST_BYTES: usize = 1024 * 1024;
+
 /// Write one length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, text: &str) -> Result<(), Error> {
     if text.len() > MAX_FRAME_BYTES {
@@ -48,9 +53,16 @@ pub fn write_frame(w: &mut impl Write, text: &str) -> Result<(), Error> {
     Ok(())
 }
 
-/// Read one frame; `Ok(None)` is a clean end-of-stream (peer hung up
-/// between frames), anything torn mid-frame is an error.
+/// Read one frame of at most [`MAX_FRAME_BYTES`]; see [`read_frame_limited`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, Error> {
+    read_frame_limited(r, MAX_FRAME_BYTES)
+}
+
+/// Read one frame of at most `limit` bytes; `Ok(None)` is a clean
+/// end-of-stream (peer hung up between frames), anything torn mid-frame is
+/// an error. A length prefix over `limit` is a protocol error naming the
+/// limit, returned before the body is read or allocated.
+pub fn read_frame_limited(r: &mut impl Read, limit: usize) -> Result<Option<String>, Error> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -58,9 +70,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, Error> {
         Err(e) => return Err(Error::io("reading wire frame length", e)),
     }
     let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_BYTES {
+    if len > limit {
         return Err(Error::protocol(format!(
-            "incoming frame claims {len} bytes, over the {MAX_FRAME_BYTES}-byte frame limit"
+            "incoming frame claims {len} bytes, over the {limit}-byte frame limit"
         )));
     }
     let mut buf = vec![0u8; len];

@@ -459,3 +459,38 @@ fn shutdown_does_not_wait_for_idle_connections() {
         "the idle connection was hung up on, so its next verb fails"
     );
 }
+
+/// A request frame's length claim is checked against the server's request
+/// cap, not the artifact-sized frame cap: an 8 MiB claim is answered at
+/// once with a protocol error naming the limit (the server neither waits
+/// for nor allocates the body), and the server lives on.
+#[test]
+fn an_oversize_request_claim_is_refused_before_its_body_is_read() {
+    use scenarios::wire::{read_frame, MAX_REQUEST_BYTES};
+    use std::io::Write;
+
+    let (addr, server) = serve(sleepy_registry(), ServiceConfig::new().with_threads(1));
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let claim = 8u32 * 1024 * 1024;
+    raw.write_all(&claim.to_be_bytes()).expect("send length");
+    let reply = read_frame(&mut raw)
+        .expect("the server answers without waiting for the body")
+        .expect("the server replies before hanging up");
+    assert!(
+        reply.starts_with(r#"{"ok":false,"error":{"kind":"protocol","#)
+            && reply.contains(&format!("{claim} bytes"))
+            && reply.contains(&format!("{MAX_REQUEST_BYTES}-byte frame limit")),
+        "reply must be a protocol error naming the limit: {reply}"
+    );
+    assert!(
+        matches!(read_frame(&mut raw), Ok(None)),
+        "the connection is closed after the refusal"
+    );
+
+    let mut client = Client::connect(addr).expect("second client connects");
+    client.ping().expect("server still answers");
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
