@@ -3,10 +3,9 @@
 use crate::node::NodeResources;
 use des::SimTime;
 use fabric::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Unique job identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
 impl std::fmt::Display for JobId {
@@ -16,7 +15,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// What the user asked SLURM for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Number of nodes.
     pub nodes: u32,
@@ -60,7 +59,7 @@ impl JobSpec {
 }
 
 /// Lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     Pending,
     Running,

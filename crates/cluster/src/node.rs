@@ -2,12 +2,11 @@
 
 use des::SimTime;
 use fabric::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::job::JobId;
 
 /// Static hardware capacity of a node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeResources {
     pub cores: u32,
     pub memory_mb: u64,
@@ -48,7 +47,7 @@ impl NodeResources {
 }
 
 /// Scheduler-relevant node state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// No jobs assigned.
     Idle,

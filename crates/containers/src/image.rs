@@ -5,15 +5,14 @@
 //! node-local cache.
 
 use des::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Image identifier (content hash in a real registry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ImageId(pub u64);
 
 /// A function's code image.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContainerImage {
     pub id: ImageId,
     pub name: String,

@@ -9,10 +9,9 @@
 use crate::pool::WarmContainer;
 use des::SimTime;
 use fabric::NodeId;
-use serde::Serialize;
 
 /// Where a displaced warm container should go.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MigrationPlan {
     /// Move to another node with pool headroom.
     Migrate { to: NodeId, cost: SimTime },

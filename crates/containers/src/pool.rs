@@ -9,7 +9,6 @@
 use crate::image::ImageId;
 use des::SimTime;
 use fabric::NodeId;
-use serde::Serialize;
 
 /// A parked, initialised sandbox.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,7 +20,7 @@ pub struct WarmContainer {
 }
 
 /// Pool statistics (the warm-rate drives mean invocation latency).
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PoolStats {
     pub hits: u64,
     pub misses: u64,

@@ -3,10 +3,9 @@
 //! hot invocations (Sec. IV-A/B).
 
 use des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Container systems compared in Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContainerRuntime {
     Docker,
     Singularity,
@@ -30,7 +29,7 @@ impl ContainerRuntime {
 }
 
 /// Row of Table II: what each runtime supports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeCapabilities {
     pub image_format: &'static str,
     pub repositories: &'static str,
@@ -89,7 +88,7 @@ impl RuntimeCapabilities {
 }
 
 /// How a function invocation finds its sandbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StartKind {
     /// No sandbox exists: create one, initialise user code.
     Cold,
@@ -100,7 +99,7 @@ pub enum StartKind {
 }
 
 /// Start-up cost components (virtual time).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StartupCost {
     pub sandbox_create: SimTime,
     pub runtime_init: SimTime,

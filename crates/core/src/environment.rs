@@ -2,10 +2,8 @@
 //! as data so documentation, tests, and the bench binary all print the same
 //! matrix.
 
-use serde::Serialize;
-
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvironmentRow {
     pub dimension: &'static str,
     pub cloud_faas: &'static str,
@@ -15,7 +13,7 @@ pub struct EnvironmentRow {
 }
 
 /// The full matrix.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EnvironmentMatrix {
     pub rows: Vec<EnvironmentRow>,
 }

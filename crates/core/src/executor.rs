@@ -12,10 +12,9 @@ use crate::functions::FunctionDef;
 use containers::{cold_start, dispatch_overhead, StartKind};
 use des::SimTime;
 use fabric::{CompletionMode, LogGpParams};
-use serde::Serialize;
 
 /// How the executor waits for work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorMode {
     Hot,
     Warm,
@@ -38,7 +37,7 @@ impl ExecutorMode {
 }
 
 /// Latency breakdown of one invocation (all virtual time).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct InvocationTiming {
     /// Sandbox acquisition (zero for hot/warm on an existing executor).
     pub sandbox: SimTime,

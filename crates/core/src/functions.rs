@@ -2,17 +2,16 @@
 
 use containers::{ContainerImage, ContainerRuntime};
 use des::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Unique function identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FunctionId(pub u64);
 
 /// What a function needs from the node — the paper's point (Sec. IV-E) is
 /// that CPU, memory, and GPU are requested *independently*, unlike cloud FaaS
 /// where CPU is proportional to memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FunctionRequirements {
     pub cores: f64,
     pub memory_mb: u64,

@@ -6,7 +6,6 @@ use crate::functions::FunctionRequirements;
 use des::SimTime;
 use gpu::{GpuAssignment, GpuDevice, RodiniaBenchmark, RodiniaProfile};
 use interference::{Demand, WorkloadProfile};
-use serde::Serialize;
 
 /// A GPU function bound to a GRES slot.
 #[derive(Debug)]
@@ -20,7 +19,7 @@ pub struct GpuFunction {
 }
 
 /// Timing of one GPU function invocation.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GpuInvocationTiming {
     pub h2d: SimTime,
     pub kernels: SimTime,
@@ -34,7 +33,7 @@ impl GpuInvocationTiming {
 }
 
 /// Errors of GPU function deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GpuExecError {
     NoGpuAvailable,
 }

@@ -8,11 +8,10 @@ use crate::lease::LeaseId;
 use crate::manager::{ManagerError, ResourceManager};
 use des::SimTime;
 use fabric::{LogGpParams, NodeId};
-use serde::Serialize;
 use std::fmt;
 
 /// Invocation failures surfaced to the application.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InvokeError {
     /// No resources anywhere in the system.
     NoResources(String),
@@ -32,7 +31,7 @@ impl fmt::Display for InvokeError {
 impl std::error::Error for InvokeError {}
 
 /// Statistics the client keeps.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ClientStats {
     pub invocations: u64,
     pub redirects: u64,

@@ -9,16 +9,15 @@
 use crate::functions::FunctionRequirements;
 use des::SimTime;
 use fabric::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Unique lease identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LeaseId(pub u64);
 
 /// Lease lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeaseState {
     Active,
     /// Cancelled by the manager; client must redirect.

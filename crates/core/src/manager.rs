@@ -20,12 +20,11 @@ use containers::{PoolStats, WarmContainer, WarmPool};
 use des::SimTime;
 use fabric::NodeId;
 use interference::{ColocationPolicy, Decision, Demand, NodeCapacity};
-use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Where donated resources came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DonationSource {
     /// A fully idle node between batch jobs.
     IdleNode,
@@ -61,7 +60,7 @@ impl Donation {
 }
 
 /// Manager API errors.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ManagerError {
     UnknownNode,
     NoCapacity,
@@ -83,7 +82,7 @@ impl fmt::Display for ManagerError {
 impl std::error::Error for ManagerError {}
 
 /// Outcome of `remove_resources`.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct RemovalReport {
     pub cancelled_leases: Vec<LeaseId>,
     pub evicted_containers: usize,

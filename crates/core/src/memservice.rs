@@ -11,7 +11,6 @@
 use crate::functions::FunctionRequirements;
 use des::SimTime;
 use fabric::{CompletionMode, Fabric, JobToken, MrKey, NodeId, QueuePair, RdmaOp, VerbsError};
-use serde::Serialize;
 
 /// A running memory-service function: one pinned region on one node.
 pub struct MemoryServiceFunction {
@@ -61,7 +60,7 @@ pub struct RemoteMemoryClient {
 }
 
 /// Traffic statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RemoteMemoryStats {
     pub reads: u64,
     pub writes: u64,

@@ -15,10 +15,9 @@
 
 use des::SimTime;
 use fabric::{CompletionMode, LogGpParams};
-use serde::Serialize;
 
 /// Inputs of the planner, learned or profiled.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OffloadPlanner {
     /// Local runtime of one task (profiled).
     pub t_local: SimTime,
@@ -34,7 +33,7 @@ pub struct OffloadPlanner {
 }
 
 /// The planner's decision for a task batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OffloadPlan {
     /// Tasks kept local (at least `n_local_min`, more if workers are free).
     pub local: usize,

@@ -13,11 +13,10 @@ use crate::manager::{DonationSource, ResourceManager};
 use cluster::{Cluster, JobState};
 use fabric::NodeId;
 use interference::{NodeCapacity, WorkloadProfile};
-use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
 /// Synchronisation statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SyncReport {
     pub registered: usize,
     pub reclaimed: usize,

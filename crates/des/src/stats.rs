@@ -3,10 +3,9 @@
 //! time-weighted averages for utilisation metrics.
 
 use crate::time::SimTime;
-use serde::Serialize;
 
 /// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -167,7 +166,7 @@ impl Percentiles {
 }
 
 /// Fixed-width-bin histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -2,7 +2,6 @@
 //! simulation. `SimTime` is deliberately a single type for both instants and
 //! durations (like a numeric timestamp), which keeps event arithmetic simple.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -11,9 +10,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 ///
 /// Backed by `u64`: covers ~584 years of simulated time at nanosecond
 /// resolution, far beyond the one-month traces used in the experiments.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -8,16 +8,15 @@
 //! access, and every verbs operation validates the credential of its issuer
 //! against the target region's owner.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A batch-job identity (protection-domain owner).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobToken(pub u64);
 
 /// An allocated communication credential.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Credential(pub u64);
 
 /// Errors from credential management and validation.

@@ -19,10 +19,9 @@
 //! calibration table.
 
 use des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Which network stack carries the traffic (Table I of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transport {
     /// Cray uGNI through libfabric (Aries interconnect) — the Piz Daint path.
     Ugni,
@@ -33,7 +32,7 @@ pub enum Transport {
 }
 
 /// How completions are detected (Sec. V-A: hot = busy poll, warm = event wait).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompletionMode {
     /// Spin on the completion queue: zero extra latency, one core burned.
     BusyPoll,
@@ -53,7 +52,7 @@ impl CompletionMode {
 }
 
 /// LogGP parameters plus protocol-switch and completion costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogGpParams {
     /// Wire latency `L` (µs).
     pub latency_us: f64,

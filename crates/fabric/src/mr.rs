@@ -6,13 +6,12 @@
 //! [`AccessFlags`] and checked at operation time together with the DRC
 //! credential (see [`crate::drc`]).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 
 /// Remote key identifying a registered region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MrKey(pub u64);
 
 impl fmt::Display for MrKey {
@@ -31,7 +30,7 @@ macro_rules! bitflags_lite {
         }
     ) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         pub struct $name(pub $ty);
 
         impl $name {

@@ -8,11 +8,10 @@
 //! function adding up to 10 GB/s of traffic shares the network with the
 //! batch job.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A network endpoint (compute node) identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -22,7 +21,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Identifier of a registered flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowId(pub u64);
 
 #[derive(Debug, Clone, Copy)]

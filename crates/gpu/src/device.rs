@@ -2,10 +2,9 @@
 //! kernel-launch latency and PCIe transfer costs.
 
 use des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A GPU's performance envelope.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GpuDevice {
     pub name: &'static str,
     /// Peak double-precision FLOP/s.
@@ -49,7 +48,7 @@ impl GpuDevice {
 }
 
 /// One kernel's resource demand.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct KernelSpec {
     pub flops: f64,
     pub bytes_accessed: f64,

@@ -6,10 +6,9 @@
 
 use crate::device::{GpuDevice, KernelSpec};
 use des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The Rodinia subset of Fig. 12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RodiniaBenchmark {
     Bfs,
     Gaussian,
@@ -42,7 +41,7 @@ impl RodiniaBenchmark {
 }
 
 /// Workload profile of one benchmark run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RodiniaProfile {
     pub bench: RodiniaBenchmark,
     /// Number of kernel launches per run (iterative codes launch many).

@@ -8,11 +8,10 @@
 //! is assigned to exactly one function at a time; the function additionally
 //! reserves one host core for management.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How devices may be handed to functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GpuSharingPolicy {
     /// One function per physical device (the paper's stance).
     ExclusiveDevice,

@@ -6,11 +6,10 @@
 //! The resource manager records the outcome of every co-location and
 //! consults it before the next placement decision.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One recorded co-location outcome.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ColocationRecord {
     /// Measured overhead of the batch job, percent.
     pub batch_overhead_pct: f64,
@@ -28,7 +27,7 @@ fn pair_key(a: &str, b: &str) -> (String, String) {
 }
 
 /// The global history database.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct ColocationHistory {
     records: HashMap<(String, String), Vec<ColocationRecord>>,
 }

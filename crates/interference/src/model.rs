@@ -25,10 +25,8 @@
 //! * **Scheduling noise** — each co-runner adds a small constant overhead
 //!   (OS noise, shared TLB/prefetcher state), the ±1-2% wiggle of Fig. 9.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware capacity of a node's shared resources.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeCapacity {
     pub cores: u32,
     /// Aggregate memory bandwidth, bytes/s.
@@ -72,7 +70,7 @@ impl NodeCapacity {
 }
 
 /// One workload's demand on a node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Demand {
     pub name: String,
     /// Cores actively used on this node.
@@ -112,7 +110,7 @@ impl Demand {
 }
 
 /// Model constants (exposed for the ablation benches).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ModelParams {
     /// Traffic amplification per unit of LLC overflow, scaled by reuse.
     pub llc_alpha: f64,

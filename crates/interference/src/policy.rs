@@ -17,10 +17,9 @@
 
 use crate::history::{ColocationHistory, ColocationRecord};
 use crate::model::{colocation_overhead_pct, Demand, NodeCapacity};
-use serde::{Deserialize, Serialize};
 
 /// Policy thresholds.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PolicyConfig {
     /// Maximum acceptable predicted/recorded batch-job overhead, percent.
     pub max_batch_overhead_pct: f64,
@@ -41,7 +40,7 @@ impl Default for PolicyConfig {
 }
 
 /// Outcome of a policy query.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Decision {
     /// Go ahead; the expected batch overhead and its source are attached.
     Colocate {
@@ -53,14 +52,14 @@ pub enum Decision {
 }
 
 /// Where the overhead estimate came from (Fig. 4's two paths).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionSource {
     History,
     RequirementModel,
 }
 
 /// Why a co-location was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     NotOptedIn,
     HeroJob,

@@ -7,10 +7,8 @@
 //! predicted) overhead — so a job slowed by 3% is billed strictly less than
 //! `0.97×` of its shared-rate cost.
 
-use serde::{Deserialize, Serialize};
-
 /// Pricing parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PricingModel {
     /// Discount for opting into sharing (the incentive), in `[0,1)`.
     pub sharing_discount: f64,

@@ -6,10 +6,9 @@
 //! compute-heavy stencil profile. These drive every co-location figure.
 
 use crate::model::Demand;
-use serde::{Deserialize, Serialize};
 
 /// NAS Parallel Benchmark kernels used across Table III and Fig. 9/10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NasKernel {
     Bt,
     Cg,
@@ -33,7 +32,7 @@ impl NasKernel {
 }
 
 /// NAS problem classes appearing in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NasClass {
     S,
     W,
@@ -63,7 +62,7 @@ impl NasClass {
 }
 
 /// A named workload with a per-rank demand vector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadProfile {
     pub name: String,
     /// Demand of ONE rank/process (cores = 1).

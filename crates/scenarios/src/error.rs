@@ -53,6 +53,8 @@ pub enum Error {
     },
     /// The service has no request under this id.
     UnknownRequest { id: u64 },
+    /// The server already holds its maximum number of open connections.
+    Busy { limit: usize },
     /// A remote service refused a verb; `kind` is the server error's
     /// stable tag (see [`crate::wire::error_kind`]), `message` its
     /// rendered text.
@@ -125,6 +127,10 @@ impl fmt::Display for Error {
             Error::Protocol { message } => write!(f, "wire protocol: {message}"),
             Error::Io { context, source } => write!(f, "{context}: {source}"),
             Error::UnknownRequest { id } => write!(f, "no request with id {id}"),
+            Error::Busy { limit } => write!(
+                f,
+                "server busy: all {limit} connections are in use; retry later"
+            ),
             Error::Server { message, .. } => write!(f, "{message}"),
         }
     }

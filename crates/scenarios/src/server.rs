@@ -20,6 +20,9 @@
 //! artifact-sized [`crate::wire::MAX_FRAME_BYTES`] clients read with: a
 //! larger length claim gets a `protocol` error naming the limit and a
 //! hangup, and none of its body is read or allocated.
+//!
+//! At most [`MAX_CONNECTIONS`] connections are served at once. One more
+//! gets a single `busy` error frame and a hangup, and no thread.
 
 use crate::error::Error;
 use crate::service::Service;
@@ -32,6 +35,9 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Ceiling on connections served at once, each on its own thread.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// One listening what-if service endpoint.
 pub struct Server {
@@ -76,7 +82,15 @@ impl Server {
             // A failed accept (e.g. the peer vanished mid-handshake) or a
             // socket that cannot be duplicated affects no one else; keep
             // serving.
-            let Ok(stream) = stream else { continue };
+            let Ok(mut stream) = stream else { continue };
+            if connections.len() >= MAX_CONNECTIONS {
+                // Refuse before reading anything; dropping `stream` hangs up.
+                let busy = Error::Busy {
+                    limit: MAX_CONNECTIONS,
+                };
+                let _ = write_frame(&mut stream, &error_text(&busy));
+                continue;
+            }
             let Ok(socket) = stream.try_clone() else {
                 continue;
             };
@@ -100,6 +114,11 @@ impl Server {
     }
 }
 
+/// The rendered `{"ok": false}` reply frame for `error`.
+fn error_text(error: &Error) -> String {
+    serde_json::to_string(&error_reply(error)).expect("value-tree rendering is infallible")
+}
+
 /// Sequentially answer one connection's verbs until it hangs up.
 fn serve_connection(
     service: &Service,
@@ -115,9 +134,7 @@ fn serve_connection(
             // (`Server::run` holds a second handle, so dropping this one
             // alone would not close the socket.)
             Err(e @ Error::Protocol { .. }) => {
-                let text = serde_json::to_string(&error_reply(&e))
-                    .expect("value-tree rendering is infallible");
-                let _ = write_frame(&mut stream, &text);
+                let _ = write_frame(&mut stream, &error_text(&e));
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
             }

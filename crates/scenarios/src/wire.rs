@@ -178,6 +178,7 @@ pub fn error_kind(error: &Error) -> &str {
         Error::Protocol { .. } => "protocol",
         Error::Io { .. } => "io",
         Error::UnknownRequest { .. } => "unknown_request",
+        Error::Busy { .. } => "busy",
         Error::Server { kind, .. } => kind,
     }
 }

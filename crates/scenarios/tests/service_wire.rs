@@ -494,3 +494,61 @@ fn an_oversize_request_claim_is_refused_before_its_body_is_read() {
     client.shutdown().expect("shutdown");
     server.join().expect("server thread");
 }
+
+/// Connections are capped: with `MAX_CONNECTIONS` idle clients held open,
+/// one more gets a single `busy` error frame and a hangup instead of a
+/// thread of its own; once an idle client leaves, a newcomer is served.
+#[test]
+fn connections_over_the_cap_get_busy_and_no_thread() {
+    use scenarios::server::MAX_CONNECTIONS;
+    use scenarios::wire::read_frame;
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    let (addr, server) = serve(sleepy_registry(), ServiceConfig::new().with_threads(1));
+    let mut idle: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut client = Client::connect(addr).expect("connect");
+            client.ping().expect("a connection under the cap is served");
+            client
+        })
+        .collect();
+
+    // Read without sending: the refusal is the first and only frame.
+    let mut raw = TcpStream::connect(addr).expect("the listener still accepts");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let reply = read_frame(&mut raw)
+        .expect("a reply frame arrives")
+        .expect("the server answers before hanging up");
+    assert!(
+        reply.starts_with(r#"{"ok":false,"error":{"kind":"busy","#)
+            && reply.contains(&format!("all {MAX_CONNECTIONS} connections")),
+        "one over the cap must get a busy error naming the cap: {reply}"
+    );
+    assert!(
+        matches!(read_frame(&mut raw), Ok(None)),
+        "the refused connection is closed after the reply"
+    );
+
+    // The server reaps a connection's thread once it sees the hangup, so
+    // the freed slot shows up after at most a short delay.
+    drop(idle.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut newcomer = loop {
+        let mut client = Client::connect(addr).expect("connect");
+        match client.ping() {
+            Ok(()) => break client,
+            Err(Error::Server { kind, .. }) if kind == "busy" && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            // A refused client's ping may also meet the already closed socket.
+            Err(Error::Io { .. }) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("a connection under the cap must be served: {e}"),
+        }
+    };
+    newcomer.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}

@@ -2,10 +2,9 @@
 //! 1 KB – 1 GB, and per-reader throughput with 16 readers across 1 MB – 1 GB.
 
 use crate::{Lustre, ObjectStore, ReadService};
-use serde::Serialize;
 
 /// One comparison row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IoRow {
     pub size_bytes: u64,
     pub lustre: f64,

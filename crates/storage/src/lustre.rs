@@ -7,10 +7,9 @@
 
 use crate::ReadService;
 use des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Parallel filesystem parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Lustre {
     /// Metadata (open + layout) latency, seconds.
     pub mds_latency_s: f64,

@@ -8,10 +8,9 @@
 
 use crate::ReadService;
 use des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Object-store parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ObjectStore {
     /// Per-request latency (connection reuse assumed), seconds.
     pub request_latency_s: f64,

@@ -151,7 +151,7 @@ pub mod strategy {
         )*};
     }
 
-    impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+    impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
 
     macro_rules! impl_tuple_strategy {
         ($(($($name:ident),+))*) => {$(

@@ -3,7 +3,7 @@
 //! Provides the trait stack and uniform-sampling machinery the workspace
 //! uses: [`RngCore`], [`SeedableRng`], the extension trait [`Rng`] with
 //! `gen`/`gen_range`/`gen_bool`, and `distributions::uniform::{SampleUniform,
-//! SampleRange}` for integer and float ranges. Sampling uses widening
+//! SampleRange}` for integer and `f64` ranges. Sampling uses widening
 //! multiplication for integers (bias < 2^-64, irrelevant for simulation) and
 //! 53-bit mantissa scaling for floats, matching the real crate's guarantees
 //! of half-open `[low, high)` ranges.
@@ -12,27 +12,6 @@
 pub trait RngCore {
     fn next_u32(&mut self) -> u32;
     fn next_u64(&mut self) -> u64;
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let last = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&last[..rem.len()]);
-        }
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u32(&mut self) -> u32 {
-        (**self).next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
 }
 
 /// SplitMix64 — used to expand a `u64` seed into a full seed buffer.
@@ -111,44 +90,36 @@ pub mod distributions {
             i8 => u8, i16 => u16, i32 => u32, i64 => u64, isize => usize,
         );
 
-        macro_rules! impl_uniform_float {
-            ($($ty:ty),*) => {$(
-                impl SampleUniform for $ty {
-                    fn sample_uniform<R: RngCore + ?Sized>(
-                        rng: &mut R,
-                        low: Self,
-                        high: Self,
-                        _inclusive: bool,
-                    ) -> Self {
-                        // 53-bit mantissa scaling: unit uniform in [0, 1).
-                        let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                        let v = low as f64 + (high as f64 - low as f64) * unit;
-                        // Guard against rounding up to `high` for tiny spans.
-                        if v >= high as f64 { low } else { v as $ty }
-                    }
+        impl SampleUniform for f64 {
+            fn sample_uniform<R: RngCore + ?Sized>(
+                rng: &mut R,
+                low: Self,
+                high: Self,
+                _inclusive: bool,
+            ) -> Self {
+                // 53-bit mantissa scaling: unit uniform in [0, 1).
+                let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                let v = low + (high - low) * unit;
+                // Guard against rounding up to `high` for tiny spans.
+                if v >= high {
+                    low
+                } else {
+                    v
                 }
-            )*};
+            }
         }
-
-        impl_uniform_float!(f32, f64);
 
         /// Range types usable with `Rng::gen_range`.
         pub trait SampleRange<T> {
             fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
-            fn is_empty(&self) -> bool;
         }
 
+        // `is_empty` below is std's: incomparable (NaN) endpoints count as
+        // empty.
         impl<T: SampleUniform> SampleRange<T> for Range<T> {
             fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
                 assert!(!self.is_empty(), "cannot sample empty range");
                 T::sample_uniform(rng, self.start, self.end, false)
-            }
-            fn is_empty(&self) -> bool {
-                // Incomparable endpoints (NaN) also count as empty.
-                !matches!(
-                    self.start.partial_cmp(&self.end),
-                    Some(std::cmp::Ordering::Less)
-                )
             }
         }
 
@@ -156,13 +127,6 @@ pub mod distributions {
             fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
                 assert!(!self.is_empty(), "cannot sample empty range");
                 T::sample_uniform(rng, *self.start(), *self.end(), true)
-            }
-            fn is_empty(&self) -> bool {
-                // Incomparable endpoints (NaN) also count as empty.
-                !matches!(
-                    self.start().partial_cmp(self.end()),
-                    Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-                )
             }
         }
     }
@@ -176,18 +140,6 @@ pub trait StandardSample: Sized {
     fn standard_sample<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
-impl StandardSample for u32 {
-    fn standard_sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-
-impl StandardSample for u64 {
-    fn standard_sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
 impl StandardSample for bool {
     fn standard_sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() & 1 == 1
@@ -198,13 +150,6 @@ impl StandardSample for f64 {
     /// Uniform in `[0, 1)`.
     fn standard_sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl StandardSample for f32 {
-    /// Uniform in `[0, 1)`.
-    fn standard_sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
 

@@ -1,15 +1,16 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The real serde's visitor architecture is far more than this workspace
-//! needs: types here only ever derive `Serialize`/`Deserialize` and get
-//! written out as pretty JSON by the figure binaries. So [`Serialize`]
-//! converts straight into a self-describing [`Value`] tree (miniserde
-//! style), the derive macros in `serde_derive` generate those conversions,
-//! and `serde_json` renders the tree. [`Deserialize`] is a marker trait —
-//! no call site in the workspace parses data back in yet; when one does,
-//! `from_value` grows alongside it.
+//! needs: the only typed values that leave the process are report and
+//! artifact rows, cache sidecars and wire replies, all written out as JSON.
+//! So [`Serialize`] converts straight into a self-describing [`Value`] tree
+//! (miniserde style), the derive macro in `serde_derive` generates that
+//! conversion for named-field structs, and `serde_json` renders the tree.
+//! Nothing decodes into a typed value: data read back in is parsed into a
+//! [`Value`] and decoded from it by hand. The std impls below cover what
+//! those types hold.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// A self-describing serialized tree (JSON data model).
 #[derive(Debug, Clone, PartialEq)]
@@ -43,9 +44,6 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Marker for types that opted into deserialization via derive.
-pub trait Deserialize {}
-
 macro_rules! impl_serialize_unsigned {
     ($($ty:ty),*) => {$(
         impl Serialize for $ty {
@@ -53,7 +51,6 @@ macro_rules! impl_serialize_unsigned {
                 Value::U64(*self as u64)
             }
         }
-        impl Deserialize for $ty {}
     )*};
 }
 
@@ -65,7 +62,6 @@ macro_rules! impl_serialize_signed {
                 if v >= 0 { Value::U64(v as u64) } else { Value::I64(v) }
             }
         }
-        impl Deserialize for $ty {}
     )*};
 }
 
@@ -77,21 +73,12 @@ impl Serialize for f64 {
         Value::F64(*self)
     }
 }
-impl Deserialize for f64 {}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(f64::from(*self))
-    }
-}
-impl Deserialize for f32 {}
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
 }
-impl Deserialize for bool {}
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
@@ -104,29 +91,8 @@ impl Serialize for String {
         Value::Str(self.clone())
     }
 }
-impl Deserialize for String {}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-impl Deserialize for char {}
-
-impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-impl Deserialize for () {}
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
@@ -140,29 +106,14 @@ impl<T: Serialize> Serialize for Option<T> {
         }
     }
 }
-impl<T> Deserialize for Option<T> {}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
 }
-impl<T, const N: usize> Deserialize for [T; N] {}
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-impl<T> Deserialize for Vec<T> {}
-
-impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
@@ -181,76 +132,9 @@ macro_rules! impl_serialize_tuple {
 }
 
 impl_serialize_tuple! {
-    (A)
     (A, B)
     (A, B, C)
     (A, B, C, D)
-    (A, B, C, D, E)
-    (A, B, C, D, E, F)
-}
-
-/// Map keys must render as strings in the JSON data model.
-pub trait SerializeKey {
-    fn to_key(&self) -> String;
-}
-
-impl SerializeKey for String {
-    fn to_key(&self) -> String {
-        self.clone()
-    }
-}
-
-impl SerializeKey for str {
-    fn to_key(&self) -> String {
-        self.to_owned()
-    }
-}
-
-impl<T: SerializeKey + ?Sized> SerializeKey for &T {
-    fn to_key(&self) -> String {
-        (**self).to_key()
-    }
-}
-
-macro_rules! impl_key_display {
-    ($($ty:ty),*) => {$(
-        impl SerializeKey for $ty {
-            fn to_key(&self) -> String {
-                self.to_string()
-            }
-        }
-    )*};
-}
-
-impl_key_display!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, bool, char);
-
-impl<A: SerializeKey, B: SerializeKey> SerializeKey for (A, B) {
-    /// Composite keys render as `"a/b"` (JSON object keys must be strings).
-    fn to_key(&self) -> String {
-        format!("{}/{}", self.0.to_key(), self.1.to_key())
-    }
-}
-
-impl<K: SerializeKey, V: Serialize> Serialize for std::collections::HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        // Sort for stable output: HashMap iteration order is unspecified.
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_key(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Map(entries)
-    }
-}
-
-impl<K: SerializeKey, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.to_key(), v.to_value()))
-                .collect(),
-        )
-    }
 }
 
 impl Serialize for Value {
@@ -280,11 +164,12 @@ mod tests {
             v,
             Value::Seq(vec![Value::U64(1), Value::U64(2), Value::U64(3)])
         );
-        let mut m = std::collections::BTreeMap::new();
-        m.insert("a".to_string(), 1u8);
-        assert_eq!(m.to_value(), Value::Map(vec![("a".into(), Value::U64(1))]));
-        assert_eq!(m.to_value().get("a"), Some(&Value::U64(1)));
-        assert_eq!(m.to_value().get("b"), None);
+        let m = Value::Map(vec![("a".into(), (1u8, 2.5f64).to_value())]);
+        assert_eq!(
+            m.get("a"),
+            Some(&Value::Seq(vec![Value::U64(1), Value::F64(2.5)]))
+        );
+        assert_eq!(m.get("b"), None);
         assert_eq!(v.get("a"), None, "only maps have keys");
     }
 }
