@@ -16,10 +16,9 @@ pub(crate) mod index;
 pub mod job;
 pub mod monitor;
 pub mod node;
-/// The pre-index scan scheduler, kept verbatim as a correctness oracle for
-/// property tests and a like-for-like baseline for the `cluster_sched`
-/// bench (`--features oracle`).
-#[cfg(any(test, feature = "oracle"))]
+/// The pre-index scan scheduler, kept verbatim as the correctness oracle of
+/// the `oracle_tests` property and replay tests.
+#[cfg(test)]
 pub mod reference;
 pub mod scheduler;
 pub mod trace;

@@ -10,11 +10,12 @@
 //! second family drives the bitmap [`UtilizationMonitor`] and the frozen
 //! per-node sampling loop ([`crate::monitor::reference`]) over one cluster,
 //! with nodes going down and draining between samples, and compares the full
-//! reports bit for bit.
+//! reports bit for bit. A third replays two long synthetic streams through
+//! both schedulers on a 256-node homogeneous cluster and compares a hash of
+//! every start decision.
 //!
 //! These tests are unit tests (not integration tests) on purpose: the
-//! reference module is `cfg(any(test, feature = "oracle"))`, and unit tests
-//! see it without requiring callers to enable the feature.
+//! reference module is `cfg(test)`, so only unit tests see it.
 
 use crate::monitor::reference::{cluster_usage, report_bits, scan_usage, RefMonitor};
 use crate::reference::RefCluster;
@@ -310,5 +311,214 @@ proptest! {
         for op in &ops {
             step(&mut c, &mut r, op, &mut now, &mut submitted)?;
         }
+    }
+}
+
+/// One synthetic submission of [`replay_stream`]: arrival time, spec,
+/// trace-side actual runtime.
+struct Arrival {
+    at: SimTime,
+    spec: JobSpec,
+    actual: SimTime,
+    /// Cancel-heavy streams only: cancel the job submitted this many
+    /// arrivals earlier (if it is still live) when this job arrives.
+    cancel_back: Option<usize>,
+}
+
+/// A loaded-but-stable exclusive+shared mix on `nodes` homogeneous nodes:
+/// small jobs dominate, and 2 % are wide (`nodes/16`–`nodes/8` nodes)
+/// head-blockers that force the backfill path. Interarrival times are
+/// derived from the mean node-seconds the mix demands, so offered load is
+/// ~75 % of capacity: the queue stays occupied and backfill fires
+/// constantly, but queue depth stays bounded. With `cancel_heavy`, every
+/// third arrival from the 16th on also cancels the job submitted 13
+/// arrivals earlier, waiting or running.
+fn replay_stream(nodes: usize, jobs: usize, seed: u64, cancel_heavy: bool) -> Vec<Arrival> {
+    let mut rng = des::RngStream::from_seed(seed);
+    let wide_lo = (nodes as u64 / 16).max(2);
+    let wide_hi = (nodes as u64 / 8).max(4);
+    // Actual runtime is walltime × U(0.3, 1.0), i.e. 0.65 × mean walltime.
+    let wide_node_secs = (wide_lo + wide_hi) as f64 / 2.0 * (0.65 * 5_500.0);
+    let small_node_secs = (19.0 / 7.0) * (0.65 * 1_260.0);
+    let node_secs_per_job = 0.02 * wide_node_secs + 0.98 * small_node_secs;
+    let mean_interarrival_s = node_secs_per_job / (nodes as f64 * 0.75);
+    let mut now = 0.0f64;
+    (0..jobs)
+        .map(|i| {
+            now += rng.exponential(mean_interarrival_s);
+            let wide = rng.chance(0.02);
+            let n = if wide {
+                rng.u64_range(wide_lo..wide_hi + 1) as u32
+            } else {
+                [1u64, 1, 1, 2, 2, 4, 8][rng.u64_range(0..7) as usize] as u32
+            };
+            let walltime_s = if wide {
+                rng.u64_range(3_000..8_000)
+            } else {
+                rng.u64_range(120..2_400)
+            };
+            let actual_s = (walltime_s as f64 * (0.3 + 0.7 * rng.f64())) as u64;
+            let walltime = SimTime::from_secs(walltime_s);
+            let spec = if !wide && rng.chance(0.15) {
+                let per_node = NodeResources {
+                    cores: 9,
+                    memory_mb: 16 * 1024,
+                    gpus: 0,
+                };
+                JobSpec::shared(n, per_node, walltime, "replay")
+            } else {
+                JobSpec::exclusive(n, NodeResources::daint_mc(), walltime, "replay")
+            };
+            Arrival {
+                at: SimTime::from_secs(now as u64),
+                spec,
+                actual: SimTime::from_secs(actual_s.max(1)),
+                cancel_back: (cancel_heavy && i % 3 == 0 && i >= 16).then_some(13),
+            }
+        })
+        .collect()
+}
+
+/// The scheduler surface [`replay`] needs, so one replay loop runs both the
+/// indexed cluster and the scan oracle.
+trait Sched {
+    fn submit(&mut self, spec: JobSpec, actual: SimTime, now: SimTime) -> JobId;
+    fn try_schedule(&mut self, now: SimTime) -> (Vec<JobId>, Vec<SimTime>);
+    fn finish(&mut self, id: JobId, now: SimTime);
+    fn cancel(&mut self, id: JobId, now: SimTime) -> bool;
+    fn actual_runtime(&self, id: JobId) -> SimTime;
+}
+
+impl Sched for Cluster {
+    fn submit(&mut self, spec: JobSpec, actual: SimTime, now: SimTime) -> JobId {
+        Cluster::submit(self, spec, actual, now)
+    }
+    fn try_schedule(&mut self, now: SimTime) -> (Vec<JobId>, Vec<SimTime>) {
+        Cluster::try_schedule(self, now)
+    }
+    fn finish(&mut self, id: JobId, now: SimTime) {
+        Cluster::finish(self, id, now).expect("the replay only finishes running jobs");
+    }
+    fn cancel(&mut self, id: JobId, now: SimTime) -> bool {
+        Cluster::cancel(self, id, now).is_ok()
+    }
+    fn actual_runtime(&self, id: JobId) -> SimTime {
+        self.job(id).expect("exists").actual_runtime
+    }
+}
+
+impl Sched for RefCluster {
+    fn submit(&mut self, spec: JobSpec, actual: SimTime, now: SimTime) -> JobId {
+        RefCluster::submit(self, spec, actual, now)
+    }
+    fn try_schedule(&mut self, now: SimTime) -> (Vec<JobId>, Vec<SimTime>) {
+        RefCluster::try_schedule(self, now)
+    }
+    fn finish(&mut self, id: JobId, now: SimTime) {
+        RefCluster::finish(self, id, now).expect("the replay only finishes running jobs");
+    }
+    fn cancel(&mut self, id: JobId, now: SimTime) -> bool {
+        RefCluster::cancel(self, id, now).is_ok()
+    }
+    fn actual_runtime(&self, id: JobId) -> SimTime {
+        self.job(id).expect("exists").actual_runtime
+    }
+}
+
+/// Replay `stream` through arrivals, completions and cancellations, and
+/// return an order-sensitive FNV hash of every `(start index, job, time)`
+/// start decision. The replay keeps its own completion heap rather than
+/// asking the scheduler for its next completion.
+fn replay<S: Sched>(cluster: &mut S, stream: &[Arrival]) -> u64 {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let mut completions: BinaryHeap<Reverse<(SimTime, JobId)>> = BinaryHeap::new();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut started_events = 0u64;
+    let fold = |h: &mut u64, v: u64| {
+        *h ^= v;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    let mut on_started =
+        |started: Vec<JobId>,
+         now: SimTime,
+         cluster: &S,
+         completions: &mut BinaryHeap<Reverse<(SimTime, JobId)>>| {
+            for id in started {
+                started_events += 1;
+                fold(&mut hash, started_events);
+                fold(&mut hash, id.0);
+                fold(&mut hash, now.as_nanos());
+                completions.push(Reverse((now + cluster.actual_runtime(id), id)));
+            }
+        };
+    let mut submitted: Vec<JobId> = Vec::with_capacity(stream.len());
+    let mut live: Vec<bool> = Vec::with_capacity(stream.len());
+    for arrival in stream {
+        // Drain completions that precede this arrival.
+        while let Some(&Reverse((t, id))) = completions.peek() {
+            if t > arrival.at {
+                break;
+            }
+            completions.pop();
+            if !live[id.0 as usize - 1] {
+                continue; // cancelled while running; nodes already released
+            }
+            cluster.finish(id, t);
+            live[id.0 as usize - 1] = false;
+            let (started, _) = cluster.try_schedule(t);
+            on_started(started, t, cluster, &mut completions);
+        }
+        if let Some(back) = arrival.cancel_back {
+            let victim = submitted[submitted.len() - back];
+            if live[victim.0 as usize - 1] && cluster.cancel(victim, arrival.at) {
+                live[victim.0 as usize - 1] = false;
+                let (started, _) = cluster.try_schedule(arrival.at);
+                on_started(started, arrival.at, cluster, &mut completions);
+            }
+        }
+        let id = cluster.submit(arrival.spec.clone(), arrival.actual, arrival.at);
+        assert_eq!(id.0 as usize, submitted.len() + 1, "ids are dense from 1");
+        submitted.push(id);
+        live.push(true);
+        let (started, _) = cluster.try_schedule(arrival.at);
+        on_started(started, arrival.at, cluster, &mut completions);
+    }
+    while let Some(Reverse((t, id))) = completions.pop() {
+        if !live[id.0 as usize - 1] {
+            continue;
+        }
+        cluster.finish(id, t);
+        live[id.0 as usize - 1] = false;
+        let (started, _) = cluster.try_schedule(t);
+        on_started(started, t, cluster, &mut completions);
+    }
+    fold(&mut hash, started_events);
+    hash
+}
+
+/// The proptests above run small heterogeneous clusters. This regime is
+/// theirs to miss: a 256-node homogeneous cluster under steady load, where
+/// wide `n/16`–`n/8` head-blockers keep EASY backfill busy for thousands of
+/// decisions, once steady and once with a cancel every third arrival.
+#[test]
+fn indexed_scheduler_matches_oracle_on_long_replay_streams() {
+    for (name, stream) in [
+        ("steady", replay_stream(256, 2_000, 3, false)),
+        ("cancel_backfill", replay_stream(256, 2_000, 5, true)),
+    ] {
+        let indexed = replay(
+            &mut Cluster::homogeneous(256, NodeResources::daint_mc()),
+            &stream,
+        );
+        let scan = replay(
+            &mut RefCluster::homogeneous(256, NodeResources::daint_mc()),
+            &stream,
+        );
+        assert_eq!(
+            indexed, scan,
+            "the indexed scheduler diverged from the scan oracle on the {name} stream"
+        );
     }
 }

@@ -1,15 +1,14 @@
-//! The original scan-everything scheduler, kept verbatim as a test/bench
-//! oracle for the indexed implementation in [`crate::scheduler`].
+//! The original scan-everything scheduler, kept verbatim as a test oracle
+//! for the indexed implementation in [`crate::scheduler`].
 //!
 //! [`RefCluster`] is the pre-PR-9 `Cluster`: `find_nodes` filters all nodes
 //! and top-k-selects per attempt, `shadow_time` rebuilds a full
 //! `(free_at, node)` vector per backfill pass, `is_feasible` re-counts
 //! fitting nodes, and backfill extraction is `VecDeque::remove`. Every
 //! scheduling decision of the indexed scheduler must be bit-identical to
-//! this module — enforced by the property tests in
-//! `scheduler::oracle_tests` (arbitrary submit/schedule/finish/cancel
-//! interleavings) and measured like-for-like by the `cluster_sched` bench
-//! (compile with `--features oracle`).
+//! this module — enforced by the tests in `oracle_tests` (arbitrary
+//! submit/schedule/finish/cancel interleavings on small clusters, and two
+//! 2 000-job replay streams on a 256-node one).
 //!
 //! Do not "fix" or optimize this module: its value is being the frozen
 //! semantics the committed `ci/trace_reference.json` was generated from.

@@ -23,6 +23,11 @@
 //!
 //! At most [`MAX_CONNECTIONS`] connections are served at once. One more
 //! gets a single `busy` error frame and a hangup, and no thread.
+//!
+//! A connection may sit idle between frames for as long as it likes, but
+//! once a request frame's first byte arrives, the rest of the frame must
+//! arrive within [`FRAME_TIMEOUT`] or the server hangs up. A client that
+//! sends half a frame and stalls holds its slot for that long, not forever.
 
 use crate::error::Error;
 use crate::service::Service;
@@ -31,13 +36,19 @@ use crate::wire::{
     MAX_REQUEST_BYTES,
 };
 use serde::{Serialize, Value};
+use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Ceiling on connections served at once, each on its own thread.
 pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long a request frame may take to arrive, counted from its first
+/// byte. Idle time between frames is not bounded.
+pub const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One listening what-if service endpoint.
 pub struct Server {
@@ -127,20 +138,22 @@ fn serve_connection(
     mut stream: TcpStream,
 ) {
     loop {
-        let frame = match read_frame_limited(&mut stream, MAX_REQUEST_BYTES) {
+        let frame = match read_request(&mut stream) {
             Ok(Some(frame)) => frame,
-            // An oversize length claim or a non-UTF-8 body: say why, then
-            // hang up — after an unread body there is no frame boundary.
-            // (`Server::run` holds a second handle, so dropping this one
-            // alone would not close the socket.)
-            Err(e @ Error::Protocol { .. }) => {
-                let _ = write_frame(&mut stream, &error_text(&e));
+            Ok(None) => return,
+            // Hang up: after a bad or unfinished frame there is no frame
+            // boundary to answer at. An oversize length claim or a
+            // non-UTF-8 body is told why first; a torn frame or one that
+            // missed `FRAME_TIMEOUT` is not. (`Server::run` holds a second
+            // handle, so dropping this one alone would not close the
+            // socket.)
+            Err(e) => {
+                if matches!(e, Error::Protocol { .. }) {
+                    let _ = write_frame(&mut stream, &error_text(&e));
+                }
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
-            // Clean hangup or a torn frame: either way this connection is
-            // done; torn frames can't be answered (no frame boundary).
-            Ok(None) | Err(_) => return,
         };
         let reply = answer(service, stopping, server_addr, &frame);
         let text = serde_json::to_string(&reply).expect("value-tree rendering is infallible");
@@ -153,6 +166,44 @@ fn serve_connection(
         if stopping.load(Ordering::Acquire) {
             return;
         }
+    }
+}
+
+/// Read one request frame: wait as long as it takes for its first byte,
+/// then give the rest [`FRAME_TIMEOUT`]. `Ok(None)` is a hangup between
+/// frames.
+fn read_request(stream: &mut TcpStream) -> Result<Option<String>, Error> {
+    let mut first = [0u8; 1];
+    stream
+        .set_read_timeout(None)
+        .map_err(|e| Error::io("clearing the read timeout", e))?;
+    match stream.read_exact(&mut first) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(Error::io("reading wire frame length", e)),
+    }
+    let rest = Deadline {
+        stream,
+        deadline: Instant::now() + FRAME_TIMEOUT,
+    };
+    read_frame_limited(&mut first.as_slice().chain(rest), MAX_REQUEST_BYTES)
+}
+
+/// A socket reader that fails with `TimedOut` once `deadline` has passed,
+/// however the bytes before it trickled in.
+struct Deadline<'a> {
+    stream: &'a mut TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
     }
 }
 

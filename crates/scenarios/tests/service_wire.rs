@@ -552,3 +552,101 @@ fn connections_over_the_cap_get_busy_and_no_thread() {
     newcomer.shutdown().expect("shutdown");
     server.join().expect("server thread");
 }
+
+/// A client that sends half a frame and stalls holds its slot for
+/// `FRAME_TIMEOUT`, not forever. With every slot held by such a client,
+/// each is hung up within the timeout (plus slack), and a newcomer is then
+/// served rather than answered `busy`.
+#[test]
+fn stalled_half_frames_are_hung_up_and_free_their_slots() {
+    use scenarios::server::{FRAME_TIMEOUT, MAX_CONNECTIONS};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    let (addr, server) = serve(sleepy_registry(), ServiceConfig::new().with_threads(1));
+    let slack = Duration::from_secs(3);
+    let stalled: Vec<(TcpStream, Instant)> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut raw = TcpStream::connect(addr).expect("connect");
+            raw.write_all(&[0, 0]).expect("send half a length prefix");
+            (raw, Instant::now())
+        })
+        .collect();
+    for (i, (mut raw, sent)) in stalled.into_iter().enumerate() {
+        let left = (FRAME_TIMEOUT + slack).saturating_sub(sent.elapsed());
+        raw.set_read_timeout(Some(left.max(Duration::from_millis(1))))
+            .expect("read timeout");
+        let read = raw.read(&mut [0u8; 1]);
+        assert!(
+            matches!(read, Ok(0)),
+            "stalled connection {i} must be hung up within {FRAME_TIMEOUT:?} + {slack:?}: {read:?}"
+        );
+    }
+
+    let mut newcomer = Client::connect(addr).expect("connect");
+    newcomer
+        .ping()
+        .expect("the stalled connections' slots are free again");
+    newcomer.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
+
+/// The timeout is a deadline for the whole frame, not for each read: a
+/// client that trickles a frame one byte at a time is hung up just the same.
+#[test]
+fn a_trickled_frame_is_hung_up_at_the_deadline() {
+    use scenarios::server::FRAME_TIMEOUT;
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
+    use std::time::Instant;
+
+    let (addr, server) = serve(sleepy_registry(), ServiceConfig::new().with_threads(1));
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    let mut writer = raw.try_clone().expect("clone the socket");
+    let started = Instant::now();
+    // A 100-byte frame at a byte every 200 ms would take about 21 s.
+    let trickle = std::thread::spawn(move || {
+        let frame = [0u8, 0, 0, 100].into_iter().chain([b' '; 100]);
+        for byte in frame {
+            if writer.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    });
+    let slack = Duration::from_secs(3);
+    raw.set_read_timeout(Some(FRAME_TIMEOUT + slack))
+        .expect("read timeout");
+    let read = raw.read(&mut [0u8; 1]);
+    let hung_up = match &read {
+        Ok(n) => *n == 0,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    };
+    assert!(
+        hung_up && started.elapsed() <= FRAME_TIMEOUT + slack,
+        "a trickled frame must be hung up within {FRAME_TIMEOUT:?} + {slack:?}: {read:?}"
+    );
+    // Closing our write half makes the trickling thread's next write fail.
+    let _ = raw.shutdown(Shutdown::Write);
+    trickle.join().expect("trickle thread");
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
+
+/// Only a frame in progress is timed: a client idle between frames for
+/// longer than `FRAME_TIMEOUT` is still served.
+#[test]
+fn idle_time_between_frames_is_not_timed() {
+    use scenarios::server::FRAME_TIMEOUT;
+
+    let (addr, server) = serve(sleepy_registry(), ServiceConfig::new().with_threads(1));
+    let mut client = Client::connect(addr).expect("connect");
+    client.ping().expect("ping");
+    std::thread::sleep(FRAME_TIMEOUT + Duration::from_secs(1));
+    client.ping().expect("an idle connection is still served");
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
