@@ -33,14 +33,12 @@
 //!   utilization monitor's per-sample queries `O(1)` and let it visit only
 //!   the nodes whose idle state changed since its previous sample.
 //!
-//! The cluster publishes every allocation state change through
-//! [`SchedIndex::note_allocated`] / [`SchedIndex::note_released`]. External
-//! node state changes (`Cluster::set_node_down`, `set_node_draining`) are
-//! rare and rebuild everything from scratch on the spot, one `O(n log n)`
-//! sweep, so the index is never out of date when it is read.
+//! The index is built once over empty nodes, and the cluster publishes every
+//! allocation state change through [`SchedIndex::note_allocated`] /
+//! [`SchedIndex::note_released`], so it is never out of date when it is read.
 
 use crate::job::{JobSpec, JobTable};
-use crate::node::{Node, NodeResources, NodeState};
+use crate::node::{Node, NodeResources};
 use des::SimTime;
 use fabric::NodeId;
 use std::cmp::Reverse;
@@ -113,76 +111,49 @@ pub(crate) struct SchedIndex {
 }
 
 impl SchedIndex {
+    /// Index `nodes`, which must hold no job yet: every node starts idle,
+    /// outside the shared index, with a `ZERO` backfill horizon.
     pub fn new(nodes: &[Node]) -> Self {
+        let n = nodes.len();
         let mut idx = SchedIndex {
             classes: Vec::new(),
-            class_of: Vec::new(),
+            class_of: vec![0; n],
             shared: BTreeSet::new(),
-            idle_key: Vec::new(),
-            shared_key: Vec::new(),
-            free_at: Vec::new(),
+            idle_key: vec![None; n],
+            shared_key: vec![None; n],
+            free_at: vec![SimTime::ZERO; n],
             usage: Usage::default(),
-            idle_bits: Vec::new(),
+            idle_bits: vec![0; bitmap_words(n)],
         };
-        idx.rebuild(nodes, &JobTable::default());
-        idx
-    }
-
-    /// Rebuild every structure from the authoritative node/job state.
-    pub fn rebuild(&mut self, nodes: &[Node], jobs: &JobTable) {
-        self.classes.clear();
-        self.shared.clear();
-        self.usage = Usage::default();
-        self.idle_bits = vec![0; bitmap_words(nodes.len())];
-        self.class_of = vec![0; nodes.len()];
-        self.idle_key = vec![None; nodes.len()];
-        self.shared_key = vec![None; nodes.len()];
-        self.free_at = vec![SimTime::ZERO; nodes.len()];
         for node in nodes {
-            let i = node.id.0 as usize;
-            let class = match self
-                .classes
-                .iter()
-                .position(|c| c.capacity == node.capacity)
-            {
+            assert!(node.is_idle(), "node {} already holds a job", node.id.0);
+            let class = match idx.classes.iter().position(|c| c.capacity == node.capacity) {
                 Some(c) => c,
                 None => {
-                    self.classes.push(ClassIndex {
+                    idx.classes.push(ClassIndex {
                         capacity: node.capacity,
                         members: 0,
                         idle: BTreeSet::new(),
                         free_at: BTreeSet::new(),
                     });
-                    self.classes.len() - 1
+                    idx.classes.len() - 1
                 }
             };
-            self.class_of[i] = class as u32;
-            self.classes[class].members += 1;
-            let free_at = node_free_at(node, jobs);
-            self.free_at[i] = free_at;
-            self.classes[class].free_at.insert((free_at, node.id));
-            let used = node.used();
-            self.usage.used_cores += u64::from(used.cores);
-            self.usage.total_cores += u64::from(node.capacity.cores);
-            self.usage.used_memory_mb += used.memory_mb;
-            self.usage.total_memory_mb += node.capacity.memory_mb;
-            if node.is_idle() {
-                self.enter_idle(node);
-            } else if Self::shared_eligible(node) {
-                let key = placement_key(node);
-                self.shared_key[i] = Some(key);
-                self.shared.insert(key);
-            }
+            idx.class_of[node.id.0 as usize] = class as u32;
+            idx.classes[class].members += 1;
+            idx.classes[class].free_at.insert((SimTime::ZERO, node.id));
+            idx.usage.total_cores += u64::from(node.capacity.cores);
+            idx.usage.total_memory_mb += node.capacity.memory_mb;
+            idx.enter_idle(node);
         }
+        idx
     }
 
     /// Membership criterion for the shared (partially-allocated) index:
     /// exactly the nodes `can_host(_, shared=true)` could accept beyond the
     /// idle set, minus the per-request spare-fit check applied lazily.
     fn shared_eligible(node: &Node) -> bool {
-        node.job_count() > 0
-            && node.exclusive_holder().is_none()
-            && node.state() == NodeState::Allocated
+        node.job_count() > 0 && node.exclusive_holder().is_none()
     }
 
     /// Add an idle `node` to its class's idle set, the bitmap and the idle

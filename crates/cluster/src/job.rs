@@ -96,11 +96,6 @@ impl Job {
         }
     }
 
-    /// Queueing delay, if started.
-    pub fn wait_time(&self) -> Option<SimTime> {
-        self.started_at.map(|s| s.saturating_sub(self.submitted_at))
-    }
-
     /// Wall-clock duration, if finished.
     pub fn runtime(&self) -> Option<SimTime> {
         match (self.started_at, self.finished_at) {
@@ -184,11 +179,9 @@ mod tests {
             SimTime::from_secs(100),
             SimTime::from_secs(50),
         );
-        assert_eq!(j.wait_time(), None);
         assert_eq!(j.runtime(), None);
         j.started_at = Some(SimTime::from_secs(160));
         j.finished_at = Some(SimTime::from_secs(210));
-        assert_eq!(j.wait_time(), Some(SimTime::from_secs(60)));
         assert_eq!(j.runtime(), Some(SimTime::from_secs(50)));
     }
 }

@@ -29,6 +29,6 @@ mod oracle_tests;
 pub use fabric::NodeId;
 pub use job::{Job, JobId, JobSpec, JobState};
 pub use monitor::{IdlePeriodStats, MonitorReport, UtilizationMonitor};
-pub use node::{Node, NodeResources, NodeState};
+pub use node::{Node, NodeResources};
 pub use scheduler::{Cluster, SchedulerError};
 pub use trace::{simulate_trace, simulate_trace_in, TraceOutcome, TraceProfile};

@@ -338,11 +338,9 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{cluster_usage, report_bits, scan_usage, RefMonitor};
     use super::*;
     use crate::job::JobSpec;
     use crate::node::NodeResources;
-    use fabric::NodeId;
 
     fn spec(nodes: u32) -> JobSpec {
         JobSpec::exclusive(
@@ -434,62 +432,5 @@ mod tests {
         let r = m.finish();
         assert!(r.median_idle_nodes.is_nan());
         assert_eq!(r.exact.events, 0);
-    }
-
-    fn assert_matches_scan(c: &Cluster) {
-        assert_eq!(cluster_usage(c), scan_usage(c.nodes()));
-    }
-
-    #[test]
-    fn external_node_mutation_is_seen_before_and_after_the_rebuild() {
-        // Four idle nodes sampled three times, then one goes down and one
-        // starts draining (each setter rebuilds the index). Totals, bitmap
-        // and monitor must match a scan right after the change, before any
-        // scheduling pass, and after the passes that follow.
-        let mc = NodeResources::daint_mc();
-        let mut c = Cluster::homogeneous(4, mc);
-        let mut m = UtilizationMonitor::two_minute();
-        let mut r = RefMonitor::two_minute();
-        for i in 0..3 {
-            m.sample(&c, SimTime::from_mins(2 * i));
-            r.sample(&c, SimTime::from_mins(2 * i));
-        }
-        assert_eq!(c.memory_usage(), (0, 0, 4 * mc.memory_mb));
-
-        assert!(c.set_node_down(NodeId(1)));
-        assert!(c.set_node_draining(NodeId(2)));
-        assert_matches_scan(&c);
-        assert_eq!(c.idle_node_count(), 2);
-        assert_eq!(c.core_usage(), (0, 4 * 36));
-        // Capacity moved from free-on-idle to free-on-allocated.
-        assert_eq!(c.memory_usage(), (0, 2 * mc.memory_mb, 2 * mc.memory_mb));
-        // Sampled before any pass: both runs close with k = 3.
-        m.sample(&c, SimTime::from_mins(6));
-        r.sample(&c, SimTime::from_mins(6));
-        assert_eq!(m.minimal.len(), 2);
-        assert_eq!(m.minimal.mean(), 2.0 * 120.0);
-        assert_eq!(m.maximal.mean(), 4.0 * 120.0);
-
-        // The job lands on one of the two placeable nodes.
-        c.submit(spec(1), SimTime::from_mins(30), SimTime::from_mins(7));
-        let (started, _) = c.try_schedule(SimTime::from_mins(7));
-        assert_eq!(started.len(), 1);
-        assert_matches_scan(&c);
-        assert_eq!(c.idle_node_count(), 1);
-        m.sample(&c, SimTime::from_mins(8));
-        r.sample(&c, SimTime::from_mins(8));
-        assert_eq!(m.minimal.len(), 3, "the started node's run closes, k = 4");
-
-        // Again with a job running, then through `finish`.
-        assert!(c.set_node_draining(NodeId(0)));
-        assert!(c.set_node_draining(NodeId(3)));
-        assert_matches_scan(&c);
-        m.sample(&c, SimTime::from_mins(10));
-        r.sample(&c, SimTime::from_mins(10));
-        c.finish(started[0], SimTime::from_mins(11)).unwrap();
-        assert_matches_scan(&c);
-        assert_eq!(c.idle_node_count(), 0);
-
-        assert_eq!(report_bits(&m.finish()), report_bits(&r.finish()));
     }
 }

@@ -46,19 +46,6 @@ impl NodeResources {
     }
 }
 
-/// Scheduler-relevant node state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeState {
-    /// No jobs assigned.
-    Idle,
-    /// At least one job, spare capacity may remain.
-    Allocated,
-    /// Being emptied to satisfy a reservation or maintenance.
-    Draining,
-    /// Unavailable.
-    Down,
-}
-
 /// A compute node with live allocation bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Node {
@@ -71,7 +58,6 @@ pub struct Node {
     allocations: Vec<(JobId, NodeResources)>,
     /// Running sum of `allocations`, kept so `used`/`free` are O(1).
     used: NodeResources,
-    state: NodeState,
     /// Job holding the node exclusively (SLURM default: the whole node
     /// belongs to the job even if it requested fewer cores).
     exclusive_holder: Option<JobId>,
@@ -86,24 +72,8 @@ impl Node {
             capacity,
             allocations: Vec::new(),
             used: NodeResources::default(),
-            state: NodeState::Idle,
             exclusive_holder: None,
             idle_since: Some(SimTime::ZERO),
-        }
-    }
-
-    pub fn state(&self) -> NodeState {
-        self.state
-    }
-
-    pub fn set_down(&mut self) {
-        self.state = NodeState::Down;
-        self.idle_since = None;
-    }
-
-    pub fn set_draining(&mut self) {
-        if self.state != NodeState::Down {
-            self.state = NodeState::Draining;
         }
     }
 
@@ -122,7 +92,7 @@ impl Node {
     }
 
     pub fn is_idle(&self) -> bool {
-        self.allocations.is_empty() && self.state == NodeState::Idle
+        self.allocations.is_empty()
     }
 
     pub fn idle_since(&self) -> Option<SimTime> {
@@ -145,11 +115,10 @@ impl Node {
 
     /// Can this node accept `req` for a job with the given sharing mode?
     /// Exclusive jobs need a completely empty node; shared jobs need spare
-    /// capacity and no exclusive occupant.
-    pub fn can_host(&self, req: &NodeResources, shared: bool) -> bool {
-        if self.state != NodeState::Idle && self.state != NodeState::Allocated {
-            return false;
-        }
+    /// capacity and no exclusive occupant. The scan oracle's placement
+    /// test; the indexed scheduler keeps the same rule in `crate::index`.
+    #[cfg(test)]
+    pub(crate) fn can_host(&self, req: &NodeResources, shared: bool) -> bool {
         if self.exclusive_holder.is_some() {
             return false;
         }
@@ -192,7 +161,6 @@ impl Node {
         if exclusive {
             self.exclusive_holder = Some(job);
         }
-        self.state = NodeState::Allocated;
         idle_period
     }
 
@@ -209,9 +177,6 @@ impl Node {
             self.exclusive_holder = None;
         }
         if self.allocations.is_empty() {
-            if self.state == NodeState::Allocated {
-                self.state = NodeState::Idle;
-            }
             self.idle_since = Some(now);
             true
         } else {
@@ -301,16 +266,6 @@ mod tests {
         assert!(n.can_host(&req(6, 28 * 1024, 0), true));
         assert!(!n.can_host(&req(7, 1, 0), true));
         assert!(!n.can_host(&req(1, 29 * 1024, 0), true));
-    }
-
-    #[test]
-    fn down_and_draining_reject_work() {
-        let mut n = Node::new(NodeId(0), NodeResources::daint_mc());
-        n.set_draining();
-        assert!(!n.can_host(&req(1, 1, 0), true));
-        n.set_down();
-        assert!(!n.can_host(&req(1, 1, 0), true));
-        assert!(!n.is_idle());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! bitmap the utilization monitor reads (bit for bit, against a scan). A
 //! second family drives the bitmap [`UtilizationMonitor`] and the frozen
 //! per-node sampling loop ([`crate::monitor::reference`]) over one cluster,
-//! with nodes going down and draining between samples, and compares the full
-//! reports bit for bit. A third replays two long synthetic streams through
+//! sampling between submits, scheduling passes, completions and
+//! cancellations, and compares the full reports bit for bit. A third replays two long synthetic streams through
 //! both schedulers on a 256-node homogeneous cluster and compares a hash of
 //! every start decision.
 //!
@@ -175,28 +175,12 @@ fn step(
         prop_assert_eq!(a.finished_at, b.finished_at, "finish diverged for {:?}", id);
         prop_assert_eq!(&a.assigned, &b.assigned, "placement diverged for {:?}", id);
     }
-    // The terminal ledgers partition the terminal jobs (indexed side only;
-    // the reference predates the cancelled ledger).
-    let terminal = submitted
-        .iter()
-        .filter(|id| {
-            matches!(
-                c.job(**id).unwrap().state,
-                crate::JobState::Completed | crate::JobState::Cancelled
-            )
-        })
-        .count();
-    prop_assert_eq!(
-        c.completed_jobs().count() + c.cancelled_count(),
-        terminal,
-        "terminal ledgers lost or duplicated a job"
-    );
     Ok(())
 }
 
 /// One step of the monitor differential test. Unlike [`Op`], scheduling is
-/// its own step, so samples also land between a mutation and the pass that
-/// rebuilds the index.
+/// its own step, so samples also land between a mutation and the next
+/// scheduling pass.
 #[derive(Debug, Clone)]
 enum MonitorOp {
     Submit {
@@ -208,26 +192,16 @@ enum MonitorOp {
     Cancel {
         k: usize,
     },
-    /// Mark node `node % n` down through `Cluster::set_node_down`.
-    Down {
-        node: usize,
-    },
-    /// Start draining node `node % n` through `Cluster::set_node_draining`.
-    Drain {
-        node: usize,
-    },
     /// Advance one sampling interval and sample with both monitors.
     Sample,
 }
 
 fn arb_monitor_op() -> impl Strategy<Value = MonitorOp> {
-    (0u8..16, arb_spec(), 1u64..400, 0usize..64).prop_map(|(sel, spec, actual_mins, k)| match sel {
+    (0u8..14, arb_spec(), 1u64..400, 0usize..64).prop_map(|(sel, spec, actual_mins, k)| match sel {
         0..=3 => MonitorOp::Submit { spec, actual_mins },
         4..=6 => MonitorOp::Schedule,
         7 | 8 => MonitorOp::FinishEarliest,
         9 => MonitorOp::Cancel { k },
-        10 => MonitorOp::Down { node: k },
-        11 => MonitorOp::Drain { node: k },
         _ => MonitorOp::Sample,
     })
 }
@@ -265,14 +239,6 @@ proptest! {
                     if !submitted.is_empty() {
                         let _ = c.cancel(submitted[k % submitted.len()], now);
                     }
-                }
-                MonitorOp::Down { node } => {
-                    let id = NodeId((node % c.node_count()) as u32);
-                    prop_assert!(c.set_node_down(id));
-                }
-                MonitorOp::Drain { node } => {
-                    let id = NodeId((node % c.node_count()) as u32);
-                    prop_assert!(c.set_node_draining(id));
                 }
                 MonitorOp::Sample => {
                     now += monitor.interval();

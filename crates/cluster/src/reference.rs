@@ -26,7 +26,6 @@ pub struct RefCluster {
     jobs: HashMap<JobId, Job>,
     pending: VecDeque<JobId>,
     next_id: u64,
-    completed: Vec<JobId>,
 }
 
 impl RefCluster {
@@ -36,7 +35,6 @@ impl RefCluster {
             jobs: HashMap::new(),
             pending: VecDeque::new(),
             next_id: 0,
-            completed: Vec::new(),
         }
     }
 
@@ -66,10 +64,6 @@ impl RefCluster {
 
     pub fn idle_node_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.is_idle()).count()
-    }
-
-    pub fn completed_count(&self) -> usize {
-        self.completed.len()
     }
 
     pub fn submit(&mut self, spec: JobSpec, actual_runtime: SimTime, now: SimTime) -> JobId {
@@ -214,7 +208,6 @@ impl RefCluster {
             }
         }
         self.jobs.get_mut(&id).expect("exists").assigned = assigned;
-        self.completed.push(id);
         Ok(())
     }
 

@@ -73,19 +73,12 @@ pub struct Cluster {
     /// Whether a zero-node job was ever submitted. Such a job "starts" on a
     /// full cluster, so the backfill scan may only stop early without one.
     zero_node_jobs: bool,
-    /// Completed-job history kept for statistics (state `Completed` only;
-    /// see `cancelled` for the other terminal outcome).
-    completed: Vec<JobId>,
-    /// Cancelled-job history: jobs dropped as infeasible and jobs cancelled
-    /// while pending or running. Kept so outcome accounting (job counts,
-    /// wait-time statistics) can audit every submitted job instead of
-    /// silently losing the ones that never completed.
-    cancelled: Vec<JobId>,
     /// Incremental placement/backfill/feasibility indexes.
     index: SchedIndex,
 }
 
 impl Cluster {
+    /// A cluster over `nodes`, none of which may hold a job yet.
     pub fn new(nodes: Vec<Node>) -> Self {
         let index = SchedIndex::new(&nodes);
         Cluster {
@@ -94,8 +87,6 @@ impl Cluster {
             pending: VecDeque::new(),
             pending_live: 0,
             zero_node_jobs: false,
-            completed: Vec::new(),
-            cancelled: Vec::new(),
             index,
         }
     }
@@ -109,36 +100,8 @@ impl Cluster {
         )
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     pub fn node(&self, id: NodeId) -> Option<&Node> {
         self.nodes.get(id.0 as usize)
-    }
-
-    /// Mark node `id` down: nothing new is placed on it. Returns whether
-    /// the node exists.
-    pub fn set_node_down(&mut self, id: NodeId) -> bool {
-        self.change_node_state(id, Node::set_down)
-    }
-
-    /// Start draining node `id`: running work finishes, nothing new is
-    /// placed on it. Returns whether the node exists.
-    pub fn set_node_draining(&mut self, id: NodeId) -> bool {
-        self.change_node_state(id, Node::set_draining)
-    }
-
-    /// Apply an external state change and rebuild the indexes around it in
-    /// one O(n log n) sweep. Operator actions are rare next to scheduling
-    /// passes, so the index has no per-state delta to get wrong.
-    fn change_node_state(&mut self, id: NodeId, change: fn(&mut Node)) -> bool {
-        let Some(node) = self.nodes.get_mut(id.0 as usize) else {
-            return false;
-        };
-        change(node);
-        self.index.rebuild(&self.nodes, &self.jobs);
-        true
     }
 
     pub fn nodes(&self) -> &[Node] {
@@ -149,34 +112,13 @@ impl Cluster {
         self.jobs.get(id)
     }
 
-    pub fn pending_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_count(&self) -> usize {
         self.pending_live
     }
 
     pub fn running_jobs(&self) -> impl Iterator<Item = &Job> {
         self.jobs.iter().filter(|j| j.state == JobState::Running)
-    }
-
-    pub fn running_count(&self) -> usize {
-        self.running_jobs().count()
-    }
-
-    /// Jobs that ran to completion, in completion order.
-    pub fn completed_jobs(&self) -> impl Iterator<Item = &Job> {
-        self.completed.iter().filter_map(|&id| self.jobs.get(id))
-    }
-
-    /// Jobs that terminated without completing — dropped as infeasible, or
-    /// cancelled while pending or running — in cancellation order. Every
-    /// submitted job ends up reachable through exactly one of
-    /// [`Cluster::completed_jobs`], [`Cluster::cancelled_jobs`], the pending
-    /// queue, or the running set.
-    pub fn cancelled_jobs(&self) -> impl Iterator<Item = &Job> {
-        self.cancelled.iter().filter_map(|&id| self.jobs.get(id))
-    }
-
-    pub fn cancelled_count(&self) -> usize {
-        self.cancelled.len()
     }
 
     /// Number of idle nodes (a maintained count).
@@ -269,7 +211,6 @@ impl Cluster {
                 let j = self.jobs.get_mut(head).expect("exists");
                 j.state = JobState::Cancelled;
                 j.finished_at = Some(now);
-                self.cancelled.push(head);
                 continue;
             }
             match self.index.select(&self.nodes, &self.jobs[head].spec) {
@@ -336,12 +277,11 @@ impl Cluster {
         }
         // Keep assignment for statistics.
         self.jobs.get_mut(id).expect("exists").assigned = assigned;
-        self.completed.push(id);
         Ok(())
     }
 
-    /// Cancel a pending or running job. The job lands in the cancelled
-    /// history either way (a running job's nodes are released first).
+    /// Cancel a pending or running job (a running job's nodes are released
+    /// first).
     pub fn cancel(&mut self, id: JobId, now: SimTime) -> Result<(), SchedulerError> {
         let job = self.jobs.get_mut(id).ok_or(SchedulerError::UnknownJob)?;
         match job.state {
@@ -350,19 +290,12 @@ impl Cluster {
                 job.finished_at = Some(now);
                 // The queue entry stays behind as a tombstone.
                 self.pending_live -= 1;
-                self.cancelled.push(id);
                 self.maybe_compact_pending();
                 Ok(())
             }
             JobState::Running => {
                 self.finish(id, now)?;
-                // `finish` filed it under completed; move it to the
-                // cancelled history so each terminal state has exactly one
-                // ledger.
-                debug_assert_eq!(self.completed.last(), Some(&id));
-                self.completed.pop();
                 self.jobs.get_mut(id).expect("exists").state = JobState::Cancelled;
-                self.cancelled.push(id);
                 Ok(())
             }
             _ => Err(SchedulerError::NotRunning),
@@ -506,30 +439,26 @@ mod tests {
 
     #[test]
     fn infeasible_jobs_land_in_cancelled_history() {
-        // Regression: cancelled-as-infeasible jobs used to get `finished_at`
-        // but were reachable through no history — outcome accounting
-        // silently dropped them.
+        // A job dropped as infeasible is terminal: cancelled at the pass
+        // that dropped it, never started, and not completed later.
         let mut c = small_cluster(2);
         let imp = c.submit(excl(5, 60, "too-big"), SimTime::from_mins(1), SimTime::ZERO);
         let ok = c.submit(excl(1, 60, "fine"), SimTime::from_mins(1), SimTime::ZERO);
         c.try_schedule(SimTime::from_secs(30));
-        assert_eq!(c.cancelled_count(), 1);
-        let dropped = c.cancelled_jobs().next().unwrap();
-        assert_eq!(dropped.id, imp);
+        let dropped = c.job(imp).unwrap();
         assert_eq!(dropped.state, JobState::Cancelled);
         assert_eq!(dropped.finished_at, Some(SimTime::from_secs(30)));
         assert_eq!(dropped.started_at, None, "never ran");
-        // The completed ledger must not contain it.
         c.finish(ok, SimTime::from_mins(60)).unwrap();
-        assert!(c.completed_jobs().all(|j| j.id != imp));
-        assert_eq!(c.completed_jobs().count(), 1);
+        assert_eq!(c.job(imp).unwrap().state, JobState::Cancelled);
+        assert_eq!(c.job(ok).unwrap().state, JobState::Completed);
     }
 
     #[test]
     fn every_submitted_job_is_accounted_for() {
-        // jobs = completed + cancelled + running + pending, with no overlap,
-        // across all three cancellation paths (infeasible drop, pending
-        // cancel, running cancel).
+        // Every job ends in the terminal state its path leads to, across all
+        // three cancellation paths (infeasible drop, pending cancel, running
+        // cancel), with nothing left pending or running.
         let mut c = small_cluster(2);
         let infeasible = c.submit(excl(9, 60, "big"), SimTime::from_mins(1), SimTime::ZERO);
         let run_cancel = c.submit(excl(2, 60, "rc"), SimTime::from_mins(60), SimTime::ZERO);
@@ -541,14 +470,19 @@ mod tests {
         c.try_schedule(SimTime::from_secs(20));
         c.finish(completes, SimTime::from_mins(30)).unwrap();
 
-        let cancelled: Vec<JobId> = c.cancelled_jobs().map(|j| j.id).collect();
-        assert_eq!(cancelled, vec![infeasible, pend_cancel, run_cancel]);
-        let completed: Vec<JobId> = c.completed_jobs().map(|j| j.id).collect();
-        assert_eq!(completed, vec![completes]);
+        let state = |id| c.job(id).unwrap().state;
+        for id in [infeasible, pend_cancel, run_cancel] {
+            assert_eq!(state(id), JobState::Cancelled);
+        }
+        assert_eq!(state(completes), JobState::Completed);
         assert_eq!(c.pending_count(), 0);
-        assert_eq!(c.running_count(), 0);
-        // Every cancelled job carries a terminal timestamp.
-        assert!(c.cancelled_jobs().all(|j| j.finished_at.is_some()));
+        assert_eq!(c.running_jobs().count(), 0);
+        // Every terminal job carries a terminal timestamp.
+        let finished = |id| c.job(id).unwrap().finished_at;
+        assert_eq!(finished(infeasible), Some(SimTime::ZERO));
+        assert_eq!(finished(pend_cancel), Some(SimTime::from_secs(10)));
+        assert_eq!(finished(run_cancel), Some(SimTime::from_secs(20)));
+        assert_eq!(finished(completes), Some(SimTime::from_mins(30)));
     }
 
     #[test]
@@ -587,10 +521,6 @@ mod tests {
         c.cancel(a, SimTime::from_secs(2)).unwrap();
         assert_eq!(c.job(a).unwrap().state, JobState::Cancelled);
         assert_eq!(c.idle_node_count(), 1);
-        // Both cancellation paths feed the cancelled history; neither job
-        // is in the completed ledger.
-        assert_eq!(c.cancelled_count(), 2);
-        assert_eq!(c.completed_jobs().count(), 0);
     }
 
     #[test]
@@ -633,26 +563,6 @@ mod tests {
         );
         let (_, periods) = c.try_schedule(SimTime::from_mins(18));
         assert_eq!(periods, vec![SimTime::from_mins(3)]);
-    }
-
-    #[test]
-    fn downed_node_is_seen_by_the_next_pass() {
-        // Marking a node down must reach the indexes: the downed node
-        // cannot be placed on, and a job that fit before no longer starts.
-        let mut c = small_cluster(2);
-        assert!(c.set_node_down(NodeId(0)));
-        assert!(!c.set_node_down(NodeId(2)), "no such node");
-        let a = c.submit(excl(2, 10, "a"), SimTime::from_mins(10), SimTime::ZERO);
-        let b = c.submit(excl(1, 10, "b"), SimTime::from_mins(10), SimTime::ZERO);
-        let (started, _) = c.try_schedule(SimTime::ZERO);
-        // `a` is feasible by static capacity (2 nodes exist) but only one is
-        // placeable, so it blocks the queue; `b` cannot backfill ahead of it
-        // because the downed node never frees (shadow time is reached but
-        // only one node can host).
-        assert!(!started.contains(&a));
-        assert!(c.job(a).unwrap().state == JobState::Pending);
-        let _ = b;
-        assert_eq!(c.idle_node_count(), 1);
     }
 
     #[test]

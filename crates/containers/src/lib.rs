@@ -14,7 +14,7 @@ pub mod migrate;
 pub mod pool;
 pub mod runtime;
 
-pub use image::{ContainerImage, ImageCache, ImageId};
+pub use image::{ContainerImage, ImageId};
 pub use migrate::{migration_cost, swap_in_cost, swap_out_cost, MigrationPlan};
 pub use pool::{PoolStats, WarmContainer, WarmPool};
 pub use runtime::{

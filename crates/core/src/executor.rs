@@ -125,11 +125,6 @@ impl Executor {
             response,
         }
     }
-
-    /// Fraction of one core this executor consumes while idle.
-    pub fn idle_cpu_overhead(&self) -> f64 {
-        self.mode.completion().cpu_overhead()
-    }
 }
 
 #[cfg(test)]
@@ -251,13 +246,5 @@ mod tests {
         }
         assert_eq!(ex.invocations, 5);
         assert_eq!(ex.busy, SimTime::from_millis(50));
-    }
-
-    #[test]
-    fn idle_cpu_overhead_by_mode() {
-        let hot = Executor::new(noop_def(), ExecutorMode::Hot);
-        let warm = Executor::new(noop_def(), ExecutorMode::Warm);
-        assert_eq!(hot.idle_cpu_overhead(), 1.0);
-        assert!(warm.idle_cpu_overhead() < 0.1);
     }
 }

@@ -26,11 +26,6 @@ impl FunctionRequirements {
             gpus: 0,
         }
     }
-
-    pub fn with_gpu(mut self, gpus: u32) -> Self {
-        self.gpus = gpus;
-        self
-    }
 }
 
 /// A registered function.
@@ -98,13 +93,6 @@ impl FunctionRegistry {
         self.by_name.get(name).and_then(|id| self.functions.get(id))
     }
 
-    pub fn len(&self) -> usize {
-        self.functions.len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.functions.is_empty()
-    }
-
     /// A no-op function for latency microbenchmarks (Fig. 7).
     pub fn register_noop(&mut self) -> FunctionId {
         self.register(
@@ -138,17 +126,20 @@ mod tests {
         assert_eq!(reg.get(id).unwrap().name, "noop");
         assert_eq!(reg.by_name("noop").unwrap().id, id);
         assert!(reg.by_name("missing").is_none());
-        assert_eq!(reg.len(), 1);
     }
 
     #[test]
     fn independent_resource_requests() {
         // Unlike cloud FaaS, memory and GPU are independent of cores.
-        let r = FunctionRequirements::cpu(0.05, 64 * 1024).with_gpu(0);
+        let r = FunctionRequirements::cpu(0.05, 64 * 1024);
         assert!(r.cores < 1.0);
         assert_eq!(r.memory_mb, 64 * 1024);
-        let g = FunctionRequirements::cpu(1.0, 2048).with_gpu(1);
-        assert_eq!(g.gpus, 1);
+        assert_eq!(r.gpus, 0);
+        let g = FunctionRequirements {
+            gpus: 1,
+            ..FunctionRequirements::cpu(1.0, 2048)
+        };
+        assert_eq!((g.cores, g.memory_mb, g.gpus), (1.0, 2048, 1));
     }
 
     #[test]

@@ -195,11 +195,6 @@ impl Simulation {
             self.now = deadline;
         }
     }
-
-    /// Run while `pred` holds and events remain.
-    pub fn run_while<P: FnMut(&Simulation) -> bool>(&mut self, mut pred: P) {
-        while pred(self) && self.step() {}
-    }
 }
 
 #[cfg(test)]

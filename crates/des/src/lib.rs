@@ -5,7 +5,7 @@
 //! O(1) cancellation and deterministic tie-breaking (see [`queue`]) —
 //! zero-allocation inline closure storage on the event hot path (see
 //! [`cell`]), per-component seedable RNG streams, and online statistics
-//! (mean/variance/percentiles, histograms, time-weighted samplers).
+//! (mean/variance/percentiles).
 //!
 //! Every simulated experiment in the workspace is driven by [`Simulation`]:
 //! components schedule closures at future virtual times and the engine runs
@@ -43,5 +43,5 @@ pub use cell::EventCell;
 pub use event::{EventId, Simulation};
 pub use queue::EventQueue;
 pub use rng::RngStream;
-pub use stats::{Histogram, OnlineStats, Percentiles, TimeWeighted};
+pub use stats::{OnlineStats, Percentiles};
 pub use time::SimTime;

@@ -1,17 +1,20 @@
-//! Online statistics used by the measurement harnesses: Welford mean/variance,
-//! exact percentiles over retained samples, fixed-bin histograms, and
-//! time-weighted averages for utilisation metrics.
-
-use crate::time::SimTime;
+//! Online statistics used by the measurement harnesses: Welford mean/variance
+//! and exact percentiles over retained samples.
 
 /// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OnlineStats {
@@ -165,140 +168,6 @@ impl Percentiles {
     }
 }
 
-/// Fixed-width-bin histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(hi > lo && nbins > 0);
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-
-    /// Fraction of all pushed samples with value `< x` (includes underflow,
-    /// treats bin contents as concentrated at the bin's lower edge).
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let mut below = self.underflow;
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, b) in self.bins.iter().enumerate() {
-            let edge = self.lo + w * i as f64;
-            if edge + w <= x {
-                below += b;
-            }
-        }
-        below as f64 / self.count as f64
-    }
-}
-
-/// Time-weighted average of a step function (e.g. "idle cores over time").
-/// Push `(time, new_value)` transitions; query the average over the observed
-/// window.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_t: Option<SimTime>,
-    last_v: f64,
-    weighted_sum: f64,
-    total: f64,
-    start: Option<SimTime>,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    pub fn new() -> Self {
-        TimeWeighted {
-            last_t: None,
-            last_v: 0.0,
-            weighted_sum: 0.0,
-            total: 0.0,
-            start: None,
-        }
-    }
-
-    /// Record that the tracked value becomes `v` at time `t`.
-    pub fn set(&mut self, t: SimTime, v: f64) {
-        if let Some(prev) = self.last_t {
-            assert!(t >= prev, "TimeWeighted updates must be monotone");
-            let dt = (t - prev).as_secs_f64();
-            self.weighted_sum += self.last_v * dt;
-            self.total += dt;
-        } else {
-            self.start = Some(t);
-        }
-        self.last_t = Some(t);
-        self.last_v = v;
-    }
-
-    /// Close the window at `t` and return the time-weighted mean.
-    pub fn mean_until(&mut self, t: SimTime) -> f64 {
-        let v = self.last_v;
-        self.set(t, v);
-        if self.total == 0.0 {
-            f64::NAN
-        } else {
-            self.weighted_sum / self.total
-        }
-    }
-
-    pub fn current(&self) -> f64 {
-        self.last_v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,6 +183,16 @@ mod tests {
         assert!((s.std_dev() - 2.138089935299395).abs() < 1e-9);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
+    }
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        let mut s = OnlineStats::default();
+        s.push(3.0);
+        s.push(5.0);
+        assert_eq!(s.min(), 3.0);
+        assert_eq!(s.max(), 5.0);
+        assert_eq!(s.count(), 2);
     }
 
     #[test]
@@ -356,37 +235,5 @@ mod tests {
         p.push(3.0);
         assert_eq!(p.median(), 3.0);
         assert_eq!(p.p99(), 3.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_cdf() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(42.0);
-        assert_eq!(h.count(), 12);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert!(h.bins().iter().all(|&b| b == 1));
-        // 5 full bins below 5.0 plus the underflow = 6/12.
-        assert!((h.fraction_below(5.0) - 0.5).abs() < 1e-9);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_step_function() {
-        let mut tw = TimeWeighted::new();
-        tw.set(SimTime::from_secs(0), 1.0);
-        tw.set(SimTime::from_secs(10), 3.0); // 1.0 held for 10s
-        let m = tw.mean_until(SimTime::from_secs(20)); // 3.0 held for 10s
-        assert!((m - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_empty_is_nan() {
-        let mut tw = TimeWeighted::new();
-        assert!(tw.mean_until(SimTime::from_secs(1)).is_nan());
     }
 }

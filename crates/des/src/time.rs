@@ -82,10 +82,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-    #[inline]
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60e9
-    }
 
     /// Saturating subtraction: useful for "time remaining" computations.
     #[inline]

@@ -3,7 +3,7 @@
 //! independent runs — the property every experiment in this workspace leans
 //! on for reproducibility.
 
-use des::{Histogram, OnlineStats, RngStream, SimTime, Simulation};
+use des::{OnlineStats, RngStream, SimTime, Simulation};
 use std::sync::{Arc, Mutex};
 
 /// One recorded event: (virtual time in nanos, chain id, RNG draw).
@@ -12,14 +12,13 @@ type Trace = Vec<(u64, u32, u64)>;
 /// A stochastic workload: several event chains, each sampling its own
 /// exponential inter-arrival times from a derived RNG stream and re-scheduling
 /// itself. Returns the full trace plus online statistics of the draws.
-fn run_workload(seed: u64) -> (Trace, OnlineStats, Histogram) {
+fn run_workload(seed: u64) -> (Trace, OnlineStats) {
     const CHAINS: u32 = 4;
     const EVENTS_PER_CHAIN: u32 = 200;
 
     let mut sim = Simulation::new(seed);
     let trace = Arc::new(Mutex::new(Trace::new()));
     let stats = Arc::new(Mutex::new(OnlineStats::new()));
-    let hist = Arc::new(Mutex::new(Histogram::new(0.0, 50.0, 25)));
 
     fn step(
         sim: &mut Simulation,
@@ -28,7 +27,6 @@ fn run_workload(seed: u64) -> (Trace, OnlineStats, Histogram) {
         mut rng: RngStream,
         trace: Arc<Mutex<Trace>>,
         stats: Arc<Mutex<OnlineStats>>,
-        hist: Arc<Mutex<Histogram>>,
     ) {
         if remaining == 0 {
             return;
@@ -41,8 +39,7 @@ fn run_workload(seed: u64) -> (Trace, OnlineStats, Histogram) {
                 .unwrap()
                 .push((sim.now().as_nanos(), chain, draw));
             stats.lock().unwrap().push(delay_us);
-            hist.lock().unwrap().push(delay_us);
-            step(sim, chain, remaining - 1, rng, trace, stats, hist);
+            step(sim, chain, remaining - 1, rng, trace, stats);
         });
     }
 
@@ -55,7 +52,6 @@ fn run_workload(seed: u64) -> (Trace, OnlineStats, Histogram) {
             rng,
             Arc::clone(&trace),
             Arc::clone(&stats),
-            Arc::clone(&hist),
         );
     }
     sim.run();
@@ -69,17 +65,13 @@ fn run_workload(seed: u64) -> (Trace, OnlineStats, Histogram) {
         .expect("sole owner")
         .into_inner()
         .unwrap();
-    let hist = Arc::try_unwrap(hist)
-        .expect("sole owner")
-        .into_inner()
-        .unwrap();
-    (trace, stats, hist)
+    (trace, stats)
 }
 
 #[test]
 fn same_seed_identical_trace_and_stats() {
-    let (trace_a, stats_a, hist_a) = run_workload(0xDEC0DE);
-    let (trace_b, stats_b, hist_b) = run_workload(0xDEC0DE);
+    let (trace_a, stats_a) = run_workload(0xDEC0DE);
+    let (trace_b, stats_b) = run_workload(0xDEC0DE);
 
     assert_eq!(trace_a, trace_b, "event traces must match exactly");
     // Statistics must match bit for bit, not just approximately.
@@ -88,15 +80,12 @@ fn same_seed_identical_trace_and_stats() {
     assert_eq!(stats_a.variance().to_bits(), stats_b.variance().to_bits());
     assert_eq!(stats_a.min().to_bits(), stats_b.min().to_bits());
     assert_eq!(stats_a.max().to_bits(), stats_b.max().to_bits());
-    assert_eq!(hist_a.bins(), hist_b.bins());
-    assert_eq!(hist_a.underflow(), hist_b.underflow());
-    assert_eq!(hist_a.overflow(), hist_b.overflow());
 }
 
 #[test]
 fn different_seeds_diverge() {
-    let (trace_a, _, _) = run_workload(1);
-    let (trace_b, _, _) = run_workload(2);
+    let (trace_a, _) = run_workload(1);
+    let (trace_b, _) = run_workload(2);
     assert_ne!(
         trace_a, trace_b,
         "distinct seeds must produce distinct traces"
@@ -105,7 +94,7 @@ fn different_seeds_diverge() {
 
 #[test]
 fn trace_is_time_ordered() {
-    let (trace, _, _) = run_workload(7);
+    let (trace, _) = run_workload(7);
     assert!(
         trace.windows(2).all(|w| w[0].0 <= w[1].0),
         "events must fire in non-decreasing virtual time"

@@ -172,14 +172,6 @@ impl LogGpParams {
         }
         SimTime::from_micros_f64(us)
     }
-
-    /// Minimum interval between message injections (pipelining limit); the
-    /// throughput of a stream of `size`-byte messages is bounded by
-    /// `max(g, s*G)`.
-    pub fn injection_interval(&self, size: usize) -> SimTime {
-        let bytes_us = size as f64 * self.per_byte_ns * 1e-3;
-        SimTime::from_micros_f64(self.gap_us.max(bytes_us))
-    }
 }
 
 #[cfg(test)]
@@ -255,14 +247,6 @@ mod tests {
         let r = p.rma(true, 1024, CompletionMode::BusyPoll);
         let delta = r.as_micros_f64() - w.as_micros_f64();
         assert!((delta - p.latency_us).abs() < 1e-9);
-    }
-
-    #[test]
-    fn injection_interval_respects_gap_floor() {
-        let p = LogGpParams::ugni();
-        assert_eq!(p.injection_interval(1), SimTime::from_micros_f64(p.gap_us));
-        let big = p.injection_interval(1 << 20);
-        assert!(big > SimTime::from_micros_f64(p.gap_us));
     }
 
     #[test]

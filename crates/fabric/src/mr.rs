@@ -65,7 +65,6 @@ bitflags_lite! {
 /// writes through [`RegionTable`].
 #[derive(Debug)]
 pub struct MemoryRegion {
-    key: MrKey,
     data: Vec<u8>,
     access: AccessFlags,
     /// Node hosting the region (for routing / congestion accounting).
@@ -73,25 +72,6 @@ pub struct MemoryRegion {
 }
 
 impl MemoryRegion {
-    pub fn key(&self) -> MrKey {
-        self.key
-    }
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-    pub fn access(&self) -> AccessFlags {
-        self.access
-    }
-
-    /// Local read (no permission machinery beyond LOCAL_READ).
-    pub fn read_local(&self, offset: usize, len: usize) -> Result<Vec<u8>, MrError> {
-        let range = self.range(AccessFlags::LOCAL_READ, offset, len)?;
-        Ok(self.data[range].to_vec())
-    }
-
     /// The check every access runs: the flags grant `need`, and
     /// `[offset, offset + len)` lies inside the region (an overflowing end
     /// is out of bounds, not a panic).
@@ -104,12 +84,6 @@ impl MemoryRegion {
             return Err(MrError::OutOfBounds);
         }
         Ok(offset..end)
-    }
-
-    fn write(&mut self, need: AccessFlags, offset: usize, data: &[u8]) -> Result<(), MrError> {
-        let range = self.range(need, offset, data.len())?;
-        self.data[range].copy_from_slice(data);
-        Ok(())
     }
 }
 
@@ -154,24 +128,13 @@ impl RegionTable {
         len: usize,
         access: AccessFlags,
     ) -> MrKey {
-        self.register_with_data(node, vec![0; len], access)
-    }
-
-    /// Register a region initialised with `data`.
-    pub fn register_with_data(
-        &mut self,
-        node: crate::network::NodeId,
-        data: Vec<u8>,
-        access: AccessFlags,
-    ) -> MrKey {
         self.next_key += 1;
         let key = MrKey(self.next_key);
-        *self.pinned_bytes_per_node.entry(node).or_insert(0) += data.len();
+        *self.pinned_bytes_per_node.entry(node).or_insert(0) += len;
         self.regions.insert(
             key,
             MemoryRegion {
-                key,
-                data,
+                data: vec![0; len],
                 access,
                 node,
             },
@@ -188,39 +151,9 @@ impl RegionTable {
         Ok(region.data)
     }
 
-    pub fn get(&self, key: MrKey) -> Result<&MemoryRegion, MrError> {
-        self.regions.get(&key).ok_or(MrError::UnknownRegion)
-    }
-
     /// Total pinned bytes on a node (counts against its free memory).
     pub fn pinned_bytes(&self, node: crate::network::NodeId) -> usize {
         self.pinned_bytes_per_node.get(&node).copied().unwrap_or(0)
-    }
-
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
-
-    /// Remote read: permission-checked copy out of the region.
-    pub fn remote_read(&self, key: MrKey, offset: usize, len: usize) -> Result<Vec<u8>, MrError> {
-        let region = self.get(key)?;
-        let range = region.range(AccessFlags::REMOTE_READ, offset, len)?;
-        Ok(region.data[range].to_vec())
-    }
-
-    /// Remote write: permission-checked copy into the region.
-    pub fn remote_write(&mut self, key: MrKey, offset: usize, data: &[u8]) -> Result<(), MrError> {
-        self.get_mut(key)?
-            .write(AccessFlags::REMOTE_WRITE, offset, data)
-    }
-
-    /// Local write by the owner.
-    pub fn local_write(&mut self, key: MrKey, offset: usize, data: &[u8]) -> Result<(), MrError> {
-        self.get_mut(key)?
-            .write(AccessFlags::LOCAL_WRITE, offset, data)
     }
 
     /// The `len` bytes at `(key, offset)` as a NIC on `node` reaches them:
@@ -259,40 +192,47 @@ mod tests {
         (t, key)
     }
 
+    const READ: AccessFlags = AccessFlags::REMOTE_READ;
+    const WRITE: AccessFlags = AccessFlags::REMOTE_WRITE;
+
     #[test]
     fn register_read_write_roundtrip() {
         let (mut t, key) = table_with_region(AccessFlags::all());
-        t.remote_write(key, 8, b"hello").unwrap();
-        let out = t.remote_read(key, 8, 5).unwrap();
-        assert_eq!(&out[..], b"hello");
+        t.reach(NodeId(0), key, WRITE, 8, 5)
+            .unwrap()
+            .copy_from_slice(b"hello");
+        assert_eq!(t.reach(NodeId(0), key, READ, 8, 5).unwrap(), b"hello");
     }
 
     #[test]
     fn out_of_bounds_rejected() {
         let (mut t, key) = table_with_region(AccessFlags::all());
-        assert_eq!(t.remote_read(key, 60, 8).unwrap_err(), MrError::OutOfBounds);
         assert_eq!(
-            t.remote_write(key, 64, b"x").unwrap_err(),
+            t.reach(NodeId(0), key, READ, 60, 8).unwrap_err(),
+            MrError::OutOfBounds
+        );
+        assert_eq!(
+            t.reach(NodeId(0), key, WRITE, 64, 1).unwrap_err(),
             MrError::OutOfBounds
         );
         // Overflowing offset+len must not panic.
         assert_eq!(
-            t.remote_read(key, usize::MAX, 2).unwrap_err(),
+            t.reach(NodeId(0), key, READ, usize::MAX, 2).unwrap_err(),
             MrError::OutOfBounds
         );
     }
 
     #[test]
     fn permissions_enforced() {
-        let (mut t, key) = table_with_region(AccessFlags::REMOTE_READ);
-        assert!(t.remote_read(key, 0, 4).is_ok());
+        let (mut t, key) = table_with_region(READ);
+        assert!(t.reach(NodeId(0), key, READ, 0, 4).is_ok());
         assert_eq!(
-            t.remote_write(key, 0, b"x").unwrap_err(),
+            t.reach(NodeId(0), key, WRITE, 0, 1).unwrap_err(),
             MrError::AccessDenied
         );
-        let (t2, key2) = table_with_region(AccessFlags::REMOTE_WRITE);
+        let (mut t2, key2) = table_with_region(WRITE);
         assert_eq!(
-            t2.remote_read(key2, 0, 4).unwrap_err(),
+            t2.reach(NodeId(0), key2, READ, 0, 4).unwrap_err(),
             MrError::AccessDenied
         );
     }

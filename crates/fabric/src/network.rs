@@ -54,15 +54,6 @@ impl Network {
         }
     }
 
-    /// Aries-like defaults: ~10 GB/s per NIC, large core.
-    pub fn aries(nodes: usize) -> Self {
-        Network::new(10.2e9, 10.2e9 * (nodes as f64) * 0.6)
-    }
-
-    pub fn link_bps(&self) -> f64 {
-        self.link_bps
-    }
-
     /// Register a flow between two nodes. Intra-node flows (src == dst) do
     /// not consume fabric resources but are tracked for completeness.
     pub fn open_flow(&mut self, src: NodeId, dst: NodeId) -> FlowId {
@@ -74,10 +65,6 @@ impl Network {
 
     pub fn close_flow(&mut self, id: FlowId) -> bool {
         self.flows.remove(&id).is_some()
-    }
-
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
     }
 
     fn flows_at(&self, node: NodeId, outgoing: bool) -> usize {

@@ -74,8 +74,6 @@ pub struct Fabric {
     pub drc: DrcManager,
     pub network: Network,
     transport: Transport,
-    ops: u64,
-    bytes_moved: u64,
 }
 
 impl Fabric {
@@ -91,19 +89,7 @@ impl Fabric {
             drc: DrcManager::new(),
             network,
             transport,
-            ops: 0,
-            bytes_moved: 0,
         }
-    }
-
-    pub fn transport(&self) -> Transport {
-        self.transport
-    }
-    pub fn ops_count(&self) -> u64 {
-        self.ops
-    }
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
     }
 
     /// Time to connect a new QP: a control round trip plus endpoint setup.
@@ -163,8 +149,6 @@ impl Fabric {
         let flow = self.network.open_flow(qp.local, qp.remote);
         let contended = self.network.transfer_time(flow, size);
         self.network.close_flow(flow);
-        self.ops += 1;
-        self.bytes_moved += size as u64;
         base.max(contended)
     }
 
@@ -253,12 +237,6 @@ impl Fabric {
     pub fn register_buffer(&mut self, node: NodeId, len: usize) -> MrKey {
         self.regions.register(node, len, AccessFlags::all())
     }
-
-    /// Register a buffer initialised with `data`.
-    pub fn register_buffer_with(&mut self, node: NodeId, data: &[u8]) -> MrKey {
-        self.regions
-            .register_with_data(node, data.to_vec(), AccessFlags::all())
-    }
 }
 
 #[cfg(test)]
@@ -306,10 +284,17 @@ mod tests {
                 read,
                 "read of {len} B"
             );
-            assert_eq!(timed.ops_count(), real.ops_count());
-            assert_eq!(timed.bytes_moved(), real.bytes_moved());
-            let untouched = timed.regions.remote_read(tmr, 0, len).unwrap();
-            assert!(untouched.iter().all(|&b| b == 0), "rdma_time moved bytes");
+            let region = |f: &mut Fabric, mr| {
+                f.regions
+                    .reach(NodeId(1), mr, AccessFlags::REMOTE_READ, 0, len)
+                    .unwrap()
+                    .to_vec()
+            };
+            assert!(region(&mut real, mr).iter().all(|&b| b == 7));
+            assert!(
+                region(&mut timed, tmr).iter().all(|&b| b == 0),
+                "rdma_time moved bytes"
+            );
         }
     }
 
@@ -412,7 +397,10 @@ mod tests {
         );
         assert_eq!(fabric.rdma_read(&qp, elsewhere, 0, 1).unwrap_err(), unknown);
         assert_eq!(
-            &fabric.regions.remote_read(elsewhere, 0, 1).unwrap()[..],
+            fabric
+                .regions
+                .reach(NodeId(3), elsewhere, AccessFlags::REMOTE_READ, 0, 1)
+                .unwrap(),
             &[0],
             "the refused write must not land"
         );
@@ -481,15 +469,6 @@ mod tests {
             fabric.rdma_write(&qp, mr, 4090, b"overflow!").unwrap_err(),
             VerbsError::Mr(MrError::OutOfBounds)
         ));
-    }
-
-    #[test]
-    fn accounting_tracks_ops_and_bytes() {
-        let (mut fabric, qp, mr) = setup();
-        fabric.rdma_write(&qp, mr, 0, &[0u8; 1000]).unwrap();
-        fabric.rdma_read(&qp, mr, 0, 500).unwrap();
-        assert_eq!(fabric.ops_count(), 2);
-        assert_eq!(fabric.bytes_moved(), 1500);
     }
 
     #[test]

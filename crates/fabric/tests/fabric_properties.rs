@@ -1,8 +1,25 @@
 //! Property tests of the fabric: region-table safety, DRC authority, and
 //! cost-model sanity under arbitrary operation sequences.
 
-use fabric::{AccessFlags, CompletionMode, DrcManager, JobToken, LogGpParams, NodeId, RegionTable};
+use fabric::{
+    AccessFlags, CompletionMode, DrcManager, Fabric, JobToken, LogGpParams, MrKey, NodeId,
+    QueuePair, RegionTable, Transport,
+};
 use proptest::prelude::*;
+
+/// A fabric with a connected QP from node 0 to node 1 and a `size`-byte
+/// region on node 1: the path the memory service's one-sided ops take.
+fn connected(size: usize) -> (Fabric, QueuePair, MrKey) {
+    let mut fabric = Fabric::new(Transport::Ugni, 2);
+    let (owner, client) = (JobToken(2), JobToken(1));
+    let cred = fabric.drc.allocate(owner);
+    fabric.drc.grant(cred, owner, client).unwrap();
+    let (qp, _) = fabric
+        .connect(NodeId(0), NodeId(1), cred, client, CompletionMode::BusyPoll)
+        .unwrap();
+    let mr = fabric.register_buffer(NodeId(1), size);
+    (fabric, qp, mr)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -13,10 +30,9 @@ proptest! {
         offset in 0usize..8192,
         len in 0usize..8192,
     ) {
-        let mut t = RegionTable::new();
-        let key = t.register(NodeId(0), size, AccessFlags::all());
-        match t.remote_read(key, offset, len) {
-            Ok(data) => {
+        let (mut fabric, qp, mr) = connected(size);
+        match fabric.rdma_read(&qp, mr, offset, len) {
+            Ok((data, _)) => {
                 prop_assert!(offset + len <= size);
                 prop_assert_eq!(data.len(), len);
             }
@@ -30,14 +46,13 @@ proptest! {
         offset in 0usize..4096,
         payload in prop::collection::vec(any::<u8>(), 1..256),
     ) {
-        let mut t = RegionTable::new();
-        let key = t.register(NodeId(0), size, AccessFlags::all());
+        let (mut fabric, qp, mr) = connected(size);
         if offset + payload.len() <= size {
-            t.remote_write(key, offset, &payload).unwrap();
-            let back = t.remote_read(key, offset, payload.len()).unwrap();
+            fabric.rdma_write(&qp, mr, offset, &payload).unwrap();
+            let (back, _) = fabric.rdma_read(&qp, mr, offset, payload.len()).unwrap();
             prop_assert_eq!(&back[..], &payload[..]);
         } else {
-            prop_assert!(t.remote_write(key, offset, &payload).is_err());
+            prop_assert!(fabric.rdma_write(&qp, mr, offset, &payload).is_err());
         }
     }
 

@@ -65,16 +65,6 @@ impl KernelSpec {
             efficiency,
         }
     }
-
-    /// Arithmetic intensity (FLOPs per byte).
-    pub fn intensity(&self) -> f64 {
-        self.flops / self.bytes_accessed.max(1.0)
-    }
-
-    /// Is this kernel compute-bound on `device`?
-    pub fn compute_bound(&self, device: &GpuDevice) -> bool {
-        self.intensity() > device.peak_flops / device.mem_bps
-    }
 }
 
 #[cfg(test)]
@@ -87,10 +77,17 @@ mod tests {
         // P100 knee: 4.7e12 / 732e9 ≈ 6.4 FLOP/byte.
         let knee = d.peak_flops / d.mem_bps;
         assert!((knee - 6.42).abs() < 0.1);
+        // Either side of the knee, the kernel takes its bound's time.
         let compute_heavy = KernelSpec::new(1e12, 1e9, 1.0);
         let memory_heavy = KernelSpec::new(1e9, 1e12, 1.0);
-        assert!(compute_heavy.compute_bound(&d));
-        assert!(!memory_heavy.compute_bound(&d));
+        assert_eq!(
+            d.kernel_time(&compute_heavy),
+            SimTime::from_secs_f64(d.launch_latency_s + 1e12 / d.peak_flops)
+        );
+        assert_eq!(
+            d.kernel_time(&memory_heavy),
+            SimTime::from_secs_f64(d.launch_latency_s + 1e12 / d.mem_bps)
+        );
     }
 
     #[test]

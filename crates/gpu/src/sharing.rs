@@ -45,17 +45,6 @@ impl GpuAssignment {
         }
     }
 
-    /// Total GRES slots per node.
-    pub fn slots_per_node(&self) -> u32 {
-        self.devices_per_node * self.partitions_per_device()
-    }
-
-    /// Free slots on a node.
-    pub fn free_on(&self, node: u32) -> u32 {
-        let used = self.assigned.keys().filter(|(n, _, _)| *n == node).count() as u32;
-        self.slots_per_node() - used
-    }
-
     /// Acquire one slot on `node` for `holder`; returns the GRES tuple.
     pub fn acquire(&mut self, node: u32, holder: u64) -> Option<(u32, u32, u32)> {
         for dev in 0..self.devices_per_node {
@@ -74,20 +63,6 @@ impl GpuAssignment {
     pub fn release(&mut self, key: (u32, u32, u32)) -> bool {
         self.assigned.remove(&key).is_some()
     }
-
-    /// Release everything a holder owns (function teardown).
-    pub fn release_holder(&mut self, holder: u64) -> usize {
-        let keys: Vec<_> = self
-            .assigned
-            .iter()
-            .filter(|(_, h)| **h == holder)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in &keys {
-            self.assigned.remove(k);
-        }
-        keys.len()
-    }
 }
 
 #[cfg(test)]
@@ -97,9 +72,7 @@ mod tests {
     #[test]
     fn exclusive_device_one_holder() {
         let mut a = GpuAssignment::new(GpuSharingPolicy::ExclusiveDevice, 1);
-        assert_eq!(a.free_on(0), 1);
         let slot = a.acquire(0, 100).unwrap();
-        assert_eq!(a.free_on(0), 0);
         assert!(a.acquire(0, 101).is_none(), "no GPU sharing");
         a.release(slot);
         assert!(a.acquire(0, 101).is_some());
@@ -108,23 +81,11 @@ mod tests {
     #[test]
     fn partitioning_multiplies_slots() {
         let mut a = GpuAssignment::new(GpuSharingPolicy::Partitioned { per_device: 4 }, 2);
-        assert_eq!(a.slots_per_node(), 8);
         for i in 0..8 {
             assert!(a.acquire(3, i).is_some());
         }
         assert!(a.acquire(3, 99).is_none());
-        assert_eq!(a.free_on(3), 0);
-        assert_eq!(a.free_on(4), 8, "other nodes unaffected");
-    }
-
-    #[test]
-    fn release_holder_frees_all() {
-        let mut a = GpuAssignment::new(GpuSharingPolicy::Partitioned { per_device: 2 }, 1);
-        a.acquire(0, 7).unwrap();
-        a.acquire(0, 7).unwrap();
-        assert_eq!(a.release_holder(7), 2);
-        assert_eq!(a.free_on(0), 2);
-        assert_eq!(a.release_holder(7), 0);
+        assert!(a.acquire(4, 99).is_some(), "other nodes unaffected");
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod policy;
 pub mod pricing;
 pub mod profiles;
 
-pub use history::{ColocationHistory, ColocationRecord};
+pub use history::ColocationHistory;
 pub use model::{slowdowns, Demand, NodeCapacity};
 pub use policy::{ColocationPolicy, Decision, DecisionSource, PolicyConfig, RejectReason};
 pub use pricing::PricingModel;

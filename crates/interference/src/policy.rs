@@ -15,7 +15,7 @@
 //!    and therefore off the scheduling critical path).
 //! 5. The co-location outcome is fed back into the history.
 
-use crate::history::{ColocationHistory, ColocationRecord};
+use crate::history::ColocationHistory;
 use crate::model::{colocation_overhead_pct, Demand, NodeCapacity};
 
 /// Policy thresholds.
@@ -154,22 +154,9 @@ impl ColocationPolicy {
         }
     }
 
-    /// Feed a measured outcome back (Fig. 4's feedback edge).
-    pub fn record_outcome(
-        &mut self,
-        batch: &str,
-        function: &str,
-        batch_overhead_pct: f64,
-        function_overhead_pct: f64,
-    ) {
-        self.history.record(
-            batch,
-            function,
-            ColocationRecord {
-                batch_overhead_pct,
-                function_overhead_pct,
-            },
-        );
+    /// Feed a measured batch-job overhead back (Fig. 4's feedback edge).
+    pub fn record_outcome(&mut self, batch: &str, function: &str, batch_overhead_pct: f64) {
+        self.history.record(batch, function, batch_overhead_pct);
     }
 }
 
@@ -266,7 +253,7 @@ mod tests {
         let mut p = ColocationPolicy::default();
         // Record bad outcomes for a pair the model would accept.
         for _ in 0..3 {
-            p.record_outcome(&lulesh.name, &ep.name, 12.0, 3.0);
+            p.record_outcome(&lulesh.name, &ep.name, 12.0);
         }
         let d = p.decide(&cap, &lulesh, 2, true, &ep, 128, 4.0, 64 * 1024);
         assert_eq!(
@@ -281,7 +268,7 @@ mod tests {
     fn insufficient_history_falls_back_to_model() {
         let (cap, lulesh, ep, _) = setup();
         let mut p = ColocationPolicy::default();
-        p.record_outcome(&lulesh.name, &ep.name, 50.0, 0.0); // one bad sample
+        p.record_outcome(&lulesh.name, &ep.name, 50.0); // one bad sample
         let d = p.decide(&cap, &lulesh, 2, true, &ep, 128, 4.0, 64 * 1024);
         assert!(
             matches!(
@@ -300,7 +287,7 @@ mod tests {
         let (cap, lulesh, ep, _) = setup();
         let mut p = ColocationPolicy::default();
         for _ in 0..5 {
-            p.record_outcome(&lulesh.name, &ep.name, 1.5, 8.0);
+            p.record_outcome(&lulesh.name, &ep.name, 1.5);
         }
         let d = p.decide(&cap, &lulesh, 2, true, &ep, 128, 4.0, 64 * 1024);
         match d {

@@ -128,7 +128,7 @@ fn compute(sim: &mut Simulation, params: &Params) -> AblationReport {
     for d in &candidates {
         let measured = overhead_of(d);
         for _ in 0..3 {
-            hist_policy.record_outcome(&victim.name, &d.name, measured, 5.0);
+            hist_policy.record_outcome(&victim.name, &d.name, measured);
         }
     }
     let history_worst = candidates
