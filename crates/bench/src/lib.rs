@@ -7,6 +7,8 @@
 //! report, `scenarios run` sweeps. This file holds only the trace-replay
 //! reference workload behind `ci/trace_reference.json`.
 
+#![forbid(unsafe_code)]
+
 /// The canonical trace-replay artifact behind `ci/trace_reference.json`:
 /// fixed `(profile, horizon, seed)` workloads covering the scheduler's three
 /// regimes — an exclusive-only stream, an overloaded backlog that keeps the

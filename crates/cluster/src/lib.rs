@@ -7,6 +7,8 @@
 //! March-2022 statistics of Fig. 1; a 2-minute sampling monitor reproducing
 //! the paper's idle-CPU / free-memory / idle-period measurements.
 
+#![forbid(unsafe_code)]
+
 /// This crate's version, folded into the sweep result cache's engine salt:
 /// scheduler/trace semantics changes ship as version bumps, which must
 /// invalidate memoized simulation results.

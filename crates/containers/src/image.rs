@@ -1,5 +1,5 @@
 //! Container images: the code a function ships as, identified by content
-//! hash, with its size for pull and swap costs.
+//! hash, with its size for pull costs.
 
 /// Image identifier (content hash in a real registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -109,15 +109,16 @@ impl WarmPool {
         Ok(())
     }
 
-    /// Take a warm container for `image`, preferring `prefer_node`.
+    /// Take the most recently parked container for `image` on `node`; a
+    /// container on any other node is no use to an executor placed there.
     /// Records hit/miss statistics.
-    pub fn take(&mut self, image: ImageId, prefer_node: Option<NodeId>) -> Option<WarmContainer> {
+    pub fn take(&mut self, image: ImageId, node: NodeId) -> Option<WarmContainer> {
         let pick = self
             .containers
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.image == image)
-            .max_by_key(|(_, c)| (Some(c.node) == prefer_node, c.parked_at))
+            .filter(|(_, c)| c.image == image && c.node == node)
+            .max_by_key(|(_, c)| c.parked_at)
             .map(|(i, _)| i);
         match pick {
             Some(i) => {
@@ -147,20 +148,14 @@ impl WarmPool {
 
     /// Batch system reclaims `node`: every warm container there is dropped
     /// immediately ("removed immediately without consequences", Sec. IV-B).
-    /// Returns the evicted containers so they can be swapped to the PFS.
-    pub fn reclaim_node(&mut self, node: NodeId) -> Vec<WarmContainer> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.containers.len() {
-            if self.containers[i].node == node {
-                out.push(self.containers.remove(i));
-                self.stats.reclaims += 1;
-            } else {
-                i += 1;
-            }
-        }
+    /// Returns how many were dropped.
+    pub fn reclaim_node(&mut self, node: NodeId) -> usize {
+        let before = self.containers.len();
+        self.containers.retain(|c| c.node != node);
+        let dropped = before - self.containers.len();
+        self.stats.reclaims += dropped as u64;
         self.budgets_mb.insert(node, 0);
-        out
+        dropped
     }
 }
 
@@ -182,8 +177,8 @@ mod tests {
         let mut pool = WarmPool::new();
         pool.set_budget(NodeId(0), 4096);
         pool.park(wc(1, 0, 1024, 0)).unwrap();
-        assert!(pool.take(ImageId(1), None).is_some());
-        assert!(pool.take(ImageId(1), None).is_none());
+        assert!(pool.take(ImageId(1), NodeId(0)).is_some());
+        assert!(pool.take(ImageId(1), NodeId(0)).is_none());
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -218,8 +213,10 @@ mod tests {
         pool.set_budget(NodeId(1), 4096);
         pool.park(wc(1, 0, 100, 5)).unwrap();
         pool.park(wc(1, 1, 100, 1)).unwrap();
-        let c = pool.take(ImageId(1), Some(NodeId(1))).unwrap();
-        assert_eq!(c.node, NodeId(1), "prefers requested node over recency");
+        let c = pool.take(ImageId(1), NodeId(1)).unwrap();
+        assert_eq!(c.node, NodeId(1), "takes from the requested node only");
+        assert!(pool.take(ImageId(1), NodeId(2)).is_none());
+        assert_eq!(pool.len(), 1, "node 0's container stays parked");
     }
 
     #[test]
@@ -230,8 +227,8 @@ mod tests {
         pool.park(wc(1, 0, 100, 0)).unwrap();
         pool.park(wc(2, 0, 100, 0)).unwrap();
         pool.park(wc(3, 1, 100, 0)).unwrap();
-        let evicted = pool.reclaim_node(NodeId(0));
-        assert_eq!(evicted.len(), 2);
+        assert_eq!(pool.reclaim_node(NodeId(0)), 2);
+        assert_eq!(pool.stats().reclaims, 2);
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.budget(NodeId(0)), 0);
         assert!(

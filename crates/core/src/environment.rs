@@ -62,10 +62,6 @@ impl EnvironmentMatrix {
             ],
         }
     }
-
-    pub fn row(&self, dimension: &str) -> Option<&EnvironmentRow> {
-        self.rows.iter().find(|r| r.dimension == dimension)
-    }
 }
 
 #[cfg(test)]
@@ -75,22 +71,24 @@ mod tests {
     #[test]
     fn matrix_covers_all_five_dimensions() {
         let m = EnvironmentMatrix::table1();
-        assert_eq!(m.rows.len(), 5);
-        for d in [
-            "Network",
-            "Sandbox",
-            "Storage",
-            "Communication",
-            "Placement",
-        ] {
-            assert!(m.row(d).is_some(), "{d} missing");
-        }
+        let dimensions: Vec<_> = m.rows.iter().map(|r| r.dimension).collect();
+        assert_eq!(
+            dimensions,
+            [
+                "Network",
+                "Sandbox",
+                "Storage",
+                "Communication",
+                "Placement"
+            ]
+        );
     }
 
     #[test]
     fn hpc_network_is_rdma_not_tcp() {
         let m = EnvironmentMatrix::table1();
-        let net = m.row("Network").unwrap();
+        let net = &m.rows[0];
+        assert_eq!(net.dimension, "Network");
         assert_eq!(net.cloud_faas, "TCP");
         assert!(net.hpc_faas.contains("uGNI"));
     }

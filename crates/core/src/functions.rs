@@ -2,7 +2,7 @@
 
 use containers::{ContainerImage, ContainerRuntime};
 use des::SimTime;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Unique function identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,8 +47,7 @@ pub struct FunctionDef {
 #[derive(Debug, Default)]
 pub struct FunctionRegistry {
     next: u64,
-    functions: HashMap<FunctionId, FunctionDef>,
-    by_name: HashMap<String, FunctionId>,
+    functions: BTreeMap<FunctionId, FunctionDef>,
 }
 
 impl FunctionRegistry {
@@ -81,16 +80,11 @@ impl FunctionRegistry {
                 demand,
             },
         );
-        self.by_name.insert(name.to_string(), id);
         id
     }
 
     pub fn get(&self, id: FunctionId) -> Option<&FunctionDef> {
         self.functions.get(&id)
-    }
-
-    pub fn by_name(&self, name: &str) -> Option<&FunctionDef> {
-        self.by_name.get(name).and_then(|id| self.functions.get(id))
     }
 
     /// A no-op function for latency microbenchmarks (Fig. 7).
@@ -123,9 +117,9 @@ mod tests {
     fn register_and_lookup() {
         let mut reg = FunctionRegistry::new();
         let id = reg.register_noop();
-        assert_eq!(reg.get(id).unwrap().name, "noop");
-        assert_eq!(reg.by_name("noop").unwrap().id, id);
-        assert!(reg.by_name("missing").is_none());
+        let noop = reg.get(id).unwrap();
+        assert_eq!((noop.id, noop.name.as_str()), (id, "noop"));
+        assert!(reg.get(FunctionId(id.0 + 1)).is_none());
     }
 
     #[test]

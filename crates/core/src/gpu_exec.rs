@@ -2,7 +2,6 @@
 //! GRES, keep data warm in device memory, and need only a single host core
 //! to feed kernels — so they co-locate with CPU-only batch jobs.
 
-use crate::functions::FunctionRequirements;
 use des::SimTime;
 use gpu::{GpuAssignment, GpuDevice, RodiniaBenchmark, RodiniaProfile};
 use interference::{Demand, WorkloadProfile};
@@ -67,15 +66,6 @@ impl GpuFunction {
         })
     }
 
-    /// Host-side resource requirements — a single management core.
-    pub fn requirements(&self) -> FunctionRequirements {
-        FunctionRequirements {
-            cores: 1.0,
-            memory_mb: (self.profile.h2d_bytes / (1 << 20)).max(256),
-            gpus: 1,
-        }
-    }
-
     /// Host-side interference demand while running (what the co-located
     /// batch job feels).
     pub fn host_demand(&self) -> Demand {
@@ -102,11 +92,6 @@ impl GpuFunction {
         self.invocations += 1;
         GpuInvocationTiming { h2d, kernels, d2h }
     }
-
-    /// Release the GRES slot.
-    pub fn teardown(self, gres: &mut GpuAssignment) {
-        gres.release(self.gres);
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +113,7 @@ mod tests {
                 .unwrap_err(),
             GpuExecError::NoGpuAvailable
         );
-        f.teardown(&mut g);
+        assert!(g.release(f.gres));
         assert!(
             GpuFunction::deploy(RodiniaBenchmark::Bfs, GpuDevice::p100(), &mut g, 0, 2).is_ok()
         );
@@ -163,8 +148,6 @@ mod tests {
         let mut g = gres();
         let f = GpuFunction::deploy(RodiniaBenchmark::Gaussian, GpuDevice::p100(), &mut g, 0, 1)
             .unwrap();
-        assert_eq!(f.requirements().cores, 1.0);
-        assert_eq!(f.requirements().gpus, 1);
         let d = f.host_demand();
         assert!(d.cores <= 1.0, "host demand within the management core");
     }

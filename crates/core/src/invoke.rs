@@ -229,6 +229,28 @@ mod tests {
     }
 
     #[test]
+    fn expired_leases_give_their_capacity_back() {
+        // Every invocation finds the previous 5-minute lease expired and
+        // redirects. An expired lease draws nothing, so the 4-core donation
+        // never fills up with leases nobody can use.
+        let mut mgr = ResourceManager::new();
+        mgr.register_resources(
+            NodeId(0),
+            FunctionRequirements::cpu(4.0, 100 * 1024),
+            DonationSource::IdleNode,
+            None,
+            NodeCapacity::daint_mc(),
+        );
+        let mut client = Client::new(fast_function(), ExecutorMode::Hot, LogGpParams::ugni());
+        for i in 0..8 {
+            client
+                .invoke(&mut mgr, 64, 64, SimTime::from_mins(10 * i))
+                .unwrap_or_else(|e| panic!("invocation {i}: {e}"));
+        }
+        assert_eq!(client.stats.redirects, 7);
+    }
+
+    #[test]
     fn no_resources_error() {
         let mut mgr = ResourceManager::new();
         let mut client = Client::new(fast_function(), ExecutorMode::Hot, LogGpParams::ugni());

@@ -1,16 +1,16 @@
 //! Leases: rFaaS's mechanism for ephemeral resource allocation.
 //!
 //! A lease grants a client a set of executor resources on a node for a
-//! bounded time. Leases can be renewed while active, expire silently, or be
-//! cancelled by the resource manager when the batch system reclaims the node
-//! — in which case the client library redirects subsequent invocations to a
-//! replacement lease (Sec. III-A).
+//! bounded time. Leases expire silently, or are cancelled by the resource
+//! manager when the batch system reclaims the node — in which case the
+//! client library redirects subsequent invocations to a replacement lease
+//! (Sec. III-A). An expired lease keeps its `Active` state: it stops
+//! counting against its node because it is no longer usable at `now`.
 
 use crate::functions::FunctionRequirements;
 use des::SimTime;
 use fabric::NodeId;
-use std::collections::HashMap;
-use std::fmt;
+use std::collections::BTreeMap;
 
 /// Unique lease identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,8 +22,6 @@ pub enum LeaseState {
     Active,
     /// Cancelled by the manager; client must redirect.
     Cancelled,
-    /// Ran past its expiry without renewal.
-    Expired,
     /// Cancelled but still finishing in-flight invocations (graceful drain).
     Draining,
 }
@@ -34,7 +32,6 @@ pub struct Lease {
     pub id: LeaseId,
     pub node: NodeId,
     pub resources: FunctionRequirements,
-    pub granted_at: SimTime,
     pub expires_at: SimTime,
     pub state: LeaseState,
 }
@@ -45,29 +42,11 @@ impl Lease {
     }
 }
 
-/// Lease bookkeeping errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaseError {
-    Unknown,
-    NotActive,
-}
-
-impl fmt::Display for LeaseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LeaseError::Unknown => write!(f, "unknown lease"),
-            LeaseError::NotActive => write!(f, "lease is not active"),
-        }
-    }
-}
-
-impl std::error::Error for LeaseError {}
-
-/// Tracks all leases in the system.
+/// Tracks all leases in the system, in grant order.
 #[derive(Debug, Default)]
 pub struct LeaseManager {
     next: u64,
-    leases: HashMap<LeaseId, Lease>,
+    leases: BTreeMap<LeaseId, Lease>,
 }
 
 impl LeaseManager {
@@ -90,7 +69,6 @@ impl LeaseManager {
                 id,
                 node,
                 resources,
-                granted_at: now,
                 expires_at: now + duration,
                 state: LeaseState::Active,
             },
@@ -102,69 +80,37 @@ impl LeaseManager {
         self.leases.get(&id)
     }
 
-    /// Extend an active lease.
-    pub fn renew(
-        &mut self,
-        id: LeaseId,
-        now: SimTime,
-        duration: SimTime,
-    ) -> Result<(), LeaseError> {
-        let lease = self.leases.get_mut(&id).ok_or(LeaseError::Unknown)?;
-        if !lease.is_usable(now) {
-            return Err(LeaseError::NotActive);
-        }
-        lease.expires_at = now + duration;
-        Ok(())
-    }
-
-    /// Cancel a lease. `graceful` lets in-flight invocations finish
-    /// (Sec. IV-E: "active invocations are allowed to finish").
-    pub fn cancel(&mut self, id: LeaseId, graceful: bool) -> Result<LeaseState, LeaseError> {
-        let lease = self.leases.get_mut(&id).ok_or(LeaseError::Unknown)?;
-        if lease.state != LeaseState::Active && lease.state != LeaseState::Draining {
-            return Err(LeaseError::NotActive);
-        }
+    /// Cancel an active lease; `None` if it is unknown or no longer active.
+    /// `graceful` lets in-flight invocations finish (Sec. IV-E: "active
+    /// invocations are allowed to finish").
+    pub fn cancel(&mut self, id: LeaseId, graceful: bool) -> Option<LeaseState> {
+        let lease = self
+            .leases
+            .get_mut(&id)
+            .filter(|l| l.state == LeaseState::Active)?;
         lease.state = if graceful {
             LeaseState::Draining
         } else {
             LeaseState::Cancelled
         };
-        Ok(lease.state)
+        Some(lease.state)
     }
 
-    /// A draining lease finished its last invocation.
-    pub fn finish_drain(&mut self, id: LeaseId) -> Result<(), LeaseError> {
-        let lease = self.leases.get_mut(&id).ok_or(LeaseError::Unknown)?;
-        if lease.state != LeaseState::Draining {
-            return Err(LeaseError::NotActive);
-        }
-        lease.state = LeaseState::Cancelled;
-        Ok(())
-    }
-
-    /// Mark expired leases; returns the ids that flipped.
-    pub fn sweep_expired(&mut self, now: SimTime) -> Vec<LeaseId> {
-        let mut flipped = Vec::new();
-        for (id, lease) in self.leases.iter_mut() {
-            if lease.state == LeaseState::Active && now >= lease.expires_at {
-                lease.state = LeaseState::Expired;
-                flipped.push(*id);
-            }
-        }
-        flipped.sort();
-        flipped
+    /// Leases usable at `now` on `node`, in grant order: the draw on the
+    /// node's donation.
+    pub(crate) fn usable_on(&self, node: NodeId, now: SimTime) -> impl Iterator<Item = &Lease> {
+        self.leases
+            .values()
+            .filter(move |l| l.node == node && l.is_usable(now))
     }
 
     /// All active leases on a node (the set to cancel on reclaim).
     pub fn active_on(&self, node: NodeId) -> Vec<LeaseId> {
-        let mut v: Vec<LeaseId> = self
-            .leases
+        self.leases
             .values()
             .filter(|l| l.node == node && l.state == LeaseState::Active)
             .map(|l| l.id)
-            .collect();
-        v.sort();
-        v
+            .collect()
     }
 
     pub fn active_count(&self) -> usize {
@@ -184,38 +130,35 @@ mod tests {
     }
 
     #[test]
-    fn grant_renew_expire() {
+    fn grant_then_expire() {
         let mut lm = LeaseManager::new();
         let id = lm.grant(NodeId(0), reqs(), SimTime::ZERO, SimTime::from_secs(30));
         assert!(lm.get(id).unwrap().is_usable(SimTime::from_secs(10)));
-        lm.renew(id, SimTime::from_secs(10), SimTime::from_secs(30))
-            .unwrap();
-        assert!(lm.get(id).unwrap().is_usable(SimTime::from_secs(35)));
-        let flipped = lm.sweep_expired(SimTime::from_secs(50));
-        assert_eq!(flipped, vec![id]);
-        assert_eq!(lm.get(id).unwrap().state, LeaseState::Expired);
-        assert_eq!(
-            lm.renew(id, SimTime::from_secs(51), SimTime::from_secs(1)),
-            Err(LeaseError::NotActive)
-        );
+        assert_eq!(lm.usable_on(NodeId(0), SimTime::from_secs(10)).count(), 1);
+        // Expiry needs no sweep: past `expires_at` the lease is unusable and
+        // draws nothing, though it stays active until someone cancels it.
+        assert!(!lm.get(id).unwrap().is_usable(SimTime::from_secs(30)));
+        assert_eq!(lm.usable_on(NodeId(0), SimTime::from_secs(30)).count(), 0);
+        assert_eq!(lm.active_on(NodeId(0)), vec![id]);
     }
 
     #[test]
     fn graceful_cancel_drains_then_closes() {
         let mut lm = LeaseManager::new();
         let id = lm.grant(NodeId(1), reqs(), SimTime::ZERO, SimTime::from_mins(5));
-        assert_eq!(lm.cancel(id, true).unwrap(), LeaseState::Draining);
+        assert_eq!(lm.cancel(id, true), Some(LeaseState::Draining));
         assert!(!lm.get(id).unwrap().is_usable(SimTime::from_secs(1)));
-        lm.finish_drain(id).unwrap();
-        assert_eq!(lm.get(id).unwrap().state, LeaseState::Cancelled);
+        assert_eq!(lm.usable_on(NodeId(1), SimTime::from_secs(1)).count(), 0);
+        assert_eq!(lm.cancel(id, false), None, "a draining lease is closed");
+        assert_eq!(lm.get(id).unwrap().state, LeaseState::Draining);
     }
 
     #[test]
     fn immediate_cancel() {
         let mut lm = LeaseManager::new();
         let id = lm.grant(NodeId(1), reqs(), SimTime::ZERO, SimTime::from_mins(5));
-        assert_eq!(lm.cancel(id, false).unwrap(), LeaseState::Cancelled);
-        assert_eq!(lm.cancel(id, false), Err(LeaseError::NotActive));
+        assert_eq!(lm.cancel(id, false), Some(LeaseState::Cancelled));
+        assert_eq!(lm.cancel(id, false), None);
     }
 
     #[test]
@@ -223,16 +166,17 @@ mod tests {
         let mut lm = LeaseManager::new();
         let a = lm.grant(NodeId(0), reqs(), SimTime::ZERO, SimTime::from_mins(5));
         let b = lm.grant(NodeId(0), reqs(), SimTime::ZERO, SimTime::from_mins(5));
-        let _c = lm.grant(NodeId(1), reqs(), SimTime::ZERO, SimTime::from_mins(5));
+        let c = lm.grant(NodeId(0), reqs(), SimTime::ZERO, SimTime::from_mins(5));
+        let _d = lm.grant(NodeId(1), reqs(), SimTime::ZERO, SimTime::from_mins(5));
         lm.cancel(b, false).unwrap();
-        assert_eq!(lm.active_on(NodeId(0)), vec![a]);
-        assert_eq!(lm.active_count(), 2);
+        assert_eq!(lm.active_on(NodeId(0)), vec![a, c], "grant order");
+        assert_eq!(lm.active_count(), 3);
     }
 
     #[test]
     fn unknown_lease_errors() {
         let mut lm = LeaseManager::new();
-        assert_eq!(lm.cancel(LeaseId(9), false), Err(LeaseError::Unknown));
-        assert_eq!(lm.finish_drain(LeaseId(9)), Err(LeaseError::Unknown));
+        assert_eq!(lm.cancel(LeaseId(9), false), None);
+        assert!(lm.get(LeaseId(9)).is_none());
     }
 }

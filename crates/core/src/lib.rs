@@ -22,6 +22,8 @@
 //! | [`environment`] | Table I | cloud vs HPC FaaS capability matrix |
 //! | [`platform`] | V | the façade wiring everything together |
 
+#![forbid(unsafe_code)]
+
 pub mod environment;
 pub mod executor;
 pub mod functions;
@@ -39,7 +41,7 @@ pub use executor::{Executor, ExecutorMode, InvocationTiming};
 pub use functions::{FunctionDef, FunctionId, FunctionRegistry, FunctionRequirements};
 pub use gpu_exec::{GpuFunction, GpuInvocationTiming};
 pub use invoke::{Client, InvokeError};
-pub use lease::{Lease, LeaseError, LeaseId, LeaseManager, LeaseState};
+pub use lease::{Lease, LeaseId, LeaseManager, LeaseState};
 pub use manager::{Donation, DonationSource, ManagerError, RemovalReport, ResourceManager};
 pub use memservice::{MemoryServiceFunction, RemoteMemoryClient};
 pub use offload::{OffloadPlan, OffloadPlanner};

@@ -12,15 +12,17 @@
 //!
 //! Between those calls the manager grants leases, steers placements toward
 //! nodes holding warm containers (Sec. IV-B), and consults the co-location
-//! policy before placing functions next to batch jobs.
+//! policy before placing functions next to batch jobs. The lease map is the
+//! only record of what a donation has handed out: a node's draw is the sum
+//! of its leases that are usable at the time of asking.
 
 use crate::functions::{FunctionDef, FunctionRequirements};
-use crate::lease::{LeaseId, LeaseManager, LeaseState};
+use crate::lease::{LeaseId, LeaseManager};
 use containers::{PoolStats, WarmContainer, WarmPool};
 use des::SimTime;
 use fabric::NodeId;
 use interference::{ColocationPolicy, Decision, Demand, NodeCapacity};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Where donated resources came from.
@@ -32,46 +34,33 @@ pub enum DonationSource {
     SharedJob { batch_nodes: u32 },
 }
 
-/// A node's donated capacity and current draw.
+/// A node's donated capacity.
 #[derive(Debug, Clone)]
 pub struct Donation {
     pub node: NodeId,
     pub capacity: FunctionRequirements,
-    pub used: FunctionRequirements,
     pub source: DonationSource,
     /// Demand vector of the co-resident batch job (empty for idle nodes).
     pub batch_demand: Option<Demand>,
     pub hardware: NodeCapacity,
 }
 
-impl Donation {
-    fn free(&self) -> FunctionRequirements {
-        FunctionRequirements {
-            cores: self.capacity.cores - self.used.cores,
-            memory_mb: self.capacity.memory_mb - self.used.memory_mb,
-            gpus: self.capacity.gpus - self.used.gpus,
-        }
-    }
-
-    fn fits(&self, req: &FunctionRequirements) -> bool {
-        let f = self.free();
-        f.cores >= req.cores && f.memory_mb >= req.memory_mb && f.gpus >= req.gpus
-    }
+fn fits(free: &FunctionRequirements, req: &FunctionRequirements) -> bool {
+    free.cores >= req.cores && free.memory_mb >= req.memory_mb && free.gpus >= req.gpus
 }
 
 /// Manager API errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ManagerError {
-    UnknownNode,
     NoCapacity,
     PolicyRejected(String),
+    /// The lease is unknown, or no longer active.
     UnknownLease,
 }
 
 impl fmt::Display for ManagerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ManagerError::UnknownNode => write!(f, "node not registered"),
             ManagerError::NoCapacity => write!(f, "no donated capacity satisfies the request"),
             ManagerError::PolicyRejected(r) => write!(f, "co-location policy rejected: {r}"),
             ManagerError::UnknownLease => write!(f, "unknown lease"),
@@ -91,10 +80,8 @@ pub struct RemovalReport {
 
 /// The global resource manager.
 pub struct ResourceManager {
-    donations: HashMap<NodeId, Donation>,
+    donations: BTreeMap<NodeId, Donation>,
     pub leases: LeaseManager,
-    lease_nodes: HashMap<LeaseId, NodeId>,
-    lease_reqs: HashMap<LeaseId, FunctionRequirements>,
     pub warm_pool: WarmPool,
     pub policy: ColocationPolicy,
     default_lease: SimTime,
@@ -109,10 +96,8 @@ impl Default for ResourceManager {
 impl ResourceManager {
     pub fn new() -> Self {
         ResourceManager {
-            donations: HashMap::new(),
+            donations: BTreeMap::new(),
             leases: LeaseManager::new(),
-            lease_nodes: HashMap::new(),
-            lease_reqs: HashMap::new(),
             warm_pool: WarmPool::new(),
             policy: ColocationPolicy::default(),
             default_lease: SimTime::from_mins(5),
@@ -137,7 +122,6 @@ impl ResourceManager {
             Donation {
                 node,
                 capacity,
-                used: FunctionRequirements::cpu(0.0, 0),
                 source,
                 batch_demand,
                 hardware,
@@ -149,18 +133,13 @@ impl ResourceManager {
     pub fn remove_resources(&mut self, node: NodeId, immediate: bool) -> RemovalReport {
         let cancelled = self.leases.active_on(node);
         for id in &cancelled {
-            let _ = self.leases.cancel(*id, !immediate);
-            // The donation disappears with the node: these leases no longer
-            // hold accountable resources (a later `release_lease` must not
-            // debit whatever donation replaces this one).
-            self.lease_nodes.remove(id);
-            self.lease_reqs.remove(id);
+            self.leases.cancel(*id, !immediate);
         }
-        let evicted: Vec<WarmContainer> = self.warm_pool.reclaim_node(node);
+        let evicted_containers = self.warm_pool.reclaim_node(node);
         self.donations.remove(&node);
         RemovalReport {
             cancelled_leases: cancelled,
-            evicted_containers: evicted.len(),
+            evicted_containers,
             graceful: !immediate,
         }
     }
@@ -173,38 +152,60 @@ impl ResourceManager {
         self.donations.get(&node)
     }
 
+    /// Every registered donation, in node order.
+    pub(crate) fn donations(&self) -> impl Iterator<Item = &Donation> {
+        self.donations.values()
+    }
+
     pub fn pool_stats(&self) -> PoolStats {
         self.warm_pool.stats()
+    }
+
+    /// What `d` has left once every lease usable at `now` on its node is
+    /// counted: expired and cancelled leases hold nothing.
+    fn free(&self, d: &Donation, now: SimTime) -> FunctionRequirements {
+        let mut used = FunctionRequirements::cpu(0.0, 0);
+        for lease in self.leases.usable_on(d.node, now) {
+            used.cores += lease.resources.cores;
+            used.memory_mb += lease.resources.memory_mb;
+            used.gpus += lease.resources.gpus;
+        }
+        FunctionRequirements {
+            cores: d.capacity.cores - used.cores,
+            memory_mb: d.capacity.memory_mb.saturating_sub(used.memory_mb),
+            gpus: d.capacity.gpus.saturating_sub(used.gpus),
+        }
     }
 
     /// Choose a node for `function`: prefer nodes with a warm container for
     /// its image, then most-free-cores first. Co-location with a batch job
     /// passes through the policy engine (Fig. 4).
-    fn place(&self, function: &FunctionDef) -> Result<NodeId, ManagerError> {
+    fn place(&self, function: &FunctionDef, now: SimTime) -> Result<NodeId, ManagerError> {
         let warm_nodes = self.warm_pool.nodes_with(function.image.id);
-        let mut candidates: Vec<&Donation> = self
+        let mut candidates: Vec<(&Donation, FunctionRequirements)> = self
             .donations
             .values()
-            .filter(|d| d.fits(&function.requirements))
+            .map(|d| (d, self.free(d, now)))
+            .filter(|(_, free)| fits(free, &function.requirements))
             .collect();
         if candidates.is_empty() {
             return Err(ManagerError::NoCapacity);
         }
-        candidates.sort_by(|a, b| {
+        candidates.sort_by(|(a, a_free), (b, b_free)| {
             let aw = warm_nodes.contains(&a.node);
             let bw = warm_nodes.contains(&b.node);
             bw.cmp(&aw)
                 .then_with(|| {
-                    b.free()
+                    b_free
                         .cores
-                        .partial_cmp(&a.free().cores)
+                        .partial_cmp(&a_free.cores)
                         .expect("finite cores")
                 })
                 .then_with(|| a.node.cmp(&b.node))
         });
 
         let mut last_reject = None;
-        for d in candidates {
+        for (d, free) in candidates {
             match d.source {
                 DonationSource::IdleNode => return Ok(d.node),
                 DonationSource::SharedJob { batch_nodes } => {
@@ -219,8 +220,8 @@ impl ResourceManager {
                         true,
                         &function.demand,
                         function.requirements.memory_mb,
-                        d.free().cores,
-                        d.free().memory_mb,
+                        free.cores,
+                        free.memory_mb,
                     );
                     match decision {
                         Decision::Colocate { .. } => return Ok(d.node),
@@ -237,55 +238,32 @@ impl ResourceManager {
     }
 
     /// Grant a lease for `function`. Returns the lease id, the chosen node,
-    /// and whether a warm container was adopted.
+    /// and whether a warm container on that node was adopted.
     pub fn request_lease(
         &mut self,
         function: &FunctionDef,
         now: SimTime,
     ) -> Result<(LeaseId, NodeId, bool), ManagerError> {
-        let node = self.place(function)?;
-        let warm = self.warm_pool.take(function.image.id, Some(node));
-        let adopted = match &warm {
-            Some(c) if c.node == node => true,
-            Some(c) => {
-                // Warm container on another node: put it back, not useful.
-                let _ = self.warm_pool.park(c.clone());
-                false
-            }
-            None => false,
-        };
-        let d = self.donations.get_mut(&node).expect("placed on known node");
-        d.used.cores += function.requirements.cores;
-        d.used.memory_mb += function.requirements.memory_mb;
-        d.used.gpus += function.requirements.gpus;
+        let node = self.place(function, now)?;
+        let adopted = self.warm_pool.take(function.image.id, node).is_some();
         let id = self
             .leases
             .grant(node, function.requirements, now, self.default_lease);
-        self.lease_nodes.insert(id, node);
-        self.lease_reqs.insert(id, function.requirements);
         Ok((id, node, adopted))
     }
 
-    /// Release a lease's resources; optionally park the sandbox back into
-    /// the warm pool for future invocations.
+    /// Cancel an active lease, which returns its resources; optionally park
+    /// the sandbox back into the warm pool for future invocations. A lease
+    /// that is unknown or no longer active (already released, or cancelled
+    /// by a reclaim) is `UnknownLease`.
     pub fn release_lease(
         &mut self,
         id: LeaseId,
         park: Option<WarmContainer>,
     ) -> Result<(), ManagerError> {
-        let node = self
-            .lease_nodes
-            .remove(&id)
+        self.leases
+            .cancel(id, false)
             .ok_or(ManagerError::UnknownLease)?;
-        let req = self.lease_reqs.remove(&id).expect("paired with node");
-        if let Some(d) = self.donations.get_mut(&node) {
-            d.used.cores = (d.used.cores - req.cores).max(0.0);
-            d.used.memory_mb = d.used.memory_mb.saturating_sub(req.memory_mb);
-            d.used.gpus = d.used.gpus.saturating_sub(req.gpus);
-        }
-        if self.leases.get(id).map(|l| l.state) == Some(LeaseState::Active) {
-            let _ = self.leases.cancel(id, false);
-        }
         if let Some(c) = park {
             let _ = self.warm_pool.park(c);
         }
@@ -306,23 +284,13 @@ impl ResourceManager {
         let s = interference::slowdowns(&d.hardware, &demands);
         *s.last().expect("function demand present")
     }
-
-    /// The batch job's overhead (%) caused by functions on `node`.
-    pub fn batch_overhead_on(&self, node: NodeId, function_demands: &[Demand]) -> f64 {
-        let Some(d) = self.donations.get(&node) else {
-            return 0.0;
-        };
-        let Some(batch) = &d.batch_demand else {
-            return 0.0;
-        };
-        interference::model::colocation_overhead_pct(&d.hardware, batch, function_demands)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::functions::FunctionRegistry;
+    use crate::lease::LeaseState;
     use containers::{ContainerImage, ContainerRuntime};
     use interference::profiles::WorkloadProfile;
     use interference::{NasClass, NasKernel};
@@ -366,9 +334,16 @@ mod tests {
         let (lease, node, adopted) = mgr.request_lease(&f, SimTime::ZERO).unwrap();
         assert_eq!(node, NodeId(0));
         assert!(!adopted, "no warm container yet");
-        assert!((mgr.donation(node).unwrap().free().cores - 35.0).abs() < 1e-9);
+        let free_cores =
+            |mgr: &ResourceManager| mgr.free(mgr.donation(node).unwrap(), SimTime::ZERO).cores;
+        assert!((free_cores(&mgr) - 35.0).abs() < 1e-9);
         mgr.release_lease(lease, None).unwrap();
-        assert!((mgr.donation(node).unwrap().free().cores - 36.0).abs() < 1e-9);
+        assert!((free_cores(&mgr) - 36.0).abs() < 1e-9);
+        assert_eq!(
+            mgr.release_lease(lease, None),
+            Err(ManagerError::UnknownLease),
+            "a released lease is not released twice"
+        );
     }
 
     #[test]
@@ -457,6 +432,39 @@ mod tests {
         let (_, node, adopted) = mgr.request_lease(&f, SimTime::ZERO).unwrap();
         assert_eq!(node, NodeId(1), "placement targets the warm container");
         assert!(adopted);
+    }
+
+    #[test]
+    fn remote_warm_container_is_not_a_hit() {
+        // The warm container sits on a node too small for the function, so
+        // the lease lands elsewhere and must not count the container as a
+        // hit (nor move it).
+        let mut mgr = ResourceManager::new();
+        for (n, cores) in [(0u32, 0.5), (1, 36.0)] {
+            mgr.register_resources(
+                NodeId(n),
+                FunctionRequirements::cpu(cores, 100 * 1024),
+                DonationSource::IdleNode,
+                None,
+                NodeCapacity::daint_mc(),
+            );
+        }
+        let ep = WorkloadProfile::nas(NasKernel::Ep, NasClass::W);
+        let (reg, id) = registry_with("ep", &ep, 1.0);
+        let f = reg.get(id).unwrap().clone();
+        mgr.warm_pool
+            .park(WarmContainer {
+                image: f.image.id,
+                node: NodeId(0),
+                memory_mb: 512,
+                parked_at: SimTime::ZERO,
+            })
+            .unwrap();
+        let (_, node, adopted) = mgr.request_lease(&f, SimTime::ZERO).unwrap();
+        assert_eq!((node, adopted), (NodeId(1), false));
+        let stats = mgr.pool_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1));
+        assert_eq!(mgr.warm_pool.nodes_with(f.image.id), vec![NodeId(0)]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The platform façade: cluster + fabric + containers + storage + manager
-//! wired together, with the high-level operations the examples and the
+//! The platform façade: cluster + fabric + containers + manager wired
+//! together, with the high-level operations the examples and the
 //! benchmark harness drive.
 
 use crate::functions::{FunctionDef, FunctionId, FunctionRegistry, FunctionRequirements};
@@ -12,7 +12,6 @@ use containers::{ContainerImage, ContainerRuntime};
 use des::SimTime;
 use fabric::{Fabric, LogGpParams, Transport};
 use interference::{NodeCapacity, WorkloadProfile};
-use storage::{Lustre, ObjectStore};
 
 /// The assembled HPC serverless platform.
 pub struct Platform {
@@ -21,8 +20,6 @@ pub struct Platform {
     pub manager: ResourceManager,
     pub bridge: SchedulerBridge,
     pub registry: FunctionRegistry,
-    pub pfs: Lustre,
-    pub object_store: ObjectStore,
     pub now: SimTime,
     next_image: u64,
 }
@@ -36,8 +33,6 @@ impl Platform {
             manager: ResourceManager::new(),
             bridge: SchedulerBridge::new(NodeCapacity::daint_mc()),
             registry: FunctionRegistry::new(),
-            pfs: Lustre::piz_daint(),
-            object_store: ObjectStore::minio_daint(),
             now: SimTime::ZERO,
             next_image: 0,
         }

@@ -7,13 +7,16 @@
 //!   scheduler keeps scheduling jobs normally;
 //! * **Step III** — when the scheduler needs a node back it calls reclaim;
 //!   the bridge de-registers the donation (B2) before the job starts.
+//!
+//! What is donated is whatever the manager holds: a B2 issued directly on
+//! the manager leaves nothing for the next sync to reclaim.
 
 use crate::functions::FunctionRequirements;
 use crate::manager::{DonationSource, ResourceManager};
 use cluster::{Cluster, JobState};
 use fabric::NodeId;
 use interference::{NodeCapacity, WorkloadProfile};
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Synchronisation statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,24 +25,22 @@ pub struct SyncReport {
     pub reclaimed: usize,
 }
 
-/// The bridge state: which nodes we donated and why.
+/// The bridge state: how to describe a donation.
 #[derive(Debug)]
 pub struct SchedulerBridge {
-    donated: HashSet<NodeId>,
     /// Cores/memory reserved on each donated node for executor management
     /// (the paper keeps 1-2 cores free to handle invocations).
     pub management_cores: u32,
     /// Workload profiles by job tag, for building batch demand vectors.
-    profiles: HashMap<String, WorkloadProfile>,
+    profiles: BTreeMap<String, WorkloadProfile>,
     pub hardware: NodeCapacity,
 }
 
 impl SchedulerBridge {
     pub fn new(hardware: NodeCapacity) -> Self {
         SchedulerBridge {
-            donated: HashSet::new(),
             management_cores: 1,
-            profiles: HashMap::new(),
+            profiles: BTreeMap::new(),
             hardware,
         }
     }
@@ -50,22 +51,12 @@ impl SchedulerBridge {
         self.profiles.insert(tag.to_string(), profile);
     }
 
-    pub fn donated_nodes(&self) -> usize {
-        self.donated.len()
-    }
-
     /// One synchronisation pass: donate newly idle nodes and newly started
-    /// shared jobs' spares; reclaim donations the scheduler took back.
-    pub fn sync(&mut self, cluster: &Cluster, mgr: &mut ResourceManager) -> SyncReport {
+    /// shared jobs' spares; reclaim donations the scheduler took back. B2
+    /// and B1 calls each go out in node order.
+    pub fn sync(&self, cluster: &Cluster, mgr: &mut ResourceManager) -> SyncReport {
         let mut report = SyncReport::default();
-        let mut should_be_donated: HashMap<
-            NodeId,
-            (
-                FunctionRequirements,
-                DonationSource,
-                Option<interference::Demand>,
-            ),
-        > = HashMap::new();
+        let mut should_be_donated = BTreeMap::new();
 
         for node in cluster.nodes() {
             if node.is_idle() {
@@ -143,27 +134,22 @@ impl SchedulerBridge {
         // donation *changed shape* (an idle node picked up a shared job, or
         // vice versa): a stale registration would let functions bypass the
         // co-location policy or claim cores the batch job now owns.
-        let stale: Vec<NodeId> = self
-            .donated
-            .iter()
-            .filter(|n| match should_be_donated.get(n) {
+        let stale: Vec<NodeId> = mgr
+            .donations()
+            .filter(|d| match should_be_donated.get(&d.node) {
                 None => true,
-                Some((capacity, source, _)) => mgr
-                    .donation(**n)
-                    .map(|d| d.source != *source || d.capacity != *capacity)
-                    .unwrap_or(true),
+                Some((capacity, source, _)) => d.source != *source || d.capacity != *capacity,
             })
-            .copied()
+            .map(|d| d.node)
             .collect();
         for node in stale {
             mgr.remove_resources(node, false);
-            self.donated.remove(&node);
             report.reclaimed += 1;
         }
 
         // Register new donations (Step I / B1).
         for (node, (capacity, source, demand)) in should_be_donated {
-            if self.donated.insert(node) {
+            if mgr.donation(node).is_none() {
                 mgr.register_resources(node, capacity, source, demand, self.hardware);
                 report.registered += 1;
             }
@@ -187,7 +173,7 @@ mod tests {
     fn idle_nodes_are_donated_then_reclaimed() {
         let mut c = cluster4();
         let mut mgr = ResourceManager::new();
-        let mut bridge = SchedulerBridge::new(NodeCapacity::daint_mc());
+        let bridge = SchedulerBridge::new(NodeCapacity::daint_mc());
         let r = bridge.sync(&c, &mut mgr);
         assert_eq!(r.registered, 4);
         assert_eq!(mgr.registered_nodes(), 4);
@@ -243,7 +229,7 @@ mod tests {
     fn unprofiled_shared_jobs_not_donated() {
         let mut c = cluster4();
         let mut mgr = ResourceManager::new();
-        let mut bridge = SchedulerBridge::new(NodeCapacity::daint_mc());
+        let bridge = SchedulerBridge::new(NodeCapacity::daint_mc());
         let spec = JobSpec::shared(
             1,
             NodeResources {
@@ -289,12 +275,26 @@ mod tests {
     fn resync_is_idempotent() {
         let c = cluster4();
         let mut mgr = ResourceManager::new();
-        let mut bridge = SchedulerBridge::new(NodeCapacity::daint_mc());
+        let bridge = SchedulerBridge::new(NodeCapacity::daint_mc());
         bridge.sync(&c, &mut mgr);
         let r = bridge.sync(&c, &mut mgr);
         assert_eq!(r.registered, 0);
         assert_eq!(r.reclaimed, 0);
-        assert_eq!(bridge.donated_nodes(), 4);
+        assert_eq!(mgr.registered_nodes(), 4);
+    }
+
+    #[test]
+    fn direct_removal_is_not_reclaimed_again() {
+        // A B2 issued on the manager itself (not through the bridge) leaves
+        // nothing for the next sync to reclaim: it re-donates the idle node.
+        let c = cluster4();
+        let mut mgr = ResourceManager::new();
+        let bridge = SchedulerBridge::new(NodeCapacity::daint_mc());
+        bridge.sync(&c, &mut mgr);
+        mgr.remove_resources(NodeId(0), false);
+        let r = bridge.sync(&c, &mut mgr);
+        assert_eq!((r.registered, r.reclaimed), (1, 0));
+        assert_eq!(mgr.registered_nodes(), 4);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! and completion modes here are calibrated so that comparison can be
 //! regenerated (`bench/src/bin/fig07_latency.rs`).
 
+#![forbid(unsafe_code)]
+
 pub mod drc;
 pub mod loggp;
 pub mod microbench;

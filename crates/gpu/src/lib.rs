@@ -8,6 +8,8 @@
 //! FLOPs/memory-bandwidth — plus profiles of the six Rodinia benchmarks used
 //! in Fig. 12.
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod kernels;
 pub mod sharing;

@@ -15,16 +15,15 @@
 //! * [`history`] + [`policy`] — the Fig. 4 decision flow: use recorded
 //!   co-location history when available, fall back to requirement modelling
 //!   from hardware counters, veto hero jobs, and feed outcomes back.
-//! * [`pricing`] — fairness: discounted billing for jobs that opt in.
+
+#![forbid(unsafe_code)]
 
 pub mod history;
 pub mod model;
 pub mod policy;
-pub mod pricing;
 pub mod profiles;
 
 pub use history::ColocationHistory;
 pub use model::{slowdowns, Demand, NodeCapacity};
 pub use policy::{ColocationPolicy, Decision, DecisionSource, PolicyConfig, RejectReason};
-pub use pricing::PricingModel;
 pub use profiles::{NasClass, NasKernel, WorkloadProfile};

@@ -6,6 +6,8 @@
 //! higher aggregate throughput at scale. These two cost models reproduce
 //! that crossover; `harness` runs the exact sweeps of the figure.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod lustre;
 pub mod objectstore;

@@ -19,6 +19,8 @@
 //!
 //! Start with `examples/quickstart.rs`.
 
+#![forbid(unsafe_code)]
+
 pub use cluster;
 pub use containers;
 pub use des;

@@ -126,24 +126,6 @@ fn warm_pool_survives_across_clients_and_dies_with_the_node() {
 }
 
 #[test]
-fn independent_resource_billing_for_functions() {
-    // Sec. IV-E: memory and cores are requested and billed independently.
-    use hpc_serverless_disagg::interference::PricingModel;
-    let pricing = PricingModel::default();
-    // A memory-service function: 0.05 cores for an hour is nearly free even
-    // though it pins a gigabyte.
-    let memsvc_cost = pricing.function_cost(0.05, 3600.0);
-    let cpu_cost = pricing.function_cost(4.0, 3600.0);
-    assert!(memsvc_cost < cpu_cost / 50.0);
-
-    // The LULESH case: 64 of 72 cores for an hour at shared rate beats the
-    // exclusive whole-node bill even with 5% overhead compensation baked in.
-    let excl = pricing.exclusive_cost(36, 2, 1.0);
-    let shared = pricing.shared_cost(64, 1.05, 5.0);
-    assert!(shared < excl);
-}
-
-#[test]
 fn hot_and_warm_executors_tradeoff() {
     // Hot burns a core to win microseconds; warm sips CPU and pays a wakeup.
     let mut p = Platform::daint(2);
