@@ -272,8 +272,9 @@ fn submit_wait_artifact_is_byte_identical_to_run() {
     let (mut server, addr) = spawn_server(&fresh_cache_dir("service-cache"));
     let addr = addr.as_str();
 
-    // The same request twice: computed, then answered from the cache. The
-    // receipt line reads `[submit] request <id> on <addr> — <status>
+    // The same request twice: computed, then answered from the cache with
+    // the artifact the first left in the service's memo, not a rendering of
+    // its own. Both must be `run`'s bytes. The receipt line reads `[submit] request <id> on <addr> — <status>
     // (<n> jobs, <k> from cache)`.
     let submit = |tag: &str| {
         let served = out_path(tag);

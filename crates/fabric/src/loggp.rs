@@ -60,8 +60,6 @@ pub struct LogGpParams {
     pub o_send_us: f64,
     /// Receiver CPU overhead `o_r` (µs).
     pub o_recv_us: f64,
-    /// Inter-message gap `g` (µs) — minimum interval between injections.
-    pub gap_us: f64,
     /// Per-byte cost `G` (ns/byte) = 1 / bandwidth.
     pub per_byte_ns: f64,
     /// Messages larger than this take the rendezvous path.
@@ -82,7 +80,6 @@ impl LogGpParams {
             latency_us: 1.3,
             o_send_us: 0.4,
             o_recv_us: 0.4,
-            gap_us: 0.25,
             per_byte_ns: 0.10, // 10 GB/s
             eager_threshold: 8192,
             rendezvous_us: 2.0,
@@ -97,7 +94,6 @@ impl LogGpParams {
             latency_us: 0.9,
             o_send_us: 0.25,
             o_recv_us: 0.25,
-            gap_us: 0.2,
             per_byte_ns: 0.085, // ~11.7 GB/s
             eager_threshold: 8192,
             rendezvous_us: 1.5,
@@ -113,7 +109,6 @@ impl LogGpParams {
             latency_us: 25.0,
             o_send_us: 3.0,
             o_recv_us: 3.0,
-            gap_us: 1.0,
             per_byte_ns: 0.8, // ~1.25 GB/s effective
             eager_threshold: 65536,
             rendezvous_us: 0.0, // streams, no rendezvous

@@ -38,7 +38,7 @@ use crate::metrics::Metrics;
 use crate::params::{ParamValue, Params};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Manual engine-version override: bump whenever simulation semantics
@@ -143,14 +143,6 @@ pub fn job_key(salt: &str, scenario: &str, params: &Params, seed: u64) -> CacheK
     CacheKey(h.finalize())
 }
 
-/// One cached run: the bit-exact metrics and the wall-clock the original
-/// miss cost — what a hit is credited as saving.
-#[derive(Debug, Clone)]
-struct CachedRun {
-    metrics: Metrics,
-    secs: f64,
-}
-
 /// Hit/miss/size counters for one cache instance, reported by the CLI's
 /// `--cache-stats` flag and the JSON artifact's sidecar.
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
@@ -186,11 +178,33 @@ pub struct CacheStats {
 ///
 /// The scenario is there for a reader of the file; the key already commits
 /// to it and to the salt.
+///
+/// In memory, every replayed line is one record in a single `Vec<u64>`:
+///
+/// ```text
+/// [schema id, secs bits, value bits × (the schema's name count)]
+/// ```
+///
+/// and the index maps each key to its record's offset there. A schema is
+/// one distinct list of metric names, stored once however many entries
+/// use it — a sweep's entries share their scenario's. An entry therefore
+/// costs its index slot and `8 × (2 + metrics)` bytes, not a vector of
+/// named pairs. A hit rebuilds [`Metrics`] from the schema's names and the
+/// record's bits. A key that appears again in the log (racing sweeps
+/// append the same job twice) points at its latest record; the earlier one
+/// stays behind, unreferenced, until the next open.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     salt: String,
     log: PathBuf,
-    entries: HashMap<CacheKey, CachedRun>,
+    /// Job key → offset of its record in `records`.
+    entries: HashMap<CacheKey, u32>,
+    /// Every replayed record back to back (see the type docs).
+    records: Vec<u64>,
+    /// The distinct metric-name lists; a record's schema id indexes this.
+    schemas: Vec<Vec<String>>,
+    /// Each schema's id, to intern a replayed line's names.
+    schema_ids: HashMap<Vec<String>, u32>,
     /// How far the log has been replayed into `entries`: always just past
     /// a newline, so a line still being written is read whole next time.
     replayed: u64,
@@ -222,6 +236,9 @@ impl ResultCache {
             salt: salt.to_string(),
             log,
             entries: HashMap::new(),
+            records: Vec::new(),
+            schemas: Vec::new(),
+            schema_ids: HashMap::new(),
             replayed: 0,
             hits: 0,
             misses: 0,
@@ -281,43 +298,74 @@ impl ResultCache {
     }
 
     /// Fold every whole line the log gained since the last replay into the
-    /// map; later lines win. Unparseable lines (torn, or a torn line with
-    /// the next one glued on) are skipped, and so is an unreadable log — a
-    /// cache can only ever miss, never fail a sweep. Returns whether the
-    /// log ends in a partial line.
+    /// map, one line in memory at a time; later lines win. Unparseable
+    /// lines (torn, or a torn line with the next one glued on) are skipped,
+    /// and so is whatever of the log cannot be read — a cache can only ever
+    /// miss, never fail a sweep. Returns whether the log ends in a partial
+    /// line.
     fn replay(&mut self) -> bool {
-        let mut text = Vec::new();
-        let read = File::open(&self.log).and_then(|mut file| {
-            file.seek(SeekFrom::Start(self.replayed))?;
-            file.read_to_end(&mut text)
-        });
-        if read.is_err() {
+        let Ok(mut file) = File::open(&self.log) else {
+            return false;
+        };
+        if file.seek(SeekFrom::Start(self.replayed)).is_err() {
             return false;
         }
-        let whole = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        for line in text[..whole].split(|&b| b == b'\n') {
-            if let Some((key, run)) = std::str::from_utf8(line).ok().and_then(parse_line) {
-                self.entries.insert(key, run);
+        let mut reader = BufReader::new(file);
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            match reader.read_until(b'\n', &mut line) {
+                Ok(0) | Err(_) => return false,
+                Ok(n) => {
+                    let Some(text) = line.strip_suffix(b"\n") else {
+                        return true;
+                    };
+                    if let Some(parsed) = std::str::from_utf8(text).ok().and_then(parse_line) {
+                        self.insert(parsed);
+                    }
+                    self.replayed += n as u64;
+                }
             }
         }
-        self.replayed += whole as u64;
-        whole < text.len()
     }
 
-    /// Look up one job. Hits hand back a bit-exact clone of the stored
-    /// metrics and credit the recorded wall-clock as saved work.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<Metrics> {
-        match self.entries.get(key) {
-            Some(run) => {
-                self.hits += 1;
-                self.saved_secs += run.secs;
-                Some(run.metrics.clone())
-            }
+    /// Append one parsed line's record, interning its names, and point its
+    /// key at it.
+    fn insert(&mut self, line: Line) {
+        let at = u32::try_from(self.records.len()).expect("cache records fit a u32 offset");
+        let schema = match self.schema_ids.get(line.names.as_slice()) {
+            Some(&id) => id,
             None => {
-                self.misses += 1;
-                None
+                let id = u32::try_from(self.schemas.len()).expect("fewer schemas than records");
+                self.schemas.push(line.names.clone());
+                self.schema_ids.insert(line.names, id);
+                id
             }
-        }
+        };
+        self.records.push(u64::from(schema));
+        self.records.push(line.secs.to_bits());
+        self.records.extend(line.bits);
+        self.entries.insert(line.key, at);
+    }
+
+    /// Look up one job. Hits hand back the stored metrics bit for bit and
+    /// credit the recorded wall-clock as saved work.
+    pub fn lookup(&mut self, key: &CacheKey) -> Option<Metrics> {
+        let Some(&at) = self.entries.get(key) else {
+            self.misses += 1;
+            return None;
+        };
+        let record = &self.records[at as usize..];
+        self.hits += 1;
+        self.saved_secs += f64::from_bits(record[1]);
+        let names = &self.schemas[record[0] as usize];
+        Some(Metrics::from_distinct(
+            names
+                .iter()
+                .zip(&record[2..])
+                .map(|(name, &bits)| (name.clone(), f64::from_bits(bits)))
+                .collect(),
+        ))
     }
 
     /// An append handle on the log (the engine takes one per sweep).
@@ -447,34 +495,55 @@ fn encode_line(out: &mut String, key: &CacheKey, scenario: &str, secs: f64, metr
 /// An exactly-16-hex-digit `f64` bit pattern. The fixed width is a
 /// torn-write detector: a truncated trailing hex field would otherwise
 /// still parse (as a shorter number) and silently corrupt the value.
-fn parse_f64_bits(field: &str) -> Option<f64> {
+fn parse_bits(field: &str) -> Option<u64> {
     if field.len() != 16 {
         return None;
     }
-    u64::from_str_radix(field, 16).ok().map(f64::from_bits)
+    u64::from_str_radix(field, 16).ok()
+}
+
+/// One parsed log line: a job's key, the wall-clock its miss cost (what a
+/// hit is credited as saving) and its metrics, names and bit patterns
+/// apart.
+struct Line {
+    key: CacheKey,
+    secs: f64,
+    /// Distinct, in the order the run recorded them.
+    names: Vec<String>,
+    bits: Vec<u64>,
 }
 
 /// Parse one line; `None` for anything malformed — a torn tail, a torn
 /// line with the next writer's glued on (every fixed-format field then
 /// receives the wrong text), a foreign format — and callers skip those.
-fn parse_line(line: &str) -> Option<(CacheKey, CachedRun)> {
+fn parse_line(line: &str) -> Option<Line> {
     let mut fields = line.split('\t');
     if fields.next()? != "v2" {
         return None;
     }
     let key = CacheKey::from_hex(fields.next()?)?;
     fields.next()?; // the scenario, for readers of the file
-    let secs = parse_f64_bits(fields.next()?)?;
+    let secs = f64::from_bits(parse_bits(fields.next()?)?);
     let n: usize = fields.next()?.parse().ok()?;
-    let mut metrics = Metrics::new();
+    let mut names: Vec<String> = Vec::with_capacity(n.min(64));
+    let mut bits = Vec::with_capacity(n.min(64));
     for _ in 0..n {
         let name = unesc(fields.next()?)?;
-        metrics.push(&name, parse_f64_bits(fields.next()?)?);
+        if names.contains(&name) {
+            return None; // duplicate metric names
+        }
+        names.push(name);
+        bits.push(parse_bits(fields.next()?)?);
     }
-    if fields.next().is_some() || metrics.len() != n {
-        return None; // trailing garbage or duplicate metric names
+    if fields.next().is_some() {
+        return None; // trailing garbage
     }
-    Some((key, CachedRun { metrics, secs }))
+    Some(Line {
+        key,
+        secs,
+        names,
+        bits,
+    })
 }
 
 /// Minimal SHA-256 (FIPS 180-4). The workspace has no crates.io access, so
@@ -687,10 +756,17 @@ mod tests {
             .strip_suffix('\n')
             .expect("one line, newline-terminated");
         assert!(!line.contains('\n'));
-        let (parsed, run) = parse_line(line).expect("round trip");
-        assert_eq!(parsed, key);
-        assert_eq!(run.secs.to_bits(), 1.25f64.to_bits());
-        assert!(run.metrics.bits_eq(&m), "bit-exact metrics round trip");
+        let parsed = parse_line(line).expect("round trip");
+        assert_eq!(parsed.key, key);
+        assert_eq!(parsed.secs.to_bits(), 1.25f64.to_bits());
+        let metrics = Metrics::from_distinct(
+            parsed
+                .names
+                .into_iter()
+                .zip(parsed.bits.into_iter().map(f64::from_bits))
+                .collect(),
+        );
+        assert!(metrics.bits_eq(&m), "bit-exact metrics round trip");
     }
 
     #[test]

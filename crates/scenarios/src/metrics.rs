@@ -29,6 +29,12 @@ impl Metrics {
         }
     }
 
+    /// The metrics of `entries`, whose names the caller knows are distinct
+    /// (the cache's interned schemas): no per-name search as in `push`.
+    pub(crate) fn from_distinct(entries: Vec<(String, f64)>) -> Metrics {
+        Metrics { entries }
+    }
+
     pub fn get(&self, name: &str) -> Option<f64> {
         self.entries
             .iter()

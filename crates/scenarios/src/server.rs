@@ -21,6 +21,10 @@
 //! larger length claim gets a `protocol` error naming the limit and a
 //! hangup, and none of its body is read or allocated.
 //!
+//! Accepted sockets set `TCP_NODELAY`, and [`write_frame`] hands a frame to
+//! the socket in one write, so no reply waits on Nagle's algorithm for the
+//! client's delayed ACK.
+//!
 //! At most [`MAX_CONNECTIONS`] connections are served at once. One more
 //! gets a single `busy` error frame and a hangup, and no thread.
 //!
@@ -94,6 +98,9 @@ impl Server {
             // socket that cannot be duplicated affects no one else; keep
             // serving.
             let Ok(mut stream) = stream else { continue };
+            // Replies go out as soon as they are written; a socket that
+            // refuses the option still works, only slower.
+            let _ = stream.set_nodelay(true);
             if connections.len() >= MAX_CONNECTIONS {
                 // Refuse before reading anything; dropping `stream` hangs up.
                 let busy = Error::Busy {

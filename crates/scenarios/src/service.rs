@@ -33,9 +33,15 @@
 //!   the last [`RETAINED_REQUESTS`], so its memory is bounded however long
 //!   it runs.
 //!
-//! The artifact is rendered once, server-side, with
-//! [`SweepSuite::artifact_json`] and shipped as text verbatim; the rendered
-//! text is all a finished request keeps of its outcome.
+//! The artifact is rendered server-side with [`SweepSuite::artifact_json`]
+//! and shipped as text verbatim; the rendered text is all a finished
+//! request keeps of its outcome. Retained requests with the same canonical
+//! text share one rendering: finalization still runs the sweep through the
+//! engine (so the cache commits as before), then takes the artifact from a
+//! memo keyed by that text instead of rendering it again. A memo entry
+//! counts the retained requests holding it and goes when the last of them
+//! is forgotten: the memo lives exactly as long as they do, so it never
+//! outgrows them and needs no bound of its own.
 //!
 //! Locking invariant, which the failure tests rest on: no lock in this
 //! file or in `runner.rs` is held while [`crate::Scenario::run`] executes.
@@ -126,7 +132,7 @@ pub struct Submission {
 /// Terminal (or not-yet-terminal) state of one request.
 enum Terminal {
     Pending,
-    Done { artifact: String },
+    Done { artifact: Arc<str> },
     Failed { message: String },
     Cancelled,
 }
@@ -149,7 +155,7 @@ impl ActiveSweep {
         let mut artifact = None;
         let status = match &*self.state.lock().unwrap() {
             Terminal::Done { artifact: text } => {
-                artifact = include_artifact.then(|| text.clone());
+                artifact = include_artifact.then(|| text.to_string());
                 SweepStatus::Done
             }
             Terminal::Failed { message } => SweepStatus::Failed {
@@ -195,6 +201,35 @@ struct Requests {
     by_id: BTreeMap<u64, Arc<ActiveSweep>>,
     /// The retained finished requests, longest-finished first.
     finished: VecDeque<u64>,
+    /// Canonical request text → the artifact its retained `Done` requests
+    /// share.
+    artifacts: HashMap<String, SharedArtifact>,
+}
+
+/// One memoized artifact and how many retained requests hold it.
+struct SharedArtifact {
+    text: Arc<str>,
+    holders: usize,
+}
+
+impl Requests {
+    /// Forget the longest-finished request, and its memo entry with it
+    /// when it was the entry's last holder.
+    fn forget_oldest(&mut self) {
+        let oldest = self.finished.pop_front().expect("a finished request");
+        let sweep = self.by_id.remove(&oldest).expect("retained ids are known");
+        if !matches!(*sweep.state.lock().unwrap(), Terminal::Done { .. }) {
+            return;
+        }
+        let entry = self
+            .artifacts
+            .get_mut(&sweep.dedup_key)
+            .expect("a done request holds its memo entry");
+        entry.holders -= 1;
+        if entry.holders == 0 {
+            self.artifacts.remove(&sweep.dedup_key);
+        }
+    }
 }
 
 struct Inner {
@@ -212,6 +247,27 @@ struct Inner {
 }
 
 impl Inner {
+    /// The artifact of one more `Done` request with canonical text `key`:
+    /// the memo's, or `render`'s output, which the memo then keeps. Called
+    /// once per finalized request, which counts as a holder from here on.
+    fn share_artifact(&self, key: &str, render: impl FnOnce() -> String) -> Arc<str> {
+        let mut requests = self.requests.lock().unwrap();
+        if let Some(entry) = requests.artifacts.get_mut(key) {
+            entry.holders += 1;
+            return Arc::clone(&entry.text);
+        }
+        drop(requests);
+        // Rendered without the lock; a racing twin that got in first wins.
+        let text = Arc::from(render());
+        let mut requests = self.requests.lock().unwrap();
+        let entry = requests
+            .artifacts
+            .entry(key.to_string())
+            .or_insert(SharedArtifact { text, holders: 0 });
+        entry.holders += 1;
+        Arc::clone(&entry.text)
+    }
+
     /// Push one job at the queue's tail and wake a worker.
     fn inject(&self, sweep: &Arc<ActiveSweep>, job: Job) {
         let sweep = Arc::clone(sweep);
@@ -457,11 +513,12 @@ fn finalize(inner: &Inner, sweep: &ActiveSweep, progress: Progress) {
         Terminal::Cancelled
     } else {
         match inner.engine.finalize(&sweep.sweep, progress) {
-            Ok(results) => {
-                let seeds = sweep.sweep.seeds.clone();
-                let artifact = SweepSuite { seeds, results }.artifact_json();
-                Terminal::Done { artifact }
-            }
+            Ok(results) => Terminal::Done {
+                artifact: inner.share_artifact(&sweep.dedup_key, || {
+                    let seeds = sweep.sweep.seeds.clone();
+                    SweepSuite { seeds, results }.artifact_json()
+                }),
+            },
             Err(e) => Terminal::Failed {
                 message: match e {
                     Error::Sweep(failures) => failures.to_string(),
@@ -485,7 +542,85 @@ fn finalize(inner: &Inner, sweep: &ActiveSweep, progress: Progress) {
     let mut requests = inner.requests.lock().unwrap();
     requests.finished.push_back(sweep.id);
     if requests.finished.len() > RETAINED_REQUESTS {
-        let oldest = requests.finished.pop_front().expect("just pushed");
-        requests.by_id.remove(&oldest);
+        requests.forget_oldest();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Metrics, Params, Scenario};
+
+    /// Reports its one parameter: each value of `k` is its own request.
+    struct Echo;
+
+    impl Scenario for Echo {
+        fn name(&self) -> &'static str {
+            "echo"
+        }
+        fn title(&self) -> &'static str {
+            "reports its parameter"
+        }
+        fn default_params(&self) -> Params {
+            Params::new().with("k", 0u64)
+        }
+        fn run(&self, _sim: &mut des::Simulation, params: &Params) -> Metrics {
+            let mut m = Metrics::new();
+            m.push("k", params.f64("k", 0.0));
+            m
+        }
+    }
+
+    fn echo_service() -> Service {
+        let mut registry = Registry::new();
+        registry.register(Box::new(Echo));
+        Service::start(registry, ServiceConfig::new().with_threads(1)).expect("service starts")
+    }
+
+    /// Submit `k`'s request and wait until it is done and retained.
+    fn finish(service: &Service, k: u64) {
+        let request = SweepRequest::new().scenario("echo").param("k", k);
+        let id = service.submit(&request).expect("valid request").id;
+        let response = service.wait(id).expect("retained while we wait");
+        assert_eq!(response.status, SweepStatus::Done);
+        // `finalize` wakes waiters before it retains the request.
+        while service.inner.requests.lock().unwrap().finished.back() != Some(&id) {
+            std::thread::yield_now();
+        }
+    }
+
+    fn memo_entries(service: &Service) -> usize {
+        service.inner.requests.lock().unwrap().artifacts.len()
+    }
+
+    #[test]
+    fn retained_requests_with_one_text_share_one_artifact() {
+        let service = echo_service();
+        for i in 0..300 {
+            finish(&service, i % 3);
+        }
+        assert_eq!(memo_entries(&service), 3);
+        let requests = service.inner.requests.lock().unwrap();
+        assert_eq!(requests.by_id.len(), RETAINED_REQUESTS);
+        let mut shared: HashMap<&str, Arc<str>> = HashMap::new();
+        for sweep in requests.by_id.values() {
+            let Terminal::Done { artifact } = &*sweep.state.lock().unwrap() else {
+                panic!("request {} did not finish done", sweep.id);
+            };
+            let first = shared
+                .entry(&sweep.dedup_key)
+                .or_insert_with(|| Arc::clone(artifact));
+            assert!(Arc::ptr_eq(first, artifact), "request {}", sweep.id);
+        }
+        assert_eq!(shared.len(), 3);
+    }
+
+    #[test]
+    fn the_memo_forgets_an_artifact_with_its_last_retained_request() {
+        let service = echo_service();
+        for k in 0..(RETAINED_REQUESTS + 50) as u64 {
+            finish(&service, k);
+        }
+        assert_eq!(memo_entries(&service), RETAINED_REQUESTS);
     }
 }

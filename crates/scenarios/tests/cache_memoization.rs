@@ -305,6 +305,82 @@ fn every_byte_prefix_of_a_log_opens_to_exactly_its_whole_lines() {
     }
 }
 
+/// Replay indexes every kind of line a log can hold: entries of two metric
+/// schemas, a key appended twice (the later line wins), a torn line and a
+/// line naming one metric twice (both skipped). Hits come back bit-exact,
+/// whether the lines arrive at a commit or at the next open.
+#[test]
+fn replay_keeps_the_log_rules_across_metric_schemas() {
+    use std::io::Write;
+
+    let dir = cache_dir("schemas");
+    let mut cache = ResultCache::open(&dir).expect("open");
+    let salt = cache.salt().to_string();
+    let key = |seed: u64| job_key(&salt, "cache_probe", &Params::new(), seed);
+    let metrics = |pairs: &[(&str, f64)]| {
+        let mut m = Metrics::new();
+        for (name, value) in pairs {
+            m.push(name, *value);
+        }
+        m
+    };
+    let first = metrics(&[("sum", 1.0), ("nan", f64::NAN)]);
+    let later = metrics(&[
+        ("sum", -0.0),
+        ("nan", f64::from_bits(0x7ff8_0000_0000_0001)),
+    ]);
+    let other = metrics(&[
+        ("lat", 0.1 + 0.2),
+        ("p99", f64::from_bits(1)),
+        ("tab\tname", 3.0),
+    ]);
+    let same_schema = metrics(&[("sum", 2.5), ("nan", 0.0)]);
+    let bits = |x: f64| format!("{:016x}", x.to_bits());
+
+    let writer = cache.writer().expect("writer");
+    writer.append(&key(1), "x", 0.5, &first).expect("append");
+    writer.append(&key(2), "y", 0.25, &other).expect("append");
+    let mut log = std::fs::OpenOptions::new()
+        .append(true)
+        .open(cache.log_path())
+        .expect("open the log");
+    // Torn in its secs field and ended, as the next open ends a torn tail.
+    writeln!(log, "v2\t{}\tx\t3fe0", key(3).hex()).expect("torn line");
+    writeln!(
+        log,
+        "v2\t{}\tx\t{}\t2\tsum\t{}\tsum\t{}",
+        key(4).hex(),
+        bits(0.5),
+        bits(1.0),
+        bits(2.0)
+    )
+    .expect("duplicate-name line");
+    writer.append(&key(1), "x", 0.5, &later).expect("append");
+    writer
+        .append(&key(5), "x", 0.75, &same_schema)
+        .expect("append");
+    cache.commit(vec![writer]).expect("commit");
+
+    let check = |cache: &mut ResultCache| {
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.stats().entries, 3);
+        for (seed, expected) in [(1, &later), (2, &other), (5, &same_schema)] {
+            let held = cache.lookup(&key(seed)).expect("a whole line hits");
+            assert!(held.bits_eq(expected), "seed {seed}: {held:?}");
+        }
+        assert!(cache.lookup(&key(3)).is_none(), "the torn line is skipped");
+        assert!(
+            cache.lookup(&key(4)).is_none(),
+            "the duplicate-name line is skipped"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (3, 2));
+        assert_eq!(stats.saved_secs, 0.5 + 0.25 + 0.75);
+    };
+    check(&mut cache);
+    check(&mut ResultCache::open(&dir).expect("reopen"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

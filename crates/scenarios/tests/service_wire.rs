@@ -650,3 +650,53 @@ fn idle_time_between_frames_is_not_timed() {
     client.shutdown().expect("shutdown");
     server.join().expect("server thread");
 }
+
+/// Fifty round trips on one connection take well under a second. A frame
+/// written as prefix, then body, from a socket with Nagle's algorithm on
+/// waits ~44 ms for the peer's delayed ACK; two such frames a round trip
+/// made these fifty take about 4.4 s.
+#[test]
+fn round_trips_do_not_wait_for_delayed_acks() {
+    use std::time::Instant;
+
+    let (addr, server) = serve(sleepy_registry(), ServiceConfig::new().with_threads(1));
+    let mut client = Client::connect(addr).expect("connect");
+    client.ping().expect("ping");
+    let started = Instant::now();
+    for _ in 0..50 {
+        client.ping().expect("ping");
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "50 pings took {took:?}");
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
+
+/// The same speed for a client that never turns Nagle's algorithm off but
+/// frames its requests with `write_frame`: the frame leaves in one write.
+#[test]
+fn write_frame_needs_no_nodelay_on_the_sending_socket() {
+    use scenarios::wire::{read_frame, write_frame};
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    let (addr, server) = serve(sleepy_registry(), ServiceConfig::new().with_threads(1));
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    assert!(!raw.nodelay().expect("read TCP_NODELAY"));
+    let mut ping = || {
+        write_frame(&mut raw, r#"{"verb":"ping"}"#).expect("send ping");
+        let reply = read_frame(&mut raw).expect("read reply").expect("a reply");
+        assert!(reply.contains(r#""pong":true"#), "{reply}");
+    };
+    ping();
+    let started = Instant::now();
+    for _ in 0..50 {
+        ping();
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "50 pings took {took:?}");
+    Client::connect(addr)
+        .and_then(|mut client| client.shutdown())
+        .expect("shutdown");
+    server.join().expect("server thread");
+}
