@@ -6,9 +6,11 @@
 //! driver consumes: the started-job sequence and ended idle periods returned
 //! by each `try_schedule`, the pending/idle/running counts, every job's
 //! state and timestamps, `next_completion`, and the usage totals and idle
-//! bitmap the utilization monitor reads (bit for bit, against a scan). A
-//! second family drives the bitmap [`UtilizationMonitor`] and the frozen
-//! per-node sampling loop ([`crate::monitor::reference`]) over one cluster,
+//! bitmap the utilization monitor reads (bit for bit, against a scan);
+//! after every op each index structure is also rebuilt from a scan of the
+//! nodes and compared (`SchedIndex::assert_consistent`), so index drift
+//! fails before it changes a decision. A second family drives the bitmap
+//! [`UtilizationMonitor`] and the frozen per-node sampling loop ([`crate::monitor::reference`]) over one cluster,
 //! sampling between submits, scheduling passes, completions and
 //! cancellations, and compares the full reports bit for bit. A third replays two long synthetic streams through
 //! both schedulers on a 256-node homogeneous cluster and compares a hash of
@@ -157,6 +159,7 @@ fn step(
         }
     }
     // Cross-cutting invariants after every op.
+    c.assert_index_consistent();
     prop_assert_eq!(c.pending_count(), r.pending_count(), "pending diverged");
     prop_assert_eq!(
         c.idle_node_count(),

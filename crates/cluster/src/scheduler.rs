@@ -117,6 +117,11 @@ impl Cluster {
         self.pending_live
     }
 
+    #[cfg(test)]
+    pub(crate) fn assert_index_consistent(&self) {
+        self.index.assert_consistent(&self.nodes, &self.jobs);
+    }
+
     pub fn running_jobs(&self) -> impl Iterator<Item = &Job> {
         self.jobs.iter().filter(|j| j.state == JobState::Running)
     }
@@ -157,15 +162,12 @@ impl Cluster {
         let per_node = job.spec.per_node;
         let exclusive = !job.spec.shared;
         let walltime_end = now + job.spec.walltime;
-        let mut ended_idle_periods = Vec::new();
-        for &nid in &nodes {
-            let i = nid.0 as usize;
-            if let Some(p) = self.nodes[i].allocate(id, per_node, exclusive, now) {
-                ended_idle_periods.push(p);
-            }
-            self.index
-                .note_allocated(&self.nodes[i], &per_node, walltime_end);
-        }
+        let ended_idle_periods = nodes
+            .iter()
+            .filter_map(|nid| self.nodes[nid.0 as usize].allocate(id, per_node, exclusive, now))
+            .collect();
+        self.index
+            .note_started(&self.nodes, &nodes, &per_node, walltime_end);
         // Assign by moving the vector — the allocation loop above borrowed
         // it, so one extra table lookup replaces a whole-Vec clone.
         self.jobs.get_mut(id).expect("exists").assigned = nodes;
@@ -267,14 +269,13 @@ impl Cluster {
         let per_node = job.spec.per_node;
         let assigned = std::mem::take(&mut job.assigned);
         for nid in &assigned {
-            let i = nid.0 as usize;
-            if i >= self.nodes.len() {
-                continue;
-            }
-            self.nodes[i].release(id, now);
-            let free_at = node_free_at(&self.nodes[i], &self.jobs);
-            self.index.note_released(&self.nodes[i], &per_node, free_at);
+            self.nodes[nid.0 as usize].release(id, now);
         }
+        let jobs = &self.jobs;
+        self.index
+            .note_finished(&self.nodes, &assigned, &per_node, |node| {
+                node_free_at(node, jobs)
+            });
         // Keep assignment for statistics.
         self.jobs.get_mut(id).expect("exists").assigned = assigned;
         Ok(())
@@ -563,6 +564,59 @@ mod tests {
         );
         let (_, periods) = c.try_schedule(SimTime::from_mins(18));
         assert_eq!(periods, vec![SimTime::from_mins(3)]);
+    }
+
+    #[test]
+    fn same_instant_releases_on_interleaved_ids_place_in_id_order() {
+        // X holds nodes {0, 2} and Y holds {1, 3}; both finish at one
+        // instant, so all four share `idle_since` and the next placement
+        // must take them in ascending id order, whichever finishes first.
+        for x_first in [true, false] {
+            let mut c = small_cluster(4);
+            let at = SimTime::from_mins;
+            let singles: Vec<JobId> = (0..4)
+                .map(|i| c.submit(excl(1, 60, &format!("p{i}")), at(60), SimTime::ZERO))
+                .collect();
+            c.try_schedule(SimTime::ZERO);
+            let pair = |c: &mut Cluster, freed: [JobId; 2], t: SimTime, tag: &str| {
+                for id in freed {
+                    c.finish(id, t).unwrap();
+                }
+                let id = c.submit(excl(2, 60, tag), at(60), t);
+                assert_eq!(c.try_schedule(t).0, vec![id]);
+                id
+            };
+            let x = pair(&mut c, [singles[0], singles[2]], at(1), "x");
+            let y = pair(&mut c, [singles[1], singles[3]], at(2), "y");
+            assert_eq!(c.job(x).unwrap().assigned, vec![NodeId(0), NodeId(2)]);
+            assert_eq!(c.job(y).unwrap().assigned, vec![NodeId(1), NodeId(3)]);
+            let order = if x_first { [x, y] } else { [y, x] };
+            for id in order {
+                c.finish(id, at(10)).unwrap();
+            }
+            let z = c.submit(excl(4, 60, "z"), at(60), at(10));
+            assert_eq!(c.try_schedule(at(10)).0, vec![z]);
+            let ids: Vec<NodeId> = (0..4).map(NodeId).collect();
+            assert_eq!(c.job(z).unwrap().assigned, ids, "x first: {x_first}");
+        }
+    }
+
+    #[test]
+    fn reservation_is_the_horizon_holding_the_heads_kth_node() {
+        // Horizons: one idle node at 0, one at 50 min, three at 100 min
+        // (one 3-node job). The 4-node head's 4th node is the second of the
+        // three, so the reservation is 100 min: a 100-min job backfills
+        // onto the idle node and a 101-min one does not.
+        let mut c = small_cluster(5);
+        let t0 = SimTime::ZERO;
+        let a = c.submit(excl(3, 100, "a"), SimTime::from_mins(100), t0);
+        let b = c.submit(excl(1, 50, "b"), SimTime::from_mins(50), t0);
+        let head = c.submit(excl(4, 60, "head"), SimTime::from_mins(60), t0);
+        let long = c.submit(excl(1, 101, "long"), SimTime::from_mins(101), t0);
+        let fits = c.submit(excl(1, 100, "fits"), SimTime::from_mins(100), t0);
+        assert_eq!(c.try_schedule(t0).0, vec![a, b, fits]);
+        assert_eq!(c.job(head).unwrap().state, JobState::Pending);
+        assert_eq!(c.job(long).unwrap().state, JobState::Pending);
     }
 
     #[test]
