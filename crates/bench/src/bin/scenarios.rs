@@ -28,8 +28,10 @@
 //! its own usage line.
 //!
 //! `--cache-dir` attaches the persistent memoization cache: jobs already
-//! stored under the current engine salt are served bit-exactly without
-//! simulating, so a repeated sweep over an unchanged tree is incremental.
+//! stored under the current salt, the digest of the committed goldens, are
+//! served bit-exactly without simulating, so a repeated sweep over an
+//! unchanged tree is incremental. A change that moves a result must
+//! regenerate the goldens and the digest, which re-keys the cache.
 //! The artifact stays byte-identical cached or not; hit/miss/bytes/saved
 //! wall-clock land in a `<artifact>.cache.json` sidecar (printed too under
 //! `--cache-stats`).
@@ -261,12 +263,11 @@ fn write_artifact(path: &PathBuf, artifact: &str) -> Result<(), CliError> {
 }
 
 /// The line every cache-backed command opens with.
-fn print_cache_opened(dir: &std::path::Path, entries: u64) {
+fn print_cache_opened(dir: &std::path::Path, entries: u64, salt: &str) {
     println!(
-        "[cache] {} ({entries} stored result{}, salt {})",
+        "[cache] {} ({entries} stored result{}, salt {salt})",
         dir.display(),
         if entries == 1 { "" } else { "s" },
-        scenarios::engine_salt()
     );
 }
 
@@ -280,8 +281,9 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
         .map(ResultCache::open)
         .transpose()?;
     if let (Some(dir), Some(cache)) = (&inv.cache_dir, &cache) {
-        print_cache_opened(dir, cache.stats().entries);
+        print_cache_opened(dir, cache.stats().entries, cache.salt());
     }
+    let salt = cache.as_ref().map(|c| c.salt().to_string());
 
     let validated = inv.request.validate(&registry)?;
     for warning in &validated.warnings {
@@ -325,8 +327,8 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
     // uncached sweeps must stay byte-identical. `cli_golden.rs` and the
     // repository benchmark's warm re-sweeps check that a repeated sweep's
     // sidecar reports zero misses.
-    if let (Some(dir), Some(stats)) = (&inv.cache_dir, runner.cache_stats()) {
-        let sidecar = sidecar_for(dir, &stats, wall_secs);
+    if let (Some(dir), Some(salt), Some(stats)) = (&inv.cache_dir, salt, runner.cache_stats()) {
+        let sidecar = sidecar_for(dir, salt, &stats, wall_secs);
         let sidecar_path = path.with_extension("cache.json");
         let json =
             serde_json::to_string_pretty(&sidecar).expect("value-tree rendering is infallible");
@@ -358,18 +360,23 @@ fn print_cache_stats(stats: &CacheStats, hit_rate: f64, wall_secs: f64) {
     );
     if stats.stale_dropped > 0 {
         println!(
-            "[cache] {} stale entr{} (engine salt or cache layout changed) deleted",
+            "[cache] {} stale entr{} (salt or cache layout changed) deleted",
             stats.stale_dropped,
             if stats.stale_dropped == 1 { "y" } else { "ies" },
         );
     }
 }
 
-fn sidecar_for(dir: &std::path::Path, stats: &CacheStats, wall_secs: f64) -> CacheSidecar {
+fn sidecar_for(
+    dir: &std::path::Path,
+    salt: String,
+    stats: &CacheStats,
+    wall_secs: f64,
+) -> CacheSidecar {
     let total = stats.hits + stats.misses;
     CacheSidecar {
         cache_dir: dir.display().to_string(),
-        salt: scenarios::engine_salt(),
+        salt,
         hits: stats.hits,
         misses: stats.misses,
         hit_rate: if total == 0 {
@@ -393,8 +400,10 @@ fn cmd_serve(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
         config = config.with_cache_dir(dir);
     }
     let service = Service::start(registry, config)?;
-    if let (Some(dir), Some(stats)) = (&inv.cache_dir, service.cache_stats()) {
-        print_cache_opened(dir, stats.entries);
+    if let (Some(dir), Some(stats), Some(salt)) =
+        (&inv.cache_dir, service.cache_stats(), service.cache_salt())
+    {
+        print_cache_opened(dir, stats.entries, &salt);
     }
     let server = Server::bind(service, inv.addr.as_str())?;
     println!(

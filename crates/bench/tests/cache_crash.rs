@@ -26,7 +26,7 @@
 //!
 //! A last test races whole CLI processes on one cache directory.
 
-use scenarios::{engine_salt, job_key, Metrics, Registry, ResultCache, SweepGrid, SweepRunner};
+use scenarios::{job_key, Metrics, Registry, ResultCache, SweepGrid, SweepRunner};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -108,7 +108,7 @@ fn recovered(dir: &Path, live: &[(u64, Metrics)]) -> Vec<bool> {
     let mut cache = ResultCache::open(dir).expect("a cut-off sweep never breaks the next open");
     live.iter()
         .map(|(seed, metrics)| {
-            let key = job_key(&engine_salt(), SCENARIO, &params, *seed);
+            let key = job_key(cache.salt(), SCENARIO, &params, *seed);
             let held = cache.lookup(&key);
             if let Some(held) = &held {
                 assert!(

@@ -123,6 +123,27 @@ fn run_artifact_matches_the_committed_goldens() {
         std::fs::read(golden("fig11_reps5_10_seeds2.json")).expect("golden present"),
         "fig11 artifact bytes drifted from the golden"
     );
+
+    // Every scenario at its default parameters. A deliberate change to what
+    // a scenario computes regenerates this file with the same command
+    // (`--json crates/scenarios/tests/golden/all_seeds2.json`), and then the
+    // cache salt, which is the goldens' digest.
+    let all = out_path("all");
+    run_cli(&[
+        "run",
+        "--all",
+        "--seeds",
+        "2",
+        "--threads",
+        "2",
+        "--json",
+        all.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        std::fs::read(&all).expect("artifact written"),
+        std::fs::read(golden("all_seeds2.json")).expect("golden present"),
+        "run --all artifact bytes drifted from the golden"
+    );
 }
 
 /// One counter of a `<artifact>.cache.json` sidecar.

@@ -3,8 +3,9 @@
 //! original scan-everything scheduler at the pre-index commit; any
 //! divergence here means a scheduling *decision* changed, not just its cost.
 //! Refresh the file only for deliberate, documented semantic changes — and
-//! bump `scenarios::cache::ENGINE_SALT_REV` (or a crate version) in the same
-//! commit, because cached sweep results would be stale too.
+//! regenerate the goldens and the cache salt's digest in the same commit
+//! (the file is part of that digest), because cached sweep results would be
+//! stale too.
 
 #[test]
 fn trace_reference_matches_committed_artifact() {

@@ -52,10 +52,6 @@ impl JobSpec {
             tag: tag.to_string(),
         }
     }
-
-    pub fn total_cores(&self) -> u64 {
-        u64::from(self.nodes) * u64::from(self.per_node.cores)
-    }
 }
 
 /// Lifecycle state.
@@ -157,11 +153,6 @@ mod tests {
             SimTime::from_hours(1),
             "lulesh",
         )
-    }
-
-    #[test]
-    fn total_cores() {
-        assert_eq!(spec().total_cores(), 72);
     }
 
     #[test]

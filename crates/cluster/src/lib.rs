@@ -9,11 +9,6 @@
 
 #![forbid(unsafe_code)]
 
-/// This crate's version, folded into the sweep result cache's engine salt:
-/// scheduler/trace semantics changes ship as version bumps, which must
-/// invalidate memoized simulation results.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
-
 pub(crate) mod index;
 pub mod job;
 pub mod monitor;

@@ -32,15 +32,6 @@ impl NodeResources {
         }
     }
 
-    /// Ault node: 2×18-core Xeon Gold, 377 GB.
-    pub fn ault() -> Self {
-        NodeResources {
-            cores: 36,
-            memory_mb: 377 * 1024,
-            gpus: 0,
-        }
-    }
-
     pub fn fits(&self, other: &NodeResources) -> bool {
         self.cores >= other.cores && self.memory_mb >= other.memory_mb && self.gpus >= other.gpus
     }

@@ -106,16 +106,11 @@ mod tests {
     #[test]
     fn deploy_takes_the_gpu_exclusively() {
         let mut g = gres();
-        let f = GpuFunction::deploy(RodiniaBenchmark::Hotspot, GpuDevice::p100(), &mut g, 0, 1)
-            .unwrap();
+        GpuFunction::deploy(RodiniaBenchmark::Hotspot, GpuDevice::p100(), &mut g, 0, 1).unwrap();
         assert_eq!(
             GpuFunction::deploy(RodiniaBenchmark::Bfs, GpuDevice::p100(), &mut g, 0, 2)
                 .unwrap_err(),
             GpuExecError::NoGpuAvailable
-        );
-        assert!(g.release(f.gres));
-        assert!(
-            GpuFunction::deploy(RodiniaBenchmark::Bfs, GpuDevice::p100(), &mut g, 0, 2).is_ok()
         );
     }
 

@@ -26,12 +26,6 @@
 //! assert_eq!(sim.now(), SimTime::from_micros(15));
 //! ```
 
-/// This crate's version, exposed so downstream result caches can fold the
-/// simulation engine's identity into their content hashes: any `des`
-/// release may change event semantics, which must invalidate memoized
-/// `(scenario, params, seed) → metrics` entries.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
-
 pub mod cell;
 pub mod event;
 pub mod queue;

@@ -138,10 +138,6 @@ impl DrcManager {
             }
         }
     }
-
-    pub fn active_count(&self) -> usize {
-        self.credentials.len()
-    }
 }
 
 #[cfg(test)]
@@ -215,6 +211,5 @@ mod tests {
             drc.validate(cred, CLIENT).unwrap_err(),
             DrcError::UnknownCredential
         );
-        assert_eq!(drc.active_count(), 0);
     }
 }

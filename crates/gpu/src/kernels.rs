@@ -4,8 +4,7 @@
 //! suffices to keep the GPU busy, and why the host-side footprint (the
 //! `host_*_demand` fields) is what perturbs the co-located batch job.
 
-use crate::device::{GpuDevice, KernelSpec};
-use des::SimTime;
+use crate::device::KernelSpec;
 
 /// The Rodinia subset of Fig. 12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,31 +121,11 @@ impl RodiniaProfile {
             },
         }
     }
-
-    /// End-to-end runtime of one invocation on `device`.
-    pub fn runtime(&self, device: &GpuDevice) -> SimTime {
-        let kernels = device.kernel_time(&self.kernel) * u64::from(self.kernel_launches);
-        let transfers = device.transfer_time(self.h2d_bytes) + device.transfer_time(self.d2h_bytes);
-        kernels + transfers
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_run_in_hundreds_of_milliseconds() {
-        let d = GpuDevice::p100();
-        for b in RodiniaBenchmark::ALL {
-            let t = RodiniaProfile::of(b).runtime(&d);
-            assert!(
-                t >= SimTime::from_millis(50) && t <= SimTime::from_secs(2),
-                "{}: {t}",
-                b.name()
-            );
-        }
-    }
 
     #[test]
     fn host_demand_is_sub_core() {

@@ -58,11 +58,6 @@ impl GpuAssignment {
         }
         None
     }
-
-    /// Release a slot.
-    pub fn release(&mut self, key: (u32, u32, u32)) -> bool {
-        self.assigned.remove(&key).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -72,10 +67,8 @@ mod tests {
     #[test]
     fn exclusive_device_one_holder() {
         let mut a = GpuAssignment::new(GpuSharingPolicy::ExclusiveDevice, 1);
-        let slot = a.acquire(0, 100).unwrap();
+        assert!(a.acquire(0, 100).is_some());
         assert!(a.acquire(0, 101).is_none(), "no GPU sharing");
-        a.release(slot);
-        assert!(a.acquire(0, 101).is_some());
     }
 
     #[test]
@@ -86,11 +79,5 @@ mod tests {
         }
         assert!(a.acquire(3, 99).is_none());
         assert!(a.acquire(4, 99).is_some(), "other nodes unaffected");
-    }
-
-    #[test]
-    fn release_unknown_is_false() {
-        let mut a = GpuAssignment::new(GpuSharingPolicy::ExclusiveDevice, 1);
-        assert!(!a.release((0, 0, 0)));
     }
 }

@@ -7,7 +7,7 @@
 //! This module cashes that determinism in:
 //!
 //! * [`job_key`] derives a stable 256-bit content hash over the scenario
-//!   name, an engine-version salt (see [`engine_salt`]), the canonicalized
+//!   name, a salt (the digest of the committed goldens), the canonicalized
 //!   [`Params`] (floats hashed via `to_bits()`, never via `format!`), and
 //!   the seed.
 //! * [`ResultCache`] is the persistent store: one append-only log per salt.
@@ -20,8 +20,9 @@
 //!   sweep's [`CacheWriter`] — the hot path never takes the store's lock.
 //!   On sweep completion the log is fsync'd and its new lines replayed.
 //!
-//! A salt change (crate version bump or [`ENGINE_SALT_REV`] bump) starts a
-//! new log: opening under one salt deletes every other salt's log.
+//! To change what a simulation computes, regenerate the goldens and the
+//! salt digest with it: the new salt starts a new log, and opening under
+//! one salt deletes every other salt's log.
 //!
 //! Concurrency and crash model: every append is one `O_APPEND` write of one
 //! whole line, so writers — threads, sweeps or processes — never interleave
@@ -41,38 +42,20 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Manual engine-version override: bump whenever simulation semantics
-/// change without a crate version bump (e.g. a scheduler tie-break fix
-/// within one release). Folded into [`engine_salt`], so a bump invalidates
-/// every cached entry.
+/// The salt folded into every [`job_key`]: the first 128 bits, in lower
+/// hex, of the SHA-256 of the committed goldens — every file in this
+/// crate's `tests/golden/`, sorted by name, then `ci/trace_reference.json`,
+/// each file's name and bytes length-prefixed. Those files pin what the
+/// scenarios compute, so the salt moves exactly when a result does. A
+/// change that moves a golden byte must regenerate that golden and then
+/// this digest (the `salt_is_the_digest_of_the_committed_goldens` test
+/// prints the new value), and that re-keys the cache. A bit-identical
+/// refactor leaves both alone, and warm caches keep hitting.
 ///
-/// The converse rule matters just as much: a change that is *proven*
-/// bit-identical — a pure performance refactor whose outputs match the old
-/// implementation byte-for-byte — must **not** bump this (or any crate
-/// version), precisely so the cache keeps serving entries written before
-/// the change. The salt keys what a simulation *computes*, not how fast.
-/// The proof obligations are the repo's standing ones: an oracle test
-/// against the old implementation and an unchanged `ci/trace_reference.json`
-/// (see the PR-9 indexed scheduler, which left this at 1; the
-/// `warm_cache_survives_bit_identical_engine_changes` test pins the
-/// resulting salt string so an accidental bump fails loudly).
-pub const ENGINE_SALT_REV: u32 = 1;
-
-/// The engine-version salt folded into every [`job_key`]: the versions of
-/// the crates whose code decides what a simulation computes (`des`,
-/// `cluster`, `scenarios`) plus [`ENGINE_SALT_REV`]. Any release that can
-/// change simulation semantics changes the salt and therefore every key —
-/// and a release that provably cannot (bit-identical internal refactors)
-/// must leave it untouched so warm caches survive the upgrade.
-pub fn engine_salt() -> String {
-    format!(
-        "des={}|cluster={}|scenarios={}|rev={}",
-        des::VERSION,
-        cluster::VERSION,
-        env!("CARGO_PKG_VERSION"),
-        ENGINE_SALT_REV
-    )
-}
+/// 128 bits are plenty to tell salts apart, and the 32-character salt
+/// keeps every default-parameter key within as many SHA-256 blocks as the
+/// 46-character version salt it replaced: every lookup hashes it.
+const SALT: &str = "8852239557e955c79fccbf1b55da7d76";
 
 /// 256-bit content hash identifying one `(salt, scenario, params, seed)`
 /// job. Stable across runs, platforms, and param insertion *values* (order
@@ -162,7 +145,7 @@ pub struct CacheStats {
 
 /// Persistent content-addressed `(job key) → Metrics` store.
 ///
-/// Layout under the cache directory: one log per engine salt, named by the
+/// Layout under the cache directory: one log per salt, named by the
 /// first 64 bits of the salt's SHA-256,
 ///
 /// ```text
@@ -215,14 +198,14 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// Open (creating if needed) the cache at `dir`, keyed by the current
-    /// [`engine_salt`].
+    /// Open (creating if needed) the cache at `dir`, keyed by the digest of
+    /// the committed goldens this build was compiled with.
     pub fn open(dir: &Path) -> Result<ResultCache, Error> {
-        ResultCache::open_with_salt(dir, &engine_salt())
+        ResultCache::open_with_salt(dir, SALT)
     }
 
-    /// Open with an explicit salt — the test hook for simulating engine
-    /// version bumps without rebuilding crates.
+    /// Open with an explicit salt — the test hook for simulating a
+    /// regenerated golden without rebuilding crates.
     pub fn open_with_salt(dir: &Path, salt: &str) -> Result<ResultCache, Error> {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::cache(dir, format!("creating cache dir: {e}")))?;
@@ -797,10 +780,28 @@ mod tests {
     }
 
     #[test]
-    fn engine_salt_names_every_engine_crate_version() {
-        let salt = engine_salt();
-        assert!(salt.contains(&format!("des={}", des::VERSION)));
-        assert!(salt.contains(&format!("cluster={}", cluster::VERSION)));
-        assert!(salt.contains(&format!("rev={ENGINE_SALT_REV}")));
+    fn salt_is_the_digest_of_the_committed_goldens() {
+        let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut files: Vec<PathBuf> = std::fs::read_dir(crate_dir.join("tests/golden"))
+            .expect("the golden dir is committed")
+            .map(|entry| entry.expect("golden dir entry").path())
+            .collect();
+        files.sort();
+        files.push(crate_dir.join("../../ci/trace_reference.json"));
+        let mut h = sha256::Sha256::new();
+        for path in &files {
+            let name = path.file_name().expect("a file").to_string_lossy();
+            let bytes = std::fs::read(path).expect("a committed golden");
+            for field in [name.as_bytes(), &bytes] {
+                h.update(&(field.len() as u64).to_le_bytes());
+                h.update(field);
+            }
+        }
+        let digest = &CacheKey(h.finalize()).hex()[..32];
+        assert!(
+            digest == SALT,
+            "the committed goldens changed, so every cached result is stale: \
+             set `const SALT: &str = \"{digest}\";` in crates/scenarios/src/cache.rs"
+        );
     }
 }

@@ -39,7 +39,7 @@ pub mod server;
 pub mod service;
 pub mod wire;
 
-pub use cache::{engine_salt, job_key, CacheKey, CacheStats, CacheWriter, ResultCache};
+pub use cache::{job_key, CacheKey, CacheStats, CacheWriter, ResultCache};
 pub use error::Error;
 pub use metrics::{summarize, MetricSummary, Metrics};
 pub use params::{ParamValue, Params, SweepGrid};

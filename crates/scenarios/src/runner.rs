@@ -288,6 +288,13 @@ impl Engine {
         self.cache.as_ref().map(|c| c.lock().unwrap().stats())
     }
 
+    /// The attached cache's salt, if any.
+    pub(crate) fn cache_salt(&self) -> Option<String> {
+        self.cache
+            .as_ref()
+            .map(|c| c.lock().unwrap().salt().to_string())
+    }
+
     /// Plan one sweep over `tasks × seeds`: returns it with its initial
     /// progress — hits already in their slots, the jobs that still have to
     /// run pending in the order they should start. Jobs get consecutive

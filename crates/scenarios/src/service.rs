@@ -458,6 +458,11 @@ impl Service {
         self.inner.engine.cache_stats()
     }
 
+    /// The salt the shared cache was opened under, if one is attached.
+    pub fn cache_salt(&self) -> Option<String> {
+        self.inner.engine.cache_salt()
+    }
+
     /// Stop accepting work and join the pool — what dropping the service
     /// does, spelled out. In-flight and pending jobs are drained first
     /// (cancel requests beforehand for a fast exit).

@@ -2,13 +2,12 @@
 //! indistinguishable from a live run (bit-exact metrics, byte-identical
 //! artifacts), hits never pollute the LPT cost table, concurrent sweeps
 //! over one cache directory never tear or duplicate entries, any byte
-//! prefix of a log opens to exactly its whole lines, and an engine-salt
-//! bump invalidates — and garbage-collects — every prior entry.
+//! prefix of a log opens to exactly its whole lines, and a salt change (a
+//! regenerated golden) invalidates — and garbage-collects — every prior
+//! entry.
 
 use proptest::prelude::*;
-use scenarios::{
-    engine_salt, job_key, Metrics, Params, ResultCache, Scenario, SweepGrid, SweepRunner,
-};
+use scenarios::{job_key, Metrics, Params, ResultCache, Scenario, SweepGrid, SweepRunner};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -158,58 +157,58 @@ fn salt_bump_invalidates_every_entry_and_garbage_collects() {
 
 #[test]
 fn warm_cache_survives_bit_identical_engine_changes() {
-    // The inverse contract of the salt-bump tests: an internal refactor
-    // that provably keeps simulation outputs bit-identical (PR 9's indexed
-    // scheduler: oracle property tests + an unchanged ci/trace_reference
-    // artifact) ships with NO salt change, and caches populated before the
-    // change keep hitting after it. The literal string below is the salt as
-    // it stood before the scheduler was indexed; if engine_salt() drifts
-    // from it, either a version/rev was bumped for a bit-identical change
-    // (revert the bump) or semantics actually changed (then this test and
-    // ci/trace_reference.json must be updated together, deliberately).
-    let pre_change_salt = "des=0.1.0|cluster=0.1.0|scenarios=0.1.0|rev=1";
-    assert_eq!(
-        engine_salt(),
-        pre_change_salt,
-        "engine salt changed — bit-identical refactors must leave it alone"
-    );
-
+    // The salt is a compile-time digest of the committed goldens and names
+    // no crate version, so a refactor that leaves every golden byte alone
+    // builds the same salt, and a cache filled before the change keeps
+    // hitting after it. Two opens of one directory stand for the builds
+    // before and after.
     let dir = cache_dir("warmsurvives");
     let seeds = vec![21, 22];
-    // Populate the store under the pinned pre-change salt...
-    let old = SweepRunner::new(2, seeds.clone())
-        .with_cache(ResultCache::open_with_salt(&dir, pre_change_salt).expect("open pinned"));
-    old.run(&Probe, &grid());
-    assert_eq!(old.cache_stats().expect("stats").entries, 6);
+    let before = ResultCache::open(&dir).expect("open");
+    let salt = before.salt();
+    assert!(
+        salt.len() == 32 && salt.bytes().all(|b| b.is_ascii_hexdigit()),
+        "the salt is a digest, not `{salt}`"
+    );
+    let before = SweepRunner::new(2, seeds.clone()).with_cache(before);
+    before.run(&Probe, &grid());
+    assert_eq!(before.cache_stats().expect("stats").entries, 6);
 
-    // ...and re-sweep under the wired engine_salt(): every entry must hit.
-    let new = SweepRunner::new(2, seeds).with_cache(ResultCache::open(&dir).expect("open current"));
-    new.run(&Probe, &grid());
-    let stats = new.cache_stats().expect("stats");
-    assert_eq!(stats.hits, 6, "pre-change entries must survive the upgrade");
+    let after = SweepRunner::new(2, seeds).with_cache(ResultCache::open(&dir).expect("reopen"));
+    after.run(&Probe, &grid());
+    let stats = after.cache_stats().expect("stats");
+    assert_eq!(stats.hits, 6, "entries must survive a bit-identical change");
     assert_eq!(stats.misses, 0);
     assert_eq!(stats.stale_dropped, 0, "nothing may be treated as stale");
 }
 
 #[test]
-fn engine_salt_bump_misses_against_a_real_version_salt() {
-    // The wired salt: a cache populated under engine_salt() full-misses
-    // once the salt gains a suffix — exactly what a des/cluster/scenarios
-    // version bump or an ENGINE_SALT_REV bump does.
-    let dir = cache_dir("realsalt");
-    let seeds = vec![5];
-    let current = SweepRunner::new(1, seeds.clone())
-        .with_cache(ResultCache::open(&dir).expect("open current"));
-    current.run(&Probe, &grid());
-    assert_eq!(current.cache_stats().expect("stats").entries, 3);
+fn cache_written_under_the_version_salt_is_rekeyed_once() {
+    // Before the salt was the goldens' digest, it named crate versions and
+    // a hand-bumped revision. A cache filled under that salt is dropped at
+    // the first open, its jobs run again once, and then they hit.
+    let version_salt = "des=0.1.0|cluster=0.1.0|scenarios=0.1.0|rev=1";
+    let dir = cache_dir("versionsalt");
+    let seeds = vec![5, 6];
+    let old = SweepRunner::new(2, seeds.clone())
+        .with_cache(ResultCache::open_with_salt(&dir, version_salt).expect("open old"));
+    old.run(&Probe, &grid());
+    let n = old.cache_stats().expect("stats").entries;
+    assert_eq!(n, 6);
 
-    let bumped_salt = format!("{}+semantics-changed", engine_salt());
-    let bumped = SweepRunner::new(1, seeds)
-        .with_cache(ResultCache::open_with_salt(&dir, &bumped_salt).expect("open bumped"));
-    bumped.run(&Probe, &grid());
-    let stats = bumped.cache_stats().expect("stats");
-    assert_eq!(stats.hits, 0, "version-salt bump must force a full miss");
-    assert_eq!(stats.misses, 3);
+    let rekeyed = ResultCache::open(&dir).expect("open current");
+    assert_ne!(rekeyed.salt(), version_salt);
+    assert_eq!(rekeyed.stats().stale_dropped, n, "every old line dropped");
+    let cold = SweepRunner::new(2, seeds.clone()).with_cache(rekeyed);
+    cold.run(&Probe, &grid());
+    let stats = cold.cache_stats().expect("stats");
+    assert_eq!((stats.hits, stats.misses), (0, n), "old entries never hit");
+
+    let warm = SweepRunner::new(2, seeds).with_cache(ResultCache::open(&dir).expect("reopen"));
+    warm.run(&Probe, &grid());
+    let stats = warm.cache_stats().expect("stats");
+    assert_eq!((stats.hits, stats.misses), (n, 0), "re-keyed entries hit");
+    assert_eq!(stats.stale_dropped, 0);
 }
 
 #[test]
