@@ -124,6 +124,31 @@ fn run_artifact_matches_the_committed_goldens() {
         "fig11 artifact bytes drifted from the golden"
     );
 
+    // The Fig. 1 replay at the cluster sizes where the batch scheduler's
+    // pending queue is deep and backfill busy (1200 and 1800 nodes) and
+    // where it is nearly empty (2400 and 3600), over a week.
+    let fig01 = out_path("fig01");
+    run_cli(&[
+        "run",
+        "fig01_utilization",
+        "--grid",
+        "nodes=1200,1800,2400,3600",
+        "--param",
+        "horizon_days=7.0",
+        "--seeds",
+        "1",
+        "--threads",
+        "2",
+        "--json",
+        fig01.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        std::fs::read(&fig01).expect("artifact written"),
+        std::fs::read(golden("fig01_nodes1200_1800_2400_3600_days7_seeds1.json"))
+            .expect("golden present"),
+        "fig01 artifact bytes drifted from the golden"
+    );
+
     // Every scenario at its default parameters. A deliberate change to what
     // a scenario computes regenerates this file with the same command
     // (`--json crates/scenarios/tests/golden/all_seeds2.json`), and then the
@@ -202,18 +227,17 @@ fn repeated_run_on_one_cache_dir_is_byte_identical_and_all_hits() {
 /// `scenarios report <name>` is the one way to print a paper-style report
 /// (the per-figure wrapper binaries are gone): a known name prints its
 /// banner and tables, an unknown one is a usage error, not a silent no-op.
+/// `report --all` runs every scenario's report, so a shape assertion that
+/// any of them makes about the paper's claims fails this test.
 #[test]
 fn report_prints_one_scenario_and_rejects_unknown_names() {
-    let known = scenarios_bin()
-        .args(["report", "tab03_idle_node"])
-        .output()
-        .expect("scenarios binary runs");
-    assert!(known.status.success(), "report tab03_idle_node failed");
-    let stdout = String::from_utf8_lossy(&known.stdout);
+    let stdout = run_cli(&["report", "tab03_idle_node"]);
     assert!(
         stdout.contains("tab03_idle_node"),
         "report must print the scenario's banner:\n{stdout}"
     );
+
+    run_cli(&["report", "--all"]);
 
     let unknown = scenarios_bin()
         .args(["report", "no_such_scenario"])

@@ -91,14 +91,6 @@ impl Job {
             actual_runtime,
         }
     }
-
-    /// Wall-clock duration, if finished.
-    pub fn runtime(&self) -> Option<SimTime> {
-        match (self.started_at, self.finished_at) {
-            (Some(s), Some(f)) => Some(f.saturating_sub(s)),
-            _ => None,
-        }
-    }
 }
 
 /// Every job a cluster has seen, indexed by id. `Cluster::submit` hands out
@@ -160,19 +152,5 @@ mod tests {
         assert!(!spec().shared);
         let s = JobSpec::shared(1, NodeResources::daint_mc(), SimTime::from_mins(5), "nas");
         assert!(s.shared);
-    }
-
-    #[test]
-    fn wait_and_runtime() {
-        let mut j = Job::new(
-            JobId(1),
-            spec(),
-            SimTime::from_secs(100),
-            SimTime::from_secs(50),
-        );
-        assert_eq!(j.runtime(), None);
-        j.started_at = Some(SimTime::from_secs(160));
-        j.finished_at = Some(SimTime::from_secs(210));
-        assert_eq!(j.runtime(), Some(SimTime::from_secs(50)));
     }
 }

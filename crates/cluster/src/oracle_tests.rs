@@ -4,9 +4,10 @@
 //! heterogeneous (multi-capacity-class) cluster, for shared and exclusive
 //! jobs alike. "Bit-identical" here means every observable the simulation
 //! driver consumes: the started-job sequence and ended idle periods returned
-//! by each `try_schedule`, the pending/idle/running counts, every job's
-//! state and timestamps, `next_completion`, and the usage totals and idle
-//! bitmap the utilization monitor reads (bit for bit, against a scan);
+//! by each `try_schedule`, the pending queue (the same ids in the same
+//! order), the idle count, every job's state and timestamps,
+//! `next_completion`, and the usage totals and idle bitmap the utilization
+//! monitor reads (bit for bit, against a scan);
 //! after every op each index structure is also rebuilt from a scan of the
 //! nodes and compared (`SchedIndex::assert_consistent`), so index drift
 //! fails before it changes a decision. A second family drives the bitmap
@@ -52,7 +53,7 @@ enum Op {
     /// Finish the earliest-completing running job (if any), then schedule.
     FinishEarliest,
     /// Cancel the `k % submitted`-th job regardless of its state, then
-    /// schedule — exercises pending tombstones and running release.
+    /// schedule — exercises pending removal and running release.
     Cancel { k: usize },
     /// Let simulated time pass before the next op.
     Advance { mins: u64 },
@@ -160,7 +161,11 @@ fn step(
     }
     // Cross-cutting invariants after every op.
     c.assert_index_consistent();
-    prop_assert_eq!(c.pending_count(), r.pending_count(), "pending diverged");
+    prop_assert_eq!(
+        c.pending_queue(),
+        r.pending_queue(),
+        "pending queue diverged"
+    );
     prop_assert_eq!(
         c.idle_node_count(),
         r.idle_node_count(),
@@ -271,8 +276,8 @@ proptest! {
     fn indexed_scheduler_matches_oracle_on_homogeneous_backlog(
         ops in prop::collection::vec(arb_op(), 1..160),
     ) {
-        // Few nodes => deep queues => the backfill loop and tombstone
-        // compaction dominate.
+        // Few nodes => deep queues => the backfill loop and its mid-queue
+        // removals dominate.
         let mut c = Cluster::homogeneous(4, NodeResources::daint_mc());
         let mut r = RefCluster::homogeneous(4, NodeResources::daint_mc());
         let mut now = SimTime::ZERO;

@@ -62,6 +62,10 @@ impl RefCluster {
         self.pending.len()
     }
 
+    pub fn pending_queue(&self) -> &VecDeque<JobId> {
+        &self.pending
+    }
+
     pub fn idle_node_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.is_idle()).count()
     }

@@ -11,9 +11,10 @@
 //! `crate::index`): placement pulls the first `k` nodes from an ordered
 //! free-node index instead of filtering and sorting all nodes, the backfill
 //! shadow time is a k-th order statistic over an incrementally-updated
-//! per-node walltime horizon, feasibility is a per-capacity-class member
-//! count, and backfill extraction tombstones its queue entry instead of
-//! shifting the `VecDeque`. Jobs live in a dense table indexed by their
+//! per-node walltime horizon, and feasibility is a per-capacity-class member
+//! count. The pending queue holds exactly the waiting jobs in arrival order,
+//! as the scan scheduler's does: a backfill start or a pending cancel
+//! removes its entry. Jobs live in a dense table indexed by their
 //! sequential id, and the utilization queries (`core_usage`,
 //! `memory_usage`, `idle_node_count`) read running totals kept alongside
 //! the indexes. Scheduling decisions are bit-identical to the
@@ -51,25 +52,15 @@ impl fmt::Display for SchedulerError {
 
 impl std::error::Error for SchedulerError {}
 
-/// How many stale (tombstoned) entries the pending queue tolerates before a
-/// compaction pass. Backfill starts and cancellations mark entries stale in
-/// O(1) instead of shifting the deque; compaction keeps iteration over the
-/// queue amortized O(live).
-const PENDING_COMPACT_MIN: usize = 64;
-
 /// The cluster state machine. Drive it with `submit` / `try_schedule` /
 /// `finish`; query idle capacity for the serverless resource manager.
 pub struct Cluster {
     nodes: Vec<Node>,
     jobs: JobTable,
-    /// Arrival-ordered queue. Entries whose job is no longer `Pending` are
-    /// tombstones: backfill extraction and cancellation mark the job's state
-    /// and leave the entry in place (O(1) amortized instead of a O(n)
-    /// `remove`/`retain`); scheduling passes skip them and
-    /// [`Cluster::maybe_compact_pending`] sweeps them out.
+    /// The `Pending` jobs, in arrival order. Every job that leaves
+    /// `Pending` (started, dropped as infeasible or cancelled) leaves the
+    /// queue in the same step.
     pending: VecDeque<JobId>,
-    /// Number of non-tombstone entries in `pending`.
-    pending_live: usize,
     /// Whether a zero-node job was ever submitted. Such a job "starts" on a
     /// full cluster, so the backfill scan may only stop early without one.
     zero_node_jobs: bool,
@@ -85,7 +76,6 @@ impl Cluster {
             nodes,
             jobs: JobTable::default(),
             pending: VecDeque::new(),
-            pending_live: 0,
             zero_node_jobs: false,
             index,
         }
@@ -100,10 +90,6 @@ impl Cluster {
         )
     }
 
-    pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(id.0 as usize)
-    }
-
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
     }
@@ -114,7 +100,13 @@ impl Cluster {
 
     #[cfg(test)]
     pub(crate) fn pending_count(&self) -> usize {
-        self.pending_live
+        self.pending.len()
+    }
+
+    /// The pending queue, front first, for the oracle tests to compare.
+    #[cfg(test)]
+    pub(crate) fn pending_queue(&self) -> &VecDeque<JobId> {
+        &self.pending
     }
 
     #[cfg(test)]
@@ -144,7 +136,6 @@ impl Cluster {
         self.zero_node_jobs |= spec.nodes == 0;
         let id = self.jobs.insert(spec, now, runtime);
         self.pending.push_back(id);
-        self.pending_live += 1;
         id
     }
 
@@ -174,28 +165,6 @@ impl Cluster {
         ended_idle_periods
     }
 
-    /// Drop tombstoned entries off the queue front and return the live head.
-    fn live_head(&mut self) -> Option<JobId> {
-        while let Some(&id) = self.pending.front() {
-            if self.jobs[id].state == JobState::Pending {
-                return Some(id);
-            }
-            self.pending.pop_front();
-        }
-        None
-    }
-
-    /// Sweep out tombstones once they dominate the queue; amortized O(1)
-    /// per extraction.
-    fn maybe_compact_pending(&mut self) {
-        if self.pending.len() > PENDING_COMPACT_MIN && self.pending_live * 2 < self.pending.len() {
-            let jobs = &self.jobs;
-            self.pending
-                .retain(|&id| jobs[id].state == JobState::Pending);
-            debug_assert_eq!(self.pending.len(), self.pending_live);
-        }
-    }
-
     /// Run the scheduling pass: start the queue head while possible, then
     /// conservatively backfill jobs that finish before the head's shadow
     /// time. Returns `(started job ids, idle periods that just ended)`.
@@ -205,11 +174,10 @@ impl Cluster {
 
         // FCFS phase. Specs are borrowed, not cloned — this runs once per
         // arrival and once per completion, and a `JobSpec` owns a `String`.
-        while let Some(head) = self.live_head() {
+        while let Some(&head) = self.pending.front() {
             if !self.is_feasible(&self.jobs[head].spec) {
                 // Drop impossible jobs so they don't wedge the queue.
                 self.pending.pop_front();
-                self.pending_live -= 1;
                 let j = self.jobs.get_mut(head).expect("exists");
                 j.state = JobState::Cancelled;
                 j.finished_at = Some(now);
@@ -218,7 +186,6 @@ impl Cluster {
             match self.index.select(&self.nodes, &self.jobs[head].spec) {
                 Some(nodes) => {
                     self.pending.pop_front();
-                    self.pending_live -= 1;
                     idle_periods.extend(self.start_job(head, nodes, now));
                     started.push(head);
                 }
@@ -228,32 +195,30 @@ impl Cluster {
 
         // Backfill phase (conservative EASY): jobs behind the head may start
         // only if their walltime fits before the head's reservation. A
-        // backfilled job's queue entry becomes a tombstone (its state is no
-        // longer `Pending`), so extraction never shifts the deque. Once the
-        // last idle or shareable node is taken, no job of one node or more
-        // can be placed, so the rest of the queue is not looked at.
+        // backfilled job leaves the queue and the next entry shifts into its
+        // slot, so `i` does not advance. Once the last idle or shareable node
+        // is taken, no job of one node or more can be placed, so the rest of
+        // the queue is not looked at.
         if let Some(&head) = self.pending.front() {
             let shadow = self.index.shadow_time(&self.jobs[head].spec, now);
-            for i in 1..self.pending.len() {
+            let mut i = 1;
+            while i < self.pending.len() {
                 if !self.zero_node_jobs && !self.index.has_candidates() {
                     break;
                 }
                 let jid = self.pending[i];
-                let job = &self.jobs[jid];
-                if job.state != JobState::Pending {
-                    continue; // tombstone
-                }
-                let fits_before_shadow = now + job.spec.walltime <= shadow;
-                if fits_before_shadow {
-                    if let Some(nodes) = self.index.select(&self.nodes, &job.spec) {
-                        self.pending_live -= 1;
+                let spec = &self.jobs[jid].spec;
+                if now + spec.walltime <= shadow {
+                    if let Some(nodes) = self.index.select(&self.nodes, spec) {
+                        self.pending.remove(i);
                         idle_periods.extend(self.start_job(jid, nodes, now));
                         started.push(jid);
+                        continue;
                     }
                 }
+                i += 1;
             }
         }
-        self.maybe_compact_pending();
 
         (started, idle_periods)
     }
@@ -289,9 +254,7 @@ impl Cluster {
             JobState::Pending => {
                 job.state = JobState::Cancelled;
                 job.finished_at = Some(now);
-                // The queue entry stays behind as a tombstone.
-                self.pending_live -= 1;
-                self.maybe_compact_pending();
+                self.pending.retain(|&j| j != id);
                 Ok(())
             }
             JobState::Running => {
@@ -401,7 +364,7 @@ mod tests {
         );
         let (started, _) = c.try_schedule(SimTime::ZERO);
         assert_eq!(started, vec![a, b]);
-        let node = c.node(NodeId(0)).unwrap();
+        let node = &c.nodes()[0];
         assert_eq!(node.job_count(), 2);
         assert_eq!(node.free().cores, 0);
     }
@@ -620,9 +583,9 @@ mod tests {
     }
 
     #[test]
-    fn pending_queue_compaction_preserves_order() {
-        // Flood the queue, cancel most of it (tombstones), and check the
-        // survivors still start in arrival order after compaction kicks in.
+    fn cancelled_entries_leave_survivors_in_arrival_order() {
+        // Flood the queue, cancel two of every three entries, and check the
+        // survivors still start in arrival order.
         let mut c = small_cluster(1);
         let blocker = c.submit(excl(1, 600, "blk"), SimTime::from_mins(600), SimTime::ZERO);
         c.try_schedule(SimTime::ZERO);

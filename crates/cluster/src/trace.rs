@@ -89,20 +89,12 @@ impl TraceProfile {
         }
     }
 
-    /// The weights of `size_buckets`, in bucket order.
-    fn size_weights(&self) -> Vec<f64> {
-        self.size_buckets.iter().map(|(_, w)| *w).collect()
-    }
-
-    /// Draw one job (spec + actual runtime) from the profile.
+    /// Draw one job (spec + actual runtime) from the profile. The node
+    /// count's weights are read in place from `size_buckets`, so a draw
+    /// allocates nothing but the job's tag.
     pub fn draw_job(&self, rng: &mut RngStream) -> (JobSpec, SimTime) {
-        self.draw_job_weighted(&self.size_weights(), rng)
-    }
-
-    /// [`TraceProfile::draw_job`] with [`TraceProfile::size_weights`]
-    /// computed by the caller, so a replay builds them once, not per draw.
-    fn draw_job_weighted(&self, size_weights: &[f64], rng: &mut RngStream) -> (JobSpec, SimTime) {
-        let nodes = self.size_buckets[rng.weighted_index(size_weights)].0;
+        let weights = self.size_buckets.iter().map(|&(_, w)| w);
+        let nodes = self.size_buckets[rng.weighted_index(weights)].0;
 
         let runtime_s = rng
             .log_normal(self.runtime_mu, self.runtime_sigma)
@@ -151,7 +143,6 @@ struct TraceState {
     cluster: Cluster,
     monitor: UtilizationMonitor,
     profile: TraceProfile,
-    size_weights: Vec<f64>,
     rng: RngStream,
     horizon: SimTime,
     submitted: usize,
@@ -201,7 +192,7 @@ fn arrival(sim: &mut Simulation, shared: SharedState) {
         if now >= st.horizon {
             return;
         }
-        let (spec, runtime) = st.profile.draw_job_weighted(&st.size_weights, &mut st.rng);
+        let (spec, runtime) = st.profile.draw_job(&mut st.rng);
         st.cluster.submit(spec, runtime, now);
         st.submitted += 1;
         schedule_and_register_completions(sim, &shared, st);
@@ -251,7 +242,6 @@ pub fn simulate_trace_in(
         cluster: Cluster::homogeneous(profile.nodes, profile.node_capacity),
         monitor: UtilizationMonitor::two_minute(),
         profile: profile.clone(),
-        size_weights: profile.size_weights(),
         rng: sim.stream("trace"),
         horizon,
         submitted: 0,

@@ -331,7 +331,7 @@ mod tests {
                 c.submit(spec, SimTime::from_mins(30), SimTime::ZERO);
             }
             let (started, _) = c.try_schedule(SimTime::ZERO);
-            let on_node: Vec<_> = c.node(NodeId(0)).unwrap().jobs().collect();
+            let on_node: Vec<_> = c.nodes()[0].jobs().collect();
             assert_eq!(on_node, started, "jobs() yields allocation order");
             bridge.sync(&c, &mut mgr);
             let got = mgr

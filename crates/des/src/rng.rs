@@ -97,18 +97,32 @@ impl RngStream {
         self.normal(mu, sigma).exp()
     }
 
-    /// Sample an index according to (unnormalised) weights.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        debug_assert!(!weights.is_empty());
-        let total: f64 = weights.iter().sum();
+    /// Sample an index according to (unnormalised) weights. The weights
+    /// are read twice, summed and then walked, in the same order both
+    /// times, so any iterator over the same values draws the same index.
+    /// Rounding that walks past the last weight picks the last index.
+    /// Panics if there are no weights.
+    pub fn weighted_index<I>(&mut self, weights: I) -> usize
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: Clone,
+    {
+        let weights = weights.into_iter();
+        assert!(
+            weights.clone().next().is_some(),
+            "weighted_index needs at least one weight"
+        );
+        let total: f64 = weights.clone().sum();
         let mut x = self.f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
+        let mut last = 0;
+        for (i, w) in weights.enumerate() {
+            if x < w {
                 return i;
             }
             x -= w;
+            last = i;
         }
-        weights.len() - 1
+        last
     }
 
     /// Multiplicative jitter: `1 + normal(0, rel_std)`, clamped to stay
@@ -204,10 +218,16 @@ mod tests {
         let weights = [1.0, 0.0, 9.0];
         let mut counts = [0usize; 3];
         for _ in 0..10_000 {
-            counts[r.weighted_index(&weights)] += 1;
+            counts[r.weighted_index(weights)] += 1;
         }
         assert_eq!(counts[1], 0);
         assert!(counts[2] > 8 * counts[0] / 2, "counts={counts:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one weight")]
+    fn weighted_index_rejects_an_empty_weight_list() {
+        RngStream::derive(1, "w").weighted_index(std::iter::empty());
     }
 
     #[test]
