@@ -1,6 +1,6 @@
 //! The platform façade: cluster + fabric + containers + manager wired
 //! together, with the high-level operations the examples and the
-//! benchmark harness drive.
+//! integration tests drive.
 
 use crate::functions::{FunctionDef, FunctionId, FunctionRegistry, FunctionRequirements};
 use crate::invoke::{Client, InvokeError};

@@ -2,15 +2,15 @@
 //!
 //! Re-implements the subset this workspace's property tests use: the
 //! [`proptest!`] macro, range/tuple/`vec`/`any` strategies, `prop_map`, and
-//! `prop_assert!`/`prop_assert_eq!`. Inputs are drawn from a ChaCha8 stream
-//! seeded from the test's name, so runs are fully deterministic (no
-//! persistence files, no `PROPTEST_*` env handling). Shrinking is not
-//! implemented — a failure reports the case number and, since the seed is
-//! fixed, replays identically under a debugger.
+//! `prop_assert!`/`prop_assert_eq!`. Inputs are drawn from a
+//! [`des::RngStream`] seeded from the test's name, so runs are fully
+//! deterministic (no persistence files; `PROPTEST_CASES` is the one
+//! environment override). Shrinking is not implemented — a failure reports
+//! the case number and, since the seed is fixed, replays identically under a
+//! debugger.
 
 pub mod test_runner {
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use des::RngStream;
 
     /// Runner configuration. Only `cases` is honoured.
     #[derive(Debug, Clone)]
@@ -32,7 +32,7 @@ pub mod test_runner {
 
     /// Deterministic input source for one property test.
     #[derive(Debug, Clone)]
-    pub struct TestRng(pub(crate) ChaCha8Rng);
+    pub struct TestRng(pub(crate) RngStream);
 
     impl TestRng {
         /// Seed from the test's name so every test owns an independent,
@@ -43,7 +43,7 @@ pub mod test_runner {
                 h ^= u64::from(*b);
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
-            TestRng(ChaCha8Rng::seed_from_u64(h))
+            TestRng(RngStream::from_seed(h))
         }
     }
 
@@ -92,7 +92,6 @@ pub mod test_runner {
 
 pub mod strategy {
     use super::test_runner::TestRng;
-    use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
     /// A recipe for generating values of `Self::Value`.
@@ -134,24 +133,64 @@ pub mod strategy {
         }
     }
 
-    macro_rules! impl_range_strategy {
+    /// `low` plus a uniform offset below `span` (`1..=2^64`) from one
+    /// word: the draw itself for a 2^64 span, otherwise the high word of
+    /// `draw · span`.
+    fn int_in(rng: &mut TestRng, low: i128, span: i128) -> i128 {
+        let draw = rng.0.u64();
+        let offset = if span == 1 << 64 {
+            draw
+        } else {
+            ((draw as u128 * span as u128) >> 64) as u64
+        };
+        low + offset as i128
+    }
+
+    macro_rules! impl_int_range_strategy {
         ($($ty:ty),*) => {$(
             impl Strategy for Range<$ty> {
                 type Value = $ty;
                 fn sample(&self, rng: &mut TestRng) -> $ty {
-                    rng.0.gen_range(self.clone())
+                    assert!(!self.is_empty(), "cannot sample empty range");
+                    let low = self.start as i128;
+                    int_in(rng, low, self.end as i128 - low) as $ty
                 }
             }
             impl Strategy for RangeInclusive<$ty> {
                 type Value = $ty;
                 fn sample(&self, rng: &mut TestRng) -> $ty {
-                    rng.0.gen_range(self.clone())
+                    assert!(!self.is_empty(), "cannot sample empty range");
+                    let low = *self.start() as i128;
+                    int_in(rng, low, *self.end() as i128 - low + 1) as $ty
                 }
             }
         )*};
     }
 
-    impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
+    impl_int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+    impl Strategy for Range<f64> {
+        type Value = f64;
+        fn sample(&self, rng: &mut TestRng) -> f64 {
+            rng.0.range(self.clone())
+        }
+    }
+
+    /// Same draw as the half-open range; `x..=x` spends its word and
+    /// yields `x`.
+    impl Strategy for RangeInclusive<f64> {
+        type Value = f64;
+        fn sample(&self, rng: &mut TestRng) -> f64 {
+            assert!(!self.is_empty(), "cannot sample empty range");
+            let (low, high) = (*self.start(), *self.end());
+            if low < high {
+                rng.0.range(low..high)
+            } else {
+                rng.0.u64();
+                low
+            }
+        }
+    }
 
     macro_rules! impl_tuple_strategy {
         ($(($($name:ident),+))*) => {$(
@@ -181,7 +220,6 @@ pub mod strategy {
 pub mod arbitrary {
     use super::strategy::Strategy;
     use super::test_runner::TestRng;
-    use rand::Rng;
 
     /// Types with a canonical full-domain strategy.
     pub trait Arbitrary: Sized {
@@ -192,7 +230,7 @@ pub mod arbitrary {
         ($($ty:ty),*) => {$(
             impl Arbitrary for $ty {
                 fn arbitrary(rng: &mut TestRng) -> Self {
-                    rng.0.gen_range(<$ty>::MIN..=<$ty>::MAX)
+                    (<$ty>::MIN..=<$ty>::MAX).sample(rng)
                 }
             }
         )*};
@@ -202,7 +240,7 @@ pub mod arbitrary {
 
     impl Arbitrary for bool {
         fn arbitrary(rng: &mut TestRng) -> Self {
-            rng.0.gen::<bool>()
+            rng.0.u64() & 1 == 1
         }
     }
 
@@ -210,7 +248,7 @@ pub mod arbitrary {
         /// Finite values only (uniform in a wide range), matching how the
         /// workspace's tests use `any::<f64>()`-style inputs arithmetically.
         fn arbitrary(rng: &mut TestRng) -> Self {
-            rng.0.gen_range(-1e12f64..1e12)
+            rng.0.range(-1e12..1e12)
         }
     }
 
@@ -233,7 +271,6 @@ pub mod arbitrary {
 pub mod collection {
     use super::strategy::Strategy;
     use super::test_runner::TestRng;
-    use rand::Rng;
     use std::ops::Range;
 
     /// Acceptable length specifications for [`vec`].
@@ -249,13 +286,13 @@ pub mod collection {
 
     impl SizeRange for Range<usize> {
         fn sample_len(&self, rng: &mut TestRng) -> usize {
-            rng.0.gen_range(self.clone())
+            self.sample(rng)
         }
     }
 
     impl SizeRange for std::ops::RangeInclusive<usize> {
         fn sample_len(&self, rng: &mut TestRng) -> usize {
-            rng.0.gen_range(self.clone())
+            self.sample(rng)
         }
     }
 
@@ -369,4 +406,112 @@ macro_rules! __proptest_impl {
             }
         )*
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::prelude::*;
+    use super::test_runner::TestRng;
+
+    fn take<S: Strategy>(rng: &mut TestRng, strategy: S, n: usize) -> Vec<S::Value> {
+        (0..n).map(|_| strategy.sample(rng)).collect()
+    }
+
+    #[test]
+    fn known_answers_for_every_strategy_kind() {
+        // The first samples of each strategy kind: every property test's
+        // cases are drawn this way, so a change here changes what they see.
+        let mut rng = TestRng::deterministic("kat");
+        assert_eq!(take(&mut rng, 0u8..200, 4), [55, 125, 175, 122]);
+        assert_eq!(take(&mut rng, 10u8..=255, 4), [105, 247, 96, 108]);
+        assert_eq!(take(&mut rng, -5i64..5, 4), [-5, 1, -5, -2]);
+        assert_eq!(
+            take(&mut rng, i64::MIN..=i64::MAX, 4),
+            [
+                4508996620198497800,
+                8629123233625586450,
+                -4976937768307976404,
+                8842297279159078392
+            ]
+        );
+        assert_eq!(
+            take(&mut rng, any::<u64>(), 3),
+            [
+                11296511301368766638,
+                4729517308067377810,
+                6118932027762938532
+            ]
+        );
+        assert_eq!(
+            take(&mut rng, any::<i64>(), 3),
+            [
+                -917410536315222663,
+                -4177138094465535864,
+                2399631492217625700
+            ]
+        );
+        assert_eq!(take(&mut rng, any::<i8>(), 4), [-126, -27, -94, 72]);
+        assert_eq!(
+            take(&mut rng, any::<bool>(), 8),
+            [false, false, true, false, false, false, true, false]
+        );
+        assert_eq!(
+            take(&mut rng, any::<f64>(), 2),
+            [629081792384.4612, 580419103950.4375]
+        );
+        assert_eq!(
+            take(&mut rng, 0.0f64..=1.0, 2),
+            [0.5859122660564003, 0.72748007638581]
+        );
+        assert_eq!(
+            take(&mut rng, -2.0f64..3.0, 2),
+            [0.48524478928510373, -1.824627975348403]
+        );
+        let vecs = take(&mut rng, prop::collection::vec(any::<u8>(), 0..10), 4);
+        let lens: Vec<usize> = vecs.iter().map(Vec::len).collect();
+        assert_eq!(lens, [1, 7, 7, 2]);
+        assert_eq!(take(&mut rng, 3usize..=3, 2), [3, 3]);
+        assert_eq!(take(&mut rng, 1.5f64..=1.5, 2), [1.5, 1.5]);
+    }
+
+    #[test]
+    fn seeds_diverge() {
+        // A test's name is its seed: two names, two unrelated streams.
+        let a = take(&mut TestRng::deterministic("x"), any::<u64>(), 1000);
+        let b = take(&mut TestRng::deterministic("y"), any::<u64>(), 1000);
+        assert_eq!(a.iter().zip(&b).filter(|(x, y)| x == y).count(), 0);
+    }
+
+    #[test]
+    fn ranges_respect_bounds() {
+        let mut rng = TestRng::deterministic("bounds");
+        for _ in 0..10_000 {
+            let v = (10u64..20).sample(&mut rng);
+            assert!((10..20).contains(&v));
+            let f = (-2.0f64..3.0).sample(&mut rng);
+            assert!((-2.0..3.0).contains(&f));
+            let i = (-50i64..=50).sample(&mut rng);
+            assert!((-50..=50).contains(&i));
+            let u = (0.0f64..=1.0).sample(&mut rng);
+            assert!((0.0..=1.0).contains(&u));
+        }
+    }
+
+    #[test]
+    fn single_value_inclusive_range() {
+        let mut rng = TestRng::deterministic("single");
+        for _ in 0..100 {
+            assert_eq!((5usize..=5).sample(&mut rng), 5);
+            assert_eq!((3u64..4).sample(&mut rng), 3);
+            assert_eq!((-1.5f64..=-1.5).sample(&mut rng), -1.5);
+        }
+    }
+
+    #[test]
+    fn full_range_i64_does_not_panic() {
+        let mut rng = TestRng::deterministic("full");
+        let draws = take(&mut rng, i64::MIN..=i64::MAX, 1000);
+        assert!(draws.iter().any(|&v| v < 0));
+        assert!(draws.iter().any(|&v| v > 0));
+    }
 }
