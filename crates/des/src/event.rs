@@ -1,12 +1,11 @@
 //! The simulation engine: virtual clock over the pending-event queue.
 //!
-//! Events are closures scheduled at a virtual time and stored in an
+//! Events are closures scheduled at a virtual time and stored, boxed, in an
 //! [`EventQueue`] — a binary heap of `(time, seq)` keys over an arena of
-//! payload slots (see [`crate::queue`]). A closure whose captures fit three
-//! machine words is stored *inline* in its arena slot via
-//! [`crate::cell::EventCell`] — no per-event heap allocation on the hot
-//! path — while oversized captures transparently fall back to a box
-//! ([`Simulation::inline_hit_ratio`] reports the split).
+//! payload slots (see [`crate::queue`]). Each scheduled event costs one heap
+//! allocation for its box; the Fig. 1 trace replay, the only
+//! registered scenario that schedules events, measured no end-to-end cost
+//! from it (README, "The event engine").
 //! Ties are broken by a monotonically increasing sequence number so
 //! execution order is fully deterministic — exactly ascending
 //! `(time, seq)`, bit-identical to the independent reference engine that
@@ -19,12 +18,15 @@
 //! worker thread (or move it across threads) and determinism is preserved,
 //! because nothing about execution order depends on the hosting thread.
 
-use crate::cell::EventCell;
 use crate::queue::EventQueue;
 use crate::rng::RngStream;
 use crate::time::SimTime;
 
 pub use crate::queue::EventId;
+
+/// A scheduled event: a boxed closure run once, at its time, against the
+/// engine. `Send` so the whole [`Simulation`] is.
+type Event = Box<dyn FnOnce(&mut Simulation) + Send>;
 
 /// The discrete-event simulation engine.
 ///
@@ -33,13 +35,9 @@ pub use crate::queue::EventId;
 pub struct Simulation {
     now: SimTime,
     seq: u64,
-    queue: EventQueue<EventCell>,
+    queue: EventQueue<Event>,
     seed: u64,
     executed: u64,
-    /// Events whose closures were stored inline in their arena slot.
-    scheduled_inline: u64,
-    /// Events whose captures exceeded the inline buffer and were boxed.
-    scheduled_boxed: u64,
 }
 
 impl Simulation {
@@ -52,8 +50,6 @@ impl Simulation {
             queue: EventQueue::new(),
             seed,
             executed: 0,
-            scheduled_inline: 0,
-            scheduled_boxed: 0,
         }
     }
 
@@ -90,11 +86,8 @@ impl Simulation {
         RngStream::derive(self.seed, name)
     }
 
-    /// Schedule `f` to run at absolute virtual time `at`.
-    ///
-    /// Closures capturing at most three machine words (an `Arc` handle plus
-    /// a couple of ids) are stored inline in the event arena — no heap
-    /// allocation; larger captures are boxed transparently.
+    /// Schedule `f` to run at absolute virtual time `at`. The closure is
+    /// boxed into the event arena until it fires or is cancelled.
     ///
     /// # Panics
     /// Panics if `at` is in the past — simulated causality violations are
@@ -109,39 +102,17 @@ impl Simulation {
             self.now,
             at
         );
-        if const { EventCell::fits_inline::<F>() } {
-            self.scheduled_inline += 1;
-        } else {
-            self.scheduled_boxed += 1;
-        }
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at, seq, EventCell::new(f))
+        self.queue.push(at, seq, Box::new(f))
     }
 
-    /// Of all events scheduled so far, the fraction whose closures were
-    /// stored inline in their arena slot (1.0 when nothing was scheduled).
-    /// A ratio well below one means a hot call site grew past the
-    /// three-word capture budget and is paying a box per event again.
+    /// Always `0.0`: every event closure is boxed, none is stored inline in
+    /// its arena slot. Kept only because the repository benchmark still
+    /// reads it as `des.inline_hit_ratio`; it goes with that read (ROADMAP
+    /// item 1.4).
     pub fn inline_hit_ratio(&self) -> f64 {
-        let total = self.scheduled_inline + self.scheduled_boxed;
-        if total == 0 {
-            1.0
-        } else {
-            self.scheduled_inline as f64 / total as f64
-        }
-    }
-
-    /// Number of events scheduled with inline closure storage.
-    #[inline]
-    pub fn events_scheduled_inline(&self) -> u64 {
-        self.scheduled_inline
-    }
-
-    /// Number of events whose captures required the boxed fallback.
-    #[inline]
-    pub fn events_scheduled_boxed(&self) -> u64 {
-        self.scheduled_boxed
+        0.0
     }
 
     /// Schedule `f` to run `delay` after the current time.
@@ -168,7 +139,7 @@ impl Simulation {
                 debug_assert!(at >= self.now, "event queue time went backwards");
                 self.now = at;
                 self.executed += 1;
-                f.call(self);
+                f(self);
                 true
             }
             None => false,
@@ -208,6 +179,15 @@ mod tests {
         assert_send::<Simulation>();
         assert_send::<RngStream>();
         assert_send::<EventId>();
+    }
+
+    #[test]
+    fn inline_hit_ratio_reads_zero_after_scheduling() {
+        let mut sim = Simulation::new(1);
+        sim.schedule_at(SimTime::from_micros(1), |_| {});
+        assert_eq!(sim.inline_hit_ratio(), 0.0);
+        sim.run();
+        assert_eq!(sim.inline_hit_ratio(), 0.0);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! # des — deterministic discrete-event simulation kernel
 //!
 //! Foundation for the software-disaggregation reproduction: a virtual clock,
-//! a pending-event queue — binary heap over a generational slot arena, with
-//! O(1) cancellation and deterministic tie-breaking (see [`queue`]) —
-//! zero-allocation inline closure storage on the event hot path (see
-//! [`cell`]), per-component seedable RNG streams, and online statistics
+//! a pending-event queue of boxed closures — binary heap over a generational
+//! slot arena, with O(1) cancellation and deterministic tie-breaking (see
+//! [`queue`]) — per-component seedable RNG streams, and online statistics
 //! (mean/variance/percentiles).
 //!
 //! Every simulated experiment in the workspace is driven by [`Simulation`]:
@@ -26,14 +25,14 @@
 //! assert_eq!(sim.now(), SimTime::from_micros(15));
 //! ```
 
-pub mod cell;
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use cell::EventCell;
 pub use event::{EventId, Simulation};
 pub use queue::EventQueue;
 pub use rng::RngStream;

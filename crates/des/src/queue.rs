@@ -20,23 +20,14 @@
 //!   and release its slot — which, once nothing live remains, empties the
 //!   heap and frees every slot, so a long-lived engine keeps no dead slots.
 //!
-//! # Inline payload cell
+//! # Payloads
 //!
-//! The engine instantiates this queue with `T =`[`crate::cell::EventCell`]:
-//! event closures whose captures fit three machine words are stored *inside
-//! the arena slot* (no per-event heap allocation), larger ones behind a
-//! boxed fallback. Everything in the crate that the compiler cannot check
-//! lives in that cell, none of it here; its invariants — **call-once**
-//! (consuming `call` forgets the cell before moving the payload out),
-//! **drop-on-cancel** (an uncalled cell drops its payload in place exactly
-//! once, whether cancelled or still pending when the queue is dropped), and
-//! **`Send` without `Sync`** (cells move with their simulation across sweep
-//! threads; no shared access exists) — are documented in [`crate::cell`]
-//! and exercised by the leak-tracking proptests in
-//! `tests/drop_correctness.rs`. From the queue's side the
-//! contract is simply ownership: a slot's `Option<T>` is `take`n on fire,
+//! The queue is generic over its payload `T`; the engine instantiates it
+//! with boxed event closures (`Box<dyn FnOnce(&mut Simulation) + Send>`).
+//! The contract is plain ownership: a slot's `Option<T>` is `take`n on fire,
 //! `None`d on cancel, and dropped with the queue, so each payload is
-//! finalized exactly once.
+//! finalized exactly once — `tests/drop_correctness.rs` counts the drops
+//! under randomized schedule/cancel/drain interleavings.
 //!
 //! Execution order is exactly ascending `(time, seq)`, which
 //! `tests/determinism.rs` enforces against an independent reference engine

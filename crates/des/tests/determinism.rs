@@ -378,50 +378,6 @@ fn batch_push_behind_peeked_cursor_keeps_order() {
 }
 
 #[test]
-fn capture_size_boundary_does_not_change_the_trace() {
-    // Same workload scheduled twice: closures capturing exactly three words
-    // (an Arc + two u64s — the inline-cell layout) and closures one word
-    // over the budget (boxed fallback). Storage layout must be invisible:
-    // identical traces, and the hit-ratio counters prove each run actually
-    // took the path under test.
-    const N: u64 = 500;
-    let time = |i: u64| SimTime::from_nanos(i.wrapping_mul(2_654_435_761) % 4_000);
-
-    let mut inline_sim = Simulation::new(3);
-    let inline_log = Arc::new(Mutex::new(Vec::new()));
-    for i in 0..N {
-        let log = Arc::clone(&inline_log);
-        let (a, b) = (i, i ^ 0x9e37);
-        inline_sim.schedule_at(time(i), move |sim| {
-            log.lock().unwrap().push((sim.now().as_nanos(), a ^ b));
-        });
-    }
-    inline_sim.run();
-    assert_eq!(inline_sim.events_scheduled_inline(), N);
-    assert_eq!(inline_sim.events_scheduled_boxed(), 0);
-    assert_eq!(inline_sim.inline_hit_ratio(), 1.0);
-
-    let mut boxed_sim = Simulation::new(3);
-    let boxed_log = Arc::new(Mutex::new(Vec::new()));
-    for i in 0..N {
-        let log = Arc::clone(&boxed_log);
-        let (a, b, pad) = (i, i ^ 0x9e37, 0u64);
-        boxed_sim.schedule_at(time(i), move |sim| {
-            log.lock()
-                .unwrap()
-                .push((sim.now().as_nanos(), a ^ b ^ pad));
-        });
-    }
-    boxed_sim.run();
-    assert_eq!(boxed_sim.events_scheduled_inline(), 0);
-    assert_eq!(boxed_sim.events_scheduled_boxed(), N);
-    assert_eq!(boxed_sim.inline_hit_ratio(), 0.0);
-
-    assert_eq!(*inline_log.lock().unwrap(), *boxed_log.lock().unwrap());
-    assert_eq!(inline_sim.events_executed(), boxed_sim.events_executed());
-}
-
-#[test]
 fn derived_streams_are_insensitive_to_sibling_draws() {
     // Adding a new random component must not perturb existing streams: the
     // draws of `chain-0` are the same whether or not `chain-1` also draws.

@@ -1,21 +1,17 @@
-//! Drop-correctness of the inline payload cell: every scheduled closure must
-//! be dropped *exactly once*, whichever way it leaves the queue — fired,
-//! cancelled, or still pending when its `Simulation` is dropped mid-run —
-//! and for both storage layouts (captures inline in the arena slot vs. the
-//! boxed fallback).
+//! Drop-correctness of the event queue: every scheduled closure must be
+//! dropped *exactly once*, whichever way it leaves the queue — fired,
+//! cancelled, still pending when its `Simulation` is dropped mid-run, or
+//! unwinding out of a panic inside `run`.
 //!
-//! The hand-rolled vtable in `des::cell` is the only `unsafe` in the crate;
-//! these tests are its leak/double-free oracle. A missed drop
-//! shows up as `dropped < created`; a double drop as `dropped > created`
-//! (or, under Miri, as undefined behaviour at the exact faulty op).
+//! These tests are the queue's leak/double-drop oracle: a missed drop shows
+//! up as `dropped < created`, a double drop as `dropped > created`.
 
 use des::{SimTime, Simulation};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Drop sentinel: bumps the shared counter exactly once on drop. One machine
-/// word, so closures capturing only a `Guard` stay on the inline path.
+/// Drop sentinel: bumps the shared counter exactly once on drop.
 struct Guard(Arc<AtomicU64>);
 
 impl Drop for Guard {
@@ -45,26 +41,13 @@ impl Counters {
     }
 }
 
-/// Schedule one event whose closure captures `Guard` + fire counter
-/// (two words — stored inline in the arena slot).
-fn schedule_inline(sim: &mut Simulation, at: SimTime, c: &Counters) -> des::EventId {
+/// Schedule one event whose closure captures a `Guard` and the fire counter.
+fn schedule(sim: &mut Simulation, at: SimTime, c: &Counters) -> des::EventId {
     let g = c.guard();
     let fired = Arc::clone(&c.fired);
     sim.schedule_at(at, move |_| {
         fired.fetch_add(1, Ordering::SeqCst);
         let _ = &g;
-    })
-}
-
-/// Schedule one event whose closure captures two extra words of padding on
-/// top of the guard and counter (four words — forced onto the boxed path).
-fn schedule_boxed(sim: &mut Simulation, at: SimTime, c: &Counters) -> des::EventId {
-    let g = c.guard();
-    let fired = Arc::clone(&c.fired);
-    let pad = [0u64; 2];
-    sim.schedule_at(at, move |_| {
-        fired.fetch_add(1, Ordering::SeqCst);
-        let _ = (&g, pad);
     })
 }
 
@@ -74,11 +57,9 @@ fn fired_closures_drop_exactly_once() {
     {
         let mut sim = Simulation::new(1);
         for i in 0..100u64 {
-            schedule_inline(&mut sim, SimTime::from_nanos(i * 13 % 700), &c);
-            schedule_boxed(&mut sim, SimTime::from_nanos(i * 7 % 700), &c);
+            schedule(&mut sim, SimTime::from_nanos(i * 13 % 700), &c);
+            schedule(&mut sim, SimTime::from_nanos(i * 7 % 700), &c);
         }
-        assert_eq!(sim.events_scheduled_inline(), 100);
-        assert_eq!(sim.events_scheduled_boxed(), 100);
         sim.run();
         assert_eq!(c.fired(), 200);
         assert_eq!(c.dropped(), 200, "every fired closure drops exactly once");
@@ -92,16 +73,8 @@ fn cancelled_closures_drop_exactly_once_without_firing() {
     let mut sim = Simulation::new(1);
     let mut ids = Vec::new();
     for i in 0..100u64 {
-        ids.push(schedule_inline(
-            &mut sim,
-            SimTime::from_nanos(i * 17 % 900),
-            &c,
-        ));
-        ids.push(schedule_boxed(
-            &mut sim,
-            SimTime::from_nanos(i * 5 % 900),
-            &c,
-        ));
+        ids.push(schedule(&mut sim, SimTime::from_nanos(i * 17 % 900), &c));
+        ids.push(schedule(&mut sim, SimTime::from_nanos(i * 5 % 900), &c));
     }
     for id in ids.iter().step_by(2) {
         assert!(sim.cancel(*id));
@@ -121,8 +94,8 @@ fn dropping_a_simulation_mid_run_drops_pending_closures_once() {
     {
         let mut sim = Simulation::new(1);
         for i in 0..64u64 {
-            schedule_inline(&mut sim, SimTime::from_micros(i), &c);
-            schedule_boxed(&mut sim, SimTime::from_micros(i), &c);
+            schedule(&mut sim, SimTime::from_micros(i), &c);
+            schedule(&mut sim, SimTime::from_micros(i), &c);
         }
         sim.run_until(SimTime::from_micros(20));
         assert_eq!(c.fired(), 42, "21 microsecond ticks, two events each");
@@ -136,16 +109,40 @@ fn dropping_a_simulation_mid_run_drops_pending_closures_once() {
     assert_eq!(c.fired(), 42, "pending closures must not fire on drop");
 }
 
+#[test]
+fn panicking_closure_drops_its_captures_exactly_once() {
+    // The panic unwinds out of `run` and drops the firing closure's
+    // captures on the way; the events still pending are dropped with the
+    // simulation afterwards, none of them twice.
+    let c = Counters::default();
+    let mut sim = Simulation::new(1);
+    schedule(&mut sim, SimTime::from_micros(1), &c);
+    let g = c.guard();
+    sim.schedule_at(SimTime::from_micros(2), move |_| {
+        let _keep = g;
+        panic!("mid-event panic");
+    });
+    schedule(&mut sim, SimTime::from_micros(3), &c);
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+    assert!(r.is_err(), "the event's panic reaches the caller of run");
+    assert_eq!(c.fired(), 1);
+    assert_eq!(c.dropped(), 2, "fired and panicking closures dropped once");
+    assert_eq!(sim.events_pending(), 1);
+    drop(sim);
+    assert_eq!(c.dropped(), 3, "the pending closure drops with the queue");
+    assert_eq!(c.fired(), 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Arbitrary interleavings of inline/boxed scheduling, cancels of
-    /// possibly-stale ids, and partial draining — ending either in a full
-    /// drain or an early drop. Whatever the path, `created == dropped` once
-    /// the simulation is gone, and only fired closures bumped `fired`.
+    /// Arbitrary interleavings of scheduling, cancels of possibly-stale ids,
+    /// and partial draining — ending either in a full drain or an early
+    /// drop. Whatever the path, `created == dropped` once the simulation is
+    /// gone, and only fired closures bumped `fired`.
     #[test]
     fn every_closure_drops_exactly_once(
-        ops in prop::collection::vec((0u8..5, any::<u16>()), 1..80),
+        ops in prop::collection::vec((0u8..4, any::<u16>()), 1..80),
         drain_fully in any::<bool>(),
     ) {
         let c = Counters::default();
@@ -157,24 +154,20 @@ proptest! {
             let at = sim.now() + SimTime::from_nanos(u64::from(x) % 5_000);
             match kind {
                 0 => {
-                    ids.push(schedule_inline(&mut sim, at, &c));
+                    ids.push(schedule(&mut sim, at, &c));
                     created += 1;
                 }
+                // A small run of events, 911 ns apart.
                 1 => {
-                    ids.push(schedule_boxed(&mut sim, at, &c));
-                    created += 1;
-                }
-                // A small run of inline events, 911 ns apart.
-                2 => {
                     let n = u64::from(x % 3) + 1;
                     for k in 0..n {
                         let at = at + SimTime::from_nanos(k * 911);
-                        ids.push(schedule_inline(&mut sim, at, &c));
+                        ids.push(schedule(&mut sim, at, &c));
                     }
                     created += n;
                 }
                 // Cancel an arbitrary, possibly stale or repeated id.
-                3 => {
+                2 => {
                     if !ids.is_empty() {
                         let id = ids[usize::from(x) % ids.len()];
                         if sim.cancel(id) {

@@ -253,7 +253,10 @@ impl SweepRequest {
         let mut req = SweepRequest::new();
         for (name, v) in fields {
             match name.as_str() {
-                "version" => req.version = as_u64(name, v)? as u32,
+                "version" => {
+                    req.version = u32::try_from(as_u64(name, v)?)
+                        .map_err(|_| Error::invalid("version", "out of range for a u32"))?;
+                }
                 "scenarios" => {
                     req.scenarios = as_seq(name, v)?
                         .iter()
@@ -711,6 +714,17 @@ mod tests {
         let err = SweepRequest::from_value(&v).expect_err("typo field");
         assert!(
             matches!(err, Error::InvalidRequest { ref field, .. } if field == "scenariozz"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_a_version_past_u32() {
+        // 2^32 + 1 must not wrap to version 1 and pass validation.
+        let v = serde_json::from_str(r#"{"version": 4294967297, "all": true}"#).unwrap();
+        let err = SweepRequest::from_value(&v).expect_err("out-of-range version");
+        assert!(
+            matches!(err, Error::InvalidRequest { ref field, .. } if field == "version"),
             "{err}"
         );
     }

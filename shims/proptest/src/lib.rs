@@ -74,8 +74,8 @@ pub mod test_runner {
         F: FnMut(A) -> Result<(), TestCaseError>,
     {
         // Like upstream proptest, a PROPTEST_CASES environment variable
-        // overrides the configured case count — CI's Miri job uses this to
-        // keep interpreted runs tractable without skipping the properties.
+        // overrides the configured case count, e.g. to run the properties
+        // deeper than their defaults.
         let cases = std::env::var("PROPTEST_CASES")
             .ok()
             .and_then(|s| s.parse().ok())
