@@ -268,6 +268,39 @@ mod tests {
     }
 
     #[test]
+    fn dropping_an_uncalled_event_releases_captures_once() {
+        // The Arc's strong count is the drop ledger: an event that never
+        // fires — cancelled, or still pending when the simulation drops —
+        // must release its capture exactly once, a fired event likewise.
+        let token = Arc::new(());
+        for pad_words in [0usize, 8] {
+            let mut sim = Simulation::new(1);
+            let t = Arc::clone(&token);
+            let pad = vec![0u64; pad_words];
+            let id = sim.schedule_at(SimTime::from_secs(1), move |_| {
+                let _ = (&t, &pad);
+            });
+            assert_eq!(Arc::strong_count(&token), 2);
+            assert!(sim.cancel(id));
+            assert_eq!(Arc::strong_count(&token), 1, "cancel, pad={pad_words}");
+
+            let t = Arc::clone(&token);
+            let pad = vec![0u64; pad_words];
+            sim.schedule_at(SimTime::from_secs(2), move |_| {
+                let _ = (&t, &pad);
+            });
+            assert_eq!(Arc::strong_count(&token), 2);
+            drop(sim);
+            assert_eq!(Arc::strong_count(&token), 1, "drop, pad={pad_words}");
+        }
+        let mut sim = Simulation::new(1);
+        let t = Arc::clone(&token);
+        sim.schedule_at(SimTime::from_secs(1), move |_| drop(t));
+        sim.run();
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    #[test]
     fn events_pending_is_exact_under_cancellation() {
         // Regression: the seed implementation subtracted *all* cancelled ids
         // from the pending count — including ids whose events had already
