@@ -40,10 +40,9 @@ use scenarios::report::fmt;
 use scenarios::service::{Service, ServiceConfig};
 use scenarios::wire::Client;
 use scenarios::{
-    CacheStats, Error, JobOrder, ParamValue, Registry, ResultCache, Server, SweepRequest,
+    CacheStats, Error, JobOrder, ParamValue, Registry, ResultCache, Scenario, Server, SweepRequest,
     SweepResponse, SweepResult, SweepRunner, SweepStatus, SweepSuite,
 };
-use serde::Serialize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -129,7 +128,6 @@ struct SweepInvocation {
 /// The `<artifact>.cache.json` sidecar: memoization counters for one run.
 /// Kept out of the artifact itself so cached and uncached sweeps stay
 /// byte-identical (`cmp`-able) while the hit rate stays checkable.
-#[derive(Serialize)]
 struct CacheSidecar {
     cache_dir: String,
     salt: String,
@@ -142,6 +140,18 @@ struct CacheSidecar {
     saved_secs: f64,
     wall_secs: f64,
 }
+json::impl_to_json!(CacheSidecar {
+    cache_dir,
+    salt,
+    hits,
+    misses,
+    hit_rate,
+    entries,
+    stale_dropped,
+    bytes_on_disk,
+    saved_secs,
+    wall_secs,
+});
 
 fn parse_kv(arg: &str, flag: &str) -> Result<(String, String), String> {
     arg.split_once('=')
@@ -330,8 +340,7 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
     if let (Some(dir), Some(salt), Some(stats)) = (&inv.cache_dir, salt, runner.cache_stats()) {
         let sidecar = sidecar_for(dir, salt, &stats, wall_secs);
         let sidecar_path = path.with_extension("cache.json");
-        let json =
-            serde_json::to_string_pretty(&sidecar).expect("value-tree rendering is infallible");
+        let json = json::to_string_pretty(&sidecar);
         std::fs::write(&sidecar_path, json)
             .map_err(|e| CliError::Usage(format!("writing {}: {e}", sidecar_path.display())))?;
         println!("[cache] {}", sidecar_path.display());
@@ -522,16 +531,22 @@ fn main() -> ExitCode {
         }
         Some("report") => {
             let rest = &args[1..];
+            // The registry name heads each report, so its output says which
+            // `report <name>` reproduces it.
+            let report = |s: &dyn Scenario| {
+                println!("[report] {}", s.name());
+                s.report();
+            };
             if rest.iter().any(|a| a == "--all") {
                 for s in registry.iter() {
-                    s.report();
+                    report(s);
                     println!();
                 }
                 Ok(())
             } else if let Some(name) = rest.first() {
                 match registry.get(name) {
                     Some(s) => {
-                        s.report();
+                        report(s);
                         Ok(())
                     }
                     None => Err(CliError::Usage(format!(

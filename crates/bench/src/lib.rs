@@ -20,15 +20,18 @@
 pub fn trace_reference_json() -> String {
     use cluster::{simulate_trace, TraceProfile};
     use des::SimTime;
-    use serde::Serialize;
-
-    #[derive(Serialize)]
     struct ReferenceCase {
         name: &'static str,
         seed: u64,
         horizon_hours: u64,
         outcome: cluster::TraceOutcome,
     }
+    json::impl_to_json!(ReferenceCase {
+        name,
+        seed,
+        horizon_hours,
+        outcome,
+    });
 
     let mut backlogged = TraceProfile::piz_daint();
     backlogged.nodes = 600;
@@ -51,7 +54,7 @@ pub fn trace_reference_json() -> String {
             outcome: simulate_trace(&profile, SimTime::from_hours(hours), seed),
         })
         .collect();
-    let mut json = serde_json::to_string_pretty(&artifact).expect("serialize reference");
+    let mut json = json::to_string_pretty(&artifact);
     json.push('\n');
     json
 }

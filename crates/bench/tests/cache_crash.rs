@@ -26,8 +26,8 @@
 //!
 //! A last test races whole CLI processes on one cache directory.
 
+use json::Value;
 use scenarios::{job_key, Metrics, Registry, ResultCache, SweepGrid, SweepRunner};
-use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
@@ -92,7 +92,7 @@ fn run_ok(dir: &Path, seeds: usize, artifact: &Path) {
 /// `(hits, misses)` from a run's `<artifact>.cache.json` sidecar.
 fn sidecar_counts(artifact: &Path) -> (u64, u64) {
     let text = std::fs::read_to_string(artifact.with_extension("cache.json")).expect("sidecar");
-    let doc = serde_json::from_str(&text).expect("sidecar is JSON");
+    let doc = json::from_str(&text).expect("sidecar is JSON");
     let count = |field: &str| match doc.get(field) {
         Some(Value::U64(n)) => *n,
         other => panic!("sidecar `{field}` is {other:?}"),

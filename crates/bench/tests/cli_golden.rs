@@ -5,7 +5,7 @@
 //! API-redesign safety net — the sweep service may reroute everything, but
 //! the artifact bytes are the contract.
 
-use serde_json::Value;
+use json::Value;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -175,7 +175,7 @@ fn run_artifact_matches_the_committed_goldens() {
 fn sidecar_counter(artifact: &Path, key: &str) -> u64 {
     let path = artifact.with_extension("cache.json");
     let text = std::fs::read_to_string(&path).expect("sidecar written");
-    let sidecar = serde_json::from_str(&text).expect("sidecar is JSON");
+    let sidecar = json::from_str(&text).expect("sidecar is JSON");
     match sidecar.get(key) {
         Some(Value::U64(n)) => *n,
         other => panic!("{}: `{key}` is {other:?}", path.display()),

@@ -7,10 +7,9 @@
 
 use crate::scheduler::Cluster;
 use des::{Percentiles, SimTime};
-use serde::Serialize;
 
 /// Summary statistics over idle-period durations.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IdlePeriodStats {
     pub events: usize,
     pub median_min: f64,
@@ -19,6 +18,12 @@ pub struct IdlePeriodStats {
     /// headline "70–80% of idle events last less than 10 minutes".
     pub frac_below_10min: f64,
 }
+json::impl_to_json!(IdlePeriodStats {
+    events,
+    median_min,
+    mean_min,
+    frac_below_10min,
+});
 
 impl IdlePeriodStats {
     fn from_percentiles(p: &mut Percentiles) -> Self {
@@ -40,7 +45,7 @@ impl IdlePeriodStats {
 }
 
 /// Full monitoring report (Fig. 1 panels).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MonitorReport {
     /// (time, idle CPU %) — Fig. 1a.
     pub idle_cpu_pct: Vec<(f64, f64)>,
@@ -57,6 +62,15 @@ pub struct MonitorReport {
     /// Discrete-sampling upper bound: `(k+1) * interval`.
     pub maximal_estimation: IdlePeriodStats,
 }
+json::impl_to_json!(MonitorReport {
+    idle_cpu_pct,
+    memory_split_pct,
+    idle_nodes,
+    median_idle_nodes,
+    exact,
+    minimal_estimation,
+    maximal_estimation,
+});
 
 /// Node indices of the set bits of word `w` of a bitmap, ascending.
 fn set_bits(w: usize, mut word: u64) -> impl Iterator<Item = usize> {

@@ -19,7 +19,6 @@ use crate::monitor::{MonitorReport, UtilizationMonitor};
 use crate::node::NodeResources;
 use crate::scheduler::Cluster;
 use des::{RngStream, SimTime, Simulation};
-use serde::Serialize;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Tunable description of a synthetic workload.
@@ -128,7 +127,7 @@ impl TraceProfile {
 }
 
 /// Result of replaying a trace.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct TraceOutcome {
     pub report: MonitorReport,
     pub jobs_submitted: usize,
@@ -136,6 +135,12 @@ pub struct TraceOutcome {
     /// Time-averaged core utilization over the horizon, in percent.
     pub mean_core_utilization_pct: f64,
 }
+json::impl_to_json!(TraceOutcome {
+    report,
+    jobs_submitted,
+    jobs_completed,
+    mean_core_utilization_pct,
+});
 
 /// Everything a replay owns, behind one lock: the engine runs one event at a
 /// time, so each event takes it once (and the harvest once more).

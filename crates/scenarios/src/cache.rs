@@ -128,7 +128,7 @@ pub fn job_key(salt: &str, scenario: &str, params: &Params, seed: u64) -> CacheK
 
 /// Hit/miss/size counters for one cache instance, reported by the CLI's
 /// `--cache-stats` flag and the JSON artifact's sidecar.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,

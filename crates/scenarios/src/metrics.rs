@@ -7,7 +7,7 @@
 //! 95% confidence half-width.
 
 use des::{OnlineStats, Percentiles};
-use serde::{Serialize, Value};
+use json::{ToJson, Value};
 
 /// Ordered name → value map produced by one scenario run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -66,7 +66,7 @@ impl Metrics {
     }
 }
 
-impl Serialize for Metrics {
+impl ToJson for Metrics {
     fn to_value(&self) -> Value {
         Value::Map(
             self.entries
@@ -78,7 +78,7 @@ impl Serialize for Metrics {
 }
 
 /// Cross-seed aggregate of one metric.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MetricSummary {
     pub n: u64,
     pub mean: f64,
@@ -91,6 +91,16 @@ pub struct MetricSummary {
     /// (`1.96·σ/√n`); zero for a single seed.
     pub ci95: f64,
 }
+json::impl_to_json!(MetricSummary {
+    n,
+    mean,
+    std_dev,
+    min,
+    max,
+    p50,
+    p99,
+    ci95,
+});
 
 /// Aggregate per-seed metrics. Metric names keep first-seen order; a metric
 /// absent from some seeds is aggregated over the seeds that reported it.

@@ -6,7 +6,7 @@
 //! named axes into the cartesian product of parameter points, in a fixed
 //! deterministic order so sweep output is reproducible run to run.
 
-use serde::{Serialize, Value};
+use json::{ToJson, Value};
 use std::fmt;
 
 /// One parameter value. Scenario tunables are scalars by design — grids stay
@@ -69,7 +69,7 @@ impl fmt::Display for ParamValue {
     }
 }
 
-impl Serialize for ParamValue {
+impl ToJson for ParamValue {
     fn to_value(&self) -> Value {
         match self {
             ParamValue::Bool(b) => Value::Bool(*b),
@@ -201,7 +201,7 @@ impl Params {
     }
 }
 
-impl Serialize for Params {
+impl ToJson for Params {
     fn to_value(&self) -> Value {
         Value::Map(
             self.entries

@@ -1,14 +1,11 @@
 //! Shared report formatting for every scenario: markdown tables, compact
 //! float formatting, paper-vs-ours comparisons, `mean ± std` cells, byte-size
-//! labels, noisy repeated measurements, and the JSON artifact writer.
+//! labels and noisy repeated measurements.
 //!
 //! This is the single home of the helpers that used to be copy-pasted across
 //! the `fig*`/`tab*` binaries (they now live behind the scenario registry).
 
 use des::{OnlineStats, RngStream};
-use serde::Serialize;
-use std::fs;
-use std::path::PathBuf;
 
 /// Render a markdown table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -76,20 +73,6 @@ pub fn noisy_mean_std(base: f64, rng: &mut RngStream, reps: usize, noise_std: f6
         stats.push(base + rng.normal(0.0, noise_std));
     }
     (stats.mean(), stats.std_dev())
-}
-
-/// Write the JSON artifact for a figure under `target/figures/`.
-pub fn write_json<T: Serialize>(figure: &str, data: &T) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/figures");
-    if fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{figure}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(data) {
-        if fs::write(&path, json).is_ok() {
-            println!("\n[json] {}", path.display());
-        }
-    }
 }
 
 /// Standard banner for every scenario report.

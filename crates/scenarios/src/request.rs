@@ -23,7 +23,7 @@ use crate::error::Error;
 use crate::params::{ParamValue, SweepGrid};
 use crate::registry::Registry;
 use crate::runner::JobOrder;
-use serde::{Serialize, Value};
+use json::{ToJson, Value};
 
 /// The schema version this build writes and accepts.
 pub const REQUEST_VERSION: u32 = 1;
@@ -308,7 +308,7 @@ impl SweepRequest {
     }
 }
 
-impl Serialize for SweepRequest {
+impl ToJson for SweepRequest {
     fn to_value(&self) -> Value {
         Value::Map(vec![
             ("version".into(), Value::U64(self.version as u64)),
@@ -331,7 +331,7 @@ impl Serialize for SweepRequest {
                         .map(|(n, vs)| {
                             (
                                 n.clone(),
-                                Value::Seq(vs.iter().map(Serialize::to_value).collect()),
+                                Value::Seq(vs.iter().map(ToJson::to_value).collect()),
                             )
                         })
                         .collect(),
@@ -447,7 +447,7 @@ impl SweepStatus {
     }
 }
 
-impl Serialize for SweepStatus {
+impl ToJson for SweepStatus {
     fn to_value(&self) -> Value {
         let state = |s: &str| ("state".to_string(), Value::Str(s.to_string()));
         match self {
@@ -514,7 +514,7 @@ impl SweepResponse {
     }
 }
 
-impl Serialize for SweepResponse {
+impl ToJson for SweepResponse {
     fn to_value(&self) -> Value {
         let mut fields = vec![
             ("id".to_string(), Value::U64(self.id)),
@@ -702,15 +702,41 @@ mod tests {
             .with_order(JobOrder::Input)
             .axis("reps", vec![50u64, 100])
             .param("scale", 1.5);
-        let text = serde_json::to_string_pretty(&req).expect("renders");
-        let back = SweepRequest::from_value(&serde_json::from_str(&text).expect("parses"))
-            .expect("decodes");
+        let text = json::to_string_pretty(&req);
+        let back =
+            SweepRequest::from_value(&json::from_str(&text).expect("parses")).expect("decodes");
         assert_eq!(req, back, "round trip is lossless, types included");
+    }
+
+    /// An integral float of 1e15 or more must come back off the wire as a
+    /// float: decoded as an integer it would key another cache entry than
+    /// the same request built in-process.
+    #[test]
+    fn large_integral_float_params_keep_their_type_over_the_wire() {
+        let key = |req: &SweepRequest| {
+            let params = req
+                .params
+                .iter()
+                .fold(crate::Params::new(), |p, (k, v)| p.with(k, v.clone()));
+            crate::job_key("salt", "fig07_latency", &params, 1)
+        };
+        for x in [1e15, 2f64.powi(53), 2f64.powi(60)] {
+            let req = SweepRequest::new().scenario("fig07_latency").param("x", x);
+            let text = json::to_string(&req.to_value());
+            let back =
+                SweepRequest::from_value(&json::from_str(&text).expect("parses")).expect("decodes");
+            assert_eq!(
+                back.params,
+                vec![("x".to_string(), ParamValue::F64(x))],
+                "{text}"
+            );
+            assert_eq!(key(&back), key(&req), "{text}");
+        }
     }
 
     #[test]
     fn decode_rejects_unknown_fields() {
-        let v = serde_json::from_str(r#"{"version": 1, "scenariozz": []}"#).unwrap();
+        let v = json::from_str(r#"{"version": 1, "scenariozz": []}"#).unwrap();
         let err = SweepRequest::from_value(&v).expect_err("typo field");
         assert!(
             matches!(err, Error::InvalidRequest { ref field, .. } if field == "scenariozz"),
@@ -721,7 +747,7 @@ mod tests {
     #[test]
     fn decode_rejects_a_version_past_u32() {
         // 2^32 + 1 must not wrap to version 1 and pass validation.
-        let v = serde_json::from_str(r#"{"version": 4294967297, "all": true}"#).unwrap();
+        let v = json::from_str(r#"{"version": 4294967297, "all": true}"#).unwrap();
         let err = SweepRequest::from_value(&v).expect_err("out-of-range version");
         assert!(
             matches!(err, Error::InvalidRequest { ref field, .. } if field == "version"),

@@ -46,38 +46,48 @@ use crate::metrics::{summarize, MetricSummary, Metrics};
 use crate::params::{ParamValue, Params, SweepGrid};
 use crate::Scenario;
 use des::Simulation;
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// All runs of one parameter point: the per-seed metrics plus aggregates.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PointResult {
     pub params: Params,
     /// `(seed, metrics)` in seed order — independent of worker scheduling.
     pub per_seed: Vec<(u64, Metrics)>,
     pub summary: Vec<(String, MetricSummary)>,
 }
+json::impl_to_json!(PointResult {
+    params,
+    per_seed,
+    summary,
+});
 
 /// The outcome of sweeping one scenario.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepResult {
     pub scenario: String,
     pub seeds: Vec<u64>,
     pub points: Vec<PointResult>,
 }
+json::impl_to_json!(SweepResult {
+    scenario,
+    seeds,
+    points,
+});
 
 /// A whole-suite run (`scenarios run --all`), the JSON artifact schema.
 /// Deliberately excludes run-environment details like the thread count:
 /// the artifact is bit-identical for a given seed list however it was
 /// parallelised, so two runs can be compared with `cmp`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepSuite {
     pub seeds: Vec<u64>,
     pub results: Vec<SweepResult>,
 }
+json::impl_to_json!(SweepSuite { seeds, results });
 
 impl SweepSuite {
     /// The canonical artifact rendering — exactly the bytes `scenarios run
@@ -85,7 +95,7 @@ impl SweepSuite {
     /// the wire (never a re-serialization on the client side), which is
     /// what makes server- and CLI-written artifacts byte-identical.
     pub fn artifact_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("value-tree rendering is infallible")
+        json::to_string_pretty(self)
     }
 }
 

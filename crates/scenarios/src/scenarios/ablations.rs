@@ -8,7 +8,7 @@
 //! 4. Job striping: leaving a management core free vs oversubscribing
 //!    (Sec. III).
 
-use crate::report::{banner, fmt, print_table, write_json};
+use crate::report::{banner, fmt, print_table};
 use crate::{Metrics, Params, Scenario, REPORT_SEED};
 use des::{Percentiles, SimTime, Simulation};
 use fabric::LogGpParams;
@@ -17,9 +17,7 @@ use interference::{
     ColocationPolicy, Decision, NasClass, NasKernel, NodeCapacity, PolicyConfig, WorkloadProfile,
 };
 use rfaas::{Executor, ExecutorMode, FunctionRegistry};
-use serde::Serialize;
 
-#[derive(Serialize)]
 pub struct AblationReport {
     warm_pool_cold_ms: f64,
     warm_pool_warm_ms: f64,
@@ -277,7 +275,5 @@ impl Scenario for Ablations {
             r.oversubscribed_overhead_pct,
             r.striping_overhead_pct
         );
-
-        write_json("ablations", &r);
     }
 }

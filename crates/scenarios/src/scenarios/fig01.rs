@@ -5,7 +5,7 @@
 //! exactly as the paper's measurement script did.
 
 use crate::paper::FIG1;
-use crate::report::{banner, compare, fmt, print_table, write_json};
+use crate::report::{banner, compare, fmt, print_table};
 use crate::{Metrics, Params, Scenario, REPORT_SEED};
 use cluster::{simulate_trace_in, TraceOutcome, TraceProfile};
 use des::{SimTime, Simulation};
@@ -189,7 +189,5 @@ impl Scenario for Fig01Utilization {
             out.jobs_completed,
             compare(FIG1.median_idle_nodes * scale, r.median_idle_nodes)
         );
-
-        write_json("fig01_utilization", &out);
     }
 }

@@ -13,15 +13,13 @@
 //! where a full draw leaves it, and `run`'s metrics are bit-identical to
 //! those of the all-sizes draw `report` prints.
 
-use crate::report::{banner, fmt, print_table, write_json};
+use crate::report::{banner, fmt, print_table};
 use crate::{Metrics, Params, Scenario, REPORT_SEED};
 use des::{Percentiles, RngStream, SimTime, Simulation};
 use fabric::microbench::{fig7_sizes, ping_pong, straggler_p};
 use fabric::{CompletionMode, LogGpParams};
 use rfaas::{Executor, ExecutorMode, FunctionRegistry};
-use serde::Serialize;
 
-#[derive(Serialize)]
 pub struct Row {
     size: usize,
     ugni_busy_med: f64,
@@ -228,8 +226,6 @@ impl Scenario for Fig07Latency {
         // Sanity: monotone growth with size for the busy-poll series.
         let t = SimTime::from_micros_f64(rows.last().unwrap().ugni_busy_med);
         assert!(t > SimTime::from_micros_f64(rows[0].ugni_busy_med));
-
-        write_json("fig07_latency", &rows);
     }
 }
 

@@ -3,18 +3,11 @@
 //! Left panel: read latency, one reader, 1 KB – 1 GB.
 //! Right panel: per-reader throughput, 16 readers, 1 MB – 1 GB.
 
-use crate::report::{banner, fmt, print_table, size_label, write_json};
+use crate::report::{banner, fmt, print_table, size_label};
 use crate::{Metrics, Params, Scenario};
 use des::Simulation;
-use serde::Serialize;
 use storage::harness::{latency_sweep, throughput_sweep, IoRow};
 use storage::{Lustre, ObjectStore};
-
-#[derive(Serialize)]
-struct Fig8 {
-    latency_one_reader: Vec<(u64, f64, f64)>,
-    throughput_16_readers: Vec<(u64, f64, f64)>,
-}
 
 fn compute(params: &Params) -> (Vec<IoRow>, Vec<IoRow>) {
     let readers = params.u64("readers", 16) as u32;
@@ -118,20 +111,6 @@ impl Scenario for Fig08Io {
         assert!(
             thr.last().unwrap().lustre > thr.last().unwrap().object_store,
             "16-reader throughput at 1 GB: Lustre wins"
-        );
-
-        write_json(
-            "fig08_io",
-            &Fig8 {
-                latency_one_reader: lat
-                    .iter()
-                    .map(|r| (r.size_bytes, r.object_store, r.lustre))
-                    .collect(),
-                throughput_16_readers: thr
-                    .iter()
-                    .map(|r| (r.size_bytes, r.object_store, r.lustre))
-                    .collect(),
-            },
         );
     }
 }

@@ -8,12 +8,11 @@
 //! reported as mean ± std of the runtime overhead in percent.
 
 use crate::paper::{FIG9_NAS, LULESH_BASELINES, MILC_BASELINES};
-use crate::report::{banner, fmt, noisy_mean_std, pm, print_table, write_json};
+use crate::report::{banner, fmt, noisy_mean_std, pm, print_table};
 use crate::{Metrics, Params, Scenario, REPORT_SEED};
 use des::Simulation;
 use interference::model::{colocation_overhead_pct, slowdowns, solo_slowdown};
 use interference::{Demand, NasClass, NasKernel, NodeCapacity, WorkloadProfile};
-use serde::Serialize;
 
 fn nas_profile(kernel: &str, class: &str) -> WorkloadProfile {
     let k = match kernel {
@@ -33,7 +32,6 @@ fn nas_profile(kernel: &str, class: &str) -> WorkloadProfile {
     WorkloadProfile::nas(k, c)
 }
 
-#[derive(Serialize)]
 pub struct Entry {
     batch: String,
     nas: String,
@@ -223,7 +221,5 @@ impl Scenario for Fig09CpuSharing {
         assert!(lulesh_max < 10.0, "LULESH must stay nearly unaffected");
         assert!(milc_max > lulesh_max, "MILC is the more sensitive victim");
         assert!(milc_max < 35.0, "MILC perturbation stays moderate");
-
-        write_json("fig09_cpu_sharing", &entries);
     }
 }

@@ -16,12 +16,11 @@
 //!   billing.
 
 use crate::paper::{FIG10_CORE_HOURS, FIG10_ROWS, FIG10_TOTAL_TIME, FIG10_UTILISATION};
-use crate::report::{banner, compare, fmt, print_table, write_json};
+use crate::report::{banner, compare, fmt, print_table};
 use crate::{Metrics, Params, Scenario};
 use des::Simulation;
 use interference::model::colocation_overhead_pct;
 use interference::{NasClass, NasKernel, NodeCapacity, WorkloadProfile};
-use serde::Serialize;
 
 const LULESH_T: f64 = 119.0; // s, size 20, paper baseline
 const LULESH_RANKS_PER_NODE: u32 = 32;
@@ -44,7 +43,6 @@ fn nas(label: &str) -> (WorkloadProfile, u32, f64) {
     (p, ranks, t)
 }
 
-#[derive(Serialize)]
 pub struct Row {
     config: String,
     utilisation: [f64; 3],
@@ -202,7 +200,5 @@ impl Scenario for Fig10Utilization {
             assert!(r.total_time[0] <= 1.06, "disaggregation never much slower");
         }
         assert!(best > 35.0, "headline improvement in the paper's ballpark");
-
-        write_json("fig10_utilization", &rows);
     }
 }

@@ -12,19 +12,17 @@
 //! through the region, so no job allocates, faults in or copies 10 MB.
 
 use crate::paper::FIG11_INTERVALS_MS;
-use crate::report::{banner, fmt, pm, print_table, write_json};
+use crate::report::{banner, fmt, pm, print_table};
 use crate::{Metrics, Params, Scenario, REPORT_SEED};
 use des::{OnlineStats, Simulation};
 use fabric::{Fabric, JobToken, NodeId, RdmaOp, Transport};
 use interference::model::colocation_overhead_pct;
 use interference::{NodeCapacity, WorkloadProfile};
 use rfaas::memservice::{MemoryServiceFunction, RemoteMemoryClient};
-use serde::Serialize;
 
 /// Size of one memory-service transfer in the paper's setup (10 MB).
 const TRANSFER: usize = 10 << 20;
 
-#[derive(Serialize)]
 pub struct Series {
     victim: String,
     op: String,
@@ -223,7 +221,5 @@ impl Scenario for Fig11MemorySharing {
         );
         assert!(lulesh_max < 9.0);
         assert!(milc_max > lulesh_max && milc_max < 25.0);
-
-        write_json("fig11_memory_sharing", &out.series);
     }
 }

@@ -7,16 +7,14 @@
 //! cores, feeding the otherwise idle P100.
 
 use crate::paper::{FIG12_LULESH_BASELINES, FIG12_MILC_BASELINES};
-use crate::report::{banner, fmt, pm, print_table, write_json};
+use crate::report::{banner, fmt, pm, print_table};
 use crate::{Metrics, Params, Scenario, REPORT_SEED};
 use des::{OnlineStats, Simulation};
 use gpu::{GpuAssignment, GpuDevice, GpuSharingPolicy, RodiniaBenchmark};
 use interference::model::colocation_overhead_pct;
 use interference::{NodeCapacity, WorkloadProfile};
 use rfaas::gpu_exec::GpuFunction;
-use serde::Serialize;
 
-#[derive(Serialize)]
 pub struct Entry {
     batch: String,
     bench: String,
@@ -204,7 +202,5 @@ impl Scenario for Fig12GpuSharing {
             fmt(mean_large),
             fmt(milc_mean)
         );
-
-        write_json("fig12_gpu_sharing", &entries);
     }
 }

@@ -13,16 +13,14 @@
 //! set-up and a per-task cost. No kernel runs.
 
 use crate::paper::{FIG13_BLACKSCHOLES, FIG13_OPENMC};
-use crate::report::{banner, compare, fmt, print_table, write_json};
+use crate::report::{banner, compare, fmt, print_table};
 use crate::{Metrics, Params, Scenario};
 use des::{SimTime, Simulation};
 use fabric::LogGpParams;
 use rfaas::OffloadPlanner;
-use serde::Serialize;
 
 const PARALLELISM: [usize; 13] = [1, 4, 8, 12, 16, 20, 24, 28, 32, 40, 48, 56, 64];
 
-#[derive(Serialize, Clone)]
 pub struct SpeedupRow {
     parallelism: usize,
     openmp: f64,
@@ -235,6 +233,5 @@ impl Scenario for Fig13Offload {
         println!(
             "\nshape: rFaaS tracks OpenMP; OpenMP+rFaaS wins once tasks outnumber Eq. (1)'s threshold."
         );
-        write_json("fig13_offload", &out.openmc_rows);
     }
 }

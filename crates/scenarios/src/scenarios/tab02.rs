@@ -2,7 +2,7 @@
 //! plus Table I (cloud vs HPC FaaS environments) and the cold-start cost
 //! model backing Sec. IV-B/C.
 
-use crate::report::{banner, fmt, print_table, write_json};
+use crate::report::{banner, fmt, print_table};
 use crate::{Metrics, Params, Scenario};
 use containers::{cold_start, ContainerRuntime, RuntimeCapabilities};
 use des::Simulation;
@@ -141,7 +141,5 @@ impl Scenario for Tab02Containers {
         println!(
             "HPC runtimes (Singularity/Sarus) are the only ones passing the suitability test."
         );
-
-        write_json("tab02_containers", &rows);
     }
 }

@@ -7,14 +7,12 @@
 //! almost linearly, BT and LU lose ~25%, CG collapses to ~1/3.
 
 use crate::paper::{TABLE3, TABLE3_EXECUTORS};
-use crate::report::{banner, compare, fmt, print_table, write_json};
+use crate::report::{banner, compare, fmt, print_table};
 use crate::{Metrics, Params, Scenario};
 use des::Simulation;
 use interference::model::scaling_efficiency;
 use interference::{NasClass, NasKernel, NodeCapacity, WorkloadProfile};
-use serde::Serialize;
 
-#[derive(Serialize)]
 pub struct Row {
     app: String,
     ours: Vec<f64>,
@@ -116,7 +114,5 @@ impl Scenario for Tab03IdleNode {
         );
         assert!(at32(&rows, "EP.W") > 24.0, "EP must stay near-linear");
         println!("\nshape holds: EP > BT > LU > CG ordering as in the paper.");
-
-        write_json("tab03_idle_node", &rows);
     }
 }

@@ -39,7 +39,7 @@ use crate::wire::{
     error_reply, ok_reply, read_frame_limited, submission_to_value, write_frame, Verb,
     MAX_REQUEST_BYTES,
 };
-use serde::{Serialize, Value};
+use json::{ToJson, Value};
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -134,7 +134,7 @@ impl Server {
 
 /// The rendered `{"ok": false}` reply frame for `error`.
 fn error_text(error: &Error) -> String {
-    serde_json::to_string(&error_reply(error)).expect("value-tree rendering is infallible")
+    json::to_string(&error_reply(error))
 }
 
 /// Sequentially answer one connection's verbs until it hangs up.
@@ -163,7 +163,7 @@ fn serve_connection(
             }
         };
         let reply = answer(service, stopping, server_addr, &frame);
-        let text = serde_json::to_string(&reply).expect("value-tree rendering is infallible");
+        let text = json::to_string(&reply);
         if write_frame(&mut stream, &text).is_err() {
             return;
         }
@@ -218,7 +218,7 @@ impl Read for Deadline<'_> {
 /// Everything that can fail becomes an `{"ok": false}` reply — a
 /// protocol-level problem never kills the connection silently.
 fn answer(service: &Service, stopping: &AtomicBool, server_addr: SocketAddr, frame: &str) -> Value {
-    let verb = match serde_json::from_str(frame)
+    let verb = match json::from_str(frame)
         .map_err(|e| Error::Protocol {
             message: format!("malformed request frame: {e}"),
         })
@@ -228,7 +228,7 @@ fn answer(service: &Service, stopping: &AtomicBool, server_addr: SocketAddr, fra
         Err(e) => return error_reply(&e),
     };
     let response_payload =
-        |r: crate::request::SweepResponse| vec![("response".to_string(), Serialize::to_value(&r))];
+        |r: crate::request::SweepResponse| vec![("response".to_string(), ToJson::to_value(&r))];
     let result = match verb {
         Verb::Submit(request) => service
             .submit(&request)
@@ -238,7 +238,7 @@ fn answer(service: &Service, stopping: &AtomicBool, server_addr: SocketAddr, fra
         Verb::Cancel(id) => service.cancel(id).map(response_payload),
         Verb::List => Ok(vec![(
             "requests".to_string(),
-            Value::Seq(service.list().iter().map(Serialize::to_value).collect()),
+            Value::Seq(service.list().iter().map(ToJson::to_value).collect()),
         )]),
         Verb::Ping => Ok(vec![("pong".to_string(), Value::Bool(true))]),
         Verb::Shutdown => {

@@ -23,7 +23,7 @@
 use crate::error::Error;
 use crate::request::{SweepRequest, SweepResponse, SweepStatus};
 use crate::service::Submission;
-use serde::{Serialize, Value};
+use json::{ToJson, Value};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -136,7 +136,7 @@ impl Verb {
         let mut fields = vec![("verb".to_string(), Value::Str(self.name().to_string()))];
         match self {
             Verb::Submit(request) => {
-                fields.push(("request".to_string(), Serialize::to_value(request)));
+                fields.push(("request".to_string(), ToJson::to_value(request)));
             }
             Verb::Status(id) | Verb::Wait(id) | Verb::Cancel(id) => {
                 fields.push(("id".to_string(), Value::U64(*id)));
@@ -227,10 +227,7 @@ pub fn ok_reply(payload: Vec<(String, Value)>) -> Value {
 pub fn submission_to_value(submission: &Submission) -> Vec<(String, Value)> {
     vec![
         ("id".to_string(), Value::U64(submission.id)),
-        (
-            "status".to_string(),
-            Serialize::to_value(&submission.status),
-        ),
+        ("status".to_string(), ToJson::to_value(&submission.status)),
         (
             "warnings".to_string(),
             Value::Seq(
@@ -271,12 +268,11 @@ impl Client {
     /// One verb round-trip: send the frame, decode the reply, surface
     /// server-side errors as [`Error::Server`].
     fn call(&mut self, verb: &Verb) -> Result<Value, Error> {
-        let text =
-            serde_json::to_string(&verb.to_value()).expect("value-tree rendering is infallible");
+        let text = json::to_string(&verb.to_value());
         write_frame(&mut self.stream, &text)?;
         let reply = read_frame(&mut self.stream)?
             .ok_or_else(|| Error::protocol("service hung up before replying"))?;
-        let value = serde_json::from_str(&reply)
+        let value = json::from_str(&reply)
             .map_err(|e| Error::protocol(format!("malformed reply frame: {e}")))?;
         match value.get("ok") {
             Some(Value::Bool(true)) => Ok(value),

@@ -405,7 +405,7 @@ fn hostile_and_broken_frames_cost_only_their_own_connection() {
             .expect("submit")
             .id;
         let mut raw = TcpStream::connect(addr).expect("connect");
-        let verb = serde_json::to_string(&Verb::Wait(id).to_value()).expect("renders");
+        let verb = json::to_string(&Verb::Wait(id).to_value());
         write_frame(&mut raw, &verb).expect("send wait");
     };
     let cases: [(&str, &dyn Fn()); 5] = [

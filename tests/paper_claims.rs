@@ -25,6 +25,35 @@ fn claim_single_digit_microsecond_invocations() {
 }
 
 #[test]
+fn claim_fig7_hot_invocations_track_ugni_and_warm_ones_pay_a_wakeup() {
+    // Fig. 7: at 1 B a hot rFaaS invocation takes single-digit µs, a small
+    // overhead above raw uGNI busy-poll ping-pong, and a warm one is slower
+    // by the executor's wake-up — the claims `scenarios report
+    // fig07_latency` prints, checked on the registered scenario's metrics
+    // over several seeds.
+    use hpc_serverless_disagg::scenarios::{Registry, REPORT_SEED};
+    let registry = Registry::standard();
+    let fig07 = registry.get("fig07_latency").unwrap();
+    for seed in REPORT_SEED..REPORT_SEED + 4 {
+        let mut sim = hpc_serverless_disagg::des::Simulation::new(seed);
+        let m = fig07.run(&mut sim, &fig07.default_params());
+        let metric = |name: &str| m.get(name).unwrap();
+        let hot = metric("rfaas_hot_med_1b_us");
+        let overhead = metric("hot_overhead_1b_us");
+        let warm = metric("rfaas_warm_med_1b_us");
+        assert!(
+            (1.0..10.0).contains(&hot),
+            "seed {seed}: hot median {hot} µs"
+        );
+        assert!(
+            overhead > 0.0 && overhead < 2.0,
+            "seed {seed}: hot overhead over uGNI busy-poll {overhead} µs"
+        );
+        assert!(warm > hot, "seed {seed}: warm {warm} µs vs hot {hot} µs");
+    }
+}
+
+#[test]
 fn claim_remote_memory_sustains_1gbps() {
     // Conclusion: "supporting remote memory with up to 1GB/s traffic".
     let mut fabric = Fabric::new(Transport::Ugni, 2);
