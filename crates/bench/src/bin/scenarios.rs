@@ -36,6 +36,7 @@
 //! wall-clock land in a `<artifact>.cache.json` sidecar (printed too under
 //! `--cache-stats`).
 
+use json::ToJson;
 use scenarios::report::fmt;
 use scenarios::service::{Service, ServiceConfig};
 use scenarios::wire::Client;
@@ -340,7 +341,7 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
     if let (Some(dir), Some(salt), Some(stats)) = (&inv.cache_dir, salt, runner.cache_stats()) {
         let sidecar = sidecar_for(dir, salt, &stats, wall_secs);
         let sidecar_path = path.with_extension("cache.json");
-        let json = json::to_string_pretty(&sidecar);
+        let json = json::to_string_pretty(&sidecar.to_value());
         std::fs::write(&sidecar_path, json)
             .map_err(|e| CliError::Usage(format!("writing {}: {e}", sidecar_path.display())))?;
         println!("[cache] {}", sidecar_path.display());

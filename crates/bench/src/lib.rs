@@ -20,6 +20,7 @@
 pub fn trace_reference_json() -> String {
     use cluster::{simulate_trace, TraceProfile};
     use des::SimTime;
+    use json::ToJson;
     struct ReferenceCase {
         name: &'static str,
         seed: u64,
@@ -54,7 +55,7 @@ pub fn trace_reference_json() -> String {
             outcome: simulate_trace(&profile, SimTime::from_hours(hours), seed),
         })
         .collect();
-    let mut json = json::to_string_pretty(&artifact);
+    let mut json = json::to_string_pretty(&artifact.to_value());
     json.push('\n');
     json
 }

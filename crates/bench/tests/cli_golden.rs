@@ -86,8 +86,8 @@ fn run_artifact_matches_the_committed_goldens() {
         "fig07 artifact bytes drifted from the golden"
     );
 
-    // Default parameters: `run` summarises the 1 B and 4 KiB sizes and
-    // passes over the eleven between without computing them.
+    // Default parameters: `run` summarises the 1 B and 4 KiB sizes, each
+    // from its own stream, and draws nothing for the eleven between.
     let fig07_default = out_path("fig07-default");
     run_cli(&[
         "run",

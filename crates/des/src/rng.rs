@@ -266,18 +266,6 @@ impl RngStream {
         }
         t
     }
-
-    /// Advance the stream exactly as [`noisy`](Self::noisy) with the same
-    /// `straggler_p` would, without computing the sample: the same words
-    /// are drawn, no `ln`/`sqrt`/`cos` is evaluated. A change to how many
-    /// words `normal`, `exponential` or `chance` draw must change this too.
-    pub fn skip_noisy(&mut self, straggler_p: f64) {
-        self.u64();
-        self.u64();
-        if self.chance(straggler_p) {
-            self.u64();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -3,16 +3,14 @@
 //! deterministic jitter. Fig. 7's two libfabric baseline series are
 //! [`ping_pong`] at each of [`fig7_sizes`]; the rFaaS hot/warm series are
 //! produced by the executor in `crates/core` and plotted against these.
-//! Every sample is one [`RngStream::noisy`] draw, so a caller that needs
-//! the stream past a distribution it does not read can advance it with
-//! [`RngStream::skip_noisy`] and [`straggler_p`] instead.
+//! Every sample is one [`RngStream::noisy`] draw.
 
 use crate::loggp::{CompletionMode, LogGpParams};
 use des::{Percentiles, RngStream};
 
 /// Probability that one ping-pong is a straggler (scheduler preemption),
 /// which fattens the p95 — pronounced for event-wait.
-pub fn straggler_p(completion: CompletionMode) -> f64 {
+fn straggler_p(completion: CompletionMode) -> f64 {
     match completion {
         CompletionMode::BusyPoll => 0.01,
         CompletionMode::EventWait => 0.06,

@@ -150,6 +150,8 @@ impl_to_json_tuple! {
     (A, B, C, D)
 }
 
+/// A copy of the tree. The writers take `&Value` and render it in place;
+/// this serves generic callers, such as the `serde_json` facade.
 impl ToJson for Value {
     fn to_value(&self) -> Value {
         self.clone()
@@ -162,7 +164,7 @@ pub struct Error(String);
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json serialization error: {}", self.0)
+        write!(f, "json parse error: {}", self.0)
     }
 }
 
@@ -271,16 +273,16 @@ fn render(out: &mut String, v: &Value, indent: usize, pretty: bool) {
 }
 
 /// Render `value` as compact JSON.
-pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
+pub fn to_string(value: &Value) -> String {
     let mut out = String::new();
-    render(&mut out, &value.to_value(), 0, false);
+    render(&mut out, value, 0, false);
     out
 }
 
 /// Render `value` as pretty-printed JSON (two-space indent).
-pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
+pub fn to_string_pretty(value: &Value) -> String {
     let mut out = String::new();
-    render(&mut out, &value.to_value(), 0, true);
+    render(&mut out, value, 0, true);
     out
 }
 
@@ -615,7 +617,10 @@ mod tests {
             label: "x".into(),
             med: f64::NAN,
         };
-        assert_eq!(to_string(&row), r#"{"size":4,"label":"x","med":null}"#);
+        assert_eq!(
+            to_string(&row.to_value()),
+            r#"{"size":4,"label":"x","med":null}"#
+        );
     }
 
     #[test]
@@ -637,12 +642,13 @@ mod tests {
 
     #[test]
     fn floats_render_as_json_numbers() {
-        assert_eq!(to_string(&3.0f64), "3.0");
-        assert_eq!(to_string(&0.25f64), "0.25");
-        assert_eq!(to_string(&f64::NAN), "null");
-        assert_eq!(to_string(&999_999_999_999_999.0f64), "999999999999999.0");
-        assert_eq!(to_string(&1e15f64), "1e15");
-        assert_eq!(to_string(&-(2f64.powi(60))), "-1.152921504606847e18");
+        let f = |x: f64| to_string(&Value::F64(x));
+        assert_eq!(f(3.0), "3.0");
+        assert_eq!(f(0.25), "0.25");
+        assert_eq!(f(f64::NAN), "null");
+        assert_eq!(f(999_999_999_999_999.0), "999999999999999.0");
+        assert_eq!(f(1e15), "1e15");
+        assert_eq!(f(-(2f64.powi(60))), "-1.152921504606847e18");
     }
 
     #[test]
@@ -681,7 +687,7 @@ mod tests {
             f64::MAX.to_bits(),
         ] {
             let x = f64::from_bits(bits);
-            let text = to_string(&x);
+            let text = to_string(&Value::F64(x));
             match from_str(&text).unwrap() {
                 Value::F64(y) => assert_eq!(y.to_bits(), bits, "{text}"),
                 // Integral floats render as "n.0" or with an exponent so
@@ -751,7 +757,7 @@ mod tests {
             let at = MAX_DEPTH * opener.len();
             assert_eq!(
                 err.to_string(),
-                format!("json serialization error: recursion limit exceeded at byte {at}")
+                format!("json parse error: recursion limit exceeded at byte {at}")
             );
         }
         // Exactly MAX_DEPTH levels still parse; one more does not.

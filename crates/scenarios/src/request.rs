@@ -702,7 +702,7 @@ mod tests {
             .with_order(JobOrder::Input)
             .axis("reps", vec![50u64, 100])
             .param("scale", 1.5);
-        let text = json::to_string_pretty(&req);
+        let text = json::to_string_pretty(&req.to_value());
         let back =
             SweepRequest::from_value(&json::from_str(&text).expect("parses")).expect("decodes");
         assert_eq!(req, back, "round trip is lossless, types included");

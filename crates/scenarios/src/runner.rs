@@ -46,6 +46,7 @@ use crate::metrics::{summarize, MetricSummary, Metrics};
 use crate::params::{ParamValue, Params, SweepGrid};
 use crate::Scenario;
 use des::Simulation;
+use json::ToJson;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -95,7 +96,7 @@ impl SweepSuite {
     /// the wire (never a re-serialization on the client side), which is
     /// what makes server- and CLI-written artifacts byte-identical.
     pub fn artifact_json(&self) -> String {
-        json::to_string_pretty(self)
+        json::to_string_pretty(&self.to_value())
     }
 }
 

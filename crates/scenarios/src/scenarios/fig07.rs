@@ -4,19 +4,16 @@
 //! uGNI busy-poll, uGNI queue-wait (the libfabric baselines), rFaaS hot and
 //! rFaaS warm invocations of a no-op function.
 //!
-//! Every sample is one [`RngStream::noisy`] draw from the job's `fig7`
-//! stream, in a fixed order: size by size, the four series in the order
-//! above, `reps` samples each. `run` reads only the 1 B and 4 KiB sizes;
-//! the samples of the sizes between are passed over with
-//! [`RngStream::skip_noisy`], which draws exactly the same words without
-//! computing the sample. The summarised sizes therefore see the stream
-//! where a full draw leaves it, and `run`'s metrics are bit-identical to
-//! those of the all-sizes draw `report` prints.
+//! Every sample is one [`RngStream::noisy`] draw. Each message size draws
+//! from its own named stream, `fig7/{size}`: the four series in the order
+//! above, `reps` samples each. `run` reads only the 1 B and 4 KiB sizes and
+//! draws nothing for the sizes between, and its metrics are bit-identical to
+//! the same two rows of the all-sizes draw `report` prints.
 
 use crate::report::{banner, fmt, print_table};
 use crate::{Metrics, Params, Scenario, REPORT_SEED};
 use des::{Percentiles, RngStream, SimTime, Simulation};
-use fabric::microbench::{fig7_sizes, ping_pong, straggler_p};
+use fabric::microbench::{fig7_sizes, ping_pong};
 use fabric::{CompletionMode, LogGpParams};
 use rfaas::{Executor, ExecutorMode, FunctionRegistry};
 
@@ -89,38 +86,24 @@ impl Dists {
     }
 }
 
-/// Draws every size's four series in one fixed order and summarises the
-/// sizes in `keep`. Each sample of any other size is passed over with
-/// [`RngStream::skip_noisy`] (same words, no sample computed), so the kept
-/// sizes' distributions are bit-identical whatever else is kept.
-fn compute(sim: &mut Simulation, params: &Params, keep: &[usize]) -> Vec<Dists> {
+/// Summarises the sizes in `keep`, each drawn from its own stream
+/// `fig7/{size}`, so a kept size's distributions are bit-identical whatever
+/// else is kept, and a size not kept draws no word.
+fn compute(sim: &Simulation, params: &Params, keep: &[usize]) -> Vec<Dists> {
     let reps = params.usize("reps", 2000);
     let net = LogGpParams::ugni();
-    let mut rng = sim.stream("fig7");
-    let mut dists = Vec::with_capacity(keep.len());
-    for size in fig7_sizes() {
-        if keep.contains(&size) {
-            dists.push(Dists {
+    keep.iter()
+        .map(|&size| {
+            let mut rng = sim.stream(&format!("fig7/{size}"));
+            Dists {
                 size,
                 busy: ping_pong(&net, CompletionMode::BusyPoll, size, reps, &mut rng),
                 wait: ping_pong(&net, CompletionMode::EventWait, size, reps, &mut rng),
                 hot: rfaas_distribution(ExecutorMode::Hot, size, reps, &mut rng),
                 warm: rfaas_distribution(ExecutorMode::Warm, size, reps, &mut rng),
-            });
-            continue;
-        }
-        for p in [
-            straggler_p(CompletionMode::BusyPoll),
-            straggler_p(CompletionMode::EventWait),
-            rfaas_straggler_p(ExecutorMode::Hot),
-            rfaas_straggler_p(ExecutorMode::Warm),
-        ] {
-            for _ in 0..reps {
-                rng.skip_noisy(p);
             }
-        }
-    }
-    dists
+        })
+        .collect()
 }
 
 /// `run`'s eight metrics from the 1 B and 4 KiB rows.
@@ -170,8 +153,8 @@ impl Scenario for Fig07Latency {
         banner("FIG7", self.title());
         println!("seed = {seed}; {reps} repetitions per point; values in µs");
 
-        let mut sim = Simulation::new(seed);
-        let rows: Vec<Row> = compute(&mut sim, &params, &fig7_sizes())
+        let sim = Simulation::new(seed);
+        let rows: Vec<Row> = compute(&sim, &params, &fig7_sizes())
             .into_iter()
             .map(Dists::row)
             .collect();
@@ -233,19 +216,47 @@ impl Scenario for Fig07Latency {
 mod tests {
     use super::*;
 
-    /// `run` summarises two sizes and skips the rest; its metrics must be
-    /// bit-identical to the same two rows of the all-sizes draw.
+    /// Every field of a row, for bit-exact comparison.
+    fn row_metrics(r: &Row) -> Metrics {
+        let mut m = Metrics::new();
+        for (name, v) in [
+            ("ugni_busy_med", r.ugni_busy_med),
+            ("ugni_busy_p95", r.ugni_busy_p95),
+            ("ugni_wait_med", r.ugni_wait_med),
+            ("ugni_wait_p95", r.ugni_wait_p95),
+            ("rfaas_hot_med", r.rfaas_hot_med),
+            ("rfaas_hot_p95", r.rfaas_hot_p95),
+            ("rfaas_warm_med", r.rfaas_warm_med),
+            ("rfaas_warm_p95", r.rfaas_warm_p95),
+        ] {
+            m.push(name, v);
+        }
+        m
+    }
+
+    /// `run` summarises two sizes and a middle size may be summarised
+    /// alone; each must be bit-identical to its rows of the all-sizes draw.
     #[test]
     fn run_matches_the_all_sizes_draw() {
         for reps in [1u64, 7, 2000] {
             let params = Fig07Latency.default_params().with("reps", reps);
             for seed in 1..=20 {
-                let run = Fig07Latency.run(&mut Simulation::new(seed), &params);
-                let mut all = compute(&mut Simulation::new(seed), &params, &fig7_sizes());
+                let sim = Simulation::new(seed);
+                let all: Vec<Row> = compute(&sim, &params, &fig7_sizes())
+                    .into_iter()
+                    .map(Dists::row)
+                    .collect();
                 assert_eq!(all.len(), fig7_sizes().len());
-                let large = all.pop().unwrap().row();
-                let small = all.swap_remove(0).row();
-                let drawn = metrics(&small, &large);
+
+                let alone = compute(&sim, &params, &[64]).pop().unwrap().row();
+                let row = all.iter().find(|r| r.size == 64).unwrap();
+                assert!(
+                    row_metrics(&alone).bits_eq(&row_metrics(row)),
+                    "seed {seed}, reps {reps}: 64 B drawn alone differs from its all-sizes row"
+                );
+
+                let run = Fig07Latency.run(&mut Simulation::new(seed), &params);
+                let drawn = metrics(&all[0], all.last().unwrap());
                 assert_eq!(run.len(), 8);
                 assert!(
                     run.bits_eq(&drawn),

@@ -61,6 +61,7 @@ use crate::error::Error;
 use crate::registry::Registry;
 use crate::request::{SweepRequest, SweepResponse, SweepStatus};
 use crate::runner::{Engine, Job, Progress, Step, Sweep, SweepSuite};
+use json::ToJson;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -324,7 +325,7 @@ impl Service {
     pub fn submit(&self, request: &SweepRequest) -> Result<Submission, Error> {
         let inner = &*self.inner;
         let validated = request.validate(&inner.registry)?;
-        let dedup_key = json::to_string(request);
+        let dedup_key = json::to_string(&request.to_value());
 
         // In-flight dedup: the map only ever holds non-terminal requests
         // (finalization removes the entry), so a match means live work we

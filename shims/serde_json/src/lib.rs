@@ -10,14 +10,14 @@
 
 pub use json::{from_str, Error};
 
-/// [`json::to_string`], which cannot fail, in the `Result` the benchmark
-/// unwraps.
+/// [`json::to_string`] of the value's tree, which cannot fail, in the
+/// `Result` the benchmark unwraps.
 pub fn to_string<T: json::ToJson + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(json::to_string(value))
+    Ok(json::to_string(&value.to_value()))
 }
 
-/// [`json::to_string_pretty`], which cannot fail, in the `Result` the
-/// benchmark unwraps.
+/// [`json::to_string_pretty`] of the value's tree, which cannot fail, in
+/// the `Result` the benchmark unwraps.
 pub fn to_string_pretty<T: json::ToJson + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(json::to_string_pretty(value))
+    Ok(json::to_string_pretty(&value.to_value()))
 }
