@@ -68,10 +68,19 @@ impl OnlineStats {
 
 /// Retains all samples for exact quantiles. The experiment scales here are
 /// small enough (≤ millions of samples) that exactness beats sketching.
+///
+/// A quantile is answered by selection, which leaves the samples partitioned
+/// around the ranks it read; only [`mean`](Self::mean) sorts them. Either way
+/// every answer is what a full sort would give, bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct Percentiles {
     samples: Vec<f64>,
     sorted: bool,
+}
+
+/// The total order quantiles rank by; a NaN sample has no rank.
+fn by_value(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).expect("NaN sample")
 }
 
 impl Percentiles {
@@ -94,12 +103,24 @@ impl Percentiles {
         self.samples.is_empty()
     }
 
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
+    /// The samples at ranks `lo` and `hi` (`lo` or `lo + 1`) of the
+    /// ascending order: read off when sorted, otherwise `lo` by selection and
+    /// `hi` as the minimum of the part selection left above it.
+    fn ranks(&mut self, lo: usize, hi: usize) -> (f64, f64) {
+        if self.sorted {
+            return (self.samples[lo], self.samples[hi]);
         }
+        let (_, &mut at_lo, above) = self.samples.select_nth_unstable_by(lo, by_value);
+        let at_hi = if hi == lo {
+            at_lo
+        } else {
+            above
+                .iter()
+                .copied()
+                .min_by(by_value)
+                .expect("rank hi exists")
+        };
+        (at_lo, at_hi)
     }
 
     /// Quantile `q` in `[0,1]` by linear interpolation between closest ranks.
@@ -108,7 +129,6 @@ impl Percentiles {
         if self.samples.is_empty() {
             return f64::NAN;
         }
-        self.ensure_sorted();
         let n = self.samples.len();
         if n == 1 {
             return self.samples[0];
@@ -117,7 +137,8 @@ impl Percentiles {
         let lo = pos.floor() as usize;
         let hi = pos.ceil() as usize;
         let frac = pos - lo as f64;
-        self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac
+        let (at_lo, at_hi) = self.ranks(lo, hi);
+        at_lo * (1.0 - frac) + at_hi * frac
     }
 
     pub fn median(&mut self) -> f64 {
@@ -129,21 +150,30 @@ impl Percentiles {
     pub fn p99(&mut self) -> f64 {
         self.quantile(0.99)
     }
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            f64::NAN
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
 
-    /// Fraction of samples `<= x` (empirical CDF).
-    pub fn cdf_at(&mut self, x: f64) -> f64 {
+    /// Mean of the samples, summed in ascending order (this sorts them), so
+    /// it does not depend on push order or on which quantiles came first.
+    pub fn mean(&mut self) -> f64 {
         if self.samples.is_empty() {
             return f64::NAN;
         }
-        self.ensure_sorted();
-        let count = self.samples.partition_point(|&s| s <= x);
+        if !self.sorted {
+            self.samples.sort_unstable_by(by_value);
+            self.sorted = true;
+        }
+        self.samples.iter().sum::<f64>() / self.samples.len() as f64
+    }
+
+    /// Fraction of samples `<= x` (empirical CDF).
+    pub fn cdf_at(&self, x: f64) -> f64 {
+        if self.samples.is_empty() {
+            return f64::NAN;
+        }
+        let count = if self.sorted {
+            self.samples.partition_point(|&s| s <= x)
+        } else {
+            self.samples.iter().filter(|&&s| s <= x).count()
+        };
         count as f64 / self.samples.len() as f64
     }
 }
@@ -194,5 +224,23 @@ mod tests {
         p.push(3.0);
         assert_eq!(p.median(), 3.0);
         assert_eq!(p.p99(), 3.0);
+    }
+
+    /// Selection takes the minimum and maximum ranks by another path than
+    /// the inner ones; on each, a NaN anywhere must still refuse a rank.
+    #[test]
+    fn a_nan_sample_has_no_rank() {
+        for at in 0..5 {
+            for q in [0.0, 0.5, 1.0] {
+                let mut p = Percentiles::new();
+                for i in 0..5 {
+                    p.push(if i == at { f64::NAN } else { i as f64 });
+                }
+                let err = std::panic::catch_unwind(move || p.quantile(q))
+                    .expect_err("a NaN sample must panic");
+                let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(msg.contains("NaN sample"), "NaN at {at}, q = {q}: {msg:?}");
+            }
+        }
     }
 }

@@ -4,11 +4,12 @@
 //! uGNI busy-poll, uGNI queue-wait (the libfabric baselines), rFaaS hot and
 //! rFaaS warm invocations of a no-op function.
 //!
-//! Every sample is one [`RngStream::noisy`] draw. Each message size draws
-//! from its own named stream, `fig7/{size}`: the four series in the order
-//! above, `reps` samples each. `run` reads only the 1 B and 4 KiB sizes and
-//! draws nothing for the sizes between, and its metrics are bit-identical to
-//! the same two rows of the all-sizes draw `report` prints.
+//! Every sample is one [`RngStream::noisy`] draw. Each series at each
+//! message size draws its `reps` samples from its own named stream,
+//! `fig7/{size}/{series}` (series `busy`, `wait`, `hot`, `warm`), so a series
+//! is bit-identical whatever else is drawn. `run` draws only the six series
+//! its metrics read (all four at 1 B, busy-poll and hot at 4 KiB); `report`
+//! draws all 52 it prints.
 
 use crate::report::{banner, fmt, print_table};
 use crate::{Metrics, Params, Scenario, REPORT_SEED};
@@ -17,16 +18,17 @@ use fabric::microbench::{fig7_sizes, ping_pong};
 use fabric::{CompletionMode, LogGpParams};
 use rfaas::{Executor, ExecutorMode, FunctionRegistry};
 
+/// Median and p95 of each series at one message size, in `Series::ALL`
+/// order.
 pub struct Row {
     size: usize,
-    ugni_busy_med: f64,
-    ugni_busy_p95: f64,
-    ugni_wait_med: f64,
-    ugni_wait_p95: f64,
-    rfaas_hot_med: f64,
-    rfaas_hot_p95: f64,
-    rfaas_warm_med: f64,
-    rfaas_warm_p95: f64,
+    quantiles: [(f64, f64); 4],
+}
+
+impl Row {
+    fn med(&self, series: Series) -> f64 {
+        self.quantiles[series as usize].0
+    }
 }
 
 /// Probability that one rFaaS invocation is a straggler.
@@ -60,67 +62,48 @@ fn rfaas_distribution(
     p
 }
 
-/// The four latency distributions at one message size.
-struct Dists {
-    size: usize,
-    busy: Percentiles,
-    wait: Percentiles,
-    hot: Percentiles,
-    warm: Percentiles,
+/// One of Fig. 7's four latency series.
+#[derive(Clone, Copy, Debug)]
+enum Series {
+    Busy,
+    Wait,
+    Hot,
+    Warm,
 }
 
-impl Dists {
-    /// Median and p95 of each series (sorts all four distributions).
-    fn row(mut self) -> Row {
-        Row {
-            size: self.size,
-            ugni_busy_med: self.busy.median(),
-            ugni_busy_p95: self.busy.p95(),
-            ugni_wait_med: self.wait.median(),
-            ugni_wait_p95: self.wait.p95(),
-            rfaas_hot_med: self.hot.median(),
-            rfaas_hot_p95: self.hot.p95(),
-            rfaas_warm_med: self.warm.median(),
-            rfaas_warm_p95: self.warm.p95(),
+impl Series {
+    const ALL: [Series; 4] = [Series::Busy, Series::Wait, Series::Hot, Series::Warm];
+
+    fn name(self) -> &'static str {
+        match self {
+            Series::Busy => "busy",
+            Series::Wait => "wait",
+            Series::Hot => "hot",
+            Series::Warm => "warm",
         }
     }
 }
 
-/// Summarises the sizes in `keep`, each drawn from its own stream
-/// `fig7/{size}`, so a kept size's distributions are bit-identical whatever
-/// else is kept, and a size not kept draws no word.
-fn compute(sim: &Simulation, params: &Params, keep: &[usize]) -> Vec<Dists> {
-    let reps = params.usize("reps", 2000);
+/// `reps` latency samples of one series at one message size, drawn from its
+/// own stream `fig7/{size}/{series}`.
+fn draw(sim: &Simulation, size: usize, series: Series, reps: usize) -> Percentiles {
+    let mut rng = sim.stream(&format!("fig7/{size}/{}", series.name()));
     let net = LogGpParams::ugni();
-    keep.iter()
-        .map(|&size| {
-            let mut rng = sim.stream(&format!("fig7/{size}"));
-            Dists {
-                size,
-                busy: ping_pong(&net, CompletionMode::BusyPoll, size, reps, &mut rng),
-                wait: ping_pong(&net, CompletionMode::EventWait, size, reps, &mut rng),
-                hot: rfaas_distribution(ExecutorMode::Hot, size, reps, &mut rng),
-                warm: rfaas_distribution(ExecutorMode::Warm, size, reps, &mut rng),
-            }
-        })
-        .collect()
+    match series {
+        Series::Busy => ping_pong(&net, CompletionMode::BusyPoll, size, reps, &mut rng),
+        Series::Wait => ping_pong(&net, CompletionMode::EventWait, size, reps, &mut rng),
+        Series::Hot => rfaas_distribution(ExecutorMode::Hot, size, reps, &mut rng),
+        Series::Warm => rfaas_distribution(ExecutorMode::Warm, size, reps, &mut rng),
+    }
 }
 
-/// `run`'s eight metrics from the 1 B and 4 KiB rows.
-fn metrics(small: &Row, large: &Row) -> Metrics {
-    let mut m = Metrics::new();
-    m.push("ugni_busy_med_1b_us", small.ugni_busy_med);
-    m.push("ugni_wait_med_1b_us", small.ugni_wait_med);
-    m.push("rfaas_hot_med_1b_us", small.rfaas_hot_med);
-    m.push("rfaas_hot_p95_1b_us", small.rfaas_hot_p95);
-    m.push("rfaas_warm_med_1b_us", small.rfaas_warm_med);
-    m.push(
-        "hot_overhead_1b_us",
-        small.rfaas_hot_med - small.ugni_busy_med,
-    );
-    m.push("ugni_busy_med_4k_us", large.ugni_busy_med);
-    m.push("rfaas_hot_med_4k_us", large.rfaas_hot_med);
-    m
+/// Median and p95 of all four series at one message size.
+fn row(sim: &Simulation, size: usize, reps: usize) -> Row {
+    let quantiles = Series::ALL.map(|series| {
+        let mut p = draw(sim, size, series, reps);
+        (p.median(), p.p95())
+    });
+    Row { size, quantiles }
 }
 
 pub struct Fig07Latency;
@@ -138,12 +121,26 @@ impl Scenario for Fig07Latency {
         Params::new().with("reps", 2000u64)
     }
 
+    /// The 1 B medians of all four series and p95 of hot, and the 4 KiB
+    /// busy-poll and hot medians: six series drawn, seven quantiles read.
     fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
+        let reps = params.usize("reps", 2000);
         let sizes = fig7_sizes();
-        let mut dists = compute(sim, params, &[sizes[0], sizes[sizes.len() - 1]]);
-        let large = dists.pop().expect("4 KiB was kept").row();
-        let small = dists.pop().expect("1 B was kept").row();
-        metrics(&small, &large)
+        let (small, large) = (sizes[0], sizes[sizes.len() - 1]);
+        let median = |size, series| draw(sim, size, series, reps).median();
+        let busy_1b = median(small, Series::Busy);
+        let mut hot_1b = draw(sim, small, Series::Hot, reps);
+        let hot_med_1b = hot_1b.median();
+        let mut m = Metrics::new();
+        m.push("ugni_busy_med_1b_us", busy_1b);
+        m.push("ugni_wait_med_1b_us", median(small, Series::Wait));
+        m.push("rfaas_hot_med_1b_us", hot_med_1b);
+        m.push("rfaas_hot_p95_1b_us", hot_1b.p95());
+        m.push("rfaas_warm_med_1b_us", median(small, Series::Warm));
+        m.push("hot_overhead_1b_us", hot_med_1b - busy_1b);
+        m.push("ugni_busy_med_4k_us", median(large, Series::Busy));
+        m.push("rfaas_hot_med_4k_us", median(large, Series::Hot));
+        m
     }
 
     fn report(&self) {
@@ -154,9 +151,9 @@ impl Scenario for Fig07Latency {
         println!("seed = {seed}; {reps} repetitions per point; values in µs");
 
         let sim = Simulation::new(seed);
-        let rows: Vec<Row> = compute(&sim, &params, &fig7_sizes())
+        let rows: Vec<Row> = fig7_sizes()
             .into_iter()
-            .map(Dists::row)
+            .map(|size| row(&sim, size, reps))
             .collect();
 
         print_table(
@@ -171,44 +168,42 @@ impl Scenario for Fig07Latency {
             &rows
                 .iter()
                 .map(|r| {
-                    vec![
-                        r.size.to_string(),
-                        format!("{} ({})", fmt(r.ugni_busy_med), fmt(r.ugni_busy_p95)),
-                        format!("{} ({})", fmt(r.ugni_wait_med), fmt(r.ugni_wait_p95)),
-                        format!("{} ({})", fmt(r.rfaas_hot_med), fmt(r.rfaas_hot_p95)),
-                        format!("{} ({})", fmt(r.rfaas_warm_med), fmt(r.rfaas_warm_p95)),
-                    ]
+                    let cells = r.quantiles.iter();
+                    let cells = cells.map(|&(med, p95)| format!("{} ({})", fmt(med), fmt(p95)));
+                    std::iter::once(r.size.to_string()).chain(cells).collect()
                 })
                 .collect::<Vec<_>>(),
         );
 
         // Shape checks the paper emphasises.
         let small = &rows[0];
-        let hot_overhead = small.rfaas_hot_med - small.ugni_busy_med;
+        let (busy, hot, warm) = (
+            small.med(Series::Busy),
+            small.med(Series::Hot),
+            small.med(Series::Warm),
+        );
+        let hot_overhead = hot - busy;
         println!("\nshape checks (paper's qualitative claims):");
         println!(
             "  hot ≈ bare-metal transport: overhead at 1 B = {} µs ({}%)",
             fmt(hot_overhead),
-            fmt(100.0 * hot_overhead / small.ugni_busy_med)
+            fmt(100.0 * hot_overhead / busy)
         );
         println!(
             "  warm > hot by the wakeup penalty: {} µs vs {} µs at 1 B",
-            fmt(small.rfaas_warm_med),
-            fmt(small.rfaas_hot_med)
+            fmt(warm),
+            fmt(hot)
         );
         println!(
             "  single-digit µs hot invocations: median at 1 B = {} µs",
-            fmt(small.rfaas_hot_med)
+            fmt(hot)
         );
-        assert!(
-            small.rfaas_hot_med < 12.0,
-            "hot path must stay microsecond-scale"
-        );
-        assert!(small.rfaas_warm_med > small.rfaas_hot_med);
+        assert!(hot < 12.0, "hot path must stay microsecond-scale");
+        assert!(warm > hot);
 
         // Sanity: monotone growth with size for the busy-poll series.
-        let t = SimTime::from_micros_f64(rows.last().unwrap().ugni_busy_med);
-        assert!(t > SimTime::from_micros_f64(rows[0].ugni_busy_med));
+        let t = SimTime::from_micros_f64(rows.last().unwrap().med(Series::Busy));
+        assert!(t > SimTime::from_micros_f64(busy));
     }
 }
 
@@ -216,51 +211,58 @@ impl Scenario for Fig07Latency {
 mod tests {
     use super::*;
 
-    /// Every field of a row, for bit-exact comparison.
-    fn row_metrics(r: &Row) -> Metrics {
+    /// `run`'s eight metrics, read off the all-series rows at 1 B and 4 KiB.
+    fn metrics(small: &Row, large: &Row) -> Metrics {
         let mut m = Metrics::new();
-        for (name, v) in [
-            ("ugni_busy_med", r.ugni_busy_med),
-            ("ugni_busy_p95", r.ugni_busy_p95),
-            ("ugni_wait_med", r.ugni_wait_med),
-            ("ugni_wait_p95", r.ugni_wait_p95),
-            ("rfaas_hot_med", r.rfaas_hot_med),
-            ("rfaas_hot_p95", r.rfaas_hot_p95),
-            ("rfaas_warm_med", r.rfaas_warm_med),
-            ("rfaas_warm_p95", r.rfaas_warm_p95),
-        ] {
-            m.push(name, v);
-        }
+        m.push("ugni_busy_med_1b_us", small.med(Series::Busy));
+        m.push("ugni_wait_med_1b_us", small.med(Series::Wait));
+        m.push("rfaas_hot_med_1b_us", small.med(Series::Hot));
+        m.push(
+            "rfaas_hot_p95_1b_us",
+            small.quantiles[Series::Hot as usize].1,
+        );
+        m.push("rfaas_warm_med_1b_us", small.med(Series::Warm));
+        m.push(
+            "hot_overhead_1b_us",
+            small.med(Series::Hot) - small.med(Series::Busy),
+        );
+        m.push("ugni_busy_med_4k_us", large.med(Series::Busy));
+        m.push("rfaas_hot_med_4k_us", large.med(Series::Hot));
         m
     }
 
-    /// `run` summarises two sizes and a middle size may be summarised
-    /// alone; each must be bit-identical to its rows of the all-sizes draw.
+    /// `run` draws six series (the 4 KiB busy-poll and hot ones among them),
+    /// and any one series may be drawn alone; each must be bit-identical to
+    /// its place in the all-series rows.
     #[test]
     fn run_matches_the_all_sizes_draw() {
         for reps in [1u64, 7, 2000] {
             let params = Fig07Latency.default_params().with("reps", reps);
             for seed in 1..=20 {
                 let sim = Simulation::new(seed);
-                let all: Vec<Row> = compute(&sim, &params, &fig7_sizes())
+                let all: Vec<Row> = fig7_sizes()
                     .into_iter()
-                    .map(Dists::row)
+                    .map(|size| row(&sim, size, reps as usize))
                     .collect();
                 assert_eq!(all.len(), fig7_sizes().len());
 
-                let alone = compute(&sim, &params, &[64]).pop().unwrap().row();
-                let row = all.iter().find(|r| r.size == 64).unwrap();
-                assert!(
-                    row_metrics(&alone).bits_eq(&row_metrics(row)),
-                    "seed {seed}, reps {reps}: 64 B drawn alone differs from its all-sizes row"
-                );
+                let at_64 = all.iter().find(|r| r.size == 64).unwrap();
+                for series in Series::ALL {
+                    let mut alone = draw(&sim, 64, series, reps as usize);
+                    let (med, p95) = at_64.quantiles[series as usize];
+                    assert!(
+                        alone.median().to_bits() == med.to_bits()
+                            && alone.p95().to_bits() == p95.to_bits(),
+                        "seed {seed}, reps {reps}: 64 B {series:?} drawn alone differs from its row"
+                    );
+                }
 
                 let run = Fig07Latency.run(&mut Simulation::new(seed), &params);
                 let drawn = metrics(&all[0], all.last().unwrap());
                 assert_eq!(run.len(), 8);
                 assert!(
                     run.bits_eq(&drawn),
-                    "seed {seed}, reps {reps}: run {run:?} vs all-sizes draw {drawn:?}"
+                    "seed {seed}, reps {reps}: run {run:?} vs all-series draw {drawn:?}"
                 );
             }
         }

@@ -538,16 +538,19 @@ fn finalize(inner: &Inner, sweep: &ActiveSweep, progress: Progress) {
     // Leave the dedup map before publishing: a waiter that sees the terminal
     // state and re-submits the same text must get fresh work, not this id.
     inner.dedup.lock().unwrap().remove(&sweep.dedup_key);
-    *sweep.state.lock().unwrap() = terminal;
-    sweep.done_cond.notify_all();
 
-    // Finished requests are retained newest-first up to the cap; a waiter
-    // that already holds the one forgotten here still gets its answer.
+    // Publish and retain under the registry lock (`requests`, then `state`),
+    // so no one sees a terminal request that is not yet counted against the
+    // cap. Finished requests are retained newest-first up to the cap; a
+    // waiter that already holds the one forgotten here still gets its answer.
     let mut requests = inner.requests.lock().unwrap();
+    *sweep.state.lock().unwrap() = terminal;
     requests.finished.push_back(sweep.id);
     if requests.finished.len() > RETAINED_REQUESTS {
         requests.forget_oldest();
     }
+    drop(requests);
+    sweep.done_cond.notify_all();
 }
 
 #[cfg(test)]
@@ -587,10 +590,10 @@ mod tests {
         let id = service.submit(&request).expect("valid request").id;
         let response = service.wait(id).expect("retained while we wait");
         assert_eq!(response.status, SweepStatus::Done);
-        // `finalize` wakes waiters before it retains the request.
-        while service.inner.requests.lock().unwrap().finished.back() != Some(&id) {
-            std::thread::yield_now();
-        }
+        assert_eq!(
+            service.inner.requests.lock().unwrap().finished.back(),
+            Some(&id)
+        );
     }
 
     fn memo_entries(service: &Service) -> usize {

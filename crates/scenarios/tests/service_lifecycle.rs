@@ -546,6 +546,43 @@ fn finished_requests_are_retained_up_to_the_cap() {
     service.cancel(running.id).expect("cancel");
 }
 
+/// A request a `wait` saw finish already counts against the cap: with
+/// nothing in flight, `list` never holds more than the cap, whichever
+/// thread finalized the request.
+#[test]
+fn a_waited_request_is_already_retained() {
+    use scenarios::service::RETAINED_REQUESTS;
+
+    let dir = cache_dir("retained-on-wait");
+    let service = Service::start(
+        sleepy_registry(),
+        ServiceConfig::new().with_threads(1).with_cache_dir(&dir),
+    )
+    .expect("service starts");
+    let hit = SweepRequest::new().scenario("fast").with_seeds(1);
+    let first = service.submit(&hit).expect("cold submit");
+    service.wait(first.id).expect("cold wait");
+    for _ in 0..RETAINED_REQUESTS {
+        service.submit(&hit).expect("warm submit");
+    }
+    assert_eq!(service.list().len(), RETAINED_REQUESTS);
+
+    // Each cold request is finalized on the worker, not on this thread.
+    for k in 2..=40u64 {
+        let cold = SweepRequest::new()
+            .scenario("fast")
+            .param("k", k)
+            .with_seeds(1);
+        let id = service.submit(&cold).expect("cold submit").id;
+        service.wait(id).expect("cold wait");
+        let listed = service.list().len();
+        assert!(
+            listed <= RETAINED_REQUESTS,
+            "k = {k}: {listed} requests listed with nothing in flight"
+        );
+    }
+}
+
 /// Cancelled (and failed) requests give back what they held at the terminal
 /// transition — above all the cache log's descriptor, which a
 /// long-running server would otherwise leak once per such request.
