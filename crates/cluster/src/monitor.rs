@@ -35,13 +35,10 @@ impl IdlePeriodStats {
                 frac_below_10min: f64::NAN,
             };
         }
-        // `mean` sorts the samples once; the median and the CDF read them
-        // sorted.
-        let mean = p.mean();
         IdlePeriodStats {
             events: p.len(),
             median_min: p.median() / 60.0,
-            mean_min: mean / 60.0,
+            mean_min: p.mean() / 60.0,
             frac_below_10min: p.cdf_at(600.0),
         }
     }

@@ -106,6 +106,27 @@ fn row(sim: &Simulation, size: usize, reps: usize) -> Row {
     Row { size, quantiles }
 }
 
+/// The eight metrics: medians of all four series and p95 of hot at 1 B
+/// (`small`), and the 4 KiB busy-poll and hot medians.
+fn metrics(small: &Row, busy_med_4k: f64, hot_med_4k: f64) -> Metrics {
+    let mut m = Metrics::new();
+    m.push("ugni_busy_med_1b_us", small.med(Series::Busy));
+    m.push("ugni_wait_med_1b_us", small.med(Series::Wait));
+    m.push("rfaas_hot_med_1b_us", small.med(Series::Hot));
+    m.push(
+        "rfaas_hot_p95_1b_us",
+        small.quantiles[Series::Hot as usize].1,
+    );
+    m.push("rfaas_warm_med_1b_us", small.med(Series::Warm));
+    m.push(
+        "hot_overhead_1b_us",
+        small.med(Series::Hot) - small.med(Series::Busy),
+    );
+    m.push("ugni_busy_med_4k_us", busy_med_4k);
+    m.push("rfaas_hot_med_4k_us", hot_med_4k);
+    m
+}
+
 pub struct Fig07Latency;
 
 impl Scenario for Fig07Latency {
@@ -121,26 +142,18 @@ impl Scenario for Fig07Latency {
         Params::new().with("reps", 2000u64)
     }
 
-    /// The 1 B medians of all four series and p95 of hot, and the 4 KiB
-    /// busy-poll and hot medians: six series drawn, seven quantiles read.
+    /// All four 1 B series and the 4 KiB busy-poll and hot ones: six series
+    /// drawn.
     fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
         let reps = params.usize("reps", 2000);
         let sizes = fig7_sizes();
         let (small, large) = (sizes[0], sizes[sizes.len() - 1]);
-        let median = |size, series| draw(sim, size, series, reps).median();
-        let busy_1b = median(small, Series::Busy);
-        let mut hot_1b = draw(sim, small, Series::Hot, reps);
-        let hot_med_1b = hot_1b.median();
-        let mut m = Metrics::new();
-        m.push("ugni_busy_med_1b_us", busy_1b);
-        m.push("ugni_wait_med_1b_us", median(small, Series::Wait));
-        m.push("rfaas_hot_med_1b_us", hot_med_1b);
-        m.push("rfaas_hot_p95_1b_us", hot_1b.p95());
-        m.push("rfaas_warm_med_1b_us", median(small, Series::Warm));
-        m.push("hot_overhead_1b_us", hot_med_1b - busy_1b);
-        m.push("ugni_busy_med_4k_us", median(large, Series::Busy));
-        m.push("rfaas_hot_med_4k_us", median(large, Series::Hot));
-        m
+        let median_4k = |series| draw(sim, large, series, reps).median();
+        metrics(
+            &row(sim, small, reps),
+            median_4k(Series::Busy),
+            median_4k(Series::Hot),
+        )
     }
 
     fn report(&self) {
@@ -211,26 +224,6 @@ impl Scenario for Fig07Latency {
 mod tests {
     use super::*;
 
-    /// `run`'s eight metrics, read off the all-series rows at 1 B and 4 KiB.
-    fn metrics(small: &Row, large: &Row) -> Metrics {
-        let mut m = Metrics::new();
-        m.push("ugni_busy_med_1b_us", small.med(Series::Busy));
-        m.push("ugni_wait_med_1b_us", small.med(Series::Wait));
-        m.push("rfaas_hot_med_1b_us", small.med(Series::Hot));
-        m.push(
-            "rfaas_hot_p95_1b_us",
-            small.quantiles[Series::Hot as usize].1,
-        );
-        m.push("rfaas_warm_med_1b_us", small.med(Series::Warm));
-        m.push(
-            "hot_overhead_1b_us",
-            small.med(Series::Hot) - small.med(Series::Busy),
-        );
-        m.push("ugni_busy_med_4k_us", large.med(Series::Busy));
-        m.push("rfaas_hot_med_4k_us", large.med(Series::Hot));
-        m
-    }
-
     /// `run` draws six series (the 4 KiB busy-poll and hot ones among them),
     /// and any one series may be drawn alone; each must be bit-identical to
     /// its place in the all-series rows.
@@ -258,7 +251,8 @@ mod tests {
                 }
 
                 let run = Fig07Latency.run(&mut Simulation::new(seed), &params);
-                let drawn = metrics(&all[0], all.last().unwrap());
+                let large = all.last().unwrap();
+                let drawn = metrics(&all[0], large.med(Series::Busy), large.med(Series::Hot));
                 assert_eq!(run.len(), 8);
                 assert!(
                     run.bits_eq(&drawn),
