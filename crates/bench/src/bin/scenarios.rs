@@ -303,7 +303,7 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
     for (name, grid) in &validated.tasks {
         println!(
             "[scenarios] queueing {name} ({} jobs)",
-            grid.points(&scenarios::Params::new()).len() * validated.seeds.len(),
+            grid.len() * validated.seeds.len(),
         );
     }
     let mut runner =

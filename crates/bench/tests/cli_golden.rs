@@ -457,3 +457,44 @@ fn run_reports_an_unusable_cache_dir_as_an_error() {
     assert!(stderr.starts_with("sweep cache ("), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A value its tunable cannot read fails validation with exit code 2 and
+/// names the field, the scenario and the kind — from `run` and, through a
+/// server that goes on answering, from `submit`. Nothing runs the
+/// tunable's default in its place.
+#[test]
+fn wrong_kind_values_are_refused_naming_field_scenario_and_kind() {
+    // `[scenario, flag, key=value]` and the field the error must name.
+    let cases = [
+        (["fig08_io", "--param", "readers=abc"], "params.readers"),
+        (["fig08_io", "--param", "readers=2.5"], "params.readers"),
+        (["fig08_io", "--param", "readers=true"], "params.readers"),
+        (["fig09_cpu_sharing", "--grid", "reps=5,abc"], "grid.reps"),
+    ];
+    let check = |args: &[&str], field: &str, scenario: &str| {
+        let (code, stderr) = failure_of(args);
+        assert_eq!(code, Some(2), "scenarios {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!(
+                "invalid request field `{field}`: {scenario} reads "
+            )) && stderr.contains("as a u64"),
+            "scenarios {args:?}: {stderr}"
+        );
+    };
+    for (args, field) in cases {
+        let run = [&["run"], &args[..], &["--seeds", "1"]].concat();
+        check(&run, field, args[0]);
+    }
+
+    let (mut server, addr, _) = spawn_server(&fresh_cache_dir("wrong-kind"), "1");
+    for (args, field) in cases {
+        let submit = [&["submit"], &args[..], &["--addr", &addr, "--wait"]].concat();
+        check(&submit, field, args[0]);
+        assert_eq!(
+            run_cli(&["status", "--addr", &addr]),
+            format!("no requests on {addr}\n"),
+            "nothing was queued"
+        );
+    }
+    shut_down(&mut server, &addr);
+}

@@ -24,6 +24,7 @@ impl NodeResources {
     }
 
     /// Piz Daint hybrid GPU node: 12 cores, 64 GB, one P100.
+    #[cfg(test)]
     pub fn daint_gpu() -> Self {
         NodeResources {
             cores: 12,

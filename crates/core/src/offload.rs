@@ -128,11 +128,6 @@ impl OffloadPlanner {
         }
     }
 
-    /// [`Self::plan_with_workers`] with a single local worker.
-    pub fn plan(&self, n_tasks: usize, remote_executors: usize) -> OffloadPlan {
-        self.plan_with_workers(n_tasks, 1, remote_executors)
-    }
-
     /// Predicted makespan (seconds) of a plan with `local_workers` threads
     /// and `remote_executors` leased executors.
     pub fn predicted_makespan_s(
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     fn small_batches_stay_local() {
         let p = planner(2, 10);
-        let plan = p.plan(5, 8);
+        let plan = p.plan_with_workers(5, 1, 8);
         assert_eq!(
             plan,
             OffloadPlan {
@@ -218,7 +213,7 @@ mod tests {
     #[test]
     fn large_batches_offload_the_excess() {
         let p = planner(2, 10);
-        let plan = p.plan(1000, 8);
+        let plan = p.plan_with_workers(1000, 1, 8);
         assert!(plan.remote > 0);
         assert!(plan.local >= p.n_local_min());
         assert_eq!(plan.local + plan.remote, 1000);
@@ -227,7 +222,7 @@ mod tests {
     #[test]
     fn no_executors_no_offload() {
         let p = planner(2, 10);
-        let plan = p.plan(1000, 0);
+        let plan = p.plan_with_workers(1000, 1, 0);
         assert_eq!(plan.remote, 0);
         assert_eq!(plan.local, 1000);
     }
@@ -236,7 +231,7 @@ mod tests {
     fn zero_local_cost_keeps_everything() {
         let p = planner(0, 10);
         assert_eq!(p.n_local_min(), usize::MAX);
-        assert_eq!(p.plan(100, 8).remote, 0);
+        assert_eq!(p.plan_with_workers(100, 1, 8).remote, 0);
     }
 
     #[test]
@@ -283,7 +278,7 @@ mod tests {
         assert_eq!(n_min, 6);
         for n in 1..=n_min {
             for executors in [1usize, 8, 64] {
-                let plan = p.plan(n, executors);
+                let plan = p.plan_with_workers(n, 1, executors);
                 assert_eq!(plan.remote, 0, "n={n}, executors={executors}");
                 assert_eq!(plan.local, n);
             }
@@ -297,7 +292,7 @@ mod tests {
         // tasks may stay local.
         let p = planner(2, 10);
         let n_min = p.n_local_min();
-        let plan = p.plan(n_min + 1, 8);
+        let plan = p.plan_with_workers(n_min + 1, 1, 8);
         assert!(plan.remote > 0, "past break-even the planner must offload");
         assert!(
             plan.local >= n_min,

@@ -25,7 +25,6 @@ pub enum DrcError {
     UnknownCredential,
     NotOwner,
     NotGranted,
-    AlreadyReleased,
 }
 
 impl fmt::Display for DrcError {
@@ -34,7 +33,6 @@ impl fmt::Display for DrcError {
             DrcError::UnknownCredential => write!(f, "unknown DRC credential"),
             DrcError::NotOwner => write!(f, "caller does not own this credential"),
             DrcError::NotGranted => write!(f, "job has not been granted access to this credential"),
-            DrcError::AlreadyReleased => write!(f, "credential already released"),
         }
     }
 }
@@ -126,18 +124,6 @@ impl DrcManager {
             Err(DrcError::NotGranted)
         }
     }
-
-    /// Release a credential entirely (job teardown). Only the owner may.
-    pub fn release(&mut self, cred: Credential, owner: JobToken) -> Result<(), DrcError> {
-        match self.credentials.get(&cred) {
-            None => Err(DrcError::AlreadyReleased),
-            Some(state) if state.owner != owner => Err(DrcError::NotOwner),
-            Some(_) => {
-                self.credentials.remove(&cred);
-                Ok(())
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,18 +158,21 @@ mod tests {
     }
 
     #[test]
-    fn only_owner_may_grant_or_release() {
+    fn only_owner_may_grant_or_revoke() {
         let mut drc = DrcManager::new();
         let cred = drc.allocate(CLIENT);
         assert_eq!(
             drc.grant(cred, EXECUTOR, INTRUDER).unwrap_err(),
             DrcError::NotOwner
         );
-        assert_eq!(drc.release(cred, EXECUTOR).unwrap_err(), DrcError::NotOwner);
-        assert!(drc.release(cred, CLIENT).is_ok());
+        drc.grant(cred, CLIENT, EXECUTOR).unwrap();
         assert_eq!(
-            drc.release(cred, CLIENT).unwrap_err(),
-            DrcError::AlreadyReleased
+            drc.revoke(cred, EXECUTOR, EXECUTOR).unwrap_err(),
+            DrcError::NotOwner
+        );
+        assert!(
+            drc.validate(cred, EXECUTOR).is_ok(),
+            "a refused revoke changes nothing"
         );
     }
 
@@ -200,16 +189,5 @@ mod tests {
         // Owner cannot revoke itself into a locked-out state.
         drc.revoke(cred, CLIENT, CLIENT).unwrap();
         assert!(drc.validate(cred, CLIENT).is_ok());
-    }
-
-    #[test]
-    fn released_credentials_fail_validation() {
-        let mut drc = DrcManager::new();
-        let cred = drc.allocate(CLIENT);
-        drc.release(cred, CLIENT).unwrap();
-        assert_eq!(
-            drc.validate(cred, CLIENT).unwrap_err(),
-            DrcError::UnknownCredential
-        );
     }
 }

@@ -21,7 +21,6 @@ use std::fmt;
 pub enum VerbsError {
     Drc(DrcError),
     Mr(MrError),
-    QpDisconnected,
 }
 
 impl fmt::Display for VerbsError {
@@ -29,7 +28,6 @@ impl fmt::Display for VerbsError {
         match self {
             VerbsError::Drc(e) => write!(f, "credential error: {e}"),
             VerbsError::Mr(e) => write!(f, "memory region error: {e}"),
-            VerbsError::QpDisconnected => write!(f, "queue pair is disconnected"),
         }
     }
 }
@@ -64,7 +62,6 @@ pub struct QueuePair {
     pub job: JobToken,
     pub transport: Transport,
     pub completion: CompletionMode,
-    connected: bool,
 }
 
 /// The fabric façade owning all shared state.
@@ -118,23 +115,9 @@ impl Fabric {
                 job,
                 transport: self.transport,
                 completion,
-                connected: true,
             },
             self.connect_cost(),
         ))
-    }
-
-    /// Tear down a queue pair.
-    pub fn disconnect(&mut self, qp: &mut QueuePair) {
-        qp.connected = false;
-    }
-
-    fn check(&self, qp: &QueuePair) -> Result<(), VerbsError> {
-        if !qp.connected {
-            return Err(VerbsError::QpDisconnected);
-        }
-        self.drc.validate(qp.credential, qp.job)?;
-        Ok(())
     }
 
     /// Congestion-aware cost of moving `size` bytes between the QP endpoints:
@@ -152,15 +135,8 @@ impl Fabric {
         base.max(contended)
     }
 
-    /// Two-sided send of a payload; the receiver obtains the bytes via its
-    /// posted receive (modelled by the caller). Returns the transfer time.
-    pub fn send(&mut self, qp: &QueuePair, payload: &[u8]) -> Result<SimTime, VerbsError> {
-        self.check(qp)?;
-        Ok(self.timed_transfer(qp, RdmaOp::Send, payload.len()))
-    }
-
-    /// The validation every one-sided op runs, in order: the QP is
-    /// connected, its credential still grants the job, the region is
+    /// The validation every one-sided op runs, in order: the QP's
+    /// credential still grants the job, the region is
     /// registered on the QP's remote node, its flags allow `op`, and
     /// `[offset, offset + len)` lies inside it. Returns those bytes.
     ///
@@ -175,7 +151,7 @@ impl Fabric {
         len: usize,
         op: RdmaOp,
     ) -> Result<&mut [u8], VerbsError> {
-        self.check(qp)?;
+        self.drc.validate(qp.credential, qp.job)?;
         let need = match op {
             RdmaOp::Read => AccessFlags::REMOTE_READ,
             RdmaOp::Write => AccessFlags::REMOTE_WRITE,
@@ -307,16 +283,8 @@ mod tests {
         type Break = fn(&mut Fabric, &mut QueuePair, MrKey) -> (MrKey, usize, usize);
         type Outcome = Result<(), VerbsError>;
         let mr_err = |e| Err(VerbsError::Mr(e));
-        let cases: [(&str, Break, [Outcome; 2]); 8] = [
+        let cases: [(&str, Break, [Outcome; 2]); 7] = [
             ("valid", |_, _, mr| (mr, 8, 64), [Ok(()), Ok(())]),
-            (
-                "disconnected QP",
-                |f, qp, mr| {
-                    f.disconnect(qp);
-                    (mr, 0, 8)
-                },
-                [Err(VerbsError::QpDisconnected); 2],
-            ),
             (
                 "revoked credential",
                 |f, qp, mr| {
@@ -440,16 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_qp_rejected() {
-        let (mut fabric, mut qp, mr) = setup();
-        fabric.disconnect(&mut qp);
-        assert_eq!(
-            fabric.rdma_write(&qp, mr, 0, b"x").unwrap_err(),
-            VerbsError::QpDisconnected
-        );
-    }
-
-    #[test]
     fn revoked_credential_stops_traffic() {
         let (mut fabric, qp, mr) = setup();
         fabric
@@ -477,13 +435,5 @@ mod tests {
         let t = fabric.connect_cost();
         assert!(t > SimTime::from_micros(95));
         assert!(t < SimTime::from_millis(1));
-    }
-
-    #[test]
-    fn send_cost_scales_with_payload() {
-        let (mut fabric, qp, _mr) = setup();
-        let small = fabric.send(&qp, &[0u8; 16]).unwrap();
-        let large = fabric.send(&qp, &vec![0u8; 1 << 20]).unwrap();
-        assert!(large > small * 10);
     }
 }

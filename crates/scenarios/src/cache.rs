@@ -104,7 +104,6 @@ pub fn job_key(salt: &str, scenario: &str, params: &Params, seed: u64) -> CacheK
     for (name, value) in params.iter() {
         field(name.as_bytes());
         match value {
-            ParamValue::Bool(b) => field(&[1, *b as u8]),
             ParamValue::U64(n) => {
                 let mut buf = [2u8; 9];
                 buf[1..].copy_from_slice(&n.to_le_bytes());
@@ -716,8 +715,8 @@ mod tests {
     #[test]
     fn key_encoding_is_unambiguous_across_field_boundaries() {
         // Length prefixes mean ("ab", "c") and ("a", "bc") cannot collide.
-        let a = Params::new().with("ab", "c");
-        let b = Params::new().with("a", "bc");
+        let a = Params::new().with("ab", ParamValue::parse("c"));
+        let b = Params::new().with("a", ParamValue::parse("bc"));
         assert_ne!(job_key("s", "fig", &a, 1), job_key("s", "fig", &b, 1));
         // Type tags: U64(1) vs F64 with the same payload bytes.
         let u = Params::new().with("x", 1u64);

@@ -71,7 +71,10 @@ pub trait Scenario: Send + Sync {
     fn title(&self) -> &'static str;
 
     /// Tunable parameters with their default values. The defaults reproduce
-    /// the paper's setup; sweeps override a subset via [`SweepGrid`].
+    /// the paper's setup; sweeps override a subset via [`SweepGrid`]. This is
+    /// the one place a tunable's default and kind (`U64` or `F64`) are
+    /// written: `run` reads its tunables with getters that take no default,
+    /// and request validation refuses a value of another kind.
     fn default_params(&self) -> Params {
         Params::new()
     }

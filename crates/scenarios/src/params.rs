@@ -1,19 +1,23 @@
 //! Declarative scenario parameters and cartesian sweep grids.
 //!
-//! A [`Params`] is an ordered, serde-serializable map of named values; every
-//! scenario documents its defaults via [`crate::Scenario::default_params`]
-//! and reads tunables back with the typed getters. A [`SweepGrid`] expands
-//! named axes into the cartesian product of parameter points, in a fixed
-//! deterministic order so sweep output is reproducible run to run.
+//! A [`Params`] is an ordered, JSON-renderable map of named values. Each
+//! scenario's [`crate::Scenario::default_params`] is the one place its
+//! tunables' defaults and kinds are written; the scenario reads them back
+//! with the typed getters, which have no fallback of their own. A
+//! [`SweepGrid`] expands named axes into the cartesian product of
+//! parameter points, in a fixed deterministic order so sweep output is
+//! reproducible run to run.
 
 use json::{ToJson, Value};
 use std::fmt;
 
-/// One parameter value. Scenario tunables are scalars by design — grids stay
-/// declarative and JSON output stays flat.
+/// One parameter value. Scenario tunables are numbers by design — grids
+/// stay declarative and JSON output stays flat. `Str` carries request text
+/// that is not a number (`--param readers=abc`): it exists so that
+/// [`ParamValue::parse`] never fails, and request validation refuses it,
+/// because no tunable reads text.
 #[derive(Debug, Clone)]
 pub enum ParamValue {
-    Bool(bool),
     U64(u64),
     F64(f64),
     Str(String),
@@ -28,7 +32,6 @@ pub enum ParamValue {
 impl PartialEq for ParamValue {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
-            (ParamValue::Bool(a), ParamValue::Bool(b)) => a == b,
             (ParamValue::U64(a), ParamValue::U64(b)) => a == b,
             (ParamValue::F64(a), ParamValue::F64(b)) => a.to_bits() == b.to_bits(),
             (ParamValue::Str(a), ParamValue::Str(b)) => a == b,
@@ -40,20 +43,33 @@ impl PartialEq for ParamValue {
 impl Eq for ParamValue {}
 
 impl ParamValue {
-    /// Parse a CLI-style literal: `true`/`false`, integer, float, else string.
+    /// Parse a CLI-style literal: integer, float, else string.
     pub fn parse(s: &str) -> ParamValue {
-        match s {
-            "true" => ParamValue::Bool(true),
-            "false" => ParamValue::Bool(false),
-            _ => {
-                if let Ok(n) = s.parse::<u64>() {
-                    ParamValue::U64(n)
-                } else if let Ok(x) = s.parse::<f64>() {
-                    ParamValue::F64(x)
-                } else {
-                    ParamValue::Str(s.to_string())
-                }
-            }
+        if let Ok(n) = s.parse::<u64>() {
+            ParamValue::U64(n)
+        } else if let Ok(x) = s.parse::<f64>() {
+            ParamValue::F64(x)
+        } else {
+            ParamValue::Str(s.to_string())
+        }
+    }
+
+    /// The value as a u64 tunable reads it: a `U64`, or an integral
+    /// non-negative `F64`.
+    pub(crate) fn as_u64(&self) -> Option<u64> {
+        match self {
+            ParamValue::U64(n) => Some(*n),
+            ParamValue::F64(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
+            _ => None,
+        }
+    }
+
+    /// The value as an f64 tunable reads it: a `U64` or an `F64`.
+    pub(crate) fn as_f64(&self) -> Option<f64> {
+        match self {
+            ParamValue::U64(n) => Some(*n as f64),
+            ParamValue::F64(x) => Some(*x),
+            ParamValue::Str(_) => None,
         }
     }
 }
@@ -61,7 +77,6 @@ impl ParamValue {
 impl fmt::Display for ParamValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ParamValue::Bool(b) => write!(f, "{b}"),
             ParamValue::U64(n) => write!(f, "{n}"),
             ParamValue::F64(x) => write!(f, "{x}"),
             ParamValue::Str(s) => write!(f, "{s}"),
@@ -72,7 +87,6 @@ impl fmt::Display for ParamValue {
 impl ToJson for ParamValue {
     fn to_value(&self) -> Value {
         match self {
-            ParamValue::Bool(b) => Value::Bool(*b),
             ParamValue::U64(n) => Value::U64(*n),
             ParamValue::F64(x) => Value::F64(*x),
             ParamValue::Str(s) => Value::Str(s.clone()),
@@ -80,34 +94,14 @@ impl ToJson for ParamValue {
     }
 }
 
-impl From<bool> for ParamValue {
-    fn from(v: bool) -> Self {
-        ParamValue::Bool(v)
-    }
-}
 impl From<u64> for ParamValue {
     fn from(v: u64) -> Self {
         ParamValue::U64(v)
     }
 }
-impl From<usize> for ParamValue {
-    fn from(v: usize) -> Self {
-        ParamValue::U64(v as u64)
-    }
-}
 impl From<f64> for ParamValue {
     fn from(v: f64) -> Self {
         ParamValue::F64(v)
-    }
-}
-impl From<&str> for ParamValue {
-    fn from(v: &str) -> Self {
-        ParamValue::Str(v.to_string())
-    }
-}
-impl From<String> for ParamValue {
-    fn from(v: String) -> Self {
-        ParamValue::Str(v)
     }
 }
 
@@ -151,40 +145,36 @@ impl Params {
         self.entries.iter().map(|(n, v)| (n.as_str(), v))
     }
 
-    /// Numeric getter with default; accepts U64 or F64 entries.
-    pub fn f64(&self, name: &str, default: f64) -> f64 {
-        match self.get(name) {
-            Some(ParamValue::F64(x)) => *x,
-            Some(ParamValue::U64(n)) => *n as f64,
-            _ => default,
-        }
+    /// Tunable `name` as an f64.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is absent or not a number; the runner reports the panic
+    /// as the job's failure.
+    pub fn f64(&self, name: &str) -> f64 {
+        self.read(name, ParamValue::as_f64, "an f64")
     }
 
-    /// Integer getter with default; accepts U64 or integral F64 entries.
-    pub fn u64(&self, name: &str, default: u64) -> u64 {
-        match self.get(name) {
-            Some(ParamValue::U64(n)) => *n,
-            Some(ParamValue::F64(x)) if *x >= 0.0 && x.fract() == 0.0 => *x as u64,
-            _ => default,
-        }
+    /// Tunable `name` as a u64.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is absent or not a non-negative integer.
+    pub fn u64(&self, name: &str) -> u64 {
+        self.read(name, ParamValue::as_u64, "a u64")
     }
 
-    pub fn usize(&self, name: &str, default: usize) -> usize {
-        self.u64(name, default as u64) as usize
+    /// [`Params::u64`] as a `usize`.
+    pub fn usize(&self, name: &str) -> usize {
+        self.u64(name) as usize
     }
 
-    pub fn bool(&self, name: &str, default: bool) -> bool {
+    fn read<T>(&self, name: &str, as_kind: fn(&ParamValue) -> Option<T>, kind: &str) -> T {
         match self.get(name) {
-            Some(ParamValue::Bool(b)) => *b,
-            _ => default,
-        }
-    }
-
-    pub fn str(&self, name: &str, default: &str) -> String {
-        match self.get(name) {
-            Some(ParamValue::Str(s)) => s.clone(),
-            Some(v) => v.to_string(),
-            None => default.to_string(),
+            Some(v) => {
+                as_kind(v).unwrap_or_else(|| panic!("tunable `{name}` = `{v}` is not {kind}"))
+            }
+            None => panic!("tunable `{name}` is not set"),
         }
     }
 
@@ -245,25 +235,6 @@ impl SweepGrid {
         self.axes.is_empty()
     }
 
-    /// Names of the grid's axes, in insertion order.
-    pub fn axis_names(&self) -> Vec<&str> {
-        self.axes.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// Drop every axis whose name fails `keep`, returning the removed names.
-    pub fn retain_axes<F: FnMut(&str) -> bool>(&mut self, mut keep: F) -> Vec<String> {
-        let mut dropped = Vec::new();
-        self.axes.retain(|(n, _)| {
-            if keep(n) {
-                true
-            } else {
-                dropped.push(n.clone());
-                false
-            }
-        });
-        dropped
-    }
-
     /// Number of points the grid expands to.
     pub fn len(&self) -> usize {
         self.axes.iter().map(|(_, v)| v.len()).product()
@@ -296,26 +267,59 @@ mod tests {
     fn set_replaces_in_place() {
         let mut p = Params::new().with("a", 1u64).with("b", 2.5);
         p.set("a", 9u64);
-        assert_eq!(p.u64("a", 0), 9);
+        assert_eq!(p.u64("a"), 9);
         assert_eq!(p.iter().count(), 2);
         assert_eq!(p.iter().next().unwrap().0, "a", "order preserved");
     }
 
+    /// Each getter reads both spellings a request may use for its kind;
+    /// request validation admits exactly what `as_u64`/`as_f64` read.
     #[test]
-    fn typed_getters_fall_back_to_defaults() {
-        let p = Params::new().with("x", 4u64);
-        assert_eq!(p.f64("x", 0.0), 4.0);
-        assert_eq!(p.u64("missing", 7), 7);
-        assert!(p.bool("missing", true));
-        assert_eq!(p.str("x", ""), "4");
+    fn getters_read_both_admitted_spellings() {
+        let p = Params::new()
+            .with("n", 4u64)
+            .with("n_float", 4.0)
+            .with("x", 2.5);
+        assert_eq!(p.u64("n"), 4);
+        assert_eq!(p.u64("n_float"), 4);
+        assert_eq!(p.usize("n_float"), 4);
+        assert_eq!(p.f64("n").to_bits(), 4.0f64.to_bits());
+        assert_eq!(p.f64("x"), 2.5);
+
+        for v in [
+            ParamValue::U64(3),
+            ParamValue::F64(3.0),
+            ParamValue::F64(0.0),
+        ] {
+            assert!(v.as_u64().is_some() && v.as_f64().is_some(), "{v}");
+        }
+        for v in [ParamValue::F64(2.5), ParamValue::F64(-1.0)] {
+            assert!(v.as_u64().is_none() && v.as_f64().is_some(), "{v}");
+        }
+        let text = ParamValue::parse("abc");
+        assert!(text.as_u64().is_none() && text.as_f64().is_none());
     }
 
     #[test]
-    fn parse_guesses_types() {
-        assert_eq!(ParamValue::parse("true"), ParamValue::Bool(true));
+    #[should_panic(expected = "tunable `missing` is not set")]
+    fn an_absent_tunable_panics() {
+        Params::new().with("x", 4u64).u64("missing");
+    }
+
+    #[test]
+    #[should_panic(expected = "tunable `n` = `2.5` is not a u64")]
+    fn a_wrong_kind_tunable_panics() {
+        Params::new().with("n", 2.5).u64("n");
+    }
+
+    #[test]
+    fn parse_reads_numbers_and_keeps_other_text() {
         assert_eq!(ParamValue::parse("12"), ParamValue::U64(12));
         assert_eq!(ParamValue::parse("1.5"), ParamValue::F64(1.5));
-        assert_eq!(ParamValue::parse("abc"), ParamValue::Str("abc".into()));
+        assert_eq!(ParamValue::parse("-3"), ParamValue::F64(-3.0));
+        for text in ["true", "abc"] {
+            assert_eq!(ParamValue::parse(text), ParamValue::Str(text.into()));
+        }
     }
 
     #[test]
@@ -362,11 +366,11 @@ mod tests {
         assert_eq!(grid.len(), 6);
         let pts = grid.points(&Params::new());
         assert_eq!(pts.len(), 6);
-        assert_eq!(pts[0].u64("a", 0), 1);
-        assert_eq!(pts[0].u64("b", 0), 10);
-        assert_eq!(pts[1].u64("b", 0), 20, "last axis varies fastest");
-        assert_eq!(pts[5].u64("a", 0), 2);
-        assert_eq!(pts[5].u64("b", 0), 30);
+        assert_eq!(pts[0].u64("a"), 1);
+        assert_eq!(pts[0].u64("b"), 10);
+        assert_eq!(pts[1].u64("b"), 20, "last axis varies fastest");
+        assert_eq!(pts[5].u64("a"), 2);
+        assert_eq!(pts[5].u64("b"), 30);
     }
 
     #[test]
@@ -384,16 +388,6 @@ mod tests {
         assert_eq!(grid.len(), 1, "no duplicate identical points");
         let pts = grid.points(&Params::new());
         assert_eq!(pts.len(), 1);
-        assert_eq!(pts[0].u64("a", 0), 7);
-    }
-
-    #[test]
-    fn retain_axes_reports_dropped_names() {
-        let mut grid = SweepGrid::new()
-            .axis("keep", vec![1u64])
-            .axis("drop", vec![2u64]);
-        let dropped = grid.retain_axes(|n| n == "keep");
-        assert_eq!(dropped, vec!["drop".to_string()]);
-        assert_eq!(grid.axis_names(), vec!["keep"]);
+        assert_eq!(pts[0].u64("a"), 7);
     }
 }

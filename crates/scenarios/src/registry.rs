@@ -70,6 +70,22 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParamValue;
+
+    /// Every tunable is a number: the getters read only `U64` and `F64`,
+    /// and validation checks a request's values against these kinds.
+    #[test]
+    fn every_default_is_a_u64_or_an_f64() {
+        for scenario in Registry::standard().iter() {
+            for (name, value) in scenario.default_params().iter() {
+                assert!(
+                    matches!(value, ParamValue::U64(_) | ParamValue::F64(_)),
+                    "{}: `{name}` defaults to `{value}`",
+                    scenario.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn standard_registry_is_complete_and_unique() {

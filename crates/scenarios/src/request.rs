@@ -12,8 +12,10 @@
 //! Validation is strict and *early*: an unknown scenario name or a grid
 //! axis that is not one of the scenario's tunables fails
 //! [`SweepRequest::validate`] with the known-good alternatives listed
-//! (`Error::UnknownScenario` / `Error::UnknownAxis`), instead of surfacing
-//! as an empty sweep or a mid-run panic. The one escape hatch is
+//! (`Error::UnknownScenario` / `Error::UnknownAxis`), and a value its
+//! tunable's getter cannot read (`readers=abc`, `reps=2.5`) fails with the
+//! field, the scenario and the kind it takes — instead of surfacing as an
+//! empty sweep or a mid-run panic. The one escape hatch is
 //! [`lenient_axes`](SweepRequest::lenient_axes) (the CLI's `--all`
 //! behavior): a shared grid axis that only some scenarios tune is dropped
 //! per-scenario with a recorded warning rather than failing the whole
@@ -184,8 +186,10 @@ impl SweepRequest {
             self.scenarios.clone()
         };
 
+        let seeds = crate::runner::SweepRunner::seeds(self.seeds);
         let mut tasks = Vec::with_capacity(names.len());
         let mut warnings = Vec::new();
+        let mut total_jobs = 0;
         for name in &names {
             let scenario = registry.get(name).ok_or_else(|| Error::UnknownScenario {
                 name: name.clone(),
@@ -193,16 +197,35 @@ impl SweepRequest {
             })?;
             // Grid axes first, then overrides as one-value axes — the same
             // construction order the CLI always used, so point expansion
-            // (and therefore the artifact) is unchanged.
-            let mut grid = SweepGrid::new();
-            for (axis, values) in &self.grid {
-                grid = grid.axis(axis, values.clone());
-            }
-            for (k, v) in &self.params {
-                grid = grid.axis(k, vec![v.clone()]);
-            }
+            // (and therefore the artifact) is unchanged. A value must be
+            // readable by the getter for its default's kind.
             let defaults = scenario.default_params();
-            let dropped = grid.retain_axes(|k| defaults.get(k).is_some());
+            let axes = self
+                .grid
+                .iter()
+                .map(|(axis, values)| ("grid", axis, values.as_slice()))
+                .chain(
+                    self.params
+                        .iter()
+                        .map(|(k, v)| ("params", k, std::slice::from_ref(v))),
+                );
+            let mut grid = SweepGrid::new();
+            let mut dropped = Vec::new();
+            for (section, axis, values) in axes {
+                let Some(default) = defaults.get(axis) else {
+                    dropped.push(axis.clone());
+                    continue;
+                };
+                for v in values {
+                    if let Some(kind) = wrong_kind(default, v) {
+                        return Err(Error::invalid(
+                            format!("{section}.{axis}"),
+                            format!("{name} reads `{axis}` as {kind}; got `{v}`"),
+                        ));
+                    }
+                }
+                grid = grid.axis(axis, values.to_vec());
+            }
             if !dropped.is_empty() {
                 let tunables: Vec<String> = defaults.iter().map(|(k, _)| k.to_string()).collect();
                 if self.lenient_axes {
@@ -223,17 +246,10 @@ impl SweepRequest {
                     });
                 }
             }
+            total_jobs += grid.len() * seeds.len();
             tasks.push((name.clone(), grid));
         }
 
-        let seeds = crate::runner::SweepRunner::seeds(self.seeds);
-        let total_jobs = tasks
-            .iter()
-            .map(|(name, grid)| {
-                let defaults = registry.get(name).map(|s| s.default_params());
-                grid.points(&defaults.unwrap_or_default()).len() * seeds.len()
-            })
-            .sum();
         Ok(ValidatedSweep {
             tasks,
             seeds,
@@ -527,6 +543,19 @@ impl ToJson for SweepResponse {
     }
 }
 
+/// The kind a tunable whose default is `default` takes, if its getter
+/// cannot read `v`.
+fn wrong_kind(default: &ParamValue, v: &ParamValue) -> Option<&'static str> {
+    match default {
+        ParamValue::U64(_) => v
+            .as_u64()
+            .is_none()
+            .then_some("a u64 (non-negative integer)"),
+        ParamValue::F64(_) => v.as_f64().is_none().then_some("an f64 (number)"),
+        ParamValue::Str(_) => Some("nothing (no getter reads text)"),
+    }
+}
+
 fn reject_non_finite(field: &str, v: &ParamValue) -> Result<(), Error> {
     match v {
         ParamValue::F64(x) if !x.is_finite() => Err(Error::invalid(
@@ -571,15 +600,11 @@ fn as_seq<'v>(field: &str, v: &'v Value) -> Result<&'v [Value], Error> {
 /// identically to one built in-process.
 fn as_param(field: &str, v: &Value) -> Result<ParamValue, Error> {
     match v {
-        Value::Bool(b) => Ok(ParamValue::Bool(*b)),
         Value::U64(n) => Ok(ParamValue::U64(*n)),
         Value::I64(n) => Ok(ParamValue::F64(*n as f64)),
         Value::F64(x) => Ok(ParamValue::F64(*x)),
         Value::Str(s) => Ok(ParamValue::Str(s.clone())),
-        _ => Err(Error::invalid(
-            field,
-            "expected a scalar (bool, number, or string)",
-        )),
+        _ => Err(Error::invalid(field, "expected a number or a string")),
     }
 }
 
@@ -651,13 +676,63 @@ mod tests {
             !v.warnings.is_empty(),
             "scenarios without a `reps` tunable warn"
         );
-        // Scenarios that do tune `reps` keep the axis.
-        let (_, fig07_grid) = v
-            .tasks
-            .iter()
-            .find(|(n, _)| n == "fig07_latency")
-            .expect("fig07 present");
-        assert_eq!(fig07_grid.axis_names(), vec!["reps"]);
+        // Scenarios that do tune `reps` keep the axis; the others run their
+        // defaults alone.
+        for (name, grid) in &v.tasks {
+            let reps = reg.get(name).unwrap().default_params().get("reps").cloned();
+            let points = grid.points(&crate::Params::new());
+            assert_eq!(points.len(), 1, "{name}");
+            assert_eq!(
+                points[0].get("reps"),
+                reps.map(|_| &ParamValue::U64(10)),
+                "{name}"
+            );
+        }
+    }
+
+    /// A value the tunable's getter cannot read is refused, naming the
+    /// field as the request spelled it, the scenario and the kind; lenient
+    /// mode drops unknown axes, not wrong values.
+    #[test]
+    fn wrong_kind_values_are_refused_with_field_scenario_and_kind() {
+        let reg = registry();
+        let refused = |req: SweepRequest, field: &str, want: &str| {
+            let err = req.validate(&reg).expect_err(field);
+            let text = err.to_string();
+            assert!(
+                matches!(err, Error::InvalidRequest { field: ref f, .. } if f == field),
+                "{text}"
+            );
+            assert!(text.contains(want), "{text}");
+        };
+        let text = ParamValue::parse;
+        let fig08 = |v| SweepRequest::new().scenario("fig08_io").param("readers", v);
+        let readers = "fig08_io reads `readers` as a u64";
+        refused(fig08(text("abc")), "params.readers", readers);
+        refused(fig08(ParamValue::F64(2.5)), "params.readers", readers);
+        refused(fig08(text("true")), "params.readers", readers);
+        refused(
+            SweepRequest::new()
+                .scenario("fig01_utilization")
+                .param("horizon_days", text("week")),
+            "params.horizon_days",
+            "fig01_utilization reads `horizon_days` as an f64",
+        );
+        let reps = vec![ParamValue::U64(5), text("abc")];
+        refused(
+            SweepRequest::new()
+                .scenario("fig09_cpu_sharing")
+                .axis("reps", reps),
+            "grid.reps",
+            "fig09_cpu_sharing reads `reps` as a u64 (non-negative integer); got `abc`",
+        );
+        refused(
+            SweepRequest::new()
+                .every_scenario()
+                .axis("reps", vec![text("many")]),
+            "grid.reps",
+            "fig07_latency reads `reps` as a u64",
+        );
     }
 
     #[test]

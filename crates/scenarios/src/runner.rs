@@ -43,7 +43,7 @@
 use crate::cache::{self, CacheKey, CacheStats, CacheWriter, ResultCache};
 use crate::error::Error;
 use crate::metrics::{summarize, MetricSummary, Metrics};
-use crate::params::{ParamValue, Params, SweepGrid};
+use crate::params::{Params, SweepGrid};
 use crate::Scenario;
 use des::Simulation;
 use json::ToJson;
@@ -485,12 +485,10 @@ fn largest_first(jobs: &mut [Job], points: &[Vec<Params>]) {
 fn size_heuristic(params: &Params) -> f64 {
     let mut score = 1.0;
     for (_, v) in params.iter() {
-        let x = match v {
-            ParamValue::U64(n) => *n as f64,
-            ParamValue::F64(x) if x.is_finite() => x.abs(),
-            _ => continue,
+        let Some(x) = v.as_f64().filter(|x| x.is_finite()) else {
+            continue;
         };
-        score += (1.0 + x).ln();
+        score += (1.0 + x.abs()).ln();
     }
     score
 }
@@ -674,7 +672,7 @@ impl SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::SweepGrid;
+    use crate::params::ParamValue;
 
     /// A scenario whose metrics encode (param, seed) so slot routing bugs
     /// would be visible immediately.
@@ -692,7 +690,7 @@ mod tests {
         }
         fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
             let mut m = Metrics::new();
-            m.push("k", params.f64("k", 0.0));
+            m.push("k", params.f64("k"));
             m.push("seed", sim.seed() as f64);
             m.push("draw", sim.stream("probe").f64());
             m
@@ -706,12 +704,12 @@ mod tests {
         let result = runner.run(&Probe, &grid);
         assert_eq!(result.points.len(), 3);
         for (pi, point) in result.points.iter().enumerate() {
-            assert_eq!(point.params.u64("k", 0), 10 * (pi as u64 + 1));
+            assert_eq!(point.params.u64("k"), 10 * (pi as u64 + 1));
             assert_eq!(point.per_seed.len(), 2);
             for ((seed, m), expect) in point.per_seed.iter().zip([7u64, 8]) {
                 assert_eq!(*seed, expect);
                 assert_eq!(m.get("seed"), Some(expect as f64));
-                assert_eq!(m.get("k"), Some(point.params.f64("k", 0.0)));
+                assert_eq!(m.get("k"), Some(point.params.f64("k")));
             }
         }
     }
@@ -751,7 +749,7 @@ mod tests {
             Params::new().with("k", 1u64)
         }
         fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
-            let job = (params.u64("k", 0), sim.seed());
+            let job = (params.u64("k"), sim.seed());
             self.0.lock().unwrap().push(job);
             Metrics::new()
         }
@@ -796,7 +794,7 @@ mod tests {
             }
             fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
                 let mut m = Metrics::new();
-                m.push("j", params.f64("j", 0.0));
+                m.push("j", params.f64("j"));
                 m.push("draw", sim.stream("probe2").f64());
                 m
             }
@@ -834,8 +832,7 @@ mod tests {
     fn heuristic_ignores_non_numeric_and_non_finite() {
         let base = size_heuristic(&Params::new());
         let p = Params::new()
-            .with("mode", "fast")
-            .with("flag", true)
+            .with("mode", ParamValue::parse("fast"))
             .with("bad", f64::NAN);
         assert_eq!(size_heuristic(&p), base);
     }
@@ -855,7 +852,7 @@ mod tests {
         }
         fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
             assert!(
-                !(params.u64("k", 0) == 2 && sim.seed() == 8),
+                !(params.u64("k") == 2 && sim.seed() == 8),
                 "simulated scenario bug"
             );
             Metrics::new()

@@ -52,7 +52,7 @@ fn compute(sim: &mut Simulation, params: &Params) -> AblationReport {
     // ---- 1. Warm pool vs always-cold. ----
     // Without the pool every fresh executor pays the sandbox build; with it,
     // only the first invocation on a node does.
-    let invocations = params.usize("invocations", 50);
+    let invocations = params.usize("invocations");
     let mut cold_total = SimTime::ZERO;
     for _ in 0..invocations {
         let mut ex = Executor::new(def.clone(), ExecutorMode::Hot); // never warm

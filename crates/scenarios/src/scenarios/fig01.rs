@@ -15,8 +15,8 @@ const PIZ_DAINT_NODES: f64 = 5704.0;
 
 fn compute(sim: &mut Simulation, params: &Params) -> (TraceProfile, TraceOutcome) {
     let mut profile = TraceProfile::piz_daint();
-    profile.nodes = params.usize("nodes", profile.nodes);
-    let horizon = SimTime::from_secs_f64(params.f64("horizon_days", 14.0) * 86_400.0);
+    profile.nodes = params.usize("nodes");
+    let horizon = SimTime::from_secs_f64(params.f64("horizon_days") * 86_400.0);
     let out = simulate_trace_in(sim, &profile, horizon);
     (profile, out)
 }
@@ -34,7 +34,7 @@ impl Scenario for Fig01Utilization {
 
     fn default_params(&self) -> Params {
         Params::new()
-            .with("nodes", 1800u64)
+            .with("nodes", TraceProfile::piz_daint().nodes as u64)
             .with("horizon_days", 14.0)
     }
 
@@ -75,11 +75,16 @@ impl Scenario for Fig01Utilization {
 
     fn report(&self) {
         let seed = REPORT_SEED;
+        let params = self.default_params();
         banner("FIG1", self.title());
-        println!("seed = {seed}; horizon = 14 simulated days (scaled month), 1800 nodes");
+        println!(
+            "seed = {seed}; horizon = {} simulated days (scaled month), {} nodes",
+            params.f64("horizon_days"),
+            params.u64("nodes")
+        );
 
         let mut sim = Simulation::new(seed);
-        let (profile, out) = compute(&mut sim, &self.default_params());
+        let (profile, out) = compute(&mut sim, &params);
         let r = &out.report;
 
         // Fig. 1a: idle CPU series summary.

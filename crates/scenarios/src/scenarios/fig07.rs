@@ -145,7 +145,7 @@ impl Scenario for Fig07Latency {
     /// All four 1 B series and the 4 KiB busy-poll and hot ones: six series
     /// drawn.
     fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
-        let reps = params.usize("reps", 2000);
+        let reps = params.usize("reps");
         let sizes = fig7_sizes();
         let (small, large) = (sizes[0], sizes[sizes.len() - 1]);
         let median_4k = |series| draw(sim, large, series, reps).median();
@@ -159,7 +159,7 @@ impl Scenario for Fig07Latency {
     fn report(&self) {
         let seed = REPORT_SEED;
         let params = self.default_params();
-        let reps = params.usize("reps", 2000);
+        let reps = params.usize("reps");
         banner("FIG7", self.title());
         println!("seed = {seed}; {reps} repetitions per point; values in µs");
 

@@ -10,7 +10,7 @@ use storage::harness::{latency_sweep, throughput_sweep, IoRow};
 use storage::{Lustre, ObjectStore};
 
 fn compute(params: &Params) -> (Vec<IoRow>, Vec<IoRow>) {
-    let readers = params.u64("readers", 16) as u32;
+    let readers = params.u64("readers") as u32;
     let lustre = Lustre::piz_daint();
     let minio = ObjectStore::minio_daint();
     let lat = latency_sweep(&lustre, &minio);
@@ -51,7 +51,8 @@ impl Scenario for Fig08Io {
 
     fn report(&self) {
         banner("FIG8", self.title());
-        let (lat, thr) = compute(&self.default_params());
+        let params = self.default_params();
+        let (lat, thr) = compute(&params);
 
         print_table(
             "Fig. 8 (left) — read latency, one reader [s]",
@@ -74,7 +75,10 @@ impl Scenario for Fig08Io {
         );
 
         print_table(
-            "Fig. 8 (right) — per-reader throughput, 16 readers [GB/s]",
+            &format!(
+                "Fig. 8 (right) — per-reader throughput, {} readers [GB/s]",
+                params.u64("readers")
+            ),
             &["size", "MinIO", "Lustre", "winner"],
             &thr.iter()
                 .map(|r| {

@@ -42,7 +42,7 @@ pub struct Entry {
 }
 
 fn compute(sim: &mut Simulation, params: &Params) -> Vec<Entry> {
-    let reps = params.usize("reps", 10);
+    let reps = params.usize("reps");
     let cap = NodeCapacity::daint_mc();
     let mut rng = sim.stream("fig9");
     let mut entries = Vec::new();
@@ -143,10 +143,14 @@ impl Scenario for Fig09CpuSharing {
 
     fn report(&self) {
         let seed = REPORT_SEED;
+        let params = self.default_params();
         banner("FIG9", self.title());
-        println!("seed = {seed}; 10 repetitions; mean ± std in percent\n");
+        println!(
+            "seed = {seed}; {} repetitions; mean ± std in percent\n",
+            params.u64("reps")
+        );
         let mut sim = Simulation::new(seed);
-        let entries = compute(&mut sim, &self.default_params());
+        let entries = compute(&mut sim, &params);
 
         // Fig. 9a: LULESH slowdown table.
         for (prefix, title, paper_note) in [

@@ -39,7 +39,7 @@ pub struct Output {
 }
 
 fn compute(sim: &mut Simulation, params: &Params) -> Output {
-    let reps = params.usize("reps", 10);
+    let reps = params.usize("reps");
     let cap = NodeCapacity::ault();
     let mut rng = sim.stream("fig11");
 
@@ -172,10 +172,14 @@ impl Scenario for Fig11MemorySharing {
 
     fn report(&self) {
         let seed = REPORT_SEED;
+        let params = self.default_params();
         banner("FIG11", self.title());
-        println!("seed = {seed}; 1 GB pinned region; intervals 1–500 ms; 10 repetitions\n");
+        println!(
+            "seed = {seed}; 1 GB pinned region; intervals 1–500 ms; {} repetitions\n",
+            params.u64("reps")
+        );
         let mut sim = Simulation::new(seed);
-        let out = compute(&mut sim, &self.default_params());
+        let out = compute(&mut sim, &params);
         println!(
             "one 10 MB RDMA write: {}; read: {}; sustained ≈ {} GB/s",
             out.write_us,

@@ -24,7 +24,7 @@ pub struct Entry {
 }
 
 fn compute(sim: &mut Simulation, params: &Params) -> Vec<Entry> {
-    let reps = params.usize("reps", 10);
+    let reps = params.usize("reps");
     let cap = NodeCapacity::daint_gpu();
     let mut rng = sim.stream("fig12");
     let mut gres = GpuAssignment::new(GpuSharingPolicy::ExclusiveDevice, 1);
@@ -131,10 +131,14 @@ impl Scenario for Fig12GpuSharing {
 
     fn report(&self) {
         let seed = REPORT_SEED;
+        let params = self.default_params();
         banner("FIG12", self.title());
-        println!("seed = {seed}; 10 repetitions; LULESH 9/12 cores, MILC 11/12 cores per node\n");
+        println!(
+            "seed = {seed}; {} repetitions; LULESH 9/12 cores, MILC 11/12 cores per node\n",
+            params.u64("reps")
+        );
         let mut sim = Simulation::new(seed);
-        let entries = compute(&mut sim, &self.default_params());
+        let entries = compute(&mut sim, &params);
 
         for (prefix, title, note) in [
             (

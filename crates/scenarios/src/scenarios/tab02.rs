@@ -39,7 +39,7 @@ impl Scenario for Tab02Containers {
     }
 
     fn run(&self, _sim: &mut Simulation, params: &Params) -> Metrics {
-        let code_mb = params.f64("code_mb", 50.0);
+        let code_mb = params.f64("code_mb");
         let totals = cold_start_totals(code_mb);
         let hpc_suitable = ContainerRuntime::ALL
             .iter()
@@ -63,7 +63,7 @@ impl Scenario for Tab02Containers {
 
     fn report(&self) {
         banner("TAB1+TAB2", self.title());
-        let code_mb = self.default_params().f64("code_mb", 50.0);
+        let code_mb = self.default_params().f64("code_mb");
 
         let env = EnvironmentMatrix::table1();
         print_table(

@@ -573,7 +573,7 @@ mod tests {
         }
         fn run(&self, _sim: &mut des::Simulation, params: &Params) -> Metrics {
             let mut m = Metrics::new();
-            m.push("k", params.f64("k", 0.0));
+            m.push("k", params.f64("k"));
             m
         }
     }

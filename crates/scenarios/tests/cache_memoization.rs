@@ -40,10 +40,10 @@ impl Scenario for Probe {
         Params::new().with("k", 1u64).with("x", 0.5)
     }
     fn run(&self, sim: &mut des::Simulation, params: &Params) -> Metrics {
-        let k = params.u64("k", 1);
+        let k = params.u64("k");
         let mut sum = 0.0f64;
         for i in 0..(k * 7 + 3) {
-            sum += sim.stream(&format!("draw{i}")).f64() * params.f64("x", 0.5);
+            sum += sim.stream(&format!("draw{i}")).f64() * params.f64("x");
         }
         let mut m = Metrics::new();
         m.push("sum", sum);
@@ -225,7 +225,7 @@ fn failed_sweeps_leave_recoverable_segments_not_a_corrupt_index() {
             Params::new().with("k", 1u64)
         }
         fn run(&self, sim: &mut des::Simulation, params: &Params) -> Metrics {
-            assert!(params.u64("k", 0) != 2, "boom");
+            assert!(params.u64("k") != 2, "boom");
             let mut m = Metrics::new();
             m.push("draw", sim.stream("d").f64());
             m

@@ -50,7 +50,7 @@ impl Scenario for Sleepy {
     fn run(&self, sim: &mut des::Simulation, params: &Params) -> Metrics {
         std::thread::sleep(Duration::from_millis(self.millis));
         let mut m = Metrics::new();
-        m.push("k", params.u64("k", 1) as f64);
+        m.push("k", params.u64("k") as f64);
         m.push("draw", sim.stream("draw").f64());
         m
     }
@@ -462,10 +462,7 @@ fn one_worker_starts_a_sweeps_jobs_in_plan_order() {
             Params::new().with("k", 1u64)
         }
         fn run(&self, sim: &mut des::Simulation, params: &Params) -> Metrics {
-            STARTS
-                .lock()
-                .unwrap()
-                .push((params.u64("k", 0), sim.seed()));
+            STARTS.lock().unwrap().push((params.u64("k"), sim.seed()));
             Metrics::new()
         }
     }
@@ -605,7 +602,7 @@ fn cancelled_requests_release_their_cache_segments() {
             std::thread::sleep(Duration::from_millis(1));
             EXECUTED.fetch_add(1, Ordering::Relaxed);
             let mut m = Metrics::new();
-            m.push("k", params.u64("k", 1) as f64);
+            m.push("k", params.u64("k") as f64);
             m
         }
     }

@@ -46,7 +46,7 @@ impl Scenario for Sleepy {
     fn run(&self, sim: &mut des::Simulation, params: &Params) -> Metrics {
         std::thread::sleep(Duration::from_millis(self.millis));
         let mut m = Metrics::new();
-        m.push("k", params.u64("k", 1) as f64);
+        m.push("k", params.u64("k") as f64);
         m.push("draw", sim.stream("draw").f64());
         m
     }
@@ -150,6 +150,84 @@ fn validation_errors_cross_the_wire_with_alternatives() {
 
     let err = client.status(4242).expect_err("unknown id must be refused");
     assert!(matches!(&err, Error::Server { kind, .. } if kind == "unknown_request"));
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
+
+/// A value its tunable cannot read is refused at submit with
+/// `invalid_request`, naming the field, the scenario and the kind, and the
+/// server goes on answering: nothing runs the tunable's default in its
+/// place.
+#[test]
+fn wrong_kind_values_get_invalid_request_and_the_server_keeps_answering() {
+    use scenarios::wire::{read_frame, write_frame};
+    use std::net::TcpStream;
+
+    let (addr, server) = serve(Registry::standard(), ServiceConfig::new().with_threads(1));
+    let mut client = Client::connect(addr).expect("connect");
+    let readers = |v: ParamValue| {
+        SweepRequest::new()
+            .scenario("fig08_io")
+            .with_seeds(1)
+            .param("readers", v)
+    };
+    let cases = [
+        (
+            readers(ParamValue::parse("abc")),
+            "params.readers",
+            "fig08_io",
+        ),
+        (readers(ParamValue::F64(2.5)), "params.readers", "fig08_io"),
+        (
+            readers(ParamValue::parse("true")),
+            "params.readers",
+            "fig08_io",
+        ),
+        (
+            SweepRequest::new()
+                .scenario("fig09_cpu_sharing")
+                .axis("reps", vec![ParamValue::U64(5), ParamValue::parse("abc")]),
+            "grid.reps",
+            "fig09_cpu_sharing",
+        ),
+    ];
+    for (request, field, scenario) in cases {
+        match client
+            .submit(&request)
+            .expect_err("wrong kind must be refused")
+        {
+            Error::Server { kind, message } => {
+                assert_eq!(kind, "invalid_request", "{message}");
+                assert!(
+                    message.contains(field)
+                        && message.contains(scenario)
+                        && message.contains("u64"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a server error, got {other}"),
+        }
+        client.ping().expect("the server still answers ping");
+    }
+    assert!(
+        client.list().expect("list").is_empty(),
+        "nothing was queued"
+    );
+
+    // A JSON `true` is no tunable's spelling either: refused while decoding.
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    write_frame(
+        &mut raw,
+        r#"{"verb":"submit","request":{"scenarios":["fig08_io"],"params":{"readers":true}}}"#,
+    )
+    .expect("send submit");
+    let reply = read_frame(&mut raw).expect("read reply").expect("a reply");
+    assert!(
+        reply.contains("invalid_request") && reply.contains("params.readers"),
+        "{reply}"
+    );
+    client.ping().expect("the server still answers ping");
 
     client.shutdown().expect("shutdown");
     server.join().expect("server thread");

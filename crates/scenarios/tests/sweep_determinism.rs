@@ -131,6 +131,54 @@ fn every_entry_point_matches_the_serial_oracle_on_the_standard_registry() {
     );
 }
 
+/// Per-seed metrics of one single-scenario request, point by point.
+fn per_seed_metrics(request: SweepRequest) -> Vec<(u64, Metrics)> {
+    let registry = Registry::standard();
+    let validated = request.validate(&registry).expect("valid request");
+    let results =
+        SweepRunner::new(2, validated.seeds.clone()).run_suite(&validated.resolve(&registry));
+    results
+        .into_iter()
+        .flat_map(|r| r.points)
+        .flat_map(|p| p.per_seed)
+        .collect()
+}
+
+/// A u64 tunable reads an integral float, and an f64 tunable an integer,
+/// as the same number: both spellings run bit-identical jobs. (The Fig. 1
+/// replay is shrunk to keep an unoptimised test build quick.)
+#[test]
+fn both_spellings_of_a_tunable_give_bit_identical_metrics() {
+    let fig01 = |horizon: ParamValue| {
+        SweepRequest::new()
+            .scenario("fig01_utilization")
+            .with_seeds(2)
+            .param("nodes", 200u64)
+            .param("horizon_days", horizon)
+    };
+    let fig09 = |reps: ParamValue| {
+        SweepRequest::new()
+            .scenario("fig09_cpu_sharing")
+            .with_seeds(2)
+            .param("reps", reps)
+    };
+    for (spelled, respelled) in [
+        (fig01(ParamValue::U64(2)), fig01(ParamValue::F64(2.0))),
+        (fig09(ParamValue::F64(3.0)), fig09(ParamValue::U64(3))),
+    ] {
+        let label = format!("{:?}", spelled.params);
+        let (a, b) = (per_seed_metrics(spelled), per_seed_metrics(respelled));
+        assert_eq!(a.len(), 2, "{label}");
+        for ((seed_a, m_a), (seed_b, m_b)) in a.iter().zip(&b) {
+            assert_eq!(seed_a, seed_b);
+            assert!(
+                m_a.bits_eq(m_b),
+                "{label} seed {seed_a}: {m_a:?} vs {m_b:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -189,7 +237,7 @@ fn sweep_with_cancellation_heavy_scenario_is_deterministic() {
             Params::new().with("ticks", 200u64)
         }
         fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
-            let ticks = params.u64("ticks", 200);
+            let ticks = params.u64("ticks");
             let expiries = Arc::new(Mutex::new(0u64));
             // A lease-expiry timer far in the future, renewed on every tick:
             // the cancel-reschedule churn the arena makes O(1).
@@ -272,7 +320,7 @@ fn work_stealing_is_bit_identical_under_job_length_skew() {
             Params::new().with("events", 10u64)
         }
         fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
-            let events = params.u64("events", 10);
+            let events = params.u64("events");
             // Real simulated work, proportional to the axis: every event
             // draws from a seed-derived stream, so the final digest is a
             // pure function of (params, seed) and any cross-job state leak
