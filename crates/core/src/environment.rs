@@ -57,7 +57,7 @@ impl EnvironmentMatrix {
                     dimension: "Placement",
                     cloud_faas: "VMs, Kubernetes",
                     hpc_faas: "Batch jobs on HPC nodes",
-                    exercised_here: "cluster::Cluster + rfaas::scheduler_glue",
+                    exercised_here: "cluster::Cluster (fig01_utilization)",
                 },
             ],
         }

@@ -64,7 +64,7 @@ pub struct Executor {
     pub mode: ExecutorMode,
     /// Whether a sandbox is already running (false until first invocation or
     /// warm-pool adoption).
-    pub sandbox_ready: bool,
+    sandbox_ready: bool,
     /// Invocations executed.
     pub invocations: u64,
     /// Busy time accumulated (for utilization accounting).
@@ -130,7 +130,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::functions::{FunctionRegistry, FunctionRequirements};
+    use crate::functions::FunctionRegistry;
     use containers::{ContainerImage, ContainerRuntime};
 
     fn noop_def() -> FunctionDef {
@@ -143,20 +143,9 @@ mod tests {
         let mut reg = FunctionRegistry::new();
         let id = reg.register(
             "work",
-            ContainerImage::new(1, "work", 20.0),
+            ContainerImage::new("work", 20.0),
             ContainerRuntime::Sarus,
-            FunctionRequirements::cpu(1.0, 512),
             SimTime::from_millis(exec_ms),
-            interference::Demand {
-                name: "work".into(),
-                cores: 1.0,
-                membw_bps: 1e9,
-                llc_mb: 4.0,
-                cache_reuse: 0.3,
-                net_bps: 0.0,
-                mem_frac: 0.3,
-                net_frac: 0.0,
-            },
         );
         reg.get(id).unwrap().clone()
     }

@@ -18,16 +18,6 @@ pub struct FunctionRequirements {
     pub gpus: u32,
 }
 
-impl FunctionRequirements {
-    pub fn cpu(cores: f64, memory_mb: u64) -> Self {
-        FunctionRequirements {
-            cores,
-            memory_mb,
-            gpus: 0,
-        }
-    }
-}
-
 /// A registered function.
 #[derive(Debug, Clone)]
 pub struct FunctionDef {
@@ -35,15 +25,12 @@ pub struct FunctionDef {
     pub name: String,
     pub image: ContainerImage,
     pub runtime: ContainerRuntime,
-    pub requirements: FunctionRequirements,
     /// Uncontended execution time of one invocation (from profiling — the
     /// paper mandates profiling new functions on registration, Sec. III-E).
     pub exec_time: SimTime,
-    /// Interference demand vector of one running invocation.
-    pub demand: interference::Demand,
 }
 
-/// The function registry held by the resource manager.
+/// The function registry.
 #[derive(Debug, Default)]
 pub struct FunctionRegistry {
     next: u64,
@@ -55,16 +42,14 @@ impl FunctionRegistry {
         Self::default()
     }
 
-    /// Register a function; profiling data (exec time + demand vector) must
-    /// accompany the registration.
+    /// Register a function; its profiled exec time must accompany the
+    /// registration.
     pub fn register(
         &mut self,
         name: &str,
         image: ContainerImage,
         runtime: ContainerRuntime,
-        requirements: FunctionRequirements,
         exec_time: SimTime,
-        demand: interference::Demand,
     ) -> FunctionId {
         self.next += 1;
         let id = FunctionId(self.next);
@@ -75,9 +60,7 @@ impl FunctionRegistry {
                 name: name.to_string(),
                 image,
                 runtime,
-                requirements,
                 exec_time,
-                demand,
             },
         );
         id
@@ -91,20 +74,9 @@ impl FunctionRegistry {
     pub fn register_noop(&mut self) -> FunctionId {
         self.register(
             "noop",
-            ContainerImage::new(9999, "noop", 5.0),
+            ContainerImage::new("noop", 5.0),
             ContainerRuntime::Sarus,
-            FunctionRequirements::cpu(1.0, 128),
             SimTime::ZERO,
-            interference::Demand {
-                name: "noop".into(),
-                cores: 1.0,
-                membw_bps: 0.0,
-                llc_mb: 0.0,
-                cache_reuse: 0.0,
-                net_bps: 0.0,
-                mem_frac: 0.0,
-                net_frac: 0.0,
-            },
         )
     }
 }
@@ -120,20 +92,6 @@ mod tests {
         let noop = reg.get(id).unwrap();
         assert_eq!((noop.id, noop.name.as_str()), (id, "noop"));
         assert!(reg.get(FunctionId(id.0 + 1)).is_none());
-    }
-
-    #[test]
-    fn independent_resource_requests() {
-        // Unlike cloud FaaS, memory and GPU are independent of cores.
-        let r = FunctionRequirements::cpu(0.05, 64 * 1024);
-        assert!(r.cores < 1.0);
-        assert_eq!(r.memory_mb, 64 * 1024);
-        assert_eq!(r.gpus, 0);
-        let g = FunctionRequirements {
-            gpus: 1,
-            ..FunctionRequirements::cpu(1.0, 2048)
-        };
-        assert_eq!((g.cores, g.memory_mb, g.gpus), (1.0, 2048, 1));
     }
 
     #[test]

@@ -50,7 +50,6 @@ impl From<MrError> for VerbsError {
 pub enum RdmaOp {
     Read,
     Write,
-    Send,
 }
 
 /// A connected queue pair between two nodes under a DRC credential.
@@ -127,7 +126,6 @@ impl Fabric {
         let base = match op {
             RdmaOp::Read => self.params.rma(true, size, qp.completion),
             RdmaOp::Write => self.params.rma(false, size, qp.completion),
-            RdmaOp::Send => self.params.one_way(size, qp.completion),
         };
         let flow = self.network.open_flow(qp.local, qp.remote);
         let contended = self.network.transfer_time(flow, size);
@@ -139,10 +137,6 @@ impl Fabric {
     /// credential still grants the job, the region is
     /// registered on the QP's remote node, its flags allow `op`, and
     /// `[offset, offset + len)` lies inside it. Returns those bytes.
-    ///
-    /// # Panics
-    ///
-    /// If `op` is [`RdmaOp::Send`], which targets no region.
     fn one_sided(
         &mut self,
         qp: &QueuePair,
@@ -155,7 +149,6 @@ impl Fabric {
         let need = match op {
             RdmaOp::Read => AccessFlags::REMOTE_READ,
             RdmaOp::Write => AccessFlags::REMOTE_WRITE,
-            RdmaOp::Send => panic!("a two-sided send is not a one-sided op"),
         };
         Ok(self.regions.reach(qp.remote, region, need, offset, len)?)
     }
@@ -188,15 +181,10 @@ impl Fabric {
         Ok((data, t))
     }
 
-    /// The one-sided `op` ([`RdmaOp::Read`] or [`RdmaOp::Write`]) of `len`
-    /// bytes at `(region, offset)`, timed but not performed: it refuses
-    /// exactly what [`Fabric::rdma_read`]/[`Fabric::rdma_write`] refuse and
-    /// returns the duration they would, without touching the region's
-    /// bytes.
-    ///
-    /// # Panics
-    ///
-    /// If `op` is [`RdmaOp::Send`].
+    /// The one-sided `op` of `len` bytes at `(region, offset)`, timed but
+    /// not performed: it refuses exactly what
+    /// [`Fabric::rdma_read`]/[`Fabric::rdma_write`] refuse and returns the
+    /// duration they would, without touching the region's bytes.
     pub fn rdma_time(
         &mut self,
         qp: &QueuePair,
@@ -372,13 +360,6 @@ mod tests {
             &[0],
             "the refused write must not land"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "not a one-sided op")]
-    fn rdma_time_rejects_a_send() {
-        let (mut fabric, qp, mr) = setup();
-        let _ = fabric.rdma_time(&qp, mr, 0, 8, RdmaOp::Send);
     }
 
     #[test]

@@ -173,18 +173,41 @@ mod tests {
         (cap, lulesh, ep, cg)
     }
 
+    /// A registered function's demand: one class-B rank of `kernel` asking
+    /// for `cores` cores. The placements that use it are offered what a
+    /// 2-node job holding 32 cores and 64 GB of each Daint node leaves
+    /// free: 4 cores and 64 GB.
+    fn function(kernel: NasKernel, cores: f64) -> Demand {
+        Demand {
+            cores,
+            ..WorkloadProfile::nas(kernel, NasClass::B).per_rank
+        }
+    }
+
+    fn assert_model_accepts(d: Decision, pair: &str) {
+        match d {
+            Decision::Colocate {
+                source: DecisionSource::RequirementModel,
+                expected_overhead_pct,
+            } => assert!(
+                expected_overhead_pct < 5.0,
+                "{pair}: {expected_overhead_pct}"
+            ),
+            other => panic!("{pair}: expected model-path accept, got {other:?}"),
+        }
+    }
+
     #[test]
     fn compute_bound_function_accepted_via_model() {
         let (cap, lulesh, ep, _) = setup();
         let p = ColocationPolicy::default();
         let d = p.decide(&cap, &lulesh, 2, true, &ep, 2048, 4.0, 64 * 1024);
-        match d {
-            Decision::Colocate {
-                source: DecisionSource::RequirementModel,
-                expected_overhead_pct,
-            } => assert!(expected_overhead_pct < 5.0),
-            other => panic!("expected model-path accept, got {other:?}"),
-        }
+        assert_model_accepts(d, "LULESH+EP");
+        // LULESH is compute-heavy enough that even a cache-hungry CG
+        // function stays under the threshold.
+        let cg = function(NasKernel::Cg, 4.0);
+        let d = p.decide(&cap, &lulesh, 2, true, &cg, 4096, 4.0, 64 * 1024);
+        assert_model_accepts(d, "LULESH+CG");
     }
 
     #[test]
@@ -199,6 +222,10 @@ mod tests {
                 reason: RejectReason::PredictedInterference
             }
         );
+        // A compute-bound EP function stays harmless next to MILC.
+        let ep = function(NasKernel::Ep, 2.0);
+        let d = p.decide(&cap, &milc, 2, true, &ep, 2048, 4.0, 64 * 1024);
+        assert_model_accepts(d, "MILC+EP");
     }
 
     #[test]

@@ -35,11 +35,9 @@ pub struct AblationReport {
 fn timed_function(reg: &mut FunctionRegistry, exec_ms: u64) -> rfaas::FunctionDef {
     let id = reg.register(
         "work",
-        containers::ContainerImage::new(1, "work", 40.0),
+        containers::ContainerImage::new("work", 40.0),
         containers::ContainerRuntime::Sarus,
-        rfaas::FunctionRequirements::cpu(1.0, 1024),
         SimTime::from_millis(exec_ms),
-        WorkloadProfile::nas(NasKernel::Bt, NasClass::W).per_rank,
     );
     reg.get(id).unwrap().clone()
 }

@@ -10,14 +10,14 @@
 //!   multi-seed sweep runner (`scenarios run --all`)
 //! * [`cluster`] — SLURM-like batch system + Piz Daint trace generator
 //! * [`fabric`] — RDMA-like interconnect with LogGP cost model
-//! * [`containers`] — HPC sandbox runtimes + warm pool
+//! * [`containers`] — HPC sandbox runtimes + cold-start costs
 //! * [`storage`] — Lustre / object-store models
 //! * [`gpu`] — GPU device model + Rodinia workloads
 //! * [`interference`] — contention model, per-application demand profiles
 //!   (NAS, LULESH, MILC) + co-location policies
 //! * [`des`] — deterministic discrete-event simulation kernel
 //!
-//! Start with `examples/quickstart.rs`.
+//! Start with `examples/scenario_sweep.rs`.
 
 #![forbid(unsafe_code)]
 

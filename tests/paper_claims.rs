@@ -219,30 +219,3 @@ fn claim_ugni_needs_drc_for_cross_job_communication() {
         )
         .is_ok());
 }
-
-#[test]
-fn claim_short_idle_windows_are_usable() {
-    // Sec. III-A: a node idle for five minutes can still serve dozens of
-    // short functions and be drained on demand.
-    use hpc_serverless_disagg::rfaas::{ExecutorMode, Platform};
-    let mut p = Platform::daint(1);
-    p.bridge.sync(&p.cluster, &mut p.manager);
-    let bt = WorkloadProfile::nas(NasKernel::Bt, NasClass::W);
-    let fid = p.register_function(&bt, 1.0, 1024, 20.0);
-    let mut client = p.client(fid, ExecutorMode::Hot).unwrap();
-    let window = SimTime::from_mins(5);
-    let start = p.now;
-    let mut served = 0;
-    while p.now.saturating_sub(start) < window {
-        p.invoke(&mut client, 8 << 10, 512).unwrap();
-        served += 1;
-    }
-    assert!(
-        served >= 50,
-        "a 5-minute window served {served} BT.W functions"
-    );
-    // Drain: graceful reclaim leaves no active leases.
-    let report = p.manager.remove_resources(NodeId(0), false);
-    assert!(report.graceful);
-    assert_eq!(p.manager.leases.active_count(), 0);
-}
