@@ -4,15 +4,11 @@
 /// A function's code image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContainerImage {
-    pub name: String,
     pub size_mb: f64,
 }
 
 impl ContainerImage {
-    pub fn new(name: &str, size_mb: f64) -> Self {
-        ContainerImage {
-            name: name.to_string(),
-            size_mb,
-        }
+    pub fn new(size_mb: f64) -> Self {
+        ContainerImage { size_mb }
     }
 }

@@ -65,10 +65,6 @@ pub struct Executor {
     /// Whether a sandbox is already running (false until first invocation or
     /// warm-pool adoption).
     sandbox_ready: bool,
-    /// Invocations executed.
-    pub invocations: u64,
-    /// Busy time accumulated (for utilization accounting).
-    pub busy: SimTime,
 }
 
 impl Executor {
@@ -77,8 +73,6 @@ impl Executor {
             function,
             mode,
             sandbox_ready: false,
-            invocations: 0,
-            busy: SimTime::ZERO,
         }
     }
 
@@ -115,8 +109,6 @@ impl Executor {
         // The client waits for the response; the client side busy-polls in
         // both modes (it is inside an HPC application, not an executor).
         let response = params.one_way(result_bytes, CompletionMode::BusyPoll);
-        self.invocations += 1;
-        self.busy += execution;
         InvocationTiming {
             sandbox,
             request,
@@ -142,8 +134,7 @@ mod tests {
     fn timed_def(exec_ms: u64) -> FunctionDef {
         let mut reg = FunctionRegistry::new();
         let id = reg.register(
-            "work",
-            ContainerImage::new("work", 20.0),
+            ContainerImage::new(20.0),
             ContainerRuntime::Sarus,
             SimTime::from_millis(exec_ms),
         );
@@ -223,17 +214,5 @@ mod tests {
         let large = ex.invoke(&params, 1 << 20, 1, 1.0);
         assert!(large.request > small.request * 10);
         assert_eq!(large.response, small.response);
-    }
-
-    #[test]
-    fn accounting_accumulates() {
-        let params = LogGpParams::ugni();
-        let mut ex = Executor::new(timed_def(10), ExecutorMode::Hot);
-        ex.adopt_warm_container();
-        for _ in 0..5 {
-            ex.invoke(&params, 64, 64, 1.0);
-        }
-        assert_eq!(ex.invocations, 5);
-        assert_eq!(ex.busy, SimTime::from_millis(50));
     }
 }

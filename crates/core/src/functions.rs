@@ -22,7 +22,6 @@ pub struct FunctionRequirements {
 #[derive(Debug, Clone)]
 pub struct FunctionDef {
     pub id: FunctionId,
-    pub name: String,
     pub image: ContainerImage,
     pub runtime: ContainerRuntime,
     /// Uncontended execution time of one invocation (from profiling — the
@@ -46,7 +45,6 @@ impl FunctionRegistry {
     /// registration.
     pub fn register(
         &mut self,
-        name: &str,
         image: ContainerImage,
         runtime: ContainerRuntime,
         exec_time: SimTime,
@@ -57,7 +55,6 @@ impl FunctionRegistry {
             id,
             FunctionDef {
                 id,
-                name: name.to_string(),
                 image,
                 runtime,
                 exec_time,
@@ -73,8 +70,7 @@ impl FunctionRegistry {
     /// A no-op function for latency microbenchmarks (Fig. 7).
     pub fn register_noop(&mut self) -> FunctionId {
         self.register(
-            "noop",
-            ContainerImage::new("noop", 5.0),
+            ContainerImage::new(5.0),
             ContainerRuntime::Sarus,
             SimTime::ZERO,
         )
@@ -90,7 +86,7 @@ mod tests {
         let mut reg = FunctionRegistry::new();
         let id = reg.register_noop();
         let noop = reg.get(id).unwrap();
-        assert_eq!((noop.id, noop.name.as_str()), (id, "noop"));
+        assert_eq!((noop.id, noop.exec_time), (id, SimTime::ZERO));
         assert!(reg.get(FunctionId(id.0 + 1)).is_none());
     }
 

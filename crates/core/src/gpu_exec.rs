@@ -14,7 +14,6 @@ pub struct GpuFunction {
     pub gres: (u32, u32, u32),
     /// Data already resident in device memory (warm data, Sec. III-D).
     pub warm_data: bool,
-    pub invocations: u64,
 }
 
 /// Timing of one GPU function invocation.
@@ -62,7 +61,6 @@ impl GpuFunction {
             device,
             gres: slot,
             warm_data: false,
-            invocations: 0,
         })
     }
 
@@ -89,7 +87,6 @@ impl GpuFunction {
             self.device.kernel_time(&self.profile.kernel) * u64::from(self.profile.kernel_launches);
         let d2h = self.device.transfer_time(self.profile.d2h_bytes);
         self.warm_data = true;
-        self.invocations += 1;
         GpuInvocationTiming { h2d, kernels, d2h }
     }
 }

@@ -12,6 +12,7 @@
 //! change to either moves the goldens (see `known_answer_vector` and
 //! `known_answers_for_every_sampler` below).
 
+use crate::stats::Percentiles;
 use std::ops::Range;
 
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -254,17 +255,75 @@ impl RngStream {
         (1.0 + self.normal(0.0, rel_std)).max(0.05)
     }
 
-    /// A noisy measurement of `base`: multiplicative [`jitter`](Self::jitter)
-    /// plus, with probability `straggler_p`, an [`exponential`](Self::exponential)
-    /// straggler of mean `0.8·base` (a preempted or descheduled run that
-    /// fattens the tail). Draws two words for the jitter, one for the
-    /// chance and one more only on a straggler.
-    pub fn noisy(&mut self, base: f64, rel_std: f64, straggler_p: f64) -> f64 {
-        let mut t = base * self.jitter(rel_std);
-        if self.chance(straggler_p) {
-            t += self.exponential(base * 0.8);
+    /// `n` noisy measurements of `base`: each is `base` times the
+    /// multiplicative [`jitter`](Self::jitter) `(1 + rel_std·z).max(0.05)`,
+    /// plus, with probability `straggler_p`, an
+    /// [`exponential`](Self::exponential) straggler of mean `0.8·base` (a
+    /// preempted or descheduled run that fattens the tail).
+    ///
+    /// One Box–Muller pair `(u1, u2)` gives the normals `z` of two
+    /// consecutive samples, `r·cos` then `r·sin`. Stragglers are placed by
+    /// Geometric(`straggler_p`) gaps, `⌊ln U / ln(1 − p)⌋` non-stragglers
+    /// apart, which is the law of independent per-sample coins: one word
+    /// per gap and one per straggler's exponential. `p ≤ 0` draws no gap and
+    /// `p ≥ 1` makes every sample a straggler, also without a gap word; a
+    /// NaN `p` panics. The words are drawn in sample order (the first gap,
+    /// then each pair before its two samples, and each straggler's
+    /// exponential and next gap after its jitter), so the first `k` samples
+    /// of an `n`-sample draw are the `k`-sample draw.
+    pub fn noisy_samples(
+        &mut self,
+        base: f64,
+        rel_std: f64,
+        straggler_p: f64,
+        n: usize,
+    ) -> Percentiles {
+        assert!(
+            !straggler_p.is_nan(),
+            "noisy_samples needs a straggler probability, got NaN"
+        );
+        let mut samples = Vec::with_capacity(n);
+        if n == 0 {
+            return Percentiles::from(samples);
         }
-        t
+        let mut next_straggler = self.straggler_gap(straggler_p);
+        let mut z = [0.0; 2];
+        for i in 0..n {
+            let half = i % 2;
+            if half == 0 {
+                z = self.normal_pair();
+            }
+            let mut t = base * (1.0 + rel_std * z[half]).max(0.05);
+            if i == next_straggler {
+                t += self.exponential(base * 0.8);
+                next_straggler = (i + 1).saturating_add(self.straggler_gap(straggler_p));
+            }
+            samples.push(t);
+        }
+        Percentiles::from(samples)
+    }
+
+    /// Both standard normals of one Box–Muller pair; the first is the one
+    /// [`normal`](Self::normal) would return from the same two words.
+    fn normal_pair(&mut self) -> [f64; 2] {
+        let u1 = self.range(f64::MIN_POSITIVE..1.0);
+        let u2 = self.f64();
+        let r = (-2.0 * u1.ln()).sqrt();
+        let (sin, cos) = (2.0 * std::f64::consts::PI * u2).sin_cos();
+        [r * cos, r * sin]
+    }
+
+    /// Non-stragglers before the next straggler, Geometric(`p`), from one
+    /// word (none for `p ≤ 0`, which never straggles, or `p ≥ 1`, which
+    /// always does).
+    fn straggler_gap(&mut self, p: f64) -> usize {
+        if p <= 0.0 {
+            usize::MAX
+        } else if p >= 1.0 {
+            0
+        } else {
+            (self.range(f64::MIN_POSITIVE..1.0).ln() / (-p).ln_1p()) as usize
+        }
     }
 }
 
@@ -329,6 +388,19 @@ mod tests {
         assert_eq!(
             [r.normal(10.0, 2.0), r.normal(0.0, 1.0)],
             [8.825269231155351, 2.6154544957706554]
+        );
+        // Five samples (three pairs, the last half used), one of them a
+        // straggler; these quantiles are the draw in ascending order.
+        let mut noisy = r.noisy_samples(10.0, 0.1, 0.3, 5);
+        assert_eq!(
+            [0.0, 0.25, 0.5, 0.75, 1.0].map(|q| noisy.quantile(q)),
+            [
+                8.433456349082766,
+                9.405059795741181,
+                10.40266877438021,
+                11.533157327533383,
+                22.508868774786777
+            ]
         );
     }
 

@@ -77,6 +77,12 @@ pub struct Percentiles {
     samples: Vec<f64>,
 }
 
+impl From<Vec<f64>> for Percentiles {
+    fn from(samples: Vec<f64>) -> Self {
+        Percentiles { samples }
+    }
+}
+
 /// The total order quantiles rank by; a NaN sample has no rank. Without
 /// `#[inline]` the sort calls it out of line and takes about four times as
 /// long on 100 000 samples.

@@ -3,7 +3,7 @@
 //! deterministic jitter. Fig. 7's two libfabric baseline series are
 //! [`ping_pong`] at each of [`fig7_sizes`]; the rFaaS hot/warm series are
 //! produced by the executor in `crates/core` and plotted against these.
-//! Every sample is one [`RngStream::noisy`] draw.
+//! The samples are one [`RngStream::noisy_samples`] draw.
 
 use crate::loggp::{CompletionMode, LogGpParams};
 use des::{Percentiles, RngStream};
@@ -26,12 +26,8 @@ pub fn ping_pong(
     reps: usize,
     rng: &mut RngStream,
 ) -> Percentiles {
-    let mut p = Percentiles::new();
     let base = params.round_trip(size, size, completion).as_micros_f64();
-    for _ in 0..reps {
-        p.push(rng.noisy(base, params.jitter_rel_std, straggler_p(completion)));
-    }
-    p
+    rng.noisy_samples(base, params.jitter_rel_std, straggler_p(completion), reps)
 }
 
 /// The message sizes of Fig. 7: 1 B .. 4 KiB in powers of two.

@@ -55,7 +55,7 @@ use std::path::{Path, PathBuf};
 /// 128 bits are plenty to tell salts apart, and the 32-character salt
 /// keeps every default-parameter key within as many SHA-256 blocks as the
 /// 46-character version salt it replaced: every lookup hashes it.
-const SALT: &str = "348b143eaf31f3bb36017dda3d5f294f";
+const SALT: &str = "acd287ee957b0d6a772dc4cfeda44aac";
 
 /// 256-bit content hash identifying one `(salt, scenario, params, seed)`
 /// job. Stable across runs, platforms, and param insertion *values* (order

@@ -34,8 +34,7 @@ pub struct AblationReport {
 
 fn timed_function(reg: &mut FunctionRegistry, exec_ms: u64) -> rfaas::FunctionDef {
     let id = reg.register(
-        "work",
-        containers::ContainerImage::new("work", 40.0),
+        containers::ContainerImage::new(40.0),
         containers::ContainerRuntime::Sarus,
         SimTime::from_millis(exec_ms),
     );

@@ -4,8 +4,8 @@
 //! uGNI busy-poll, uGNI queue-wait (the libfabric baselines), rFaaS hot and
 //! rFaaS warm invocations of a no-op function.
 //!
-//! Every sample is one [`RngStream::noisy`] draw. Each series at each
-//! message size draws its `reps` samples from its own named stream,
+//! Each series at each message size is one [`RngStream::noisy_samples`]
+//! draw of `reps` samples from its own named stream,
 //! `fig7/{size}/{series}` (series `busy`, `wait`, `hot`, `warm`), so a series
 //! is bit-identical whatever else is drawn. `run` draws only the six series
 //! its metrics read (all four at 1 B, busy-poll and hot at 4 KiB); `report`
@@ -55,11 +55,7 @@ fn rfaas_distribution(
     // A warm-adopted executor's invocation time does not change between
     // calls; only the noise around it does.
     let base = ex.invoke(&params, size, size, 1.0).total().as_micros_f64();
-    let mut p = Percentiles::new();
-    for _ in 0..reps {
-        p.push(rng.noisy(base, params.jitter_rel_std, rfaas_straggler_p(mode)));
-    }
-    p
+    rng.noisy_samples(base, params.jitter_rel_std, rfaas_straggler_p(mode), reps)
 }
 
 /// One of Fig. 7's four latency series.
