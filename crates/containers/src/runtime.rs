@@ -1,6 +1,7 @@
 //! Container runtimes and their capability matrix (Table II of the paper),
-//! plus the sandbox start-up cost model that distinguishes cold, warm and
-//! hot invocations (Sec. IV-A/B).
+//! plus the cold-start cost of creating a sandbox (Sec. IV-A/B); the
+//! hot/warm dispatch cost inside a live sandbox is the executor's
+//! (`rfaas::ExecutorMode::dispatch`).
 
 use des::SimTime;
 
@@ -35,9 +36,6 @@ pub struct RuntimeCapabilities {
     pub repositories: &'static str,
     /// Accelerator/interconnect device support without plugins.
     pub automatic_device_support: bool,
-    /// Resource limits integrate with the batch system rather than cgroups
-    /// configured by the runtime itself.
-    pub batch_managed_resources: bool,
     /// Integrates with SLURM.
     pub slurm_integration: bool,
     /// Native high-performance MPI with dynamic relinking.
@@ -54,7 +52,6 @@ impl RuntimeCapabilities {
                 image_format: "Docker",
                 repositories: "Docker registry",
                 automatic_device_support: false, // through plugins
-                batch_managed_resources: false,  // native cgroups
                 slurm_integration: false,
                 native_mpi: false,
                 rootless: false,
@@ -63,7 +60,6 @@ impl RuntimeCapabilities {
                 image_format: "Custom",
                 repositories: "None",
                 automatic_device_support: true,
-                batch_managed_resources: true,
                 slurm_integration: true,
                 native_mpi: true,
                 rootless: true,
@@ -72,7 +68,6 @@ impl RuntimeCapabilities {
                 image_format: "Docker-compatible",
                 repositories: "Docker registry",
                 automatic_device_support: true,
-                batch_managed_resources: true,
                 slurm_integration: true,
                 native_mpi: true,
                 rootless: true,
@@ -85,17 +80,6 @@ impl RuntimeCapabilities {
     pub fn hpc_suitable(&self) -> bool {
         self.rootless && self.automatic_device_support && self.slurm_integration && self.native_mpi
     }
-}
-
-/// How a function invocation finds its sandbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StartKind {
-    /// No sandbox exists: create one, initialise user code.
-    Cold,
-    /// Sandbox exists with code loaded; executor process must be woken.
-    Warm,
-    /// Executor is busy-polling inside a live sandbox: dispatch only.
-    Hot,
 }
 
 /// Start-up cost components (virtual time).
@@ -134,17 +118,6 @@ pub fn cold_start(runtime: ContainerRuntime, code_mb: f64) -> StartupCost {
         runtime_init: SimTime::from_secs_f64(init_ms / 1e3),
         code_load: SimTime::from_secs_f64(code_ms / 1e3),
         fabric_mount: SimTime::from_secs_f64(mount_ms / 1e3),
-    }
-}
-
-/// Extra latency to *begin executing* in an existing sandbox, by start kind.
-/// Hot executors poll and pay nothing; warm executors pay an OS wakeup plus
-/// buffer re-registration.
-pub fn dispatch_overhead(kind: StartKind) -> SimTime {
-    match kind {
-        StartKind::Hot => SimTime::from_micros_f64(1.2),
-        StartKind::Warm => SimTime::from_micros_f64(28.0),
-        StartKind::Cold => SimTime::from_millis(0), // paid via cold_start()
     }
 }
 
@@ -197,16 +170,6 @@ mod tests {
         for rt in [ContainerRuntime::Singularity, ContainerRuntime::Sarus] {
             assert!(cold_start(rt, 50.0).total() < docker);
         }
-    }
-
-    #[test]
-    fn dispatch_order_hot_warm_cold() {
-        let hot = dispatch_overhead(StartKind::Hot);
-        let warm = dispatch_overhead(StartKind::Warm);
-        assert!(hot < warm);
-        assert!(hot < SimTime::from_micros(5), "hot path is single-digit us");
-        let cold_total = cold_start(ContainerRuntime::Sarus, 10.0).total();
-        assert!(warm < cold_total, "warm avoids sandbox creation");
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl EnvironmentMatrix {
                     dimension: "Network",
                     cloud_faas: "TCP",
                     hpc_faas: "uGNI, ibverbs, AWS EFA",
-                    exercised_here: "fabric::Transport::{Ugni, IbVerbs, Tcp}",
+                    exercised_here: "fabric::Transport::{Ugni, IbVerbs}",
                 },
                 EnvironmentRow {
                     dimension: "Sandbox",

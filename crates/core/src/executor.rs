@@ -9,7 +9,7 @@
 //!   the warm pool / restored from the PFS) before anything runs.
 
 use crate::functions::FunctionDef;
-use containers::{cold_start, dispatch_overhead, StartKind};
+use containers::{cold_start, ContainerRuntime};
 use des::SimTime;
 use fabric::{CompletionMode, LogGpParams};
 
@@ -28,10 +28,13 @@ impl ExecutorMode {
         }
     }
 
-    pub fn start_kind(self) -> StartKind {
+    /// Extra latency to *begin executing* in the live sandbox: a hot
+    /// executor picks the request up from its polled queue; a warm one pays
+    /// an OS wakeup plus buffer re-registration.
+    pub fn dispatch(self) -> SimTime {
         match self {
-            ExecutorMode::Hot => StartKind::Hot,
-            ExecutorMode::Warm => StartKind::Warm,
+            ExecutorMode::Hot => SimTime::from_micros_f64(1.2),
+            ExecutorMode::Warm => SimTime::from_micros_f64(28.0),
         }
     }
 }
@@ -57,7 +60,7 @@ impl InvocationTiming {
     }
 }
 
-/// An executor bound to a lease on a node.
+/// An executor: one function's sandbox on a node, waiting hot or warm.
 #[derive(Debug)]
 pub struct Executor {
     pub function: FunctionDef,
@@ -82,13 +85,14 @@ impl Executor {
         self.sandbox_ready = true;
     }
 
-    /// Cost to make the sandbox ready if it is not.
+    /// Cost to make the sandbox ready if it is not: a Sarus cold start, the
+    /// runtime rFaaS functions ship in (Sec. IV-C).
     fn sandbox_cost(&mut self) -> SimTime {
         if self.sandbox_ready {
             SimTime::ZERO
         } else {
             self.sandbox_ready = true;
-            cold_start(self.function.runtime, self.function.image.size_mb).total()
+            cold_start(ContainerRuntime::Sarus, self.function.image.size_mb).total()
         }
     }
 
@@ -104,7 +108,7 @@ impl Executor {
         let completion = self.mode.completion();
         let sandbox = self.sandbox_cost();
         let request = params.one_way(payload_bytes, completion);
-        let dispatch = dispatch_overhead(self.mode.start_kind());
+        let dispatch = self.mode.dispatch();
         let execution = self.function.exec_time * slowdown.max(1.0);
         // The client waits for the response; the client side busy-polls in
         // both modes (it is inside an HPC application, not an executor).
@@ -123,7 +127,7 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::functions::FunctionRegistry;
-    use containers::{ContainerImage, ContainerRuntime};
+    use containers::ContainerImage;
 
     fn noop_def() -> FunctionDef {
         let mut reg = FunctionRegistry::new();
@@ -133,12 +137,18 @@ mod tests {
 
     fn timed_def(exec_ms: u64) -> FunctionDef {
         let mut reg = FunctionRegistry::new();
-        let id = reg.register(
-            ContainerImage::new(20.0),
-            ContainerRuntime::Sarus,
-            SimTime::from_millis(exec_ms),
-        );
+        let id = reg.register(ContainerImage::new(20.0), SimTime::from_millis(exec_ms));
         reg.get(id).unwrap().clone()
+    }
+
+    #[test]
+    fn dispatch_order_hot_warm_cold() {
+        let hot = ExecutorMode::Hot.dispatch();
+        let warm = ExecutorMode::Warm.dispatch();
+        assert!(hot < warm);
+        assert!(hot < SimTime::from_micros(5), "hot path is single-digit us");
+        let cold_total = cold_start(ContainerRuntime::Sarus, 10.0).total();
+        assert!(warm < cold_total, "warm avoids sandbox creation");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Function registry: code images, resource requirements, execution models.
 
-use containers::{ContainerImage, ContainerRuntime};
+use containers::ContainerImage;
 use des::SimTime;
 use std::collections::BTreeMap;
 
@@ -9,13 +9,12 @@ use std::collections::BTreeMap;
 pub struct FunctionId(pub u64);
 
 /// What a function needs from the node — the paper's point (Sec. IV-E) is
-/// that CPU, memory, and GPU are requested *independently*, unlike cloud FaaS
+/// that CPU and memory are requested *independently*, unlike cloud FaaS
 /// where CPU is proportional to memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FunctionRequirements {
     pub cores: f64,
     pub memory_mb: u64,
-    pub gpus: u32,
 }
 
 /// A registered function.
@@ -23,7 +22,6 @@ pub struct FunctionRequirements {
 pub struct FunctionDef {
     pub id: FunctionId,
     pub image: ContainerImage,
-    pub runtime: ContainerRuntime,
     /// Uncontended execution time of one invocation (from profiling — the
     /// paper mandates profiling new functions on registration, Sec. III-E).
     pub exec_time: SimTime,
@@ -43,12 +41,7 @@ impl FunctionRegistry {
 
     /// Register a function; its profiled exec time must accompany the
     /// registration.
-    pub fn register(
-        &mut self,
-        image: ContainerImage,
-        runtime: ContainerRuntime,
-        exec_time: SimTime,
-    ) -> FunctionId {
+    pub fn register(&mut self, image: ContainerImage, exec_time: SimTime) -> FunctionId {
         self.next += 1;
         let id = FunctionId(self.next);
         self.functions.insert(
@@ -56,7 +49,6 @@ impl FunctionRegistry {
             FunctionDef {
                 id,
                 image,
-                runtime,
                 exec_time,
             },
         );
@@ -69,11 +61,7 @@ impl FunctionRegistry {
 
     /// A no-op function for latency microbenchmarks (Fig. 7).
     pub fn register_noop(&mut self) -> FunctionId {
-        self.register(
-            ContainerImage::new(5.0),
-            ContainerRuntime::Sarus,
-            SimTime::ZERO,
-        )
+        self.register(ContainerImage::new(5.0), SimTime::ZERO)
     }
 }
 

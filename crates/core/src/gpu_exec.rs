@@ -6,12 +6,11 @@ use des::SimTime;
 use gpu::{GpuAssignment, GpuDevice, RodiniaBenchmark, RodiniaProfile};
 use interference::{Demand, WorkloadProfile};
 
-/// A GPU function bound to a GRES slot.
+/// A GPU function holding a GPU (GRES entry) of its node.
 #[derive(Debug)]
 pub struct GpuFunction {
     pub profile: RodiniaProfile,
     pub device: GpuDevice,
-    pub gres: (u32, u32, u32),
     /// Data already resident in device memory (warm data, Sec. III-D).
     pub warm_data: bool,
 }
@@ -45,21 +44,19 @@ impl std::fmt::Display for GpuExecError {
 impl std::error::Error for GpuExecError {}
 
 impl GpuFunction {
-    /// Deploy on `node`, acquiring a GRES slot from `gres`.
+    /// Deploy on `node`, acquiring one of its GPUs (a P100, as on Piz
+    /// Daint's GPU nodes) from `gpus`.
     pub fn deploy(
         bench: RodiniaBenchmark,
-        device: GpuDevice,
-        gres: &mut GpuAssignment,
+        gpus: &mut GpuAssignment,
         node: u32,
-        holder: u64,
     ) -> Result<Self, GpuExecError> {
-        let slot = gres
-            .acquire(node, holder)
-            .ok_or(GpuExecError::NoGpuAvailable)?;
+        if !gpus.acquire(node) {
+            return Err(GpuExecError::NoGpuAvailable);
+        }
         Ok(GpuFunction {
             profile: RodiniaProfile::of(bench),
-            device,
-            gres: slot,
+            device: GpuDevice::p100(),
             warm_data: false,
         })
     }
@@ -94,19 +91,17 @@ impl GpuFunction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu::GpuSharingPolicy;
 
     fn gres() -> GpuAssignment {
-        GpuAssignment::new(GpuSharingPolicy::ExclusiveDevice, 1)
+        GpuAssignment::new(1)
     }
 
     #[test]
     fn deploy_takes_the_gpu_exclusively() {
         let mut g = gres();
-        GpuFunction::deploy(RodiniaBenchmark::Hotspot, GpuDevice::p100(), &mut g, 0, 1).unwrap();
+        GpuFunction::deploy(RodiniaBenchmark::Hotspot, &mut g, 0).unwrap();
         assert_eq!(
-            GpuFunction::deploy(RodiniaBenchmark::Bfs, GpuDevice::p100(), &mut g, 0, 2)
-                .unwrap_err(),
+            GpuFunction::deploy(RodiniaBenchmark::Bfs, &mut g, 0).unwrap_err(),
             GpuExecError::NoGpuAvailable
         );
     }
@@ -114,8 +109,7 @@ mod tests {
     #[test]
     fn invocation_lands_in_hundreds_of_ms() {
         let mut g = gres();
-        let mut f =
-            GpuFunction::deploy(RodiniaBenchmark::SradV1, GpuDevice::p100(), &mut g, 0, 1).unwrap();
+        let mut f = GpuFunction::deploy(RodiniaBenchmark::SradV1, &mut g, 0).unwrap();
         let t = f.invoke().total();
         assert!(
             t >= SimTime::from_millis(50) && t <= SimTime::from_secs(2),
@@ -126,8 +120,7 @@ mod tests {
     #[test]
     fn warm_data_skips_h2d() {
         let mut g = gres();
-        let mut f =
-            GpuFunction::deploy(RodiniaBenchmark::Bfs, GpuDevice::p100(), &mut g, 0, 1).unwrap();
+        let mut f = GpuFunction::deploy(RodiniaBenchmark::Bfs, &mut g, 0).unwrap();
         let first = f.invoke();
         let second = f.invoke();
         assert!(first.h2d > SimTime::ZERO);
@@ -138,20 +131,18 @@ mod tests {
     #[test]
     fn single_management_core() {
         let mut g = gres();
-        let f = GpuFunction::deploy(RodiniaBenchmark::Gaussian, GpuDevice::p100(), &mut g, 0, 1)
-            .unwrap();
+        let f = GpuFunction::deploy(RodiniaBenchmark::Gaussian, &mut g, 0).unwrap();
         let d = f.host_demand();
         assert!(d.cores <= 1.0, "host demand within the management core");
     }
 
     #[test]
     fn host_demand_varies_by_benchmark() {
-        let mut g = GpuAssignment::new(GpuSharingPolicy::ExclusiveDevice, 6);
+        let mut g = GpuAssignment::new(6);
         let demands: Vec<f64> = RodiniaBenchmark::ALL
             .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let f = GpuFunction::deploy(*b, GpuDevice::p100(), &mut g, 0, i as u64).unwrap();
+            .map(|b| {
+                let f = GpuFunction::deploy(*b, &mut g, 0).unwrap();
                 f.host_demand().cores
             })
             .collect();

@@ -10,7 +10,7 @@
 
 use crate::functions::FunctionRequirements;
 use des::SimTime;
-use fabric::{CompletionMode, Fabric, JobToken, MrKey, NodeId, QueuePair, RdmaOp, VerbsError};
+use fabric::{Fabric, JobToken, MrKey, NodeId, QueuePair, RdmaOp, VerbsError};
 
 /// A running memory-service function: one pinned region on one node.
 pub struct MemoryServiceFunction {
@@ -38,7 +38,6 @@ impl MemoryServiceFunction {
         FunctionRequirements {
             cores: 0.05, // one-sided RMA: the NIC does the work
             memory_mb: (self.size_bytes / (1 << 20)) as u64,
-            gpus: 0,
         }
     }
 
@@ -70,12 +69,11 @@ pub struct RemoteMemoryStats {
 }
 
 impl RemoteMemoryClient {
-    /// Connect a batch job (`client_job` on `client_node`) to a deployed
-    /// memory service. The service owner must grant DRC access first.
+    /// Connect a batch job (`client_job`) to a deployed memory service. The
+    /// service owner must grant DRC access first.
     pub fn connect(
         fabric: &mut Fabric,
         service: &MemoryServiceFunction,
-        client_node: NodeId,
         client_job: JobToken,
     ) -> Result<(Self, SimTime), VerbsError> {
         let cred = fabric.drc.allocate(service.owner);
@@ -83,13 +81,7 @@ impl RemoteMemoryClient {
             .drc
             .grant(cred, service.owner, client_job)
             .expect("owner grants its own credential");
-        let (qp, setup) = fabric.connect(
-            client_node,
-            service.node,
-            cred,
-            client_job,
-            CompletionMode::BusyPoll,
-        )?;
+        let (qp, setup) = fabric.connect(service.node, cred, client_job)?;
         Ok((
             RemoteMemoryClient {
                 qp,
@@ -163,14 +155,14 @@ impl RemoteMemoryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric::Transport;
+    use fabric::{MrError, Transport};
 
     const GB: usize = 1 << 30;
     const SERVICE_JOB: JobToken = JobToken(10);
     const BATCH_JOB: JobToken = JobToken(20);
 
     fn setup() -> (Fabric, MemoryServiceFunction) {
-        let mut fabric = Fabric::new(Transport::Ugni, 4);
+        let mut fabric = Fabric::new(Transport::Ugni);
         // 64 MB region to keep test memory modest; the paper uses 1 GB.
         let svc = MemoryServiceFunction::deploy(&mut fabric, NodeId(1), 64 << 20, SERVICE_JOB);
         (fabric, svc)
@@ -178,8 +170,10 @@ mod tests {
 
     #[test]
     fn deploy_pins_memory() {
-        let (fabric, svc) = setup();
-        assert_eq!(fabric.regions.pinned_bytes(NodeId(1)), 64 << 20);
+        let (mut fabric, svc) = setup();
+        let (mut client, _) = RemoteMemoryClient::connect(&mut fabric, &svc, BATCH_JOB).unwrap();
+        let (last, _) = client.read(&mut fabric, (64 << 20) - 1, 1).unwrap();
+        assert_eq!(last, [0], "the whole block is registered, zeroed");
         assert_eq!(svc.requirements().memory_mb, 64);
         assert!(svc.requirements().cores < 0.1, "one-sided: near-zero CPU");
     }
@@ -188,7 +182,7 @@ mod tests {
     fn page_out_and_back() {
         let (mut fabric, svc) = setup();
         let (mut client, setup_t) =
-            RemoteMemoryClient::connect(&mut fabric, &svc, NodeId(0), BATCH_JOB).unwrap();
+            RemoteMemoryClient::connect(&mut fabric, &svc, BATCH_JOB).unwrap();
         assert!(setup_t > SimTime::ZERO);
         let page = vec![0xABu8; 4096];
         client.write(&mut fabric, 8192, &page).unwrap();
@@ -204,8 +198,7 @@ mod tests {
         // The paper's Fig. 11 experiment: 10 MB reads/writes. At ~10 GB/s a
         // 10 MB transfer takes ~1 ms.
         let (mut fabric, svc) = setup();
-        let (mut client, _) =
-            RemoteMemoryClient::connect(&mut fabric, &svc, NodeId(0), BATCH_JOB).unwrap();
+        let (mut client, _) = RemoteMemoryClient::connect(&mut fabric, &svc, BATCH_JOB).unwrap();
         let chunk = vec![1u8; 10 << 20];
         let t = client.write(&mut fabric, 0, &chunk).unwrap();
         let ms = t.as_millis_f64();
@@ -215,8 +208,7 @@ mod tests {
     #[test]
     fn timed_paging_counts_like_real_paging_and_moves_nothing() {
         let (mut fabric, svc) = setup();
-        let (mut client, _) =
-            RemoteMemoryClient::connect(&mut fabric, &svc, NodeId(0), BATCH_JOB).unwrap();
+        let (mut client, _) = RemoteMemoryClient::connect(&mut fabric, &svc, BATCH_JOB).unwrap();
         let t = client
             .time(&mut fabric, 0, 10 << 20, RdmaOp::Write)
             .unwrap();
@@ -230,8 +222,7 @@ mod tests {
     #[test]
     fn sustained_traffic_reaches_gbps() {
         let (mut fabric, svc) = setup();
-        let (mut client, _) =
-            RemoteMemoryClient::connect(&mut fabric, &svc, NodeId(0), BATCH_JOB).unwrap();
+        let (mut client, _) = RemoteMemoryClient::connect(&mut fabric, &svc, BATCH_JOB).unwrap();
         let chunk = vec![2u8; 10 << 20];
         for i in 0..6 {
             client.write(&mut fabric, i * (10 << 20), &chunk).unwrap();
@@ -245,22 +236,25 @@ mod tests {
     #[test]
     fn out_of_bounds_paging_rejected() {
         let (mut fabric, svc) = setup();
-        let (mut client, _) =
-            RemoteMemoryClient::connect(&mut fabric, &svc, NodeId(0), BATCH_JOB).unwrap();
+        let (mut client, _) = RemoteMemoryClient::connect(&mut fabric, &svc, BATCH_JOB).unwrap();
         assert!(client.read(&mut fabric, 64 << 20, 1).is_err());
     }
 
     #[test]
     fn teardown_unpins() {
         let (mut fabric, svc) = setup();
+        let region = svc.region;
         let freed = svc.teardown(&mut fabric);
         assert_eq!(freed, 64 << 20);
-        assert_eq!(fabric.regions.pinned_bytes(NodeId(1)), 0);
+        assert_eq!(
+            fabric.regions.deregister(region).unwrap_err(),
+            MrError::UnknownRegion
+        );
     }
 
     #[test]
     fn gb_region_is_the_paper_default() {
-        let mut fabric = Fabric::new(Transport::Ugni, 2);
+        let mut fabric = Fabric::new(Transport::Ugni);
         let svc = MemoryServiceFunction::deploy(&mut fabric, NodeId(1), GB, SERVICE_JOB);
         assert_eq!(svc.requirements().memory_mb, 1024);
         svc.teardown(&mut fabric);

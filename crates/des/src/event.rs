@@ -10,8 +10,9 @@
 //! execution order is fully deterministic — exactly ascending
 //! `(time, seq)`, bit-identical to the independent reference engine that
 //! `tests/determinism.rs` replays against this one. Events can be
-//! cancelled by id in O(1) (used e.g. for lease-expiry timers that are
-//! renewed); [`Simulation::events_pending`] is exact under cancellation.
+//! cancelled by id in O(1); no registered scenario cancels one (only the
+//! tests and the benchmark's `des.cancel_ops_per_s` probe do), and
+//! [`Simulation::events_pending`] is exact under cancellation.
 //!
 //! Event closures are `Send`, which makes the whole [`Simulation`] `Send`:
 //! a sweep runner can construct one per `(parameter point, seed)` inside a

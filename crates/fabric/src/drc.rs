@@ -92,26 +92,6 @@ impl DrcManager {
         Ok(())
     }
 
-    /// Revoke a grant (used when a lease is cancelled).
-    pub fn revoke(
-        &mut self,
-        cred: Credential,
-        owner: JobToken,
-        grantee: JobToken,
-    ) -> Result<(), DrcError> {
-        let state = self
-            .credentials
-            .get_mut(&cred)
-            .ok_or(DrcError::UnknownCredential)?;
-        if state.owner != owner {
-            return Err(DrcError::NotOwner);
-        }
-        if grantee != owner {
-            state.granted.remove(&grantee);
-        }
-        Ok(())
-    }
-
     /// Check that `job` may communicate under `cred`.
     pub fn validate(&self, cred: Credential, job: JobToken) -> Result<(), DrcError> {
         let state = self
@@ -158,36 +138,17 @@ mod tests {
     }
 
     #[test]
-    fn only_owner_may_grant_or_revoke() {
+    fn only_owner_may_grant() {
         let mut drc = DrcManager::new();
         let cred = drc.allocate(CLIENT);
         assert_eq!(
             drc.grant(cred, EXECUTOR, INTRUDER).unwrap_err(),
             DrcError::NotOwner
         );
-        drc.grant(cred, CLIENT, EXECUTOR).unwrap();
         assert_eq!(
-            drc.revoke(cred, EXECUTOR, EXECUTOR).unwrap_err(),
-            DrcError::NotOwner
+            drc.validate(cred, INTRUDER).unwrap_err(),
+            DrcError::NotGranted,
+            "a refused grant changes nothing"
         );
-        assert!(
-            drc.validate(cred, EXECUTOR).is_ok(),
-            "a refused revoke changes nothing"
-        );
-    }
-
-    #[test]
-    fn revoke_removes_access_but_not_owner() {
-        let mut drc = DrcManager::new();
-        let cred = drc.allocate(CLIENT);
-        drc.grant(cred, CLIENT, EXECUTOR).unwrap();
-        drc.revoke(cred, CLIENT, EXECUTOR).unwrap();
-        assert_eq!(
-            drc.validate(cred, EXECUTOR).unwrap_err(),
-            DrcError::NotGranted
-        );
-        // Owner cannot revoke itself into a locked-out state.
-        drc.revoke(cred, CLIENT, CLIENT).unwrap();
-        assert!(drc.validate(cred, CLIENT).is_ok());
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Preset values are calibrated to published microbenchmarks of the
 //! respective transports (GNI provider for libfabric on Aries, ibverbs on
-//! EDR InfiniBand, kernel TCP). The values live in the presets below, each
+//! EDR InfiniBand). The values live in the presets below, each
 //! commented with the latency and bandwidth it targets.
 
 use des::SimTime;
@@ -27,8 +27,6 @@ pub enum Transport {
     Ugni,
     /// InfiniBand verbs — the Ault cluster path.
     IbVerbs,
-    /// Plain TCP — the "cloud FaaS" baseline environment.
-    Tcp,
 }
 
 /// How completions are detected (Sec. V-A: hot = busy poll, warm = event wait).
@@ -102,26 +100,10 @@ impl LogGpParams {
         }
     }
 
-    /// Kernel TCP over a datacenter network — the classical cloud FaaS
-    /// environment (tens of µs latency before any gateway hops).
-    pub fn tcp() -> Self {
-        LogGpParams {
-            latency_us: 25.0,
-            o_send_us: 3.0,
-            o_recv_us: 3.0,
-            per_byte_ns: 0.8, // ~1.25 GB/s effective
-            eager_threshold: 65536,
-            rendezvous_us: 0.0, // streams, no rendezvous
-            event_wakeup_us: 10.0,
-            jitter_rel_std: 0.12,
-        }
-    }
-
     pub fn for_transport(t: Transport) -> Self {
         match t {
             Transport::Ugni => Self::ugni(),
             Transport::IbVerbs => Self::ibverbs(),
-            Transport::Tcp => Self::tcp(),
         }
     }
 
@@ -130,7 +112,7 @@ impl LogGpParams {
         1e9 / self.per_byte_ns
     }
 
-    /// One-way transfer time of `size` bytes, without congestion or jitter.
+    /// One-way transfer time of `size` bytes, without jitter.
     pub fn one_way(&self, size: usize, completion: CompletionMode) -> SimTime {
         let mut us = self.o_send_us + self.latency_us + self.o_recv_us;
         if size > 0 {
@@ -151,19 +133,17 @@ impl LogGpParams {
         self.one_way(out, completion) + self.one_way(inn, completion)
     }
 
-    /// Time for a one-sided RDMA read/write of `size` bytes. One-sided ops
-    /// skip the receiver CPU (`o_recv`); a read additionally pays the wire
-    /// latency twice (request + data).
-    pub fn rma(&self, op_is_read: bool, size: usize, completion: CompletionMode) -> SimTime {
+    /// Time for a one-sided RDMA read/write of `size` bytes, completed by
+    /// busy-polling the issuer's CQ. One-sided ops skip the receiver CPU
+    /// (`o_recv`); a read additionally pays the wire latency twice
+    /// (request + data).
+    pub fn rma(&self, op_is_read: bool, size: usize) -> SimTime {
         let mut us = self.o_send_us + self.latency_us;
         if op_is_read {
             us += self.latency_us; // request travels before data returns
         }
         if size > 0 {
             us += (size as f64 - 1.0) * self.per_byte_ns * 1e-3;
-        }
-        if completion == CompletionMode::EventWait {
-            us += self.event_wakeup_us;
         }
         SimTime::from_micros_f64(us)
     }
@@ -196,11 +176,7 @@ mod tests {
 
     #[test]
     fn cost_is_monotone_in_size() {
-        for p in [
-            LogGpParams::ugni(),
-            LogGpParams::ibverbs(),
-            LogGpParams::tcp(),
-        ] {
+        for p in [LogGpParams::ugni(), LogGpParams::ibverbs()] {
             let mut prev = SimTime::ZERO;
             for size in [0usize, 1, 64, 1024, 8192, 65536, 1 << 20] {
                 let t = p.one_way(size, CompletionMode::BusyPoll);
@@ -229,17 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn tcp_is_an_order_of_magnitude_slower_for_small_messages() {
-        let hpc = LogGpParams::ugni().one_way(64, CompletionMode::BusyPoll);
-        let tcp = LogGpParams::tcp().one_way(64, CompletionMode::BusyPoll);
-        assert!(tcp.as_nanos() > 8 * hpc.as_nanos());
-    }
-
-    #[test]
     fn rma_read_pays_double_latency() {
         let p = LogGpParams::ugni();
-        let w = p.rma(false, 1024, CompletionMode::BusyPoll);
-        let r = p.rma(true, 1024, CompletionMode::BusyPoll);
+        let w = p.rma(false, 1024);
+        let r = p.rma(true, 1024);
         let delta = r.as_micros_f64() - w.as_micros_f64();
         assert!((delta - p.latency_us).abs() < 1e-9);
     }

@@ -1,7 +1,6 @@
 //! Verbs-style operations: queue pairs combining the LogGP timing model,
-//! the region table (real data), DRC credential checks, and congestion
-//! accounting into a single API that higher layers (rFaaS executors, the
-//! memory service) call.
+//! the region table (real data) and DRC credential checks into a single API
+//! that higher layers (rFaaS executors, the memory service) call.
 //!
 //! Operations are synchronous-with-cost: they validate, move the bytes, and
 //! return the virtual duration the operation takes. Callers running inside a
@@ -11,8 +10,8 @@
 
 use crate::drc::{Credential, DrcError, DrcManager, JobToken};
 use crate::loggp::{CompletionMode, LogGpParams, Transport};
-use crate::mr::{AccessFlags, MrError, MrKey, RegionTable};
-use crate::network::{Network, NodeId};
+use crate::mr::{MrError, MrKey, RegionTable};
+use crate::NodeId;
 use des::SimTime;
 use std::fmt;
 
@@ -52,15 +51,12 @@ pub enum RdmaOp {
     Write,
 }
 
-/// A connected queue pair between two nodes under a DRC credential.
+/// A queue pair connected to `remote` under a DRC credential.
 #[derive(Debug, Clone, Copy)]
 pub struct QueuePair {
-    pub local: NodeId,
     pub remote: NodeId,
     pub credential: Credential,
     pub job: JobToken,
-    pub transport: Transport,
-    pub completion: CompletionMode,
 }
 
 /// The fabric façade owning all shared state.
@@ -68,23 +64,14 @@ pub struct Fabric {
     pub params: LogGpParams,
     pub regions: RegionTable,
     pub drc: DrcManager,
-    pub network: Network,
-    transport: Transport,
 }
 
 impl Fabric {
-    pub fn new(transport: Transport, nodes: usize) -> Self {
-        let params = LogGpParams::for_transport(transport);
-        let network = Network::new(
-            params.bandwidth_bps(),
-            params.bandwidth_bps() * nodes as f64 * 0.6,
-        );
+    pub fn new(transport: Transport) -> Self {
         Fabric {
-            params,
+            params: LogGpParams::for_transport(transport),
             regions: RegionTable::new(),
             drc: DrcManager::new(),
-            network,
-            transport,
         }
     }
 
@@ -96,61 +83,43 @@ impl Fabric {
         self.params.round_trip(256, 256, CompletionMode::EventWait) + SimTime::from_micros(95)
     }
 
-    /// Establish a connected queue pair. Validates the credential.
+    /// Establish a queue pair from `job` to `remote`. Validates the
+    /// credential.
     pub fn connect(
         &mut self,
-        local: NodeId,
         remote: NodeId,
         credential: Credential,
         job: JobToken,
-        completion: CompletionMode,
     ) -> Result<(QueuePair, SimTime), VerbsError> {
         self.drc.validate(credential, job)?;
         Ok((
             QueuePair {
-                local,
                 remote,
                 credential,
                 job,
-                transport: self.transport,
-                completion,
             },
             self.connect_cost(),
         ))
     }
 
-    /// Congestion-aware cost of moving `size` bytes between the QP endpoints:
-    /// LogGP fixed costs plus serialisation at the current fair-share
-    /// bandwidth (never faster than the uncontended LogGP time).
-    fn timed_transfer(&mut self, qp: &QueuePair, op: RdmaOp, size: usize) -> SimTime {
-        let base = match op {
-            RdmaOp::Read => self.params.rma(true, size, qp.completion),
-            RdmaOp::Write => self.params.rma(false, size, qp.completion),
-        };
-        let flow = self.network.open_flow(qp.local, qp.remote);
-        let contended = self.network.transfer_time(flow, size);
-        self.network.close_flow(flow);
-        base.max(contended)
+    /// The LogGP cost of a one-sided `op` of `size` bytes.
+    fn timed_transfer(&self, op: RdmaOp, size: usize) -> SimTime {
+        self.params.rma(op == RdmaOp::Read, size)
     }
 
     /// The validation every one-sided op runs, in order: the QP's
-    /// credential still grants the job, the region is
-    /// registered on the QP's remote node, its flags allow `op`, and
-    /// `[offset, offset + len)` lies inside it. Returns those bytes.
+    /// credential still grants the job, the region is registered on the
+    /// QP's remote node, and `[offset, offset + len)` lies inside it.
+    /// Returns those bytes.
     fn one_sided(
         &mut self,
         qp: &QueuePair,
         region: MrKey,
         offset: usize,
         len: usize,
-        op: RdmaOp,
     ) -> Result<&mut [u8], VerbsError> {
         self.drc.validate(qp.credential, qp.job)?;
-        let need = match op {
-            RdmaOp::Read => AccessFlags::REMOTE_READ,
-            RdmaOp::Write => AccessFlags::REMOTE_WRITE,
-        };
-        Ok(self.regions.reach(qp.remote, region, need, offset, len)?)
+        Ok(self.regions.reach(qp.remote, region, offset, len)?)
     }
 
     /// One-sided RDMA WRITE of `data` into `(region, offset)`.
@@ -161,9 +130,9 @@ impl Fabric {
         offset: usize,
         data: &[u8],
     ) -> Result<SimTime, VerbsError> {
-        self.one_sided(qp, region, offset, data.len(), RdmaOp::Write)?
+        self.one_sided(qp, region, offset, data.len())?
             .copy_from_slice(data);
-        Ok(self.timed_transfer(qp, RdmaOp::Write, data.len()))
+        Ok(self.timed_transfer(RdmaOp::Write, data.len()))
     }
 
     /// One-sided RDMA READ of `len` bytes from `(region, offset)`.
@@ -174,10 +143,8 @@ impl Fabric {
         offset: usize,
         len: usize,
     ) -> Result<(Vec<u8>, SimTime), VerbsError> {
-        let data = self
-            .one_sided(qp, region, offset, len, RdmaOp::Read)?
-            .to_vec();
-        let t = self.timed_transfer(qp, RdmaOp::Read, len);
+        let data = self.one_sided(qp, region, offset, len)?.to_vec();
+        let t = self.timed_transfer(RdmaOp::Read, len);
         Ok((data, t))
     }
 
@@ -193,13 +160,13 @@ impl Fabric {
         len: usize,
         op: RdmaOp,
     ) -> Result<SimTime, VerbsError> {
-        self.one_sided(qp, region, offset, len, op)?;
-        Ok(self.timed_transfer(qp, op, len))
+        self.one_sided(qp, region, offset, len)?;
+        Ok(self.timed_transfer(op, len))
     }
 
     /// Register an RMA-exposed buffer of `len` zeroed bytes on `node`.
     pub fn register_buffer(&mut self, node: NodeId, len: usize) -> MrKey {
-        self.regions.register(node, len, AccessFlags::all())
+        self.regions.register(node, len)
     }
 }
 
@@ -208,57 +175,54 @@ mod tests {
     use super::*;
 
     fn setup() -> (Fabric, QueuePair, MrKey) {
-        setup_sized(4096)
+        setup_sized(Transport::Ugni, 4096)
     }
 
-    /// A QP from node 0 to node 1 and a `region_len`-byte region on node 1.
-    fn setup_sized(region_len: usize) -> (Fabric, QueuePair, MrKey) {
-        let mut fabric = Fabric::new(Transport::Ugni, 4);
+    /// A QP to node 1 and a `region_len`-byte region there.
+    fn setup_sized(transport: Transport, region_len: usize) -> (Fabric, QueuePair, MrKey) {
+        let mut fabric = Fabric::new(transport);
         let client_job = JobToken(1);
         let exec_job = JobToken(2);
         let cred = fabric.drc.allocate(exec_job);
         fabric.drc.grant(cred, exec_job, client_job).unwrap();
-        let (qp, _t) = fabric
-            .connect(
-                NodeId(0),
-                NodeId(1),
-                cred,
-                client_job,
-                CompletionMode::BusyPoll,
-            )
-            .unwrap();
+        let (qp, _t) = fabric.connect(NodeId(1), cred, client_job).unwrap();
         let mr = fabric.register_buffer(NodeId(1), region_len);
         (fabric, qp, mr)
     }
 
+    /// On both transports and at sizes up to the whole region, the real
+    /// ops and `rdma_time` take exactly the LogGP one-sided time: no other
+    /// term decides a duration.
     #[test]
     fn rdma_time_matches_the_real_ops_on_a_twin_fabric() {
-        for len in [0, 1, 4 << 10, 10 << 20] {
-            let (mut real, qp, mr) = setup_sized(10 << 20);
-            let (mut timed, tqp, tmr) = setup_sized(10 << 20);
-            let write = real.rdma_write(&qp, mr, 0, &vec![7u8; len]).unwrap();
-            let (_, read) = real.rdma_read(&qp, mr, 0, len).unwrap();
-            assert_eq!(
-                timed.rdma_time(&tqp, tmr, 0, len, RdmaOp::Write).unwrap(),
-                write,
-                "write of {len} B"
-            );
-            assert_eq!(
-                timed.rdma_time(&tqp, tmr, 0, len, RdmaOp::Read).unwrap(),
-                read,
-                "read of {len} B"
-            );
-            let region = |f: &mut Fabric, mr| {
-                f.regions
-                    .reach(NodeId(1), mr, AccessFlags::REMOTE_READ, 0, len)
-                    .unwrap()
-                    .to_vec()
-            };
-            assert!(region(&mut real, mr).iter().all(|&b| b == 7));
-            assert!(
-                region(&mut timed, tmr).iter().all(|&b| b == 0),
-                "rdma_time moved bytes"
-            );
+        const REGION: usize = 10 << 20;
+        for transport in [Transport::Ugni, Transport::IbVerbs] {
+            let p = LogGpParams::for_transport(transport);
+            for len in [0, 1, 4 << 10, 8 << 10, (8 << 10) + 1, 1 << 20, REGION] {
+                let (mut real, qp, mr) = setup_sized(transport, REGION);
+                let (mut timed, tqp, tmr) = setup_sized(transport, REGION);
+                let write = real.rdma_write(&qp, mr, 0, &vec![7u8; len]).unwrap();
+                let (_, read) = real.rdma_read(&qp, mr, 0, len).unwrap();
+                assert_eq!(write, p.rma(false, len), "{transport:?} write of {len} B");
+                assert_eq!(read, p.rma(true, len), "{transport:?} read of {len} B");
+                assert_eq!(
+                    timed.rdma_time(&tqp, tmr, 0, len, RdmaOp::Write).unwrap(),
+                    write,
+                    "{transport:?} write of {len} B"
+                );
+                assert_eq!(
+                    timed.rdma_time(&tqp, tmr, 0, len, RdmaOp::Read).unwrap(),
+                    read,
+                    "{transport:?} read of {len} B"
+                );
+                let region =
+                    |f: &mut Fabric, mr| f.regions.reach(NodeId(1), mr, 0, len).unwrap().to_vec();
+                assert!(region(&mut real, mr).iter().all(|&b| b == 7));
+                assert!(
+                    region(&mut timed, tmr).iter().all(|&b| b == 0),
+                    "rdma_time moved bytes"
+                );
+            }
         }
     }
 
@@ -271,14 +235,12 @@ mod tests {
         type Break = fn(&mut Fabric, &mut QueuePair, MrKey) -> (MrKey, usize, usize);
         type Outcome = Result<(), VerbsError>;
         let mr_err = |e| Err(VerbsError::Mr(e));
-        let cases: [(&str, Break, [Outcome; 2]); 7] = [
+        let cases: [(&str, Break, [Outcome; 2]); 5] = [
             ("valid", |_, _, mr| (mr, 8, 64), [Ok(()), Ok(())]),
             (
-                "revoked credential",
+                "ungranted credential",
                 |f, qp, mr| {
-                    f.drc
-                        .revoke(qp.credential, JobToken(2), JobToken(1))
-                        .unwrap();
+                    qp.credential = f.drc.allocate(JobToken(3));
                     (mr, 0, 8)
                 },
                 [Err(VerbsError::Drc(DrcError::NotGranted)); 2],
@@ -297,30 +259,6 @@ mod tests {
                 "region on another node",
                 |f, _, _| (f.register_buffer(NodeId(3), 4096), 0, 8),
                 [mr_err(MrError::UnknownRegion); 2],
-            ),
-            (
-                "no REMOTE_WRITE",
-                |f, _, _| {
-                    (
-                        f.regions
-                            .register(NodeId(1), 4096, AccessFlags::REMOTE_READ),
-                        0,
-                        8,
-                    )
-                },
-                [mr_err(MrError::AccessDenied), Ok(())],
-            ),
-            (
-                "no REMOTE_READ",
-                |f, _, _| {
-                    (
-                        f.regions
-                            .register(NodeId(1), 4096, AccessFlags::REMOTE_WRITE),
-                        0,
-                        8,
-                    )
-                },
-                [Ok(()), mr_err(MrError::AccessDenied)],
             ),
         ];
         for (name, break_it, expected) in cases {
@@ -342,8 +280,8 @@ mod tests {
 
     #[test]
     fn one_sided_ops_reach_only_regions_on_the_qp_remote_node() {
-        // The QP runs from node 0 to node 1; a region on node 3 is not
-        // addressable through it, whatever its key and flags.
+        // The QP runs to node 1; a region on node 3 is not
+        // addressable through it, whatever its key.
         let (mut fabric, qp, _) = setup();
         let elsewhere = fabric.register_buffer(NodeId(3), 4096);
         let unknown = VerbsError::Mr(MrError::UnknownRegion);
@@ -353,10 +291,7 @@ mod tests {
         );
         assert_eq!(fabric.rdma_read(&qp, elsewhere, 0, 1).unwrap_err(), unknown);
         assert_eq!(
-            fabric
-                .regions
-                .reach(NodeId(3), elsewhere, AccessFlags::REMOTE_READ, 0, 1)
-                .unwrap(),
+            fabric.regions.reach(NodeId(3), elsewhere, 0, 1).unwrap(),
             &[0],
             "the refused write must not land"
         );
@@ -374,31 +309,10 @@ mod tests {
 
     #[test]
     fn unauthorized_job_rejected() {
-        let mut fabric = Fabric::new(Transport::Ugni, 4);
+        let mut fabric = Fabric::new(Transport::Ugni);
         let cred = fabric.drc.allocate(JobToken(2));
-        let err = fabric
-            .connect(
-                NodeId(0),
-                NodeId(1),
-                cred,
-                JobToken(99),
-                CompletionMode::BusyPoll,
-            )
-            .unwrap_err();
+        let err = fabric.connect(NodeId(1), cred, JobToken(99)).unwrap_err();
         assert_eq!(err, VerbsError::Drc(DrcError::NotGranted));
-    }
-
-    #[test]
-    fn revoked_credential_stops_traffic() {
-        let (mut fabric, qp, mr) = setup();
-        fabric
-            .drc
-            .revoke(qp.credential, JobToken(2), JobToken(1))
-            .unwrap();
-        assert!(matches!(
-            fabric.rdma_read(&qp, mr, 0, 8).unwrap_err(),
-            VerbsError::Drc(DrcError::NotGranted)
-        ));
     }
 
     #[test]
@@ -412,7 +326,7 @@ mod tests {
 
     #[test]
     fn connect_cost_dominated_by_setup() {
-        let fabric = Fabric::new(Transport::Ugni, 4);
+        let fabric = Fabric::new(Transport::Ugni);
         let t = fabric.connect_cost();
         assert!(t > SimTime::from_micros(95));
         assert!(t < SimTime::from_millis(1));

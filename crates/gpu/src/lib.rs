@@ -16,4 +16,4 @@ pub mod sharing;
 
 pub use device::{GpuDevice, KernelSpec};
 pub use kernels::{RodiniaBenchmark, RodiniaProfile};
-pub use sharing::{GpuAssignment, GpuSharingPolicy};
+pub use sharing::GpuAssignment;

@@ -35,7 +35,6 @@ pub struct AblationReport {
 fn timed_function(reg: &mut FunctionRegistry, exec_ms: u64) -> rfaas::FunctionDef {
     let id = reg.register(
         containers::ContainerImage::new(40.0),
-        containers::ContainerRuntime::Sarus,
         SimTime::from_millis(exec_ms),
     );
     reg.get(id).unwrap().clone()

@@ -45,10 +45,9 @@ fn compute(sim: &mut Simulation, params: &Params) -> Output {
 
     // Functional check (see the module docs): the metrics read only the
     // 10 MB durations, so those are timed; one real page is moved.
-    let mut fabric = Fabric::new(Transport::IbVerbs, 2);
+    let mut fabric = Fabric::new(Transport::IbVerbs);
     let svc = MemoryServiceFunction::deploy(&mut fabric, NodeId(1), 1 << 30, JobToken(1));
-    let (mut client, _) =
-        RemoteMemoryClient::connect(&mut fabric, &svc, NodeId(0), JobToken(2)).unwrap();
+    let (mut client, _) = RemoteMemoryClient::connect(&mut fabric, &svc, JobToken(2)).unwrap();
     let write_t = client
         .time(&mut fabric, 0, TRANSFER, RdmaOp::Write)
         .unwrap();

@@ -10,7 +10,7 @@ use crate::paper::{FIG12_LULESH_BASELINES, FIG12_MILC_BASELINES};
 use crate::report::{banner, fmt, pm, print_table};
 use crate::{Metrics, Params, Scenario, REPORT_SEED};
 use des::{OnlineStats, Simulation};
-use gpu::{GpuAssignment, GpuDevice, GpuSharingPolicy, RodiniaBenchmark};
+use gpu::{GpuAssignment, RodiniaBenchmark};
 use interference::model::colocation_overhead_pct;
 use interference::{NodeCapacity, WorkloadProfile};
 use rfaas::gpu_exec::GpuFunction;
@@ -54,7 +54,7 @@ fn compute(sim: &Simulation, params: &Params, with_smallest_lulesh: bool) -> Vec
     let reps = params.usize("reps");
     let cap = NodeCapacity::daint_gpu();
     let mut rng = sim.stream("fig12");
-    let mut gres = GpuAssignment::new(GpuSharingPolicy::ExclusiveDevice, 1);
+    let mut gres = GpuAssignment::new(1);
 
     let victims: Vec<(Batch, interference::Demand, f64)> = FIG12_LULESH_BASELINES
         .iter()
@@ -78,16 +78,10 @@ fn compute(sim: &Simulation, params: &Params, with_smallest_lulesh: bool) -> Vec
     // (bench, GPU runtime, host-side demand) of each GPU function.
     let functions: Vec<(RodiniaBenchmark, f64, interference::Demand)> = RodiniaBenchmark::ALL
         .iter()
-        .enumerate()
-        .map(|(holder, &bench)| {
-            let mut f = GpuFunction::deploy(
-                bench,
-                GpuDevice::p100(),
-                &mut gres,
-                holder as u32,
-                holder as u64,
-            )
-            .expect("each bench gets its own virtual node");
+        .zip(0..)
+        .map(|(&bench, node)| {
+            let mut f = GpuFunction::deploy(bench, &mut gres, node)
+                .expect("each bench gets its own virtual node");
             (bench, f.invoke().total().as_millis_f64(), f.host_demand())
         })
         .collect();

@@ -10,7 +10,7 @@ use hpc_serverless_disagg::fabric::{Fabric, JobToken, NodeId, Transport};
 use hpc_serverless_disagg::rfaas::memservice::{MemoryServiceFunction, RemoteMemoryClient};
 
 fn main() {
-    let mut fabric = Fabric::new(Transport::Ugni, 4);
+    let mut fabric = Fabric::new(Transport::Ugni);
 
     // The function pins 1 GB of otherwise idle memory on node 2.
     let service_job = JobToken(100);
@@ -22,11 +22,10 @@ fn main() {
         service.requirements().cores
     );
 
-    // The batch job on node 0 connects (DRC credential exchange included).
+    // The batch job connects (DRC credential exchange included).
     let batch_job = JobToken(7);
-    let (mut remote, setup) =
-        RemoteMemoryClient::connect(&mut fabric, &service, NodeId(0), batch_job)
-            .expect("service granted access");
+    let (mut remote, setup) = RemoteMemoryClient::connect(&mut fabric, &service, batch_job)
+        .expect("service granted access");
     println!("connected in {setup}");
 
     // Page out a 10 MB working-set slab, then page it back in.

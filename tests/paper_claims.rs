@@ -1,9 +1,7 @@
 //! The paper's headline claims, checked end-to-end against the reproduction.
 
 use hpc_serverless_disagg::des::SimTime;
-use hpc_serverless_disagg::fabric::{
-    CompletionMode, Fabric, JobToken, LogGpParams, NodeId, Transport,
-};
+use hpc_serverless_disagg::fabric::{Fabric, JobToken, LogGpParams, NodeId, Transport};
 use hpc_serverless_disagg::interference::model::scaling_efficiency;
 use hpc_serverless_disagg::interference::{NasClass, NasKernel, NodeCapacity, WorkloadProfile};
 use hpc_serverless_disagg::rfaas::memservice::{MemoryServiceFunction, RemoteMemoryClient};
@@ -56,10 +54,9 @@ fn claim_fig7_hot_invocations_track_ugni_and_warm_ones_pay_a_wakeup() {
 #[test]
 fn claim_remote_memory_sustains_1gbps() {
     // Conclusion: "supporting remote memory with up to 1GB/s traffic".
-    let mut fabric = Fabric::new(Transport::Ugni, 2);
+    let mut fabric = Fabric::new(Transport::Ugni);
     let svc = MemoryServiceFunction::deploy(&mut fabric, NodeId(1), 1 << 30, JobToken(1));
-    let (mut client, _) =
-        RemoteMemoryClient::connect(&mut fabric, &svc, NodeId(0), JobToken(2)).unwrap();
+    let (mut client, _) = RemoteMemoryClient::connect(&mut fabric, &svc, JobToken(2)).unwrap();
     let chunk = vec![0u8; 10 << 20];
     for i in 0..20 {
         client
@@ -194,28 +191,12 @@ fn claim_eq1_never_waits_for_remote_work() {
 fn claim_ugni_needs_drc_for_cross_job_communication() {
     // Sec. IV-A: uGNI confines communication to one batch job; rFaaS makes
     // it cross jobs via DRC credentials.
-    let mut fabric = Fabric::new(Transport::Ugni, 2);
+    let mut fabric = Fabric::new(Transport::Ugni);
     let executor_job = JobToken(1);
     let client_job = JobToken(2);
     let cred = fabric.drc.allocate(executor_job);
     // Without a grant the client cannot connect.
-    assert!(fabric
-        .connect(
-            NodeId(0),
-            NodeId(1),
-            cred,
-            client_job,
-            CompletionMode::BusyPoll
-        )
-        .is_err());
+    assert!(fabric.connect(NodeId(1), cred, client_job).is_err());
     fabric.drc.grant(cred, executor_job, client_job).unwrap();
-    assert!(fabric
-        .connect(
-            NodeId(0),
-            NodeId(1),
-            cred,
-            client_job,
-            CompletionMode::BusyPoll
-        )
-        .is_ok());
+    assert!(fabric.connect(NodeId(1), cred, client_job).is_ok());
 }
